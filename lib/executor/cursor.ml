@@ -23,17 +23,11 @@ let of_array schema tuples =
 
 let to_array c =
   c.open_ ();
-  let out = ref [] in
-  let rec drain () =
-    match c.next () with
-    | None -> ()
-    | Some t ->
-      out := t :: !out;
-      drain ()
-  in
-  drain ();
+  let buf, n = Array_pool.drain c.next in
   c.close ();
-  Array.of_list (List.rev !out)
+  let out = Array.sub buf 0 n in
+  Array_pool.Rows.give buf;
+  out
 
 let iter f c =
   c.open_ ();

@@ -23,49 +23,248 @@ let aggregate_schema = Catalog.Plan_schema.aggregate_schema
 let schema_of ctx (p : Physical.plan) : Schema.t = Catalog.plan_schema ctx.catalog p
 
 (* ---------------------------------------------------------------------- *)
+(* Hash index                                                              *)
+(* ---------------------------------------------------------------------- *)
+
+(* The one hash index behind every hash operator. Rows sit in [rows];
+   [head] maps a bucket to its newest row position and [next] chains a
+   position to the previous one in its bucket (-1 ends a chain), so a
+   chain runs newest first. A key is the values at [cols], hashed with
+   [Value.hash] and compared with [Value.equal]: [Int 1] and [Float 1.]
+   are one key, and so are two NULLs (operators that must not match
+   NULL keys leave such rows out). All four arrays come from
+   [Array_pool] and share one power-of-two length; [release] gives them
+   back. *)
+module Index = struct
+  type t = {
+    cols : int array;
+    mutable rows : Tuple.t array;
+    mutable size : int;  (** rows at positions [0 .. size - 1] *)
+    mutable head : int array;
+    mutable next : int array;
+    mutable hashes : int array;  (** each position's key hash *)
+  }
+
+  let create cols = { cols; rows = [||]; size = 0; head = [||]; next = [||]; hashes = [||] }
+
+  let length t = t.size
+
+  let row t p = t.rows.(p)
+
+  let hash cols (r : Tuple.t) =
+    let h = ref 0 in
+    for k = 0 to Array.length cols - 1 do
+      h := (!h * 31) + Value.hash r.(cols.(k))
+    done;
+    !h land max_int
+
+  let has_null cols (r : Tuple.t) =
+    let rec go k = k < Array.length cols && (Value.is_null r.(cols.(k)) || go (k + 1)) in
+    go 0
+
+  let release t =
+    if Array.length t.rows > 0 then begin
+      Array_pool.Rows.give t.rows;
+      Array_pool.Ints.give t.head;
+      Array_pool.Ints.give t.next;
+      Array_pool.Ints.give t.hashes
+    end;
+    t.rows <- [||];
+    t.size <- 0;
+    t.head <- [||];
+    t.next <- [||];
+    t.hashes <- [||]
+
+  (* Empty chains over [rows], whose length is a power of two. *)
+  let alloc t rows =
+    let cap = Array.length rows in
+    t.rows <- rows;
+    t.head <- Array_pool.Ints.take cap;
+    t.next <- Array_pool.Ints.take cap;
+    t.hashes <- Array_pool.Ints.take cap
+
+  let link t p h =
+    let b = h land (Array.length t.head - 1) in
+    t.hashes.(p) <- h;
+    t.next.(p) <- t.head.(b);
+    t.head.(b) <- p
+
+  (* Index every row of [input], linking those [keep] accepts; the
+     index is sized once. *)
+  let build ?(keep = fun _ -> true) t (input : Cursor.t) =
+    release t;
+    input.Cursor.open_ ();
+    let rows, n = Array_pool.drain input.Cursor.next in
+    input.Cursor.close ();
+    alloc t rows;
+    t.size <- n;
+    for p = 0 to n - 1 do
+      let r = rows.(p) in
+      if keep r then link t p (hash t.cols r)
+    done
+
+  (* Double an incrementally filled index, relinking oldest first so
+     every chain stays newest first. *)
+  let grow t =
+    let old = { t with size = t.size } in
+    let rows = Array_pool.Rows.take (2 * max 8 t.size) in
+    Array.blit old.rows 0 rows 0 t.size;
+    alloc t rows;
+    for p = 0 to t.size - 1 do
+      link t p old.hashes.(p)
+    done;
+    release old
+
+  (* Append a row whose key hashes to [h]. *)
+  let add t r h =
+    if t.size >= Array.length t.rows then grow t;
+    let p = t.size in
+    t.rows.(p) <- r;
+    t.size <- p + 1;
+    link t p h
+
+  let matches t p key_cols (probe : Tuple.t) =
+    let r = t.rows.(p) and cols = t.cols in
+    let rec go k =
+      k >= Array.length cols || (Value.equal r.(cols.(k)) probe.(key_cols.(k)) && go (k + 1))
+    in
+    go 0
+
+  let rec scan t h key_cols probe p =
+    if p < 0 || (t.hashes.(p) = h && matches t p key_cols probe) then p
+    else scan t h key_cols probe t.next.(p)
+
+  (* The newest position whose key equals [probe]'s values at
+     [key_cols] ([h] is their hash), or -1. *)
+  let find t h key_cols probe =
+    if t.size = 0 then -1
+    else scan t h key_cols probe t.head.(h land (Array.length t.head - 1))
+
+  (* The next older match after position [p], or -1. *)
+  let find_next t h key_cols probe p = scan t h key_cols probe t.next.(p)
+
+  (* Add [r] unless an equal key is indexed; whether it was added. *)
+  let add_new t r =
+    let h = hash t.cols r in
+    find t h t.cols r < 0
+    && begin
+      add t r h;
+      true
+    end
+end
+
+(* The values of [t] at positions [idx], as a new tuple. *)
+let pick idx (t : Tuple.t) : Tuple.t =
+  let n = Array.length idx in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n t.(idx.(0)) in
+    for k = 1 to n - 1 do
+      out.(k) <- t.(idx.(k))
+    done;
+    out
+  end
+
+let key_positions schema cols = Array.of_list (List.map (Schema.index_of schema) cols)
+
+let all_columns (schema : Schema.t) = Array.init (Array.length schema) Fun.id
+
+(* A cursor over the first [n] rows of the array [fill ()] returns as
+   [(rows, n)] each time the cursor opens. *)
+let array_cursor schema fill : Cursor.t =
+  let rows = ref [||] and n = ref 0 and pos = ref 0 in
+  {
+    Cursor.schema;
+    open_ =
+      (fun () ->
+        let r, k = fill () in
+        rows := r;
+        n := k;
+        pos := 0);
+    next =
+      (fun () ->
+        if !pos >= !n then None
+        else begin
+          let t = !rows.(!pos) in
+          incr pos;
+          Some t
+        end);
+    close =
+      (fun () ->
+        rows := [||];
+        n := 0);
+  }
+
+(* ---------------------------------------------------------------------- *)
 (* Aggregate evaluation                                                    *)
 (* ---------------------------------------------------------------------- *)
 
+(* One aggregate's state within a group. Each function keeps only what
+   it reads: COUNT a count (of rows, or of non-NULL values), SUM, MIN
+   and MAX [acc], AVG both. *)
 type agg_state = {
-  mutable rows : int;
-  mutable non_null : int;
-  mutable sum : Value.t;
-  mutable min_v : Value.t option;
-  mutable max_v : Value.t option;
+  mutable count : int;
+  mutable acc : Value.t;  (** [Null] until a non-NULL value arrives *)
 }
 
-let agg_state () = { rows = 0; non_null = 0; sum = Value.Null; min_v = None; max_v = None }
+let agg_state () = { count = 0; acc = Value.Null }
 
-let agg_update schema (a : Logical.agg) st tuple =
-  st.rows <- st.rows + 1;
+(* Compile one aggregate's per-row update, resolving its column once. *)
+let agg_step schema (a : Logical.agg) : agg_state -> Tuple.t -> unit =
   match a.column with
-  | None -> ()
+  | None -> fun st _ -> st.count <- st.count + 1
   | Some col ->
-    let v = Tuple.get tuple (Schema.index_of schema col) in
-    if not (Value.is_null v) then begin
-      st.non_null <- st.non_null + 1;
-      st.sum <- (if Value.is_null st.sum then v else Value.add st.sum v);
-      (match st.min_v with
-       | None -> st.min_v <- Some v
-       | Some m -> if Value.compare v m < 0 then st.min_v <- Some v);
-      match st.max_v with
-      | None -> st.max_v <- Some v
-      | Some m -> if Value.compare v m > 0 then st.max_v <- Some v
-    end
+    let i = Schema.index_of schema col in
+    let sum st v = st.acc <- (if Value.is_null st.acc then v else Value.add st.acc v) in
+    let keep_if better st v =
+      if Value.is_null st.acc || better (Value.compare v st.acc) then st.acc <- v
+    in
+    let fold : agg_state -> Value.t -> unit =
+      match a.func with
+      | Logical.Count -> fun st _ -> st.count <- st.count + 1
+      | Logical.Sum -> sum
+      | Logical.Avg ->
+        fun st v ->
+          st.count <- st.count + 1;
+          sum st v
+      | Logical.Min -> keep_if (fun c -> c < 0)
+      | Logical.Max -> keep_if (fun c -> c > 0)
+    in
+    fun st t ->
+      let v = t.(i) in
+      if not (Value.is_null v) then fold st v
 
 let agg_finalize (a : Logical.agg) st : Value.t =
-  match a.func with
-  | Logical.Count -> Value.Int (match a.column with None -> st.rows | Some _ -> st.non_null)
-  | Logical.Sum -> st.sum
-  | Logical.Min -> Option.value st.min_v ~default:Value.Null
-  | Logical.Max -> Option.value st.max_v ~default:Value.Null
-  | Logical.Avg ->
-    if st.non_null = 0 then Value.Null
+  match a.func, a.column with
+  | Logical.Count, _ -> Value.Int st.count
+  | (Logical.Sum | Logical.Min | Logical.Max | Logical.Avg), None -> Value.Null
+  | (Logical.Sum | Logical.Min | Logical.Max), Some _ -> st.acc
+  | Logical.Avg, Some _ ->
+    if st.count = 0 then Value.Null
     else begin
-      match Value.to_float st.sum with
-      | Some s -> Value.Float (s /. float_of_int st.non_null)
+      match Value.to_float st.acc with
+      | Some s -> Value.Float (s /. float_of_int st.count)
       | None -> Value.Null
     end
+
+(* An aggregate operator's compiled pieces: key positions, per-row
+   updates, and the output row of a group. *)
+let compile_aggs in_schema keys aggs =
+  let kidx = key_positions in_schema keys in
+  let steps = Array.of_list (List.map (agg_step in_schema) aggs) in
+  let aggs = Array.of_list aggs in
+  let fresh () = Array.map (fun _ -> agg_state ()) aggs in
+  let update states t =
+    for a = 0 to Array.length steps - 1 do
+      steps.(a) states.(a) t
+    done
+  in
+  let finalize (first : Tuple.t) states =
+    let nk = Array.length kidx in
+    Array.init (nk + Array.length aggs) (fun j ->
+        if j < nk then first.(kidx.(j)) else agg_finalize aggs.(j - nk) states.(j - nk))
+  in
+  (kidx, fresh, update, finalize)
 
 (* ---------------------------------------------------------------------- *)
 (* Operators                                                               *)
@@ -88,27 +287,14 @@ let table_scan ctx name : Cursor.t =
 let index_scan ctx name cols pred : Cursor.t =
   let table = Catalog.find ctx.catalog name in
   let keep = Expr.eval_pred table.schema pred in
-  let state = ref [||] in
-  let pos = ref 0 in
-  {
-    Cursor.schema = table.schema;
-    open_ =
-      (fun () ->
-        let qualifying = Array.of_seq (Seq.filter keep (Array.to_seq table.tuples)) in
-        Array.sort (Sort_order.compare_tuples table.schema (Sort_order.asc cols)) qualifying;
-        Io_stats.read ctx.io (1 + pages_of ctx table.schema (Array.length qualifying));
-        state := qualifying;
-        pos := 0);
-    next =
-      (fun () ->
-        if !pos >= Array.length !state then None
-        else begin
-          let t = !state.(!pos) in
-          incr pos;
-          Some t
-        end);
-    close = (fun () -> state := [||]);
-  }
+  let cmp = Sort_order.compare_tuples table.schema (Sort_order.asc cols) in
+  array_cursor table.schema (fun () ->
+      let qualifying =
+        Cursor.to_array (Cursor.filter_stream keep (Cursor.of_array table.schema table.tuples))
+      in
+      Array.sort cmp qualifying;
+      Io_stats.read ctx.io (1 + pages_of ctx table.schema (Array.length qualifying));
+      (qualifying, Array.length qualifying))
 
 (* Materialize an input, counting spill I/O when it exceeds the sort
    workspace (single-level merge: write runs, read them back). *)
@@ -121,66 +307,44 @@ let materialize_for_sort ctx (input : Cursor.t) =
   end;
   tuples
 
+(* Keep the first of every run of equal tuples in a sorted array, in
+   place; the number kept. *)
+let dedup_sorted (tuples : Tuple.t array) =
+  let kept = ref (min 1 (Array.length tuples)) in
+  for i = 1 to Array.length tuples - 1 do
+    if not (Tuple.equal tuples.(!kept - 1) tuples.(i)) then begin
+      tuples.(!kept) <- tuples.(i);
+      incr kept
+    end
+  done;
+  !kept
+
 let sort_op ctx order ~dedup (input : Cursor.t) : Cursor.t =
   let schema = input.Cursor.schema in
-  let state = ref [||] in
-  let pos = ref 0 in
-  {
-    Cursor.schema;
-    open_ =
-      (fun () ->
-        let tuples = materialize_for_sort ctx input in
-        Array.sort (Sort_order.compare_tuples schema order) tuples;
-        let deduped =
-          if not dedup then tuples
-          else begin
-            let out = ref [] in
-            Array.iter
-              (fun t ->
-                match !out with
-                | prev :: _ when Tuple.equal prev t -> ()
-                | _ -> out := t :: !out)
-              tuples;
-            Array.of_list (List.rev !out)
-          end
-        in
-        state := deduped;
-        pos := 0);
-    next =
-      (fun () ->
-        if !pos >= Array.length !state then None
-        else begin
-          let t = !state.(!pos) in
-          incr pos;
-          Some t
-        end);
-    close = (fun () -> state := [||]);
-  }
+  let cmp = Sort_order.compare_tuples schema order in
+  array_cursor schema (fun () ->
+      let tuples = materialize_for_sort ctx input in
+      Array.sort cmp tuples;
+      (tuples, if dedup then dedup_sorted tuples else Array.length tuples))
 
 let hash_dedup_op (input : Cursor.t) : Cursor.t =
-  let seen = Hashtbl.create 256 in
-  let next () =
-    let rec go () =
-      match input.Cursor.next () with
-      | None -> None
-      | Some t ->
-        let key = Array.to_list t in
-        if Hashtbl.mem seen key then go ()
-        else begin
-          Hashtbl.add seen key ();
-          Some t
-        end
-    in
-    go ()
+  let seen = Index.create (all_columns input.Cursor.schema) in
+  let rec next () =
+    match input.Cursor.next () with
+    | None -> None
+    | Some t as r -> if Index.add_new seen t then r else next ()
   in
   {
     Cursor.schema = input.Cursor.schema;
     open_ =
       (fun () ->
-        Hashtbl.reset seen;
+        Index.release seen;
         input.Cursor.open_ ());
     next;
-    close = input.Cursor.close;
+    close =
+      (fun () ->
+        Index.release seen;
+        input.Cursor.close ());
   }
 
 let nested_loop_join pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
@@ -226,31 +390,32 @@ let nested_loop_join pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
         left.Cursor.close ());
   }
 
+(* Hybrid hash join without partition files: build on the right input,
+   probe with the left. A probe row's matches come newest first, as
+   chains run. Keys containing NULL never match. *)
 let hash_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
   let schema = Schema.concat left.Cursor.schema right.Cursor.schema in
   let keep = Expr.eval_pred schema pred in
-  let lidx = List.map (fun (l, _) -> Schema.index_of left.Cursor.schema l) keys in
-  let ridx = List.map (fun (_, r) -> Schema.index_of right.Cursor.schema r) keys in
-  let table : (Value.t list, Tuple.t list) Hashtbl.t = Hashtbl.create 1024 in
-  let probe_cur = ref None in
-  let matches = ref [] in
+  let lidx = key_positions left.Cursor.schema (List.map fst keys) in
+  let ridx = key_positions right.Cursor.schema (List.map snd keys) in
+  let table = Index.create ridx in
+  let probe = ref [||] and probe_hash = ref 0 and pos = ref (-1) in
   let rec next () =
-    match !matches with
-    | r :: rest -> begin
-      matches := rest;
-      match !probe_cur with
-      | None -> assert false
-      | Some l ->
-        let joined = Tuple.concat l r in
-        if keep joined then Some joined else next ()
+    if !pos >= 0 then begin
+      let r = Index.row table !pos in
+      pos := Index.find_next table !probe_hash lidx !probe !pos;
+      let joined = Tuple.concat !probe r in
+      if keep joined then Some joined else next ()
     end
-    | [] -> begin
+    else begin
       match left.Cursor.next () with
       | None -> None
       | Some l ->
-        probe_cur := Some l;
-        let key = List.map (fun i -> Tuple.get l i) lidx in
-        matches := (match Hashtbl.find_opt table key with Some ts -> ts | None -> []);
+        if not (Index.has_null lidx l) then begin
+          probe := l;
+          probe_hash := Index.hash lidx l;
+          pos := Index.find table !probe_hash lidx l
+        end;
         next ()
     end
   in
@@ -258,68 +423,76 @@ let hash_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
     Cursor.schema;
     open_ =
       (fun () ->
-        Hashtbl.reset table;
-        (* Build on the right input. *)
-        Cursor.iter
-          (fun r ->
-            let key = List.map (fun i -> Tuple.get r i) ridx in
-            let existing =
-              match Hashtbl.find_opt table key with Some ts -> ts | None -> []
-            in
-            Hashtbl.replace table key (r :: existing))
-          right;
-        probe_cur := None;
-        matches := [];
+        Index.build table ~keep:(fun r -> not (Index.has_null ridx r)) right;
+        probe := [||];
+        pos := -1;
         left.Cursor.open_ ());
     next;
     close =
       (fun () ->
-        Hashtbl.reset table;
+        Index.release table;
+        probe := [||];
         left.Cursor.close ());
   }
 
 (* Streaming merge join over inputs sorted on the equi-key columns:
    buffers one group of equal keys per side, emits their cross product
-   (filtered by the residual predicate), then advances both sides. *)
+   (filtered by the residual predicate), then advances both sides. Rows
+   whose key contains NULL are skipped: they never match. *)
 let merge_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
   let schema = Schema.concat left.Cursor.schema right.Cursor.schema in
   let keep = Expr.eval_pred schema pred in
-  let lidx = List.map (fun (l, _) -> Schema.index_of left.Cursor.schema l) keys in
-  let ridx = List.map (fun (_, r) -> Schema.index_of right.Cursor.schema r) keys in
-  let key_of idx t = List.map (fun i -> Tuple.get t i) idx in
-  let compare_keys k1 k2 =
-    List.fold_left2 (fun acc a b -> if acc <> 0 then acc else Value.compare a b) 0 k1 k2
+  let lidx = key_positions left.Cursor.schema (List.map fst keys) in
+  let ridx = key_positions right.Cursor.schema (List.map snd keys) in
+  let compare_keys aidx (a : Tuple.t) bidx (b : Tuple.t) =
+    let rec go k =
+      if k >= Array.length aidx then 0
+      else begin
+        let c = Value.compare a.(aidx.(k)) b.(bidx.(k)) in
+        if c <> 0 then c else go (k + 1)
+      end
+    in
+    go 0
   in
   let lcur = ref None and rcur = ref None in
-  let queue = ref [] in
   let advance_l () = lcur := left.Cursor.next () in
   let advance_r () = rcur := right.Cursor.next () in
-  (* Collect all consecutive tuples with the given key; leaves the
-     cursor state at the first non-matching tuple. *)
-  let collect_group cur advance idx key =
-    let group = ref [] in
-    let rec go () =
+  (* The current cross product: left group, right group, and the next
+     pair to emit. *)
+  let lgroup = ref [||] and rgroup = ref [||] and li = ref 0 and ri = ref 0 in
+  (* Collect the consecutive tuples whose key equals [first]'s; leaves
+     the cursor at the first non-matching tuple. *)
+  let collect_group cur advance idx first =
+    let rec go acc =
       match !cur with
-      | Some t when compare_keys (key_of idx t) key = 0 ->
-        group := t :: !group;
+      | Some t when compare_keys idx t idx first = 0 ->
         advance ();
-        go ()
-      | Some _ | None -> ()
+        go (t :: acc)
+      | Some _ | None -> Array.of_list (List.rev acc)
     in
-    go ();
-    List.rev !group
+    go []
   in
   let rec next () =
-    match !queue with
-    | t :: rest ->
-      queue := rest;
+    if !li < Array.length !lgroup then begin
+      let t = Tuple.concat !lgroup.(!li) !rgroup.(!ri) in
+      incr ri;
+      if !ri >= Array.length !rgroup then begin
+        ri := 0;
+        incr li
+      end;
       if keep t then Some t else next ()
-    | [] -> begin
+    end
+    else begin
       match !lcur, !rcur with
       | None, _ | _, None -> None
+      | Some l, _ when Index.has_null lidx l ->
+        advance_l ();
+        next ()
+      | _, Some r when Index.has_null ridx r ->
+        advance_r ();
+        next ()
       | Some l, Some r ->
-        let lk = key_of lidx l and rk = key_of ridx r in
-        let c = compare_keys lk rk in
+        let c = compare_keys lidx l ridx r in
         if c < 0 then begin
           advance_l ();
           next ()
@@ -329,10 +502,10 @@ let merge_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
           next ()
         end
         else begin
-          let lgroup = collect_group lcur advance_l lidx lk in
-          let rgroup = collect_group rcur advance_r ridx rk in
-          queue :=
-            List.concat_map (fun lt -> List.map (fun rt -> Tuple.concat lt rt) rgroup) lgroup;
+          lgroup := collect_group lcur advance_l lidx l;
+          rgroup := collect_group rcur advance_r ridx r;
+          li := 0;
+          ri := 0;
           next ()
         end
     end
@@ -345,10 +518,13 @@ let merge_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
         right.Cursor.open_ ();
         advance_l ();
         advance_r ();
-        queue := []);
+        lgroup := [||];
+        rgroup := [||]);
     next;
     close =
       (fun () ->
+        lgroup := [||];
+        rgroup := [||];
         left.Cursor.close ();
         right.Cursor.close ());
   }
@@ -356,17 +532,18 @@ let merge_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
 (* Set operations. Hash-based variants treat inputs as bags and emit
    sets; merge-based variants rely on both inputs arriving sorted in the
    same positional order and duplicate-free, as their implementation
-   rules require. *)
+   rules require. Both compare rows with [Value.equal], and a NULL
+   equals a NULL. *)
 
 let hash_union (left : Cursor.t) (right : Cursor.t) : Cursor.t =
-  let seen = Hashtbl.create 256 in
+  let seen = Index.create (all_columns left.Cursor.schema) in
   let side = ref `Left in
   let rec next () =
     let candidate =
       match !side with
       | `Left -> begin
         match left.Cursor.next () with
-        | Some t -> Some t
+        | Some _ as r -> r
         | None ->
           side := `Right;
           right.Cursor.next ()
@@ -375,25 +552,20 @@ let hash_union (left : Cursor.t) (right : Cursor.t) : Cursor.t =
     in
     match candidate with
     | None -> None
-    | Some t ->
-      let key = Array.to_list t in
-      if Hashtbl.mem seen key then next ()
-      else begin
-        Hashtbl.add seen key ();
-        Some t
-      end
+    | Some t -> if Index.add_new seen t then candidate else next ()
   in
   {
     Cursor.schema = left.Cursor.schema;
     open_ =
       (fun () ->
-        Hashtbl.reset seen;
+        Index.release seen;
         side := `Left;
         left.Cursor.open_ ();
         right.Cursor.open_ ());
     next;
     close =
       (fun () ->
+        Index.release seen;
         left.Cursor.close ();
         right.Cursor.close ());
   }
@@ -401,18 +573,17 @@ let hash_union (left : Cursor.t) (right : Cursor.t) : Cursor.t =
 let hash_semi ~anti (left : Cursor.t) (right : Cursor.t) : Cursor.t =
   (* Intersection (anti=false) or difference (anti=true) with set
      output. *)
-  let members = Hashtbl.create 256 in
-  let emitted = Hashtbl.create 256 in
+  let cols = all_columns left.Cursor.schema in
+  let members = Index.create cols and emitted = Index.create cols in
   let rec next () =
     match left.Cursor.next () with
     | None -> None
-    | Some t ->
-      let key = Array.to_list t in
-      let in_right = Hashtbl.mem members key in
-      let wanted = if anti then not in_right else in_right in
-      if wanted && not (Hashtbl.mem emitted key) then begin
-        Hashtbl.add emitted key ();
-        Some t
+    | Some t as r ->
+      let h = Index.hash cols t in
+      let in_right = Index.find members h cols t >= 0 in
+      if in_right <> anti && Index.find emitted h cols t < 0 then begin
+        Index.add emitted t h;
+        r
       end
       else next ()
   in
@@ -420,12 +591,15 @@ let hash_semi ~anti (left : Cursor.t) (right : Cursor.t) : Cursor.t =
     Cursor.schema = left.Cursor.schema;
     open_ =
       (fun () ->
-        Hashtbl.reset members;
-        Hashtbl.reset emitted;
-        Cursor.iter (fun t -> Hashtbl.replace members (Array.to_list t) ()) right;
+        Index.release emitted;
+        Index.build members right;
         left.Cursor.open_ ());
     next;
-    close = left.Cursor.close;
+    close =
+      (fun () ->
+        Index.release members;
+        Index.release emitted;
+        left.Cursor.close ());
   }
 
 let merge_setop kind (left : Cursor.t) (right : Cursor.t) : Cursor.t =
@@ -506,97 +680,87 @@ let merge_setop kind (left : Cursor.t) (right : Cursor.t) : Cursor.t =
         right.Cursor.close ());
   }
 
+(* Groups come out in first-seen order, each keyed by its first row's
+   values. *)
 let hash_aggregate keys aggs (input : Cursor.t) : Cursor.t =
   let in_schema = input.Cursor.schema in
-  let schema = aggregate_schema in_schema keys aggs in
-  let kidx = List.map (Schema.index_of in_schema) keys in
-  let groups : (Value.t list, agg_state list) Hashtbl.t = Hashtbl.create 256 in
-  let order = ref [] in
-  let pending = ref [] in
-  let finalize key states =
-    Array.of_list (key @ List.map2 agg_finalize aggs states)
-  in
-  {
-    Cursor.schema;
-    open_ =
-      (fun () ->
-        Hashtbl.reset groups;
-        order := [];
-        Cursor.iter
-          (fun t ->
-            let key = List.map (fun i -> Tuple.get t i) kidx in
-            let states =
-              match Hashtbl.find_opt groups key with
-              | Some s -> s
-              | None ->
-                let s = List.map (fun _ -> agg_state ()) aggs in
-                Hashtbl.add groups key s;
-                order := key :: !order;
-                s
-            in
-            List.iter2 (fun a st -> agg_update in_schema a st t) aggs states)
-          input;
-        pending :=
-          List.rev_map (fun key -> finalize key (Hashtbl.find groups key)) !order);
-    next =
-      (fun () ->
-        match !pending with
-        | [] -> None
-        | t :: rest ->
-          pending := rest;
-          Some t);
-    close = (fun () -> Hashtbl.reset groups);
-  }
+  let kidx, fresh, update, finalize = compile_aggs in_schema keys aggs in
+  let groups = Index.create kidx in
+  array_cursor (aggregate_schema in_schema keys aggs) (fun () ->
+      Index.release groups;
+      let states = ref [||] in
+      Cursor.iter
+        (fun t ->
+          let h = Index.hash kidx t in
+          let g = Index.find groups h kidx t in
+          let g =
+            if g >= 0 then g
+            else begin
+              let g = Index.length groups in
+              Index.add groups t h;
+              if g >= Array.length !states then begin
+                let bigger = Array.make (max 16 (2 * g)) [||] in
+                Array.blit !states 0 bigger 0 g;
+                states := bigger
+              end;
+              !states.(g) <- fresh ();
+              g
+            end
+          in
+          update !states.(g) t)
+        input;
+      let out =
+        Array.init (Index.length groups) (fun g -> finalize (Index.row groups g) !states.(g))
+      in
+      Index.release groups;
+      (out, Array.length out))
 
 let stream_aggregate keys aggs (input : Cursor.t) : Cursor.t =
   let in_schema = input.Cursor.schema in
-  let schema = aggregate_schema in_schema keys aggs in
-  let kidx = List.map (Schema.index_of in_schema) keys in
-  let current_key = ref None in
-  let states = ref [] in
-  let lookahead = ref None in
-  let finalize key sts = Array.of_list (key @ List.map2 agg_finalize aggs sts) in
-  let rec next () =
-    let tuple =
-      match !lookahead with
-      | Some t ->
-        lookahead := None;
-        Some t
-      | None -> input.Cursor.next ()
+  let kidx, fresh, update, finalize = compile_aggs in_schema keys aggs in
+  (* The current group: its first row and its states. *)
+  let first = ref [||] and states = ref [||] and in_group = ref false in
+  let start t =
+    first := t;
+    states := fresh ();
+    in_group := true;
+    update !states t
+  in
+  let same_group (t : Tuple.t) =
+    let rec go k =
+      k >= Array.length kidx || (Value.equal !first.(kidx.(k)) t.(kidx.(k)) && go (k + 1))
     in
-    match tuple, !current_key with
-    | None, None -> None
-    | None, Some key ->
-      let out = finalize key !states in
-      current_key := None;
-      states := [];
-      Some out
-    | Some t, _ ->
-      let key = List.map (fun i -> Tuple.get t i) kidx in
-      (match !current_key with
-       | Some k when k <> key ->
-         (* Group boundary: emit the finished group, keep the tuple. *)
-         let out = finalize k !states in
-         current_key := Some key;
-         states := List.map (fun _ -> agg_state ()) aggs;
-         List.iter2 (fun a st -> agg_update in_schema a st t) aggs !states;
-         Some out
-       | Some _ ->
-         List.iter2 (fun a st -> agg_update in_schema a st t) aggs !states;
-         next ()
-       | None ->
-         current_key := Some key;
-         states := List.map (fun _ -> agg_state ()) aggs;
-         List.iter2 (fun a st -> agg_update in_schema a st t) aggs !states;
-         next ())
+    go 0
+  in
+  let rec next () =
+    match input.Cursor.next () with
+    | None ->
+      if !in_group then begin
+        in_group := false;
+        Some (finalize !first !states)
+      end
+      else None
+    | Some t ->
+      if not !in_group then begin
+        start t;
+        next ()
+      end
+      else if same_group t then begin
+        update !states t;
+        next ()
+      end
+      else begin
+        (* Group boundary: emit the finished group, start the next. *)
+        let out = finalize !first !states in
+        start t;
+        Some out
+      end
   in
   {
-    Cursor.schema;
+    Cursor.schema = aggregate_schema in_schema keys aggs;
     open_ =
       (fun () ->
-        current_key := None;
-        states := [];
-        lookahead := None;
+        in_group := false;
         input.Cursor.open_ ());
     next;
     close = input.Cursor.close;
@@ -618,20 +782,18 @@ let compile_node ctx ~child (p : Physical.plan) : Cursor.t =
     Cursor.filter_stream (Expr.eval_pred input.Cursor.schema pred) input
   | Physical.Project_cols cols ->
     let input = child 0 in
-    let schema = Schema.project input.Cursor.schema cols in
-    let idx = List.map (Schema.index_of input.Cursor.schema) cols in
-    Cursor.map_stream schema
-      (fun t -> Array.of_list (List.map (fun i -> Tuple.get t i) idx))
+    Cursor.map_stream
+      (Schema.project input.Cursor.schema cols)
+      (pick (key_positions input.Cursor.schema cols))
       input
   | Physical.Nested_loop_join pred -> nested_loop_join pred (child 0) (child 1)
   | Physical.Merge_join (keys, pred) -> merge_join keys pred (child 0) (child 1)
   | Physical.Hash_join (keys, pred) -> hash_join keys pred (child 0) (child 1)
   | Physical.Hash_join_project (keys, pred, cols) ->
     let joined = hash_join keys pred (child 0) (child 1) in
-    let schema = Schema.project joined.Cursor.schema cols in
-    let idx = List.map (Schema.index_of joined.Cursor.schema) cols in
-    Cursor.map_stream schema
-      (fun t -> Array.of_list (List.map (fun i -> Tuple.get t i) idx))
+    Cursor.map_stream
+      (Schema.project joined.Cursor.schema cols)
+      (pick (key_positions joined.Cursor.schema cols))
       joined
   | Physical.Sort order -> sort_op ctx order ~dedup:false (child 0)
   | Physical.Repartition _ | Physical.Gather | Physical.Merge_gather _ ->

@@ -85,15 +85,20 @@ let equijoin_keys expr ~left ~right =
   in
   List.filter_map keys (conjuncts expr)
 
-let eval_cmp op a b =
-  let c = Value.compare a b in
-  match op with
-  | Eq -> c = 0
-  | Ne -> c <> 0
-  | Lt -> c < 0
-  | Le -> c <= 0
-  | Gt -> c > 0
-  | Ge -> c >= 0
+(* The comparison as a test on [Value.compare]'s result, chosen once
+   when a predicate is compiled. *)
+let cmp_test = function
+  | Eq -> fun c -> c = 0
+  | Ne -> fun c -> c <> 0
+  | Lt -> fun c -> c < 0
+  | Le -> fun c -> c <= 0
+  | Gt -> fun c -> c > 0
+  | Ge -> fun c -> c >= 0
+
+(* Predicate results are these two shared constants, so evaluating a
+   comparison allocates nothing. *)
+let vtrue = Value.Bool true
+let vfalse = Value.Bool false
 
 let compile schema expr =
   (* Resolve all columns up-front so evaluation is a pure array walk. *)
@@ -104,27 +109,33 @@ let compile schema expr =
     | Const v -> fun _ -> v
     | Cmp (op, a, b) ->
       let fa = build a and fb = build b in
+      let test = cmp_test op in
       fun t ->
         let va = fa t and vb = fb t in
         if Value.is_null va || Value.is_null vb then Value.Null
-        else Value.Bool (eval_cmp op va vb)
+        else if test (Value.compare va vb) then vtrue
+        else vfalse
     | And (a, b) ->
       let fa = build a and fb = build b in
       fun t ->
         (match fa t with
-         | Value.Bool false -> Value.Bool false
+         | Value.Bool false -> vfalse
          | Value.Bool true -> fb t
-         | _ -> (match fb t with Value.Bool false -> Value.Bool false | _ -> Value.Null))
+         | _ -> (match fb t with Value.Bool false -> vfalse | _ -> Value.Null))
     | Or (a, b) ->
       let fa = build a and fb = build b in
       fun t ->
         (match fa t with
-         | Value.Bool true -> Value.Bool true
+         | Value.Bool true -> vtrue
          | Value.Bool false -> fb t
-         | _ -> (match fb t with Value.Bool true -> Value.Bool true | _ -> Value.Null))
+         | _ -> (match fb t with Value.Bool true -> vtrue | _ -> Value.Null))
     | Not e ->
       let f = build e in
-      fun t -> (match f t with Value.Bool b -> Value.Bool (not b) | _ -> Value.Null)
+      fun t ->
+        (match f t with
+         | Value.Bool true -> vfalse
+         | Value.Bool false -> vtrue
+         | _ -> Value.Null)
     | Arith (op, a, b) ->
       let fa = build a and fb = build b in
       let f =

@@ -73,7 +73,9 @@ val refers_only_to : Schema.t -> t -> bool
 (** All column references resolve in the given schema. *)
 
 val compile : Schema.t -> t -> Tuple.t -> Value.t
-(** Resolve columns to positions and return an evaluator.
+(** Resolve columns to positions and return an evaluator. Predicate
+    results are shared [Bool] constants, so a comparison allocates
+    nothing.
     @raise Not_found if a column does not resolve. *)
 
 val eval_pred : Schema.t -> t -> Tuple.t -> bool

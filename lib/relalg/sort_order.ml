@@ -18,15 +18,16 @@ let equal a b = List.length a = List.length b && List.for_all2 key_equal a b
 
 let columns t = List.map fst t
 
-let compare_tuples schema order a b =
-  let keys = List.map (fun (c, d) -> (c, match d with Asc -> `Asc | Desc -> `Desc)) order in
-  Tuple.compare_by schema keys a b
+let compare_tuples schema order =
+  Tuple.compare_by schema
+    (List.map (fun (c, d) -> (c, match d with Asc -> `Asc | Desc -> `Desc)) order)
 
 let is_sorted schema order tuples =
   let n = Array.length tuples in
-  let rec go i =
-    i >= n - 1 || (compare_tuples schema order tuples.(i) tuples.(i + 1) <= 0 && go (i + 1))
-  in
+  n < 2
+  ||
+  let cmp = compare_tuples schema order in
+  let rec go i = i >= n - 1 || (cmp tuples.(i) tuples.(i + 1) <= 0 && go (i + 1)) in
   go 0
 
 let pp ppf t =

@@ -21,6 +21,8 @@ val equal : t -> t -> bool
 val columns : t -> string list
 
 val compare_tuples : Schema.t -> t -> Tuple.t -> Tuple.t -> int
+(** Staged like {!Tuple.compare_by}: apply it to the schema and order
+    once, then compare many tuples. *)
 
 val is_sorted : Schema.t -> t -> Tuple.t array -> bool
 

@@ -11,7 +11,9 @@ val project : Schema.t -> string list -> t -> t
 (** Keep the named columns (resolved against the schema), in order. *)
 
 val compare_by : Schema.t -> (string * [ `Asc | `Desc ]) list -> t -> t -> int
-(** Lexicographic comparison by the given columns and directions. *)
+(** Lexicographic comparison by the given columns and directions.
+    Staged: [compare_by schema keys] resolves the columns once and
+    returns the comparator. *)
 
 val equal : t -> t -> bool
 

@@ -24,14 +24,20 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* Integers of magnitude below 2^53 convert to floats exactly. *)
+let exact = 1 lsl 53
+
 let hash = function
   | Null -> 17
   | Bool b -> if b then 31 else 37
-  | Int i -> Hashtbl.hash i
+  | Int i ->
+    (* [compare] sees a larger integer as the float it rounds to, so
+       hash it as that float. *)
+    if i > -exact && i < exact then Hashtbl.hash i else Hashtbl.hash (float_of_int i)
   | Float f ->
     (* Hash floats that are exact integers like the integer, so that
        mixed-type equality (compare) stays consistent with hash. *)
-    if Float.is_integer f && Float.abs f < 1e15 then Hashtbl.hash (int_of_float f)
+    if Float.is_integer f && Float.abs f < float_of_int exact then Hashtbl.hash (int_of_float f)
     else Hashtbl.hash f
   | Str s -> Hashtbl.hash s
 

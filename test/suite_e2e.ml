@@ -132,6 +132,42 @@ let test_group_by_join () =
   in
   ignore (Helpers.check_optimized_matches_naive catalog q)
 
+let test_group_by_null_and_mixed_keys () =
+  (* GROUP BY keeps NULL = NULL and [Int 1] = [Float 1.]: one group
+     each; aggregates mix Int and Float values and skip NULLs. *)
+  let catalog = Catalog.create () in
+  let i n = Value.Int n and f x = Value.Float x in
+  let rows : Tuple.t array =
+    [|
+      [| Value.Null; i 3 |]; [| i 1; i 4 |]; [| f 1.; f 0.5 |]; [| Value.Null; Value.Null |];
+      [| i 2; i 7 |]; [| f 2.; Value.Null |]; [| i 1; f 2. |]; [| Value.Null; f 1.5 |];
+    |]
+  in
+  ignore
+    (Catalog.add catalog ~name:"m"
+       ~schema:[| Schema.attribute "g" Schema.TFloat; Schema.attribute "v" Schema.TFloat |]
+       rows);
+  let q =
+    Logical.group_by [ "m.g" ]
+      [
+        { Logical.func = Logical.Count; column = None; alias = "n" };
+        { Logical.func = Logical.Count; column = Some "m.v"; alias = "nv" };
+        { Logical.func = Logical.Sum; column = Some "m.v"; alias = "s" };
+        { Logical.func = Logical.Min; column = Some "m.v"; alias = "lo" };
+        { Logical.func = Logical.Max; column = Some "m.v"; alias = "hi" };
+        { Logical.func = Logical.Avg; column = Some "m.v"; alias = "a" };
+      ]
+      (Logical.get "m")
+  in
+  ignore (Helpers.check_optimized_matches_naive catalog q);
+  let expected, _ = Executor.naive catalog q in
+  Alcotest.(check (list string)) "three groups: NULL, 1, 2"
+    [
+      "[NULL; 3; 2; 4.5; 1.5; 3; 2.25]"; "[1; 3; 3; 6.5; 0.5; 4; 2.16667]";
+      "[2; 2; 1; 7; 7; 7; 7]";
+    ]
+    (List.map (Format.asprintf "%a" Tuple.pp) (Array.to_list expected))
+
 let test_cost_limit_failure () =
   (* A tiny cost limit must make optimization fail, not return a bogus
      plan ("catch unreasonable queries", §3). *)
@@ -169,6 +205,8 @@ let suite =
     Alcotest.test_case "difference" `Quick test_difference;
     Alcotest.test_case "group by" `Quick test_group_by;
     Alcotest.test_case "group by over join" `Quick test_group_by_join;
+    Alcotest.test_case "group by NULL and mixed-type keys" `Quick
+      test_group_by_null_and_mixed_keys;
     Alcotest.test_case "absurd cost limit fails" `Quick test_cost_limit_failure;
     Alcotest.test_case "generous cost limit keeps optimum" `Quick test_generous_limit_same_plan;
   ]

@@ -199,12 +199,199 @@ let test_io_accounting () =
   let _, _, io3 = Executor.run ~memory_pages:1024 catalog sorted in
   Alcotest.(check int) "in-memory sort has no spill" 0 io3.Executor.Io_stats.page_writes
 
+(* Rows with their constructors, so [Int 1] and [Float 1.] differ. *)
+let show (t : Tuple.t) =
+  String.concat ","
+    (Array.to_list
+       (Array.map
+          (function
+            | Value.Null -> "N"
+            | Value.Int i -> "i" ^ string_of_int i
+            | Value.Float f -> "f" ^ string_of_float f
+            | v -> Value.to_string v)
+          t))
+
+let shown c = List.map show (Array.to_list (Executor.Cursor.to_array c))
+
 let test_cursor_reopen () =
-  (* Cursors are restartable: open/next/close then open again. *)
-  let c = src schema_rk [ (1, 1); (2, 2) ] in
-  let first = Executor.Cursor.to_array c in
-  let second = Executor.Cursor.to_array c in
-  Alcotest.(check int) "same row count on re-open" (Array.length first) (Array.length second)
+  (* Cursors are restartable: open, drain and close twice give the same
+     rows, for the scan and for every hash operator. *)
+  let l () = src schema_rk [ (1, 1); (2, 2); (2, 2); (3, 3); (1, 1) ] in
+  let r () = src schema_rk [ (2, 2); (4, 4); (1, 1) ] in
+  let s () = src schema_sk [ (1, 10); (2, 20); (1, 11) ] in
+  let cases =
+    [
+      ("scan", l ());
+      ("hash join", Executor.Engine.hash_join [ ("r.k", "s.k") ] Expr.true_ (l ()) (s ()));
+      ("hash intersect", Executor.Engine.hash_semi ~anti:false (l ()) (r ()));
+      ("hash difference", Executor.Engine.hash_semi ~anti:true (l ()) (r ()));
+      ("hash union", Executor.Engine.hash_union (l ()) (r ()));
+      ("hash dedup", Executor.Engine.hash_dedup_op (l ()));
+      ("hash aggregate", Executor.Engine.hash_aggregate [ "r.k" ] aggs (l ()));
+    ]
+  in
+  List.iter
+    (fun (name, c) ->
+      let first = shown c in
+      Alcotest.(check bool) (name ^ " has rows") true (first <> []);
+      Alcotest.(check (list string)) (name ^ " re-open") first (shown c))
+    cases
+
+(* Inputs for the algorithm-independence properties: two-column rows
+   whose first column is NULL, an Int or an integral Float, so [Int 1]
+   meets [Float 1.]. *)
+let gen_rows =
+  let key =
+    QCheck.Gen.(
+      oneof
+        [
+          return Value.Null;
+          map (fun i -> Value.Int i) (int_range 0 3);
+          map (fun i -> Value.Float (float_of_int i)) (int_range 0 3);
+        ])
+  in
+  let row = QCheck.Gen.map2 (fun k v -> [| k; Value.Int v |]) key (QCheck.Gen.int_range 0 1) in
+  let rows = QCheck.Gen.(list_size (int_range 0 8) row) in
+  let print (a, b) = String.concat " " (List.map show (a @ [ [| Value.Str "|" |] ] @ b)) in
+  QCheck.make ~print (QCheck.Gen.pair rows rows)
+
+let cursor schema rows = Executor.Cursor.of_array schema (Array.of_list rows)
+
+(* The rows sorted on their first [n] columns, as merge algorithms need. *)
+let sorted n schema rows =
+  let cols = List.filteri (fun i _ -> i < n) (Schema.names schema) in
+  let a = Array.of_list rows in
+  Array.sort (Sort_order.compare_tuples schema (Sort_order.asc cols)) a;
+  Executor.Cursor.of_array schema a
+
+let prop_joins_agree =
+  Helpers.qcheck_case ~count:300 "nested-loop, hash and merge join agree" gen_rows
+    (fun (ls, rs) ->
+      let bag c = List.sort compare (shown c) in
+      let keys = [ ("r.k", "s.k") ] in
+      let nl =
+        Executor.Engine.nested_loop_join Expr.(col "r.k" =% col "s.k") (cursor schema_rk ls)
+          (cursor schema_sk rs)
+      in
+      let hj =
+        Executor.Engine.hash_join keys Expr.true_ (cursor schema_rk ls) (cursor schema_sk rs)
+      in
+      let mj =
+        Executor.Engine.merge_join keys Expr.true_ (sorted 1 schema_rk ls) (sorted 1 schema_sk rs)
+      in
+      bag nl = bag hj && bag hj = bag mj)
+
+let prop_setops_agree =
+  Helpers.qcheck_case ~count:300 "hash and merge set operations agree" gen_rows
+    (fun (ls, rs) ->
+      (* Compared under [Value.equal]: a set keeps one of [Int 1] and
+         [Float 1.], and which one may differ between algorithms. *)
+      let set c =
+        Executor.Cursor.to_array c |> Array.to_list
+        |> List.map (fun t -> List.map Value.to_string (Array.to_list t))
+        |> List.sort compare
+      in
+      let hash op = set (op (cursor schema_rk ls) (cursor schema_rk rs)) in
+      let merge kind =
+        set (Executor.Engine.merge_setop kind (sorted 2 schema_rk ls) (sorted 2 schema_rk rs))
+      in
+      hash Executor.Engine.hash_union = merge `Union
+      && hash (Executor.Engine.hash_semi ~anti:false) = merge `Intersect
+      && hash (Executor.Engine.hash_semi ~anti:true) = merge `Difference)
+
+let test_null_and_mixed_keys () =
+  (* l.k in {NULL, 1, 2} and s.k in {NULL, 1.0, 2}: every join algorithm
+     matches 1 with 1.0 and 2 with 2, and NULL with nothing. *)
+  let row k v = [| k; Value.Int v |] in
+  let l = [ row Value.Null 0; row (Value.Int 1) 0; row (Value.Int 2) 0 ] in
+  let r = [ row Value.Null 1; row (Value.Float 1.) 1; row (Value.Int 2) 1 ] in
+  let keys = [ ("r.k", "s.k") ] in
+  let expected = [ "i1,i0,f1.,i1"; "i2,i0,i2,i1" ] in
+  let check name c = Alcotest.(check (list string)) name expected (shown c) in
+  check "nested loop"
+    (Executor.Engine.nested_loop_join Expr.(col "r.k" =% col "s.k") (cursor schema_rk l)
+       (cursor schema_sk r));
+  check "hash join"
+    (Executor.Engine.hash_join keys Expr.true_ (cursor schema_rk l) (cursor schema_sk r));
+  check "merge join"
+    (Executor.Engine.merge_join keys Expr.true_ (cursor schema_rk l) (cursor schema_sk r));
+  Alcotest.(check int) "hash intersect {1} {1.0}" 1
+    (List.length
+       (shown
+          (Executor.Engine.hash_semi ~anti:false
+             (cursor schema_rk [ row (Value.Int 1) 0 ])
+             (cursor schema_rk [ row (Value.Float 1.) 0 ]))))
+
+let test_two_hash_operators_alive () =
+  (* A hash join probing with a hash intersect: both indexes are in use
+     at once, with arrays of the same lengths, so a recycled array
+     shared between them would corrupt the result. Run twice, so the
+     second run takes every array from the free lists. *)
+  let l = List.init 100 (fun i -> (i mod 40, i mod 3)) in
+  let r = List.init 90 (fun i -> ((i * 7) mod 50, i mod 3)) in
+  let b = List.init 100 (fun i -> (i mod 60, i)) in
+  let run () =
+    shown
+      (Executor.Engine.hash_join [ ("r.k", "s.k") ] Expr.true_
+         (Executor.Engine.hash_semi ~anti:false (src schema_rk l) (src schema_rk r))
+         (src schema_sk b))
+  in
+  (* Reference: the intersection in first-occurrence order, each row
+     joined with its matches newest first. *)
+  let inter =
+    List.fold_left
+      (fun acc x -> if List.mem x r && not (List.mem x acc) then acc @ [ x ] else acc)
+      [] l
+  in
+  let expected =
+    List.concat_map
+      (fun (k, v) ->
+        List.filter_map
+          (fun (k', w) -> if k = k' then Some (Printf.sprintf "i%d,i%d,i%d,i%d" k v k' w) else None)
+          (List.rev b))
+      inter
+  in
+  Alcotest.(check bool) "join has rows" true (expected <> []);
+  Alcotest.(check (list string)) "first run" expected (run ());
+  Alcotest.(check (list string)) "second run" expected (run ())
+
+let test_exception_mid_drain () =
+  (* An observer hook raising mid-drain abandons the hash operators'
+     arrays without giving them back; the next run on the domain must
+     still be right. *)
+  let catalog = Catalog.create () in
+  List.iter
+    (fun (name, seed) ->
+      ignore
+        (Catalog.add_synthetic catalog ~name
+           ~columns:[ ("id", Catalog.Serial); ("k", Catalog.Uniform_int (0, 20)) ]
+           ~rows:60 ~seed ()))
+    [ ("p", 1); ("q", 2) ];
+  let scan t = Physical.mk (Physical.Table_scan t) [] in
+  let dedup t = Physical.mk Physical.Hash_dedup [ scan t ] in
+  let plan =
+    Physical.mk
+      (Physical.Hash_join ([ ("p.k", "q.k") ], Expr.(col "p.k" =% col "q.k")))
+      [ dedup "p"; dedup "q" ]
+  in
+  let rows () =
+    let r, _, _ = Executor.run catalog plan in
+    List.map show (Array.to_list r)
+  in
+  let before = rows () in
+  Alcotest.(check bool) "plan has rows" true (List.length before > 10);
+  let n = ref 0 in
+  let observe ~path _ c =
+    if path <> [] then c
+    else Executor.Cursor.observed (fun _ -> incr n; if !n = 5 then raise Exit) c
+  in
+  let cursor =
+    Executor.Engine.compile_instrumented (Executor.Engine.context catalog) ~observe plan
+  in
+  Alcotest.check_raises "hook aborts the drain" Exit (fun () ->
+      ignore (Executor.Cursor.to_array cursor));
+  Alcotest.(check (list string)) "next run" before (rows ());
+  Alcotest.(check (list string)) "run after" before (rows ())
 
 let suite =
   [
@@ -223,4 +410,9 @@ let suite =
     Alcotest.test_case "grand total aggregate" `Quick test_empty_group_by_all;
     Alcotest.test_case "io accounting" `Quick test_io_accounting;
     Alcotest.test_case "cursor re-open" `Quick test_cursor_reopen;
+    Alcotest.test_case "NULL and mixed-type join keys" `Quick test_null_and_mixed_keys;
+    Alcotest.test_case "two hash operators alive at once" `Quick test_two_hash_operators_alive;
+    Alcotest.test_case "exception mid-drain" `Quick test_exception_mid_drain;
+    prop_joins_agree;
+    prop_setops_agree;
   ]

@@ -19,7 +19,15 @@ let test_ordering_basics () =
   Alcotest.(check int) "null smallest" (-1) (compare (Value.compare Value.Null (Value.Int 0)) 0);
   Alcotest.(check bool) "int/float mixed eq" true (Value.equal (Value.Int 3) (Value.Float 3.));
   Alcotest.(check bool) "int < float" true (Value.compare (Value.Int 3) (Value.Float 3.5) < 0);
-  Alcotest.(check bool) "str vs int" true (Value.compare (Value.Str "a") (Value.Int 9) > 0)
+  Alcotest.(check bool) "str vs int" true (Value.compare (Value.Str "a") (Value.Int 9) > 0);
+  (* Equal integral values hash equal at every magnitude, so hash and
+     nested-loop joins match the same rows. *)
+  List.iter
+    (fun i ->
+      let a = Value.Int i and b = Value.Float (float_of_int i) in
+      Alcotest.(check bool) "large int = float" true (Value.equal a b);
+      Alcotest.(check int) "large int/float hash" (Value.hash a) (Value.hash b))
+    [ 1_000_000_000_000_000; (1 lsl 53) + 1; -(1 lsl 60) - 7; max_int ]
 
 let test_arithmetic () =
   Alcotest.(check bool) "int add" true (Value.equal (Value.add (Value.Int 2) (Value.Int 3)) (Value.Int 5));
