@@ -753,22 +753,20 @@ let plansrv_bench ~full () =
 (* Writes BENCH_parsearch.json next to the build.                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Two scheduler arms over the same workloads and domain counts: the
-   work-stealing deques (default) and the shared-counter seeded
-   scheduler (ablation). The plan must be bit-identical to the
-   sequential engine in every cell, and the stealing arm's claim-table
-   backoff must kill duplicate goal computations outright
+(* The work-stealing scheduler at 1, 2 and 4 domains. The plan must be
+   bit-identical to the sequential engine in every cell, and the
+   claim-table backoff must kill duplicate goal computations outright
    (par_dup_goals = 0). [smoke] shrinks sizes for CI and exits nonzero
    when either property breaks. *)
 let parsearch_bench ?(smoke = false) ~full () =
   header "PARSEARCH  Intra-query parallel search (Search.run ~domains)";
   let cores = Domain.recommended_domain_count () in
   Printf.printf
-    "Per workload, scheduler arm, and domain count: best-of-%d wall clock,\n\
-     speedup vs the sequential engine, and the hardware-neutral work counters\n\
-     (total engine tasks summed over all domains, goals claimed by workers,\n\
-     goals computed in duplicate, steals, backoff waits, duplicate kills).\n\
-     Plans are verified bit-identical across arms and domain counts.\n\
+    "Per workload and domain count: best-of-%d wall clock, speedup vs the\n\
+     sequential engine, and the hardware-neutral work counters (total engine\n\
+     tasks summed over all domains, goals claimed by workers, goals computed\n\
+     in duplicate, steals, backoff waits, duplicate kills). Plans are\n\
+     verified bit-identical across domain counts.\n\
      Available cores: %d%s\n\n"
     (if smoke then 1 else 3) cores
     (if cores < 4 then
@@ -785,11 +783,11 @@ let parsearch_bench ?(smoke = false) ~full () =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   Printf.printf
-    "  workload | arm      | domains | wall (ms) | speedup | tasks | claimed | dup | \
-     steals | backoffs | kills | identical\n";
+    "  workload | domains | wall (ms) | speedup | tasks | claimed | dup | steals | \
+     backoffs | kills | identical\n";
   Printf.printf
-    "  ---------+----------+---------+-----------+---------+-------+---------+-----+-\
-     -------+----------+-------+----------\n";
+    "  ---------+---------+-----------+---------+-------+---------+-----+--------+-\
+     ---------+-------+----------\n";
   let rows =
     List.concat_map
       (fun (shape, name, n) ->
@@ -797,14 +795,9 @@ let parsearch_bench ?(smoke = false) ~full () =
           Workload.generate
             (Workload.spec ~shape ~n_relations:n ~seed:(seed_base + (1200 * n)) ())
         in
-        let measure scheduler domains =
+        let measure domains =
           let request =
-            {
-              (Relmodel.Optimizer.request q.catalog) with
-              restore_columns = false;
-              domains;
-              scheduler;
-            }
+            { (Relmodel.Optimizer.request q.catalog) with restore_columns = false; domains }
           in
           let best = ref infinity and last = ref None in
           for _ = 1 to reps do
@@ -817,41 +810,34 @@ let parsearch_bench ?(smoke = false) ~full () =
           done;
           (!best *. 1000., Option.get !last)
         in
-        let base_ms, base = measure Volcano.Search.Stealing 1 in
+        let base_ms, base = measure 1 in
         let base_cost =
           match base.plan with
           | Some p -> Cost.total p.cost
           | None -> nan
         in
-        List.concat_map
-          (fun (scheduler, arm) ->
-            List.map
-              (fun domains ->
-                let ms, r = measure scheduler domains in
-                let cost =
-                  match r.plan with Some p -> Cost.total p.cost | None -> nan
-                in
-                let identical = Float.abs (cost -. base_cost) = 0. in
-                if not identical then
-                  fail "%s n=%d: %s arm at %d domains diverges from sequential" name n
-                    arm domains;
-                if arm = "stealing" && r.stats.Volcano.Search_stats.par_dup_goals > 0
-                then
-                  fail "%s n=%d: stealing arm at %d domains computed %d duplicate goals"
-                    name n domains r.stats.Volcano.Search_stats.par_dup_goals;
-                let speedup = base_ms /. ms in
-                let s = r.stats in
-                Printf.printf
-                  "  %5s n=%d | %-8s | %7d | %9.1f | %6.2fx | %5d | %7d | %3d | %6d | \
-                   %8d | %5d | %b\n\
-                   %!"
-                  name n arm domains ms speedup s.tasks s.par_goals_claimed
-                  s.par_dup_goals s.par_steals s.par_backoffs s.par_dup_kills identical;
-                ( name, n, arm, domains, ms, speedup, s.tasks, s.par_goals_claimed,
-                  s.par_dup_goals, s.par_steals, s.par_backoffs, s.par_dup_kills, cost,
-                  identical ))
-              [ 1; 2; 4 ])
-          [ (Volcano.Search.Stealing, "stealing"); (Volcano.Search.Seeded, "seeded") ])
+        List.map
+          (fun domains ->
+            let ms, r = if domains = 1 then (base_ms, base) else measure domains in
+            let cost = match r.plan with Some p -> Cost.total p.cost | None -> nan in
+            let identical = Float.abs (cost -. base_cost) = 0. in
+            if not identical then
+              fail "%s n=%d: %d domains diverge from sequential" name n domains;
+            let s = r.stats in
+            if s.par_dup_goals > 0 then
+              fail "%s n=%d: %d domains computed %d duplicate goals" name n domains
+                s.par_dup_goals;
+            let speedup = base_ms /. ms in
+            Printf.printf
+              "  %5s n=%d | %7d | %9.1f | %6.2fx | %5d | %7d | %3d | %6d | %8d | %5d | \
+               %b\n\
+               %!"
+              name n domains ms speedup s.tasks s.par_goals_claimed s.par_dup_goals
+              s.par_steals s.par_backoffs s.par_dup_kills identical;
+            ( name, n, domains, ms, speedup, s.tasks, s.par_goals_claimed,
+              s.par_dup_goals, s.par_steals, s.par_backoffs, s.par_dup_kills, cost,
+              identical ))
+          [ 1; 2; 4 ])
       workloads
   in
   let oc = open_out "BENCH_parsearch.json" in
@@ -861,16 +847,16 @@ let parsearch_bench ?(smoke = false) ~full () =
     (String.concat ",\n"
        (List.map
           (fun
-            ( name, n, arm, domains, ms, speedup, tasks, claimed, dup, steals, backoffs,
-              kills, cost, identical )
+            ( name, n, domains, ms, speedup, tasks, claimed, dup, steals, backoffs, kills,
+              cost, identical )
           ->
             Printf.sprintf
-              "    { \"workload\": \"%s\", \"relations\": %d, \"scheduler\": \"%s\", \
-               \"domains\": %d, \"wall_ms\": %.2f, \"speedup\": %.3f, \"tasks\": %d, \
+              "    { \"workload\": \"%s\", \"relations\": %d, \"domains\": %d, \
+               \"wall_ms\": %.2f, \"speedup\": %.3f, \"tasks\": %d, \
                \"par_goals_claimed\": %d, \"par_dup_goals\": %d, \"par_steals\": %d, \
                \"par_backoffs\": %d, \"par_dup_kills\": %d, \"plan_cost\": %.9f, \
                \"identical_to_sequential\": %b }"
-              name n arm domains ms speedup tasks claimed dup steals backoffs kills cost
+              name n domains ms speedup tasks claimed dup steals backoffs kills cost
               identical)
           rows));
   close_out oc;
@@ -1754,24 +1740,20 @@ let feedback_bench ?(smoke = false) ~full:_ () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* SCALEUP  Dynamic promise + anytime search (BENCH_scaleup.json)      *)
+(* SCALEUP  Anytime search on large join graphs (BENCH_scaleup.json)  *)
 (* ------------------------------------------------------------------ *)
 
 (* Plan-cost-vs-budget curves on 6-18-relation join graphs (clique,
    cycle, grid, snowflake; skewed statistics, correlated predicates),
-   four arms per cell: static vs dynamic promise ordering, each with
-   the guided pruning layer on and off. Every arm of a cell is ONE
-   search observed at a ladder of cumulative task budgets (the engine's
-   anytime resume semantics), so the whole curve costs only the largest
-   budget. Reference cells (<= 10 relations) get an extra effectively
-   unbounded rung: there the search completes and the final plan must
-   be bit-identical across all four arms — dynamic ordering may only
-   change how fast incumbents arrive, never which plan wins. [smoke]
-   shrinks the grid for CI and exits nonzero when a reference arm
-   diverges or the dynamic arm reaches its first incumbent later than
-   static on a clique cell. *)
+   two arms per cell: the guided pruning layer on and off. Every arm of
+   a cell is ONE search observed at a ladder of cumulative task budgets
+   (the engine's anytime resume semantics), so the whole curve costs
+   only the largest budget. Reference cells (<= 10 relations) get an
+   extra effectively unbounded rung: there the search completes and the
+   final plan must be bit-identical across both arms. [smoke] shrinks
+   the grid for CI and exits nonzero when a reference arm diverges. *)
 let scaleup_bench ?(smoke = false) ~full () =
-  header "SCALEUP  Dynamic promise ordering + anytime search";
+  header "SCALEUP  Anytime search on large join graphs";
   Printf.printf
     "Per cell (topology x relations) and arm: tasks to first incumbent, tasks to\n\
      an incumbent within 10%% of the cell's best final cost, and the best-so-far\n\
@@ -1780,7 +1762,10 @@ let scaleup_bench ?(smoke = false) ~full () =
   let cells =
     (* (shape, name, relations, reference). Reference cells are sized so
        the exhaustive search finishes in seconds; ladder cells are the
-       10-20-relation regime where only budgeted search is feasible. *)
+       10-20-relation regime where only budgeted search is feasible.
+       Outside smoke mode a ladder cell runs up to 16M tasks, which on
+       clique 12 takes more than 5 GB of memory, so ladder cells run
+       only in [full] mode. *)
     if smoke then
       [
         (Workload.Clique, "clique", 6, true);
@@ -1805,7 +1790,6 @@ let scaleup_bench ?(smoke = false) ~full () =
         (Workload.Cycle, "cycle", 8, true);
         (Workload.Grid, "grid", 9, true);
         (Workload.Snowflake, "snowflake", 8, true);
-        (Workload.Clique, "clique", 12, false);
       ]
   in
   let ladder =
@@ -1814,14 +1798,7 @@ let scaleup_bench ?(smoke = false) ~full () =
   in
   (* Cumulative, so this rung just lets reference cells run to the end. *)
   let exhaustive_cap = 1_000_000_000 in
-  let arms =
-    [
-      ("static", Volcano.Search.Static, true);
-      ("dynamic", Volcano.Search.Dynamic, true);
-      ("static-unguided", Volcano.Search.Static, false);
-      ("dynamic-unguided", Volcano.Search.Dynamic, false);
-    ]
-  in
+  let arms = [ ("guided", true); ("unguided", false) ] in
   let render (result : Relmodel.Optimizer.result) =
     match result.plan with
     | None -> "NONE"
@@ -1846,13 +1823,12 @@ let scaleup_bench ?(smoke = false) ~full () =
         let budgets = ladder @ if reference then [ exhaustive_cap ] else [] in
         let measured =
           List.map
-            (fun (arm, promise, guided) ->
+            (fun (arm, guided) ->
               let request =
                 {
                   (Relmodel.Optimizer.request q.catalog) with
                   restore_columns = false;
                   guided_pruning = guided;
-                  promise;
                 }
               in
               let dt, a =
@@ -1860,7 +1836,7 @@ let scaleup_bench ?(smoke = false) ~full () =
                     Relmodel.Optimizer.optimize_anytime request ~budgets q.logical
                       ~required:Phys_prop.any)
               in
-              (arm, promise, guided, dt *. 1000., a))
+              (arm, dt *. 1000., a))
             arms
         in
         (* The 10% level is relative to the best final cost any arm of
@@ -1871,7 +1847,7 @@ let scaleup_bench ?(smoke = false) ~full () =
         in
         let best_final =
           List.fold_left
-            (fun acc (_, _, _, _, a) ->
+            (fun acc (_, _, a) ->
               match final_cost a with Some c -> Float.min acc c | None -> acc)
             infinity measured
         in
@@ -1879,7 +1855,7 @@ let scaleup_bench ?(smoke = false) ~full () =
         let baseline = ref "" in
         let arm_rows =
           List.map
-            (fun (arm, _, guided, ms, (a : Relmodel.Optimizer.anytime)) ->
+            (fun (arm, ms, (a : Relmodel.Optimizer.anytime)) ->
               let tasks_to_first =
                 match a.an_incumbents with [] -> None | (t, _) :: _ -> Some t
               in
@@ -1902,12 +1878,11 @@ let scaleup_bench ?(smoke = false) ~full () =
                 if not a.an_result.complete then
                   fail "%s n=%d: arm %s did not complete its exhaustive rung" name n
                     arm;
-                if arm = "static" then baseline := rendered;
+                if arm = "guided" then baseline := rendered;
                 if rendered <> !baseline then
-                  fail "%s n=%d: arm %s plan diverges from the static reference" name
+                  fail "%s n=%d: arm %s plan diverges from the guided reference" name
                     n arm
               end;
-              ignore guided;
               Printf.printf
                 "  %9s n=%-7d | %-16s | %9.1f | %9s | %10s | %9s | %10.4g | %b\n%!"
                 name n arm ms (opt_str tasks_to_first) (opt_str tasks_to_10)
@@ -1917,60 +1892,16 @@ let scaleup_bench ?(smoke = false) ~full () =
               (arm, ms, tasks_to_first, tasks_to_10, tasks_to_best, a))
             measured
         in
-        (* Anytime gate: on clique cells the dynamic guided arm must not
-           reach its first incumbent later than the static guided arm. *)
-        let first_of arm_name =
-          List.find_map
-            (fun (arm, _, first, _, _, _) -> if arm = arm_name then first else None)
-            arm_rows
-        in
-        if name = "clique" then begin
-          match (first_of "static", first_of "dynamic") with
-          | Some s, Some d ->
-            if d > s then
-              fail "clique n=%d: dynamic first incumbent at %d tasks, static at %d"
-                n d s
-          | Some s, None ->
-            fail "clique n=%d: dynamic arm found no incumbent (static at %d)" n s
-          | None, _ -> ()
-        end;
         (name, n, reference, arm_rows))
       cells
   in
-  (* Headline: the task savings of dynamic ordering — tasks until the
-     arm's best plan was in hand. *)
-  List.iter
-    (fun (name, n, _, arm_rows) ->
-      let best arm_name =
-        List.find_map
-          (fun (arm, _, _, _, tb, _) -> if arm = arm_name then tb else None)
-          arm_rows
-      in
-      match (best "static", best "dynamic") with
-      | Some s, Some d ->
-        Printf.printf
-          "  %s n=%d: tasks until the best plan was found: static %d, dynamic %d \
-           (%.2fx)\n"
-          name n s d
-          (Float.of_int s /. Float.of_int d)
-      | _ -> ())
-    cell_rows;
   let json_opt = function None -> "null" | Some t -> string_of_int t in
   let oc = open_out "BENCH_scaleup.json" in
   Printf.fprintf oc
     "{\n  \"cores\": %d,\n  \"all_reference_cells_identical\": %b,\n  \"cells\": [\n%s\n  ]\n}\n"
     (Domain.recommended_domain_count ())
-    (not
-       (List.exists
-          (fun f ->
-            (* only plan-identity failures flip the flag *)
-            let has sub s =
-              let ls = String.length s and lsub = String.length sub in
-              let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
-              go 0
-            in
-            has "diverges" f || has "exhaustive rung" f)
-          !failures))
+    (* each failure above is a reference cell whose plan did not match *)
+    (!failures = [])
     (String.concat ",\n"
        (List.map
           (fun (name, n, reference, arm_rows) ->
@@ -1988,8 +1919,7 @@ let scaleup_bench ?(smoke = false) ~full () =
                          \"tasks_to_first_incumbent\": %s, \
                          \"tasks_to_within_10pct\": %s, \"tasks_to_best\": %s, \
                          \"final_cost\": %s, \
-                         \"complete\": %b, \"promise_evals\": %d, \
-                         \"moves_reordered\": %d, \"anytime_improvements\": %d, \
+                         \"complete\": %b, \"anytime_improvements\": %d, \
                          \"curve\": [ %s ] }"
                         arm ms (json_opt first) (json_opt t10) (json_opt tbest)
                         (match a.an_result.plan with
@@ -1997,8 +1927,7 @@ let scaleup_bench ?(smoke = false) ~full () =
                            Printf.sprintf "%.17g"
                              (Cost.total (Relmodel.Optimizer.plan_cost p))
                          | None -> "null")
-                        a.an_result.complete s.promise_evals s.moves_reordered
-                        s.anytime_improvements
+                        a.an_result.complete s.anytime_improvements
                         (String.concat ", "
                            (List.map
                               (fun (p : Relmodel.Optimizer.anytime_point) ->

@@ -110,7 +110,7 @@ let print_trace_summary tracer =
 
 let run_optimize sql execute compare_exodus no_pruning no_guided left_deep max_steps
     timeout_ms trace trace_out metrics_out profile_out flightrec_out show_explain
-    domains scheduler promise =
+    domains =
   let catalog = demo_catalog () in
   match Sqlfront.parse catalog sql with
   | exception Sqlfront.Parse_error msg ->
@@ -143,8 +143,6 @@ let run_optimize sql execute compare_exodus no_pruning no_guided left_deep max_s
         max_tasks = max_steps;
         max_millis = timeout_ms;
         domains;
-        scheduler;
-        promise;
         tracer;
         profiler;
         recorder;
@@ -305,7 +303,7 @@ let apply_skews catalog skews =
    optimize-then-execute path, bit-identical to `optimize -x`; with it,
    execution is instrumented, drift is reported, and the catalog learns. *)
 let run_run sql feedback drift_out escape_k threshold no_correct max_replans skews
-    domains scheduler =
+    domains =
   let catalog = demo_catalog () in
   apply_skews catalog skews;
   match Sqlfront.parse catalog sql with
@@ -314,7 +312,7 @@ let run_run sql feedback drift_out escape_k threshold no_correct max_replans ske
     1
   | { logical; required } ->
     let request =
-      { (Relmodel.Optimizer.request catalog) with domains; scheduler }
+      { (Relmodel.Optimizer.request catalog) with domains }
     in
     if not feedback then begin
       let result = Relmodel.Optimizer.optimize request logical ~required in
@@ -362,7 +360,7 @@ let run_run sql feedback drift_out escape_k threshold no_correct max_replans ske
 (* EXPLAIN: optimize with alternative recording on and print the winner
    provenance tree — per-node costs, producing rules, and the losing
    alternatives of every goal with the reason each lost. *)
-let run_explain sql no_pruning no_guided left_deep domains scheduler =
+let run_explain sql no_pruning no_guided left_deep domains =
   let catalog = demo_catalog () in
   match Sqlfront.parse catalog sql with
   | exception Sqlfront.Parse_error msg ->
@@ -376,7 +374,6 @@ let run_explain sql no_pruning no_guided left_deep domains scheduler =
         guided_pruning = not no_guided;
         flags = { Relmodel.Rel_model.default_flags with left_deep_only = left_deep };
         domains;
-        scheduler;
         explain = true;
       }
     in
@@ -554,7 +551,7 @@ let print_response line (r : Plansrv.response) =
     line fp
 
 let run_serve file workers capacity shards parameterize feedback skews domains
-    scheduler metrics_port slow_ms =
+    metrics_port slow_ms =
   let catalog = demo_catalog () in
   apply_skews catalog skews;
   (* Every cache-miss optimization feeds the service-wide profiler, so
@@ -567,7 +564,6 @@ let run_serve file workers capacity shards parameterize feedback skews domains
          {
            (Relmodel.Optimizer.request catalog) with
            domains;
-           scheduler;
            profiler = Some profiler;
          })
   in
@@ -636,7 +632,7 @@ let run_serve file workers capacity shards parameterize feedback skews domains
    subexpressions are detected by per-subtree fingerprints, and the
    selected strategy decides which shared results to materialize once
    and rescan instead of recomputing per consumer. *)
-let run_batch file strategy capacity shards domains scheduler metrics_out =
+let run_batch file strategy capacity shards domains metrics_out =
   let catalog = demo_catalog () in
   let lines = In_channel.with_open_text file In_channel.input_lines in
   let parsed = parse_statements catalog (statements_of_lines lines) in
@@ -648,7 +644,7 @@ let run_batch file strategy capacity shards domains scheduler metrics_out =
     let srv =
       Plansrv.create
         (Plansrv.config ~capacity ~shards
-           { (Relmodel.Optimizer.request catalog) with domains; scheduler })
+           { (Relmodel.Optimizer.request catalog) with domains })
     in
     let w = Plansrv.worker srv in
     let queries = List.map (fun (_, logical, required) -> (logical, required)) parsed in
@@ -706,15 +702,14 @@ let run_batch file strategy capacity shards domains scheduler metrics_out =
     0
   end
 
-let run_workload n seed shape skew correlation promise =
+let run_workload n seed shape skew correlation =
   let spec = Workload.spec ~shape ~skew ?correlation ~n_relations:n ~seed () in
   let q = Workload.generate spec in
   Format.printf "Random %d-relation %s query (%d join edges):@.%a@.@." n
     (Workload.shape_name shape) (List.length q.edges) Logical.pp q.logical;
   let result =
-    Relmodel.Optimizer.optimize
-      { (Relmodel.Optimizer.request q.catalog) with promise }
-      q.logical ~required:Phys_prop.any
+    Relmodel.Optimizer.optimize (Relmodel.Optimizer.request q.catalog) q.logical
+      ~required:Phys_prop.any
   in
   (match result.plan with
    | None -> Format.printf "no plan@."
@@ -761,38 +756,6 @@ let query_file =
       else Ok path
   in
   Arg.conv ~docv:"FILE" (parse, Format.pp_print_string)
-
-let scheduler_conv =
-  Arg.enum
-    [ ("stealing", Volcano.Search.Stealing); ("seeded", Volcano.Search.Seeded) ]
-
-let scheduler_arg =
-  Arg.(
-    value
-    & opt scheduler_conv Volcano.Search.Stealing
-    & info [ "scheduler" ] ~docv:"SCHED"
-        ~doc:
-          "Parallel-phase scheduler: $(b,stealing) (per-domain work-stealing deques \
-           with duplicate-killing claim backoff; the default) or $(b,seeded) (the \
-           shared-counter ablation arm). The found plan is identical either way; \
-           only the scheduling and its effort counters differ.")
-
-let promise_conv =
-  Arg.enum
-    [ ("dynamic", Volcano.Search.Dynamic); ("static", Volcano.Search.Static) ]
-
-let promise_arg =
-  Arg.(
-    value
-    & opt promise_conv Volcano.Search.Dynamic
-    & info [ "promise" ] ~docv:"MODE"
-        ~doc:
-          "Move-ordering policy at each goal: $(b,dynamic) (score every assembled \
-           move from the memo's logical properties and the model's cost estimates, \
-           pursue cheap covering moves first; the default) or $(b,static) (the \
-           paper's fixed per-rule promise integers). Under an unbounded budget the \
-           found plan and cost are bit-identical either way; under a step budget \
-           dynamic typically reaches good incumbents in fewer tasks.")
 
 let sql_arg =
   Arg.(
@@ -908,8 +871,7 @@ let optimize_cmd =
     Term.(
       const run_optimize $ sql_arg $ execute $ exodus $ no_pruning $ no_guided
       $ left_deep $ max_steps $ timeout_ms $ trace $ trace_out $ metrics_out
-      $ profile_out $ flightrec_out $ explain $ domains $ scheduler_arg
-      $ promise_arg)
+      $ profile_out $ flightrec_out $ explain $ domains)
 
 let skew_conv =
   let parse s =
@@ -1003,7 +965,7 @@ let run_cmd =
           estimates, and feed corrections back into the catalog")
     Term.(
       const run_run $ sql_arg $ feedback $ drift_out $ escape_k $ threshold
-      $ no_correct $ max_replans $ skew_arg $ domains $ scheduler_arg)
+      $ no_correct $ max_replans $ skew_arg $ domains)
 
 let explain_cmd =
   let no_pruning =
@@ -1029,8 +991,7 @@ let explain_cmd =
           implementation rule that produced each node, and every goal's losing \
           alternatives with the reason each lost")
     Term.(
-      const run_explain $ sql_arg $ no_pruning $ no_guided $ left_deep $ domains
-      $ scheduler_arg)
+      const run_explain $ sql_arg $ no_pruning $ no_guided $ left_deep $ domains)
 
 let tables_cmd =
   Cmd.v (Cmd.info "tables" ~doc:"List the demo catalog") Term.(const run_tables $ const ())
@@ -1117,7 +1078,7 @@ let serve_cmd =
        ~doc:"Optimization service: fingerprinted plan cache over a batch of statements")
     Term.(
       const run_serve $ file $ workers $ capacity $ shards $ parameterize $ feedback
-      $ skew_arg $ domains $ scheduler_arg $ metrics_port $ slow_ms)
+      $ skew_arg $ domains $ metrics_port $ slow_ms)
 
 let batch_cmd =
   let file =
@@ -1183,8 +1144,7 @@ let batch_cmd =
           common subexpressions, and materialize/reuse shared results when that \
           lowers the batch cost")
     Term.(
-      const run_batch $ file $ strategy $ capacity $ shards $ domains $ scheduler_arg
-      $ metrics_out)
+      const run_batch $ file $ strategy $ capacity $ shards $ domains $ metrics_out)
 
 let workload_cmd =
   let n =
@@ -1244,7 +1204,7 @@ let workload_cmd =
        ~doc:
          "Generate and optimize a paper-style random query over a chosen join-graph \
           topology, with optional statistics skew and predicate correlation")
-    Term.(const run_workload $ n $ seed $ shape $ skew $ correlation $ promise_arg)
+    Term.(const run_workload $ n $ seed $ shape $ skew $ correlation)
 
 let () =
   let doc = "The Volcano optimizer generator (Graefe & McKenna, ICDE 1993)" in

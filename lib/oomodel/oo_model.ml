@@ -110,7 +110,6 @@ let make ~store ?(params = default_params) () : (module OO_MODEL) =
     let pp_hash s = Hashtbl.hash (Path_set.elements s)
     let pp_covers = Oo_algebra.phys_covers
 
-    let pp_trivial = Path_set.is_empty
     let pp_to_string = Oo_algebra.phys_to_string
 
     type cost = Relalg.Cost.t
@@ -147,9 +146,6 @@ let make ~store ?(params = default_params) () : (module OO_MODEL) =
       | Extent_scan _ -> Path_set.empty
       | O_filter _ -> input
       | Pointer_chase ps | Assembly ps -> Path_set.union input (Path_set.of_list ps)
-
-    let move_promise alg ~inputs ~input_props ~output =
-      cost_of alg ~inputs ~input_props ~output
 
     (* The always-sound trivial bound: guided pruning stays inert for
        this model (O_filter produces its output for pure CPU cost, so

@@ -31,8 +31,6 @@ type request = {
   explain : bool;
   restore_columns : bool;
   domains : int;
-  scheduler : Volcano.Search.scheduler;
-  promise : Volcano.Search.promise_mode;
 }
 
 let request catalog =
@@ -52,8 +50,6 @@ let request catalog =
     explain = false;
     restore_columns = true;
     domains = 1;
-    scheduler = Volcano.Search.Stealing;
-    promise = Volcano.Search.Dynamic;
   }
 
 let rec to_physical_raw (p : plan_node) : Relalg.Physical.plan =
@@ -89,8 +85,6 @@ let make_searcher req =
       budget = S.budget ?max_tasks:req.max_tasks ?max_millis:req.max_millis ();
       tracer = req.tracer;
       explain = req.explain;
-      scheduler = req.scheduler;
-      promise = req.promise;
       profiler = req.profiler;
       recorder = req.recorder;
     }
@@ -169,8 +163,6 @@ let optimize_anytime req ~budgets (query : Relalg.Logical.expr) ~required : anyt
       budget = S.unlimited;
       tracer = req.tracer;
       explain = req.explain;
-      scheduler = req.scheduler;
-      promise = req.promise;
       profiler = req.profiler;
       recorder = req.recorder;
     }

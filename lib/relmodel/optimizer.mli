@@ -69,20 +69,6 @@ type request = {
       (** OCaml 5 domains for intra-query parallel search (default [1] =
           sequential). The final plan and cost are bit-identical at any
           domain count; see {!Volcano.Search.Make.run}. *)
-  scheduler : Volcano.Search.scheduler;
-      (** how the parallel phase schedules goal tasks over domains
-          (default {!Volcano.Search.Stealing}: per-domain work-stealing
-          deques with duplicate-killing claim backoff;
-          {!Volcano.Search.Seeded} is the shared-counter ablation arm).
-          No effect on the found plan. *)
-  promise : Volcano.Search.promise_mode;
-      (** how each goal's assembled moves are ordered for pursuit
-          (default {!Volcano.Search.Dynamic}: estimate-aware scoring
-          from the model's local cost estimates and the input groups'
-          cost lower bounds; {!Volcano.Search.Static} is the paper's
-          per-rule promise integers, kept as the ablation arm). Under
-          unbounded budgets the found plan is bit-identical either way;
-          only the order incumbents arrive in changes. *)
 }
 
 val request : Catalog.t -> request

@@ -178,7 +178,6 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
     let pp_hash = Phys_prop.hash
     let pp_covers = Phys_prop.covers
 
-    let pp_trivial p = Phys_prop.covers ~provided:Phys_prop.any ~required:p
     let pp_to_string = Phys_prop.to_string
 
     type cost = Cost.t
@@ -322,29 +321,6 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
           | Phys_prop.Singleton | Phys_prop.Any_part -> base
         end
       end
-
-    (* The promise estimate is the real local cost plus an input-
-       preparation estimate. The local part reuses Cost_model's
-       closed-form arithmetic over cached logical properties. The
-       preparation part charges each input that must arrive sorted an
-       estimated [Sort] of that input — the group lower bounds the
-       search adds on top are order-blind for joins, so without this a
-       merge join (whose sorts are paid inside its input subgoals)
-       would look spuriously cheaper than the equivalent hash join and
-       be pursued first. An input that happens to deliver the order
-       for free (index, stored order) makes this an overestimate;
-       promise only orders pursuit, never decides winners, so that is
-       acceptable. *)
-    let move_promise alg ~inputs ~input_props ~output =
-      let local = cost_of alg ~inputs ~input_props ~output in
-      List.fold_left2
-        (fun acc (i : Logical_props.t) (p : Phys_prop.t) ->
-          if p.Phys_prop.order = [] then acc
-          else
-            Cost.add acc
-              (cost_of (Physical.Sort p.Phys_prop.order) ~inputs:[ i ]
-                 ~input_props:[ Phys_prop.any ] ~output:i))
-        local inputs input_props
 
     (* A certified lower bound on the cost of any plan delivering
        [required] for an expression with logical properties [props]

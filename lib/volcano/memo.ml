@@ -592,7 +592,7 @@ module Make (M : Signatures.MODEL) = struct
   let try_claim t g key = try_claim_id t g (intern_locked t key)
 
   (** [try_acquire_id t g id] — test-and-set on the claim bit alone,
-      ignoring any recorded winner. The stealing scheduler uses it to
+      ignoring any recorded winner. Parallel workers use it to
       serialize {e re-optimizations}: a goal whose recorded failure
       bound proved insufficient must be recomputed under a more
       generous limit even though an entry exists — exactly the case
@@ -608,27 +608,8 @@ module Make (M : Signatures.MODEL) = struct
           true
         end)
 
-  (** [claim_id t g id] marks the goal claimed unconditionally (used
-      when a worker starts a subgoal mid-run, so later seed grabs skip
-      it). *)
-  let claim_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        ensure_claimed d id;
-        d.claimed.(id) <- true)
-
-  (** [is_claimed_id t g id] — whether some run claimed the goal.
-      Workers consult this to wait for the claim holder's published
-      winner instead of duplicating the whole subtree. *)
-  let is_claimed_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        id < Array.length d.claimed && d.claimed.(id))
-
-  (** [release_claim_id t g id] reopens a claimed goal. The stealing
-      scheduler releases claims when a run is abandoned mid-flight (its
+  (** [release_claim_id t g id] reopens a claimed goal. Parallel
+      workers release claims when a run is abandoned mid-flight (its
       claimed-but-unpublished goals must become claimable again, or
       every run parked on them would stall) and when a goal is
       finalized (the published winner, not the claim, is then the

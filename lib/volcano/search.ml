@@ -22,51 +22,6 @@
     multi-expressions in the class. For exhaustive search the two orders
     visit exactly the same plans. *)
 
-(** How the parallel phase of {!Make.run} schedules goal tasks over
-    worker domains. Kept outside the functor so callers can plumb the
-    choice without naming a model.
-
-    - [Seeded]: the original scheme — workers pull seeds from one
-      shared atomic counter, park runs that hit another worker's claim,
-      and rely on an idle-sweep liveness valve that force-duplicates a
-      blocked goal after sustained futility. Robust, but the valve
-      cascades under core oversubscription (descheduled claim holders
-      look dead), duplicating whole subtrees.
-    - [Stealing]: per-domain Chase–Lev deques ({!Deque}) over the goal
-      tasks, claim acquisition made atomic with the winner-table
-      consultation, event-driven wakeup of parked runs (a shared
-      publication tick), and claims released on publication — so
-      duplicate goal computations are killed outright instead of being
-      forced for liveness. Deadlock (a genuine cross-worker wait
-      cycle) is broken by abandoning a parked run and releasing its
-      claims — never by duplicating work.
-
-    Both schedulers publish only entries the sequential engine would
-    itself record, at the same Figure-2 limits, so the final plan is
-    bit-identical across schedulers and domain counts. *)
-type scheduler = Seeded | Stealing
-
-(** How a goal's assembled moves are ordered for pursuit.
-
-    [Static] is the paper's §4.2 baseline: the per-rule promise
-    integers declared by the model, with the sum of the input groups'
-    cost lower bounds as tie-break.
-
-    [Dynamic] rescores every move when the goal's move list is
-    assembled, from what the memo knows by then: the model's local
-    cost estimate ({!Signatures.MODEL.move_promise}, fed by estimated
-    output cardinality), the input groups' cost lower bounds, and
-    whether the move satisfies the required physical property directly
-    or through an enforcer. Cheapest projected total first; the static
-    order breaks ties.
-
-    Ordering decides only {e when} the optimum is found, never
-    {e which} plan wins: on exact cost ties the engine keeps the
-    candidate whose move came first in the {e static} order, whichever
-    order pursued it, so both modes pick bit-identical final plans
-    under unbounded budgets. *)
-type promise_mode = Static | Dynamic
-
 module Make (M : Signatures.MODEL) = struct
   module Memo = Memo.Make (M)
 
@@ -114,14 +69,6 @@ module Make (M : Signatures.MODEL) = struct
             the memo as the search abandons or completes each move, for
             {!explain}. Recording never changes pursuit order, pruning,
             or winners — only what the memo remembers about them. *)
-    scheduler : scheduler;
-        (** how {!run}'s parallel phase schedules goal tasks over
-            worker domains; no effect on the sequential engine or on
-            the found plan (see {!scheduler}) *)
-    promise : promise_mode;
-        (** how assembled moves are ordered for pursuit (see
-            {!promise_mode}); no effect on the found plan under
-            unbounded budgets, only on how fast incumbents arrive *)
     profiler : Obs.Profile.t option;
         (** per-rule / per-enforcer / per-operator effort attribution:
             exactly one charge per executed task (so per-entry task
@@ -148,8 +95,6 @@ module Make (M : Signatures.MODEL) = struct
       budget = unlimited;
       tracer = None;
       explain = false;
-      scheduler = Stealing;
-      promise = Dynamic;
       profiler = None;
       recorder = None;
     }
@@ -171,21 +116,9 @@ module Make (M : Signatures.MODEL) = struct
             insufficient computes at this cap, so the refreshed entry
             settles the goal for the rest of the phase instead of being
             re-optimized under every intermediate limit. *)
-    mutable wk_blocked : (Memo.group * int) option;
+    mutable wk_blocked : bool;
         (** set by the stepper when the current run deferred to a goal
-            another worker has claimed (group, interned goal id):
-            suspend this run *)
-    mutable wk_force : (Memo.group * int) option;
-        (** one goal this worker may compute even though it is claimed
-            elsewhere — seeds it just claimed itself, and the bounded
-            duplicate-compute fallback that guarantees liveness
-            (seeded scheduler only) *)
-    wk_stealing : bool;
-        (** stealing-scheduler semantics: claim acquisition is fused
-            with the winner consultation ([try_claim] instead of
-            check-then-claim), claims are released at publication, and
-            parked runs wake on {!wk_tick} instead of being polled
-            blindly *)
+            another worker has claimed: suspend this run *)
     wk_tick : int Atomic.t;
         (** shared publication tick, bumped on every worker publication
             (and claim release): a parked run can only have become
@@ -384,7 +317,7 @@ module Make (M : Signatures.MODEL) = struct
         promise : int;
       }
 
-  let move_promise = function Impl m -> m.promise | Enforce m -> m.promise
+  let promise_of = function Impl m -> m.promise | Enforce m -> m.promise
 
   (* Implementation moves of rule [rule] rooted at multi-expression [m]. *)
   let impl_moves_at t (rule : (M.op, M.alg, M.logical_props, M.phys_props) Rule.implement)
@@ -451,20 +384,8 @@ module Make (M : Signatures.MODEL) = struct
             insufficient (see [optimize_group_init]) *)
     mutable gs_bound : M.cost;  (** running branch-and-bound bound *)
     mutable gs_best : Memo.plan option;
-    mutable gs_best_rank : int;
-        (** static-order rank of the move that produced [gs_best]: the
-            order-independent tie-break. On an exact cost tie the
-            lower-ranked candidate wins, so static and dynamic pursuit
-            orders agree on the final plan (see {!promise_mode}) *)
     gs_impl : move list array;  (** per-implementation-rule collection buckets *)
-    mutable gs_moves : (int * move) list;
-        (** pending moves in pursuit order, each tagged with its rank
-            in the static promise order *)
-    mutable gs_reranked : bool;
-        (** dynamic promise: this goal's pending moves have been
-            re-ranked by computed promise (which happens once, at the
-            first pursuit step after the run's root goal has an
-            incumbent) *)
+    mutable gs_moves : move list;  (** pending moves in pursuit order *)
     mutable gs_phase : goal_phase;
     gs_slot : slot;
     mutable gs_span : Obs.Trace.span option;
@@ -481,7 +402,6 @@ module Make (M : Signatures.MODEL) = struct
   and impl_state = {
     im_goal : goal_state;
     im_alg : M.alg;
-    im_rank : int;  (** static-order rank of the pursued move *)
     im_rule : string;  (** producing implementation rule, for provenance *)
     im_start : int;
         (** [run.r_tasks] when pursuit began, for the profiler's
@@ -501,7 +421,6 @@ module Make (M : Signatures.MODEL) = struct
   and enf_state = {
     en_goal : goal_state;
     en_alg : M.alg;
-    en_rank : int;  (** static-order rank of the pursued move *)
     en_start : int;
         (** [run.r_tasks] when pursuit began, for the profiler's
             wasted-work accounting *)
@@ -644,14 +563,10 @@ module Make (M : Signatures.MODEL) = struct
   let mark_goal_in_progress run g id =
     match run.rt.mode with
     | Seq -> Memo.mark_in_progress run.rt.memo g id
-    | Worker ctx ->
-      Memo.Id_tbl.replace (run_marks run g) id ();
-      (* Claim the goal so other workers wait for (or skip) it instead
-         of recomputing its whole subtree. The stealing scheduler
-         already acquired the claim atomically at consultation time
-         (see [optimize_group_init]), so only the seeded scheduler
-         claims here. *)
-      if not ctx.wk_stealing then Memo.claim_id run.rt.memo g id
+    | Worker _ ->
+      (* The claim that keeps other workers off this goal was acquired
+         atomically at consultation time (see [optimize_group_init]). *)
+      Memo.Id_tbl.replace (run_marks run g) id ()
 
   let unmark_goal_in_progress run g id =
     match run.rt.mode with
@@ -735,10 +650,8 @@ module Make (M : Signatures.MODEL) = struct
       gs_limit = limit;
       gs_bound = (if t.config.pruning then limit else M.cost_infinite);
       gs_best = None;
-      gs_best_rank = max_int;
       gs_impl = Array.make (max 1 n_implementations) [];
       gs_moves = [];
-      gs_reranked = false;
       gs_phase = G_init;
       gs_slot = slot;
       gs_span = None;
@@ -757,13 +670,10 @@ module Make (M : Signatures.MODEL) = struct
     end
 
   (* Record a completed candidate plan against the goal, tightening the
-     branch-and-bound bound (Figure 2's Limit update). [rank] is the
-     candidate move's position in the *static* promise order: on an
-     exact cost tie the lower rank wins, so which of two equal-cost
-     plans is kept does not depend on pursuit order. Under static
-     ordering ranks arrive increasing and the tie-break reduces to the
-     engine's historical first-arrival rule. *)
-  let consider run gs ~rank (candidate : Memo.plan) =
+     branch-and-bound bound (Figure 2's Limit update). Moves are pursued
+     one at a time in promise order, so on an exact cost tie the
+     candidate found first — the more promising move — is kept. *)
+  let consider run gs (candidate : Memo.plan) =
     let t = run.rt in
     note_alt t gs ~alg:candidate.p_alg ~rule:candidate.p_rule
       ~cost:(Some candidate.p_cost) ~reason:Memo.Alt_completed;
@@ -772,17 +682,9 @@ module Make (M : Signatures.MODEL) = struct
       | None -> (not t.config.pruning) || cost_le candidate.p_cost gs.gs_limit
       | Some b -> cost_lt candidate.p_cost b.p_cost
     in
-    let tie_break =
-      (not improved)
-      && (match gs.gs_best with
-          | Some b -> M.cost_compare candidate.p_cost b.p_cost = 0 && rank < gs.gs_best_rank
-          | None -> false)
-    in
-    if
-      (improved || tie_break)
-      && M.pp_covers ~provided:candidate.p_props ~required:gs.gs_required
+    if improved && M.pp_covers ~provided:candidate.p_props ~required:gs.gs_required
     then begin
-      if improved && gs == run.r_goal then begin
+      if gs == run.r_goal then begin
         if gs.gs_best <> None then
           t.stats.Search_stats.anytime_improvements <-
             t.stats.Search_stats.anytime_improvements + 1;
@@ -792,7 +694,6 @@ module Make (M : Signatures.MODEL) = struct
         run.r_incumbents <- (run.r_tasks, candidate.p_cost) :: run.r_incumbents
       end;
       gs.gs_best <- Some candidate;
-      gs.gs_best_rank <- rank;
       if cost_lt candidate.p_cost gs.gs_bound then gs.gs_bound <- candidate.p_cost
     end
 
@@ -817,14 +718,13 @@ module Make (M : Signatures.MODEL) = struct
          Obs.Profile.plan_won pb Obs.Profile.Enforcer (M.alg_name p.Memo.p_alg)
        else Obs.Profile.plan_won pb Obs.Profile.Rule p.Memo.p_rule
      | _ -> ());
-    (* Stealing scheduler: the published entry, not the claim, is now
-       the goal's authority — release the claim so a later run that
-       needs a more generous bound can re-acquire and re-optimize
-       instead of parking on a claim nobody will ever act on again. *)
+    (* The published entry, not the claim, is now the goal's authority
+       — release the claim so a later run that needs a more generous
+       bound can re-acquire and re-optimize instead of parking on a
+       claim nobody will ever act on again. *)
     (match t.mode with
-     | Worker ctx when ctx.wk_stealing ->
-       Memo.release_claim_id t.memo g gs.gs_key_id
-     | _ -> ());
+     | Worker _ -> Memo.release_claim_id t.memo g gs.gs_key_id
+     | Seq -> ());
     goal_conclude run gs (match gs.gs_best with Some _ -> "won" | None -> "failed");
     gs.gs_slot.answer <- gs.gs_best
 
@@ -835,10 +735,6 @@ module Make (M : Signatures.MODEL) = struct
     push run waiter;
     push run (T_optimize_group child)
 
-  (* Pursue the goal's next pending move, or finalize. Each move runs to
-     completion before the next starts, so the bound tightened by one
-     move's plan prunes the following moves — exactly the sequential
-     move order of the recursive engine. *)
   (* The cost floor of a move: the sum of its subgoals' lower bounds.
      Secondary sort key after promise — of equally promising moves, the
      one over the cheapest-bounded subtrees is pursued first, so the
@@ -854,111 +750,15 @@ module Make (M : Signatures.MODEL) = struct
         M.cost_zero input_groups input_reqs
     | Enforce { relaxed; _ } -> lower_bound_for t gs.gs_group relaxed
 
-  (* Dynamic promise: score one move from what the memo knows at
-     assembly time. Three keys, lexicographic, lower first:
-
-     - [pursuable] — whether the move can satisfy the required
-       property at all (a move whose delivered vector is excluded or
-       non-covering is a guaranteed no-op at pursuit: last);
-     - [demands] — how many of the move's input properties are
-       non-trivial. Each demanding input opens a property-establishment
-       subgoal that strictly contains the work of its relaxed sibling
-       (a sorted-input goal explores everything the any-property goal
-       does, plus enforcers and order-delivering algorithms), so a
-       demanding move tightens the branch-and-bound incumbent more
-       slowly than its projected *plan* cost suggests;
-     - the projected total: the model's promise estimate plus the
-       floor already computed for the static tie-break.
-
-     Implementations and enforcers compete on equal terms: a sort
-     enforcer over a cheap unordered plan (one trivial input) outranks
-     a merge join whose inputs must each pay for their order. *)
-  let promise_score t gs floor mv =
-    t.stats.Search_stats.promise_evals <- t.stats.Search_stats.promise_evals + 1;
-    match mv with
-    | Impl { alg; input_groups; input_reqs; _ } ->
-      let delivered = M.deliver alg input_reqs in
-      let pursuable =
-        if
-          excluded_by ~excluded:gs.gs_excluded ~delivered
-          || not (M.pp_covers ~provided:delivered ~required:gs.gs_required)
-        then 1
-        else 0
-      in
-      let demands =
-        List.fold_left
-          (fun acc p -> if M.pp_trivial p then acc else acc + 1)
-          0 input_reqs
-      in
-      let local =
-        M.move_promise alg
-          ~inputs:(List.map (lookup t) input_groups)
-          ~input_props:input_reqs ~output:(lookup t gs.gs_group)
-      in
-      (pursuable, demands, M.cost_add local floor)
-    | Enforce { alg; relaxed; _ } ->
-      let gprops = lookup t gs.gs_group in
-      let delivered = M.deliver alg [ relaxed ] in
-      let pursuable =
-        if
-          excluded_by ~excluded:gs.gs_excluded ~delivered
-          || not (M.pp_covers ~provided:delivered ~required:gs.gs_required)
-        then 1
-        else 0
-      in
-      let demands = if M.pp_trivial relaxed then 0 else 1 in
-      let local =
-        M.move_promise alg ~inputs:[ gprops ] ~input_props:[ relaxed ] ~output:gprops
-      in
-      (pursuable, demands, M.cost_add local floor)
-
-  (* Re-rank a pursuit-ordered move list by computed promise: a stable
-     sort on [promise_score], so ties keep their incoming (static)
-     order. [moves_reordered] counts the positions that changed. *)
-  let dynamic_order t gs (pending : (int * move) list) =
-    let scored =
-      List.map
-        (fun (rank, mv) -> (rank, mv, promise_score t gs (move_floor t gs mv) mv))
-        pending
-    in
-    let reordered =
-      List.stable_sort
-        (fun (_, _, (ca, da, pa)) (_, _, (cb, db, pb)) ->
-          let c = compare (ca : int) cb in
-          if c <> 0 then c
-          else
-            let d = compare (da : int) db in
-            if d <> 0 then d else M.cost_compare pa pb)
-        scored
-      |> List.map (fun (rank, mv, _) -> (rank, mv))
-    in
-    List.iter2
-      (fun (r0, _) (r1, _) ->
-        if r0 <> r1 then
-          t.stats.Search_stats.moves_reordered <-
-            t.stats.Search_stats.moves_reordered + 1)
-      pending reordered;
-    reordered
-
+  (* Pursue the goal's next pending move, or finalize. Each move runs to
+     completion before the next starts, so the bound tightened by one
+     move's plan prunes the following moves — exactly the sequential
+     move order of the recursive engine. *)
   let rec next_move run gs =
     let t = run.rt in
-    (* Dynamic promise, phase two: the first time this goal is stepped
-       after the run's root goal has an incumbent, re-rank its pending
-       moves by computed promise (once per goal — goals assembled
-       after the incumbent arrive already ranked). *)
-    if
-      t.config.promise = Dynamic
-      && (not gs.gs_reranked)
-      && run.r_goal.gs_best <> None
-    then begin
-      gs.gs_reranked <- true;
-      match gs.gs_moves with
-      | [] | [ _ ] -> ()
-      | pending -> gs.gs_moves <- dynamic_order t gs pending
-    end;
     match gs.gs_moves with
     | [] -> finalize_goal run gs
-    | (rank, mv) :: rest ->
+    | mv :: rest ->
       gs.gs_moves <- rest;
       (match mv with
        | Impl { alg; input_groups; input_reqs; promise = _; rule } ->
@@ -1007,7 +807,6 @@ module Make (M : Signatures.MODEL) = struct
                   {
                     im_goal = gs;
                     im_alg = alg;
-                    im_rank = rank;
                     im_rule = rule;
                     im_start = run.r_tasks;
                     im_delivered = delivered;
@@ -1065,7 +864,6 @@ module Make (M : Signatures.MODEL) = struct
                     {
                       en_goal = gs;
                       en_alg = alg;
-                      en_rank = rank;
                       en_start = run.r_tasks;
                       en_delivered = delivered;
                       en_relaxed = relaxed;
@@ -1104,12 +902,12 @@ module Make (M : Signatures.MODEL) = struct
         profile_pruned t Obs.Profile.Engine "optimize_group";
         fr_event t Obs.Flight_recorder.Prune ~group:g ~detail:2;
         record_winner t g kid None gs.gs_limit;
-        (* The stealing scheduler acquired the claim before entering;
-           the goal concluded without a [finalize_goal], so release it
-           here (the published failure is now the authority). *)
+        (* A worker acquired the claim before entering; the goal
+           concluded without a [finalize_goal], so release it here (the
+           published failure is now the authority). *)
         (match t.mode with
-         | Worker ctx when ctx.wk_stealing -> Memo.release_claim_id t.memo g kid
-         | _ -> ());
+         | Worker _ -> Memo.release_claim_id t.memo g kid
+         | Seq -> ());
         goal_conclude run gs "pruned-lb";
         gs.gs_slot.answer <- None
       end
@@ -1121,14 +919,14 @@ module Make (M : Signatures.MODEL) = struct
         push run (T_explore_group g)
       end
     in
-    (* Stealing scheduler: suspend this run on goal [(g, kid)] — the
-       claim holder will publish (and tick), at which point the re-
-       pushed consultation re-runs and is answered from the table. *)
+    (* Worker: suspend this run on goal [(g, kid)] — the claim holder
+       will publish (and tick), at which point the re-pushed
+       consultation re-runs and is answered from the table. *)
     let park_on ctx =
       t.stats.Search_stats.par_dup_kills <- t.stats.Search_stats.par_dup_kills + 1;
       push run (T_optimize_group gs);
       goal_conclude run gs "parked";
-      ctx.wk_blocked <- Some (g, kid)
+      ctx.wk_blocked <- true
     in
     let count_claim () =
       t.stats.Search_stats.par_goals_claimed <-
@@ -1153,13 +951,13 @@ module Make (M : Signatures.MODEL) = struct
            vector may be optimized multiple times, with increasingly
            generous cost limits"). Workers re-optimize at the phase cap
            so the refreshed entry answers every later consultation. *)
-        (match t.mode with
-         | Worker ctx when M.cost_compare ctx.wk_cap gs.gs_limit > 0 ->
-           gs.gs_limit <- ctx.wk_cap;
-           if t.config.pruning then gs.gs_bound <- ctx.wk_cap
-         | _ -> ());
         match t.mode with
-        | Worker ctx when ctx.wk_stealing ->
+        | Seq -> start_optimization ()
+        | Worker ctx ->
+          if M.cost_compare ctx.wk_cap gs.gs_limit > 0 then begin
+            gs.gs_limit <- ctx.wk_cap;
+            if t.config.pruning then gs.gs_bound <- ctx.wk_cap
+          end;
           (* Serialize the re-optimization on the claim bit alone
              ([try_claim] would refuse: an entry exists by definition
              here). The loser parks; the holder publishes at the cap,
@@ -1169,7 +967,6 @@ module Make (M : Signatures.MODEL) = struct
             start_optimization ()
           end
           else park_on ctx
-        | _ -> start_optimization ()
       end
     | None ->
       if goal_in_progress run g kid then begin
@@ -1179,7 +976,7 @@ module Make (M : Signatures.MODEL) = struct
       else begin
         match t.mode with
         | Seq -> start_optimization ()
-        | Worker ctx when ctx.wk_stealing ->
+        | Worker ctx ->
           (* Claim acquisition is fused with the consultation: exactly
              one run ever computes a goal (no check-then-claim window),
              so the claim table kills duplicates outright. A failed
@@ -1191,26 +988,6 @@ module Make (M : Signatures.MODEL) = struct
             start_optimization ()
           end
           else park_on ctx
-        | Worker ctx ->
-          let forced =
-            match ctx.wk_force with
-            | Some (fg, fid) -> fg = g && fid = kid
-            | None -> false
-          in
-          if forced then begin
-            ctx.wk_force <- None;
-            start_optimization ()
-          end
-          else if Memo.is_claimed_id t.memo g kid then begin
-            (* Another run is computing this goal. Suspend: re-push the
-               same consultation and signal the worker loop, which parks
-               this run and picks up other work until the claim holder
-               publishes a winner (or liveness forces a duplicate). *)
-            push run (T_optimize_group gs);
-            goal_conclude run gs "parked";
-            ctx.wk_blocked <- Some (g, kid)
-          end
-          else start_optimization ()
       end
 
   (* The class is closed; fan move generation out, one task per
@@ -1226,51 +1003,22 @@ module Make (M : Signatures.MODEL) = struct
       (fun m -> push run (T_optimize_mexpr (gs, m)))
       (List.rev (Memo.mexprs t.memo g))
 
-  (* Assemble the goal's moves: implementation moves flattened
-     rule-major (the recursive engine's enumeration order), then
-     enforcer moves, stably sorted by promise, optionally truncated to
-     the k most promising — then start pursuing. *)
   (* Assemble the final move list from the per-rule collection buckets:
-     implementation moves flattened rule-major, enforcers appended,
-     promise-sorted, optionally truncated — one deterministic order
-     shared by the sequential pursuit and the parallel seeding. *)
-
-  let assemble_moves run gs =
-    let t = run.rt in
+     implementation moves flattened rule-major (the recursive engine's
+     enumeration order), enforcers appended, stably sorted by the
+     model's rule promise (§4.2) with the move's cost floor as
+     tie-break, optionally truncated to the k most promising — one
+     deterministic order shared by the sequential pursuit and the
+     parallel seeding. *)
+  let assemble_moves t gs =
     let impl = List.concat (Array.to_list gs.gs_impl) in
     let enf = enforcer_moves ~props:(lookup t gs.gs_group) ~required:gs.gs_required in
-    (* The static order is always computed: under [Static] it is the
-       pursuit order, under [Dynamic] its positions are the ranks the
-       cost-tie-break in [consider] keys on — the one order both arms
-       agree about, independent of which is active. *)
-    let static_order =
+    let ordered =
       List.map (fun mv -> (mv, move_floor t gs mv)) (impl @ enf)
       |> List.stable_sort (fun (a, fa) (b, fb) ->
-             let c = compare (move_promise b) (move_promise a) in
+             let c = compare (promise_of b) (promise_of a) in
              if c <> 0 then c else M.cost_compare fa fb)
-      |> List.mapi (fun rank (mv, floor) -> (rank, mv, floor))
-    in
-    let ordered =
-      match t.config.promise with
-      | Static -> List.map (fun (rank, mv, _) -> (rank, mv)) static_order
-      (* Two-phase anytime policy: until this run's root goal has a
-         complete plan, pursue in the static rule order. Racing to a
-         first incumbent is about which move's subtree *completes*
-         cheapest, and completion cost is dominated by how much of the
-         subtree earlier pursuits already optimized — reuse a local
-         score cannot see (measured: at a sorted root, cost-greedy
-         pursuit of the covering enforcer first re-derives the whole
-         relaxed goal, 23x the tasks of static's order, which gets its
-         first covering plan almost free by piggybacking on a
-         non-covering descent). Once an incumbent exists the race is
-         over and the computed promise takes over — [next_move]
-         re-ranks the pending moves of goals assembled during the
-         race. *)
-      | Dynamic when run.r_goal.gs_best = None ->
-        List.map (fun (rank, mv, _) -> (rank, mv)) static_order
-      | Dynamic ->
-        gs.gs_reranked <- true;
-        dynamic_order t gs (List.map (fun (rank, mv, _) -> (rank, mv)) static_order)
+      |> List.map fst
     in
     match t.config.max_moves with
     | None -> ordered
@@ -1337,7 +1085,7 @@ module Make (M : Signatures.MODEL) = struct
       moves
 
   let optimize_group_pursue run gs =
-    gs.gs_moves <- assemble_moves run gs;
+    gs.gs_moves <- assemble_moves run.rt gs;
     next_move run gs
 
   let optimize_mexpr run gs (m : Memo.mexpr) =
@@ -1477,7 +1225,7 @@ module Make (M : Signatures.MODEL) = struct
     else
       match st.im_pending with
       | [] ->
-        consider run gs ~rank:st.im_rank
+        consider run gs
           {
             Memo.p_alg = st.im_alg;
             p_rule = st.im_rule;
@@ -1552,7 +1300,7 @@ module Make (M : Signatures.MODEL) = struct
        note_alt t gs ~alg:st.en_alg ~rule:"enforcer" ~cost:None
          ~reason:Memo.Alt_input_failed
      | Some sub ->
-       consider run gs ~rank:st.en_rank
+       consider run gs
          {
            Memo.p_alg = st.en_alg;
            p_rule = "enforcer";
@@ -2035,185 +1783,33 @@ module Make (M : Signatures.MODEL) = struct
          !order)
 
   (* The parallel phase: [domains] worker domains cooperate over the
-     initial seed queue plus the shared help-first pool. Each claimed
-     goal is computed with the standard task engine against a private
-     worker view — shared memo, lock-striped winner access, per-run
-     in-progress marks and per-worker stats — under the exact cost limit
-     branch-and-bound grants that subgoal given the incumbent plan found
-     by the sequential prefix. Seeding at those limits keeps Figure 2's
-     pruning alive inside every worker (seeding at infinite limits would
-     perform the exhaustive, unpruned DP — an order of magnitude more
-     work on the join workloads), and is sufficient: the resumed pass
-     can only consult these goals under limits at most as generous (its
-     bound only tightens), which any published winner (a true optimum)
-     or failure (with the seeded bound) answers exactly as a fresh
-     sequential computation would.
+     seed goals. Each goal is computed with the standard task engine
+     against a private worker view — shared memo, lock-striped winner
+     access, per-run in-progress marks and per-worker stats — under the
+     exact cost limit branch-and-bound grants that subgoal given the
+     incumbent plan found by the sequential prefix. Seeding at those
+     limits keeps Figure 2's pruning alive inside every worker (seeding
+     at infinite limits would perform the exhaustive, unpruned DP — an
+     order of magnitude more work on the join workloads), and is
+     sufficient: the resumed pass can only consult these goals under
+     limits at most as generous (its bound only tightens), which any
+     published winner (a true optimum) or failure (with the seeded
+     bound) answers exactly as a fresh sequential computation would.
 
-     A run that reaches a goal claimed by another run SUSPENDS (its
-     stack parks on the worker's blocked queue) and the worker picks up
-     other goals; it resumes once the claim holder publishes. That keeps
-     total work near the sequential engine's instead of letting workers
-     duplicate each other's subtrees. Liveness: when a worker has
-     nothing runnable and a full poll sweep makes no progress, it
-     force-computes the first blocked run's blocking goal — a bounded
-     duplicate, counted in [par_dup_goals], never an error, since
-     winners merge monotonically and racing publishes commute. *)
-  let par_phase_seeded t ~domains ~deadline ~cap seeds =
-    let seeds = Array.of_list seeds in
-    let next = Atomic.make 0 in
-    let work widx =
-      let wstats = Search_stats.create () in
-      let ctx =
-        {
-          wk_cap = cap;
-          wk_blocked = None;
-          wk_force = None;
-          wk_stealing = false;
-          wk_tick = Atomic.make 0;
-        }
-      in
-      (* Each worker writes spans (and profile charges, and ring
-         events) to its own track (track 0 is the sequential engine);
-         the collectors merge the buffers post-run, so all three cover
-         the parallel phase. *)
-      let wbuf =
-        Option.map (fun tr -> Obs.Trace.buf tr ~track:(widx + 1)) t.config.tracer
-      in
-      let wpbuf =
-        Option.map (fun pr -> Obs.Profile.buf pr ~track:(widx + 1)) t.config.profiler
-      in
-      let wring =
-        Option.map
-          (fun fr -> Obs.Flight_recorder.ring fr ~track:(widx + 1))
-          t.config.recorder
-      in
-      let wt =
-        {
-          t with
-          stats = wstats;
-          mode = Worker ctx;
-          tr_buf = wbuf;
-          pr_buf = wpbuf;
-          fr_ring = wring;
-        }
-      in
-      let phase_span =
-        Option.map
-          (fun buf -> Obs.Trace.open_span buf ~cat:"phase" "parallel-worker")
-          wbuf
-      in
-      let past_deadline () =
-        match deadline with None -> false | Some d -> Unix.gettimeofday () >= d
-      in
-      (* Suspended runs, each paired with the goal it last blocked on. *)
-      let blocked : (run * (Memo.group * int)) Queue.t = Queue.create () in
-      (* Step a run until it completes (true) or suspends (false). *)
-      let step_through run =
-        let rec go () =
-          ctx.wk_blocked <- None;
-          if not (step run) then true
-          else if ctx.wk_blocked = None then go ()
-          else false
-        in
-        try go ()
-        with Par_unexplored ->
-          run.r_stack <- [];
-          abandon_run_spans run;
-          true
-      in
-      let park run = Queue.add (run, Option.get ctx.wk_blocked) blocked in
-      let launch (g, key, limit) =
-        let kid = Memo.intern_locked t.memo key in
-        if Memo.try_claim_id t.memo g kid then begin
-          wstats.Search_stats.par_goals_claimed <-
-            wstats.Search_stats.par_goals_claimed + 1;
-          let required, excluded = key in
-          let goal = new_goal wt ~group:g ~required ~excluded ~limit { answer = None } in
-          let run = fresh_run wt ~root:g ~required ~limit goal in
-          push run (T_optimize_group goal);
-          (* We just claimed the goal ourselves: let this run compute it. *)
-          ctx.wk_force <- Some (g, kid);
-          let completed = step_through run in
-          ctx.wk_force <- None;
-          if not completed then park run
-        end
-      in
-      let next_global () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= Array.length seeds then None else Some seeds.(i)
-      in
-      let finished = ref false in
-      (* Consecutive sweeps in which nothing advanced. While waiting,
-         yield the processor — the claim holder may share our core (it
-         certainly does on a single-core host), and busy-forcing its
-         territory is how waiting degenerates into duplicated search.
-         Only after sustained futility (a cross-worker wait cycle) does
-         the worker force-compute a blocking goal to guarantee
-         progress. *)
-      let idle_sweeps = ref 0 in
-      while not !finished do
-        if past_deadline () then finished := true
-        else begin
-          (* Poll suspended runs first: resuming one whose blocking goal
-             has been published both finishes real work and releases
-             claims other workers may be waiting on. A still-blocked
-             poll costs exactly one (re-pushed) task. *)
-          let progressed = ref false in
-          let n = Queue.length blocked in
-          for _ = 1 to n do
-            let run, _ = Queue.pop blocked in
-            let before = run.r_tasks in
-            if step_through run then progressed := true
-            else begin
-              park run;
-              if run.r_tasks > before + 1 then progressed := true
-            end
-          done;
-          match next_global () with
-          | Some s ->
-            idle_sweeps := 0;
-            launch s
-          | None ->
-            if Queue.is_empty blocked then finished := true
-            else if !progressed then idle_sweeps := 0
-            else begin
-              incr idle_sweeps;
-              if !idle_sweeps > 50 then begin
-                (* Nothing runnable and no poll advanced for a long
-                   stretch: duplicate the first blocked run's blocking
-                   goal to guarantee system-wide progress. *)
-                idle_sweeps := 0;
-                let run, bg = Queue.pop blocked in
-                ctx.wk_force <- Some bg;
-                if not (step_through run) then park run;
-                ctx.wk_force <- None
-              end
-              else Unix.sleepf 0.0002
-            end
-        end
-      done;
-      (* Runs still parked at the deadline are being thrown away. *)
-      Queue.iter (fun (run, _) -> abandon_run_spans run) blocked;
-      Option.iter (fun sp -> Obs.Trace.close sp) phase_span;
-      wstats
-    in
-    let workers = List.init domains (fun i -> Domain.spawn (fun () -> work i)) in
-    List.iter (fun d -> Search_stats.merge ~into:t.stats (Domain.join d)) workers
-
-  (* The stealing scheduler (see {!scheduler}): seeds are dealt
-     round-robin into per-domain Chase–Lev deques; each worker pops its
-     own deque bottom-up (shared subgoals publish before the larger
-     goals that consult them) and steals the top — the largest pending
-     goals — from others when its own runs dry. Claim acquisition is
-     fused with the winner consultation inside [optimize_group_init],
-     so a goal is computed by exactly one run; a run that loses the
-     claim parks, and wakes when the shared publication tick moves
-     (every publish and claim release bumps it). There is no forcing
-     valve: a genuine cross-worker wait cycle — every worker idle,
-     nothing published across repeated backoffs — is broken by
-     abandoning one parked run and releasing its claims (a handful of
-     re-claimable goals), never by duplicating a computation. *)
-  let par_phase_stealing t ~domains ~deadline ~cap seeds =
+     Scheduling is work stealing: seeds are dealt round-robin into
+     per-domain Chase–Lev deques ({!Deque}); each worker pops its own
+     deque bottom-up (shared subgoals publish before the larger goals
+     that consult them) and steals the top — the largest pending goals
+     — from others when its own runs dry. Claim acquisition is fused
+     with the winner consultation inside [optimize_group_init], so a
+     goal is computed by exactly one run; a run that loses the claim
+     parks, and wakes when the shared publication tick moves (every
+     publish and claim release bumps it). A genuine cross-worker wait
+     cycle — every worker idle, nothing published across repeated
+     backoffs — is broken by abandoning one parked run and releasing
+     its claims (a handful of re-claimable goals), never by duplicating
+     a computation. *)
+  let par_phase t ~domains ~deadline ~cap seeds =
     let deques = Array.init domains (fun _ -> Deque.create ()) in
     (* Deal bottom-up-ordered seeds round-robin, but push each share in
        top-down order: the owner then pops bottom-up while thieves
@@ -2225,15 +1821,7 @@ module Make (M : Signatures.MODEL) = struct
     let idle = Atomic.make 0 in
     let work widx =
       let wstats = Search_stats.create () in
-      let ctx =
-        {
-          wk_cap = cap;
-          wk_blocked = None;
-          wk_force = None;
-          wk_stealing = true;
-          wk_tick = tick;
-        }
-      in
+      let ctx = { wk_cap = cap; wk_blocked = false; wk_tick = tick } in
       let wbuf =
         Option.map (fun tr -> Obs.Trace.buf tr ~track:(widx + 1)) t.config.tracer
       in
@@ -2263,8 +1851,8 @@ module Make (M : Signatures.MODEL) = struct
       let past_deadline () =
         match deadline with None -> false | Some d -> Unix.gettimeofday () >= d
       in
-      (* Suspended runs, each paired with the goal it last blocked on. *)
-      let blocked : (run * (Memo.group * int)) Queue.t = Queue.create () in
+      (* Suspended runs. *)
+      let blocked : run Queue.t = Queue.create () in
       (* Release every claim a run still holds (its in-progress marks
          are exactly its claimed-but-unpublished goals) and bump the
          tick so runs parked on them re-poll and re-claim. *)
@@ -2284,9 +1872,9 @@ module Make (M : Signatures.MODEL) = struct
       (* Step a run until it completes (true) or suspends (false). *)
       let step_through run =
         let rec go () =
-          ctx.wk_blocked <- None;
+          ctx.wk_blocked <- false;
           if not (step run) then true
-          else if ctx.wk_blocked = None then go ()
+          else if not ctx.wk_blocked then go ()
           else false
         in
         try go ()
@@ -2301,7 +1889,7 @@ module Make (M : Signatures.MODEL) = struct
         release_run_claims run;
         abandon_run_spans run
       in
-      let park run = Queue.add (run, Option.get ctx.wk_blocked) blocked in
+      let park run = Queue.add run blocked in
       let launch (g, key, limit) =
         let required, excluded = key in
         let goal = new_goal wt ~group:g ~required ~excluded ~limit { answer = None } in
@@ -2355,7 +1943,7 @@ module Make (M : Signatures.MODEL) = struct
             futile := 0;
             let n = Queue.length blocked in
             for _ = 1 to n do
-              let run, _ = Queue.pop blocked in
+              let run = Queue.pop blocked in
               if not (step_through run) then park run
             done
           end;
@@ -2392,7 +1980,7 @@ module Make (M : Signatures.MODEL) = struct
                      whatever is still unanswered at phase end falls to
                      the sequential finishing pass. *)
                   futile := 0;
-                  let run, _ = Queue.pop blocked in
+                  let run = Queue.pop blocked in
                   abandon_run run;
                   (* The stall consensus abandoned a parked run: an
                      abnormal event worth a post-mortem. *)
@@ -2405,17 +1993,12 @@ module Make (M : Signatures.MODEL) = struct
         end
       done;
       (* Runs still parked at the deadline are being thrown away. *)
-      Queue.iter (fun (run, _) -> abandon_run run) blocked;
+      Queue.iter abandon_run blocked;
       Option.iter (fun sp -> Obs.Trace.close sp) phase_span;
       wstats
     in
     let workers = List.init domains (fun i -> Domain.spawn (fun () -> work i)) in
     List.iter (fun d -> Search_stats.merge ~into:t.stats (Domain.join d)) workers
-
-  let par_phase t ~domains ~deadline ~cap seeds =
-    match t.config.scheduler with
-    | Seeded -> par_phase_seeded t ~domains ~deadline ~cap seeds
-    | Stealing -> par_phase_stealing t ~domains ~deadline ~cap seeds
 
   (** {!optimize} with intra-query parallelism. With [domains = n > 1]
       the optimization runs in four phases:
@@ -2429,10 +2012,10 @@ module Make (M : Signatures.MODEL) = struct
          every limit the rest of the search can use;}
       {- [n] OCaml domains optimize the root's remaining subgoals —
          sibling input goals and enforcer goals — against the shared
-         memo under the incumbent's cost limit, claiming goals so
-         duplicates wait instead of racing, offering their own pending
-         subgoals to a shared help-first pool, and publishing winners
-         under lock stripes with monotonic merge;}
+         memo under the incumbent's cost limit, stealing seed goals
+         from each other's deques, claiming goals so duplicates park
+         instead of racing, and publishing winners under lock stripes
+         with monotonic merge;}
       {- the paused sequential run resumes over the warm winner tables
          and computes the final answer.}}
 
@@ -2498,7 +2081,7 @@ module Make (M : Signatures.MODEL) = struct
              its remaining moves will demand, at the limits
              branch-and-bound grants them, are the parallel seeds. *)
           let seeds =
-          dedup_seeds (seeds_of_moves t r.r_goal (List.map snd r.r_goal.gs_moves))
+          dedup_seeds (seeds_of_moves t r.r_goal r.r_goal.gs_moves)
         in
           if seeds <> [] then begin
             Memo.reset_claims t.memo;

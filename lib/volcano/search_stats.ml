@@ -94,11 +94,8 @@ type t = {
   mutable feedback_replans : int;
       (** re-optimizations triggered by the feedback loop *)
   mutable promise_evals : int;
-      (** moves scored by the model's promise estimate when a goal's
-          move list was assembled (dynamic promise ordering) *)
-  mutable moves_reordered : int;
-      (** moves whose pursuit position changed when the dynamic promise
-          ordering disagreed with the static rule-promise order *)
+      (** always 0: moves follow the model's static rule promise, which
+          costs no evaluation; kept so reports keep their schema *)
   mutable anytime_improvements : int;
       (** root-goal incumbent replacements: the best-so-far plan of a
           run's root goal was improved after a first plan existed *)
@@ -138,7 +135,6 @@ let create () =
     feedback_escapes = 0;
     feedback_replans = 0;
     promise_evals = 0;
-    moves_reordered = 0;
     anytime_improvements = 0;
   }
 
@@ -175,7 +171,6 @@ let reset t =
   t.feedback_escapes <- 0;
   t.feedback_replans <- 0;
   t.promise_evals <- 0;
-  t.moves_reordered <- 0;
   t.anytime_improvements <- 0
 
 let copy t = { t with tasks_by_kind = Array.copy t.tasks_by_kind }
@@ -212,7 +207,6 @@ let merge ~into t =
   into.feedback_escapes <- into.feedback_escapes + t.feedback_escapes;
   into.feedback_replans <- into.feedback_replans + t.feedback_replans;
   into.promise_evals <- into.promise_evals + t.promise_evals;
-  into.moves_reordered <- into.moves_reordered + t.moves_reordered;
   into.anytime_improvements <- into.anytime_improvements + t.anytime_improvements;
   if t.stack_hwm > into.stack_hwm then into.stack_hwm <- t.stack_hwm
 
@@ -249,7 +243,6 @@ let diff ~since t =
   d.feedback_escapes <- t.feedback_escapes - since.feedback_escapes;
   d.feedback_replans <- t.feedback_replans - since.feedback_replans;
   d.promise_evals <- t.promise_evals - since.promise_evals;
-  d.moves_reordered <- t.moves_reordered - since.moves_reordered;
   d.anytime_improvements <- t.anytime_improvements - since.anytime_improvements;
   d
 
@@ -268,15 +261,14 @@ let pp ppf t =
      failures=%d pruned=%d merges=%d tasks=%d hwm=%d par-claimed=%d par-dup=%d \
      lb-pruned=%d limits-tightened=%d fastpath=%d steals=%d backoffs=%d dup-kills=%d \
      mqo-shared=%d mqo-mat=%d mqo-reuse=%d fb-runs=%d fb-observed=%d fb-drift=%d \
-     fb-corrections=%d fb-escapes=%d fb-replans=%d promise-evals=%d reordered=%d \
-     anytime=%d"
+     fb-corrections=%d fb-escapes=%d fb-replans=%d anytime=%d"
     t.goals t.goal_hits t.goal_misses t.groups_created t.mexprs_created t.rule_firings
     t.plans_costed t.enforcer_moves t.failures t.pruned t.merges t.tasks t.stack_hwm
     t.par_goals_claimed t.par_dup_goals t.goals_pruned_lb t.input_limits_tightened
     t.memo_fastpath_hits t.par_steals t.par_backoffs t.par_dup_kills t.mqo_shared_groups
     t.mqo_materialize_chosen t.mqo_reuse_hits t.feedback_runs t.feedback_nodes_observed
     t.feedback_drift_nodes t.feedback_corrections t.feedback_escapes t.feedback_replans
-    t.promise_evals t.moves_reordered t.anytime_improvements
+    t.anytime_improvements
 
 let pp_tasks ppf t =
   Format.fprintf ppf "tasks=%d (%s) hwm=%d" t.tasks
@@ -322,7 +314,6 @@ let fields t =
     ("feedback_escapes", fun () -> t.feedback_escapes);
     ("feedback_replans", fun () -> t.feedback_replans);
     ("promise_evals", fun () -> t.promise_evals);
-    ("moves_reordered", fun () -> t.moves_reordered);
     ("anytime_improvements", fun () -> t.anytime_improvements);
   ]
   @ List.map

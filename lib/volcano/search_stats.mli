@@ -102,12 +102,9 @@ type t = {
       (** re-optimizations triggered by the feedback loop, whether from
           an escape-hatch abort or an explicit post-correction re-entry *)
   mutable promise_evals : int;
-      (** moves scored by the model's promise estimate
-          ({!Signatures.MODEL.move_promise}) while assembling a goal's
-          move list under dynamic promise ordering *)
-  mutable moves_reordered : int;
-      (** moves whose pursuit position under dynamic promise ordering
-          differs from their static rule-promise position *)
+      (** always 0: the engine orders moves by the model's static rule
+          promise (§4.2), which costs no evaluation. Kept so reports
+          that read it keep their schema. *)
   mutable anytime_improvements : int;
       (** root-goal incumbent replacements: a run's root goal already
           had a best-so-far plan and a strictly cheaper one arrived *)

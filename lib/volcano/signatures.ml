@@ -52,11 +52,6 @@ module type MODEL = sig
   (** The "cover" comparison: data with [provided] properties also
       satisfies [required]. Must be reflexive and transitive. *)
 
-  val pp_trivial : phys_props -> bool
-  (** [true] iff the vector demands nothing — every plan covers it.
-      Dynamic promise ordering uses this to pursue moves that open no
-      property-establishment subgoals before moves that do. *)
-
   val pp_to_string : phys_props -> string
 
   (** {1 ADT "cost"} — item (5) *)
@@ -109,21 +104,6 @@ module type MODEL = sig
       sound (and disables guided pruning for the model). The engine
       caches the result per (group, required-property key) in the memo,
       so the function may do real work (e.g. catalog lookups). *)
-
-  val move_promise :
-    alg ->
-    inputs:logical_props list ->
-    input_props:phys_props list ->
-    output:logical_props ->
-    cost
-  (** Promise estimate for dynamic move ordering: a cheap estimate of
-      the local cost of one execution of [alg], evaluated when a goal's
-      moves are assembled and combined with the input groups' cost lower
-      bounds to pursue the most promising move first (§4.2 "promise").
-      Unlike {!cost_lower_bound} it need not be a true bound, and unlike
-      {!cost_of} it may cut corners — it only influences pursuit
-      {e order}, never which plan wins, so any deterministic estimate is
-      sound. Delegating to {!cost_of} is always correct. *)
 
   (** {1 Rules} — items (2) and (4) *)
 

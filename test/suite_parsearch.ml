@@ -23,20 +23,11 @@ let render (result : Relmodel.Optimizer.result) =
   | Some p ->
     Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
 
-let optimize_at ?(scheduler = Volcano.Search.Stealing) ~domains (q : Workload.query)
-    required =
+let optimize_at ~domains (q : Workload.query) required =
   let request =
-    {
-      (Relmodel.Optimizer.request q.catalog) with
-      restore_columns = false;
-      domains;
-      scheduler;
-    }
+    { (Relmodel.Optimizer.request q.catalog) with restore_columns = false; domains }
   in
   Relmodel.Optimizer.optimize request q.logical ~required
-
-let schedulers =
-  [ ("stealing", Volcano.Search.Stealing); ("seeded", Volcano.Search.Seeded) ]
 
 (* ------------------------------------------------------------------ *)
 (* Golden determinism: 1, 2 and 4 domains, bit-identical plans        *)
@@ -54,14 +45,11 @@ let test_golden_bit_identical () =
             true (base <> "NONE");
           List.iter
             (fun domains ->
-              List.iter
-                (fun (sname, scheduler) ->
-                  Alcotest.(check string)
-                    (Printf.sprintf "%s n=%d %s: %d domains (%s) bit-identical" name n
-                       rname domains sname)
-                    base
-                    (render (optimize_at ~scheduler ~domains q required)))
-                schedulers)
+              Alcotest.(check string)
+                (Printf.sprintf "%s n=%d %s: %d domains bit-identical" name n rname
+                   domains)
+                base
+                (render (optimize_at ~domains q required)))
             [ 2; 4 ])
         [
           ("any", Phys_prop.any);
@@ -70,13 +58,13 @@ let test_golden_bit_identical () =
     (workloads ())
 
 (* ------------------------------------------------------------------ *)
-(* Steal-heavy stress: skewed goal sizes under the stealing scheduler *)
+(* Steal-heavy stress: skewed goal sizes under work stealing         *)
 (* ------------------------------------------------------------------ *)
 
 (* A chain query's seed goals are heavily skewed — the goals at the top
    of each deque span far more subgoals than the ones near the leaves —
    so at 4 domains the workers that drain their own deque first must
-   steal to stay busy. The stealing scheduler must still deliver the
+   steal to stay busy. The scheduler must still deliver the
    sequential plan bit-for-bit, claim at least every seed, and — the
    invariant the claim-table backoff buys — never compute a goal in
    duplicate. *)
@@ -85,7 +73,7 @@ let test_steal_stress () =
     (fun (shape, name, n, seed) ->
       let q = Workload.generate (Workload.spec ~shape ~n_relations:n ~seed ()) in
       let base = render (optimize_at ~domains:1 q Phys_prop.any) in
-      let r = optimize_at ~scheduler:Volcano.Search.Stealing ~domains:4 q Phys_prop.any in
+      let r = optimize_at ~domains:4 q Phys_prop.any in
       Alcotest.(check string)
         (Printf.sprintf "%s n=%d: stealing at 4 domains bit-identical" name n)
         base (render r);
@@ -321,16 +309,14 @@ let test_deque_exactly_once () =
 let prop_par_equals_seq =
   let gen =
     QCheck.Gen.(
-      pair
-        (quad (oneofl [ Workload.Chain; Workload.Star ]) (int_range 2 5)
-           (int_range 0 999) (int_range 2 4))
-        (oneofl [ Volcano.Search.Stealing; Volcano.Search.Seeded ]))
+      quad (oneofl [ Workload.Chain; Workload.Star ]) (int_range 2 5) (int_range 0 999)
+        (int_range 2 4))
   in
   Helpers.qcheck_case ~count:12 "parallel plan equals sequential"
-    (QCheck.make gen) (fun ((shape, n, seed, domains), scheduler) ->
+    (QCheck.make gen) (fun (shape, n, seed, domains) ->
       let q = Workload.generate (Workload.spec ~shape ~n_relations:n ~seed ()) in
       render (optimize_at ~domains:1 q Phys_prop.any)
-      = render (optimize_at ~scheduler ~domains q Phys_prop.any))
+      = render (optimize_at ~domains q Phys_prop.any))
 
 let suite =
   [

@@ -67,6 +67,39 @@ let test_guided_reduces_tasks () =
     true
     (guided.stats.tasks < f2.stats.tasks)
 
+(* Exact-cost-tie reproducers: workloads where two moves complete at
+   the same cost, so the plan kept depends on the order moves are
+   pursued in. Every arm must keep the same one — no pruning, plain
+   Figure 2, and guided — at 1, 2 and 4 domains. *)
+let tie_cases =
+  [
+    (Workload.Chain, 2, 313);
+    (Workload.Chain, 3, 750);
+    (Workload.Chain, 3, 973);
+    (Workload.Star, 2, 313);
+    (Workload.Star, 3, 82);
+    (Workload.Star, 3, 781);
+  ]
+
+let test_tie_goldens () =
+  List.iter
+    (fun (shape, n, seed) ->
+      let q = Workload.generate (Workload.spec ~shape ~n_relations:n ~seed ()) in
+      let base = render (optimize_arm ~pruning:false ~guided:false q Phys_prop.any) in
+      List.iter
+        (fun (arm, pruning, guided) ->
+          List.iter
+            (fun domains ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s n=%d seed=%d: %s at %d domains = no pruning"
+                   (match shape with Workload.Chain -> "chain" | _ -> "star")
+                   n seed arm domains)
+                base
+                (render (optimize_arm ~domains ~pruning ~guided q Phys_prop.any)))
+            [ 1; 2; 4 ])
+        [ ("no-pruning", false, false); ("figure2", true, false); ("guided", true, true) ])
+    tie_cases
+
 (* ------------------------------------------------------------------ *)
 (* Bound soundness: the cached bound never exceeds a recorded winner   *)
 (* ------------------------------------------------------------------ *)
@@ -152,4 +185,5 @@ let suite =
       test_bound_below_every_winner;
     prop_arms_agree;
     prop_guided_parallel_equals_seq;
+    Alcotest.test_case "tie goldens agree at 1/2/4 domains" `Quick test_tie_goldens;
   ]

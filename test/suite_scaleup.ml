@@ -1,6 +1,6 @@
-(* Tests of the plan-space scale-up machinery: dynamic promise
-   ordering (must never change the found plan, only the order moves
-   are pursued in) and the anytime budget ladder. *)
+(* Tests of the plan-space scale-up machinery: the ablation arms must
+   find the same plan on random topologies, and the anytime budget
+   ladder must behave monotonically. *)
 
 open Relalg
 
@@ -12,25 +12,22 @@ let render (result : Relmodel.Optimizer.result) =
   | Some p ->
     Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
 
-let optimize_arm q ~required ~promise ~guided ~domains =
+let optimize_arm q ~required ~guided ~domains =
   let request =
     {
       (Relmodel.Optimizer.request q.Workload.catalog) with
       restore_columns = false;
       guided_pruning = guided;
-      promise;
       domains;
     }
   in
   Relmodel.Optimizer.optimize request q.Workload.logical ~required
 
-(* The tentpole invariant: under unbounded budgets the static and
-   dynamic promise orders find bit-identical plans — dynamic ordering
-   may only change how fast the winner is reached, never which plan
-   wins (the cost-tie-break in [consider] keys on the static rank both
-   arms compute). Exercised across random topologies, skew,
-   correlation, both pruning arms, and 1/2/4 domains. *)
-let qcheck_static_dynamic_identical =
+(* Under unbounded budgets the guided and unguided arms find
+   bit-identical plans at 1, 2 and 4 domains. Exercised across random
+   topologies (cyclic ones included), skew, correlation, and both
+   required properties. *)
+let qcheck_arms_identical =
   let gen =
     QCheck.Gen.(
       let* n = int_range 3 5 in
@@ -47,7 +44,7 @@ let qcheck_static_dynamic_identical =
       (match correlation with None -> "-" | Some c -> string_of_float c)
       sorted
   in
-  Helpers.qcheck_case ~count:12 "static and dynamic promise find identical plans"
+  Helpers.qcheck_case ~count:12 "pruning arms and domains agree"
     (QCheck.make ~print gen)
     (fun (n, shape, seed, skew, correlation, sorted) ->
       let q =
@@ -58,28 +55,15 @@ let qcheck_static_dynamic_identical =
         if sorted then Phys_prop.sorted (Sort_order.asc [ List.hd q.relations ^ ".jk1" ])
         else Phys_prop.any
       in
-      let reference =
-        render (optimize_arm q ~required ~promise:Volcano.Search.Static ~guided:true
-                  ~domains:1)
-      in
+      let reference = render (optimize_arm q ~required ~guided:true ~domains:1) in
       List.for_all
-        (fun (promise, guided, domains) ->
-          render (optimize_arm q ~required ~promise ~guided ~domains) = reference)
-        [
-          (Volcano.Search.Dynamic, true, 1);
-          (Volcano.Search.Static, false, 1);
-          (Volcano.Search.Dynamic, false, 1);
-          (Volcano.Search.Dynamic, true, 2);
-          (Volcano.Search.Dynamic, true, 4);
-        ])
+        (fun (guided, domains) ->
+          render (optimize_arm q ~required ~guided ~domains) = reference)
+        [ (false, 1); (true, 2); (true, 4) ])
 
-let anytime_of q ~promise ~budgets =
+let anytime_of q ~budgets =
   let request =
-    {
-      (Relmodel.Optimizer.request q.Workload.catalog) with
-      restore_columns = false;
-      promise;
-    }
+    { (Relmodel.Optimizer.request q.Workload.catalog) with restore_columns = false }
   in
   Relmodel.Optimizer.optimize_anytime request ~budgets q.Workload.logical
     ~required:Phys_prop.any
@@ -93,59 +77,53 @@ let test_anytime_monotone () =
       (Workload.spec ~shape:Workload.Cycle ~skew:0.7 ~correlation:0.85
          ~n_relations:7 ~seed:21 ())
   in
-  List.iter
-    (fun promise ->
-      let a =
-        anytime_of q ~promise
-          ~budgets:[ 100; 500; 2_000; 10_000; 50_000; 1_000_000_000 ]
-      in
-      Alcotest.(check int) "one point per budget" 6 (List.length a.an_points);
-      let rec walk (prev : Relmodel.Optimizer.anytime_point option) = function
-        | [] -> ()
-        | (p : Relmodel.Optimizer.anytime_point) :: rest ->
-          (match prev with
-           | None -> ()
-           | Some pr ->
-             Alcotest.(check bool) "budgets ascend" true (p.at_budget > pr.at_budget);
-             Alcotest.(check bool) "tasks never run backwards" true
-               (p.at_tasks >= pr.at_tasks);
-             (match (pr.at_cost, p.at_cost) with
-              | Some c0, Some c1 ->
-                Alcotest.(check bool) "best-so-far never worsens" true
-                  (Cost.total c1 <= Cost.total c0)
-              | Some _, None -> Alcotest.fail "best-so-far disappeared"
-              | None, _ -> ());
-             if pr.at_complete then begin
-               Alcotest.(check bool) "completeness is absorbing" true p.at_complete;
-               match (pr.at_cost, p.at_cost) with
-               | Some c0, Some c1 ->
-                 Alcotest.(check (float 0.)) "final cost stable" (Cost.total c0)
-                   (Cost.total c1)
-               | _ -> Alcotest.fail "complete rung without a plan"
-             end);
-          walk (Some p) rest
-      in
-      walk None a.an_points;
-      let last = List.nth a.an_points (List.length a.an_points - 1) in
-      Alcotest.(check bool) "unbounded rung completes" true last.at_complete;
-      (* The incumbent log: tasks ascend, costs strictly improve, and
-         the last incumbent is the final plan's cost. *)
-      let rec check_incumbents = function
-        | (t0, c0) :: ((t1, c1) :: _ as rest) ->
-          Alcotest.(check bool) "incumbent tasks ascend" true (t1 >= t0);
-          Alcotest.(check bool) "incumbent costs strictly improve" true
-            (Cost.total c1 < Cost.total c0);
-          check_incumbents rest
-        | _ -> ()
-      in
-      check_incumbents a.an_incumbents;
-      match (a.an_result.plan, List.rev a.an_incumbents) with
-      | Some p, (_, c) :: _ ->
-        Alcotest.(check (float 0.)) "last incumbent is the final cost"
-          (Cost.total p.cost) (Cost.total c)
-      | Some _, [] -> Alcotest.fail "plan found but no incumbent recorded"
-      | None, _ -> Alcotest.fail "no plan on the unbounded rung")
-    [ Volcano.Search.Static; Volcano.Search.Dynamic ]
+  let a = anytime_of q ~budgets:[ 100; 500; 2_000; 10_000; 50_000; 1_000_000_000 ] in
+  Alcotest.(check int) "one point per budget" 6 (List.length a.an_points);
+  let rec walk (prev : Relmodel.Optimizer.anytime_point option) = function
+    | [] -> ()
+    | (p : Relmodel.Optimizer.anytime_point) :: rest ->
+      (match prev with
+       | None -> ()
+       | Some pr ->
+         Alcotest.(check bool) "budgets ascend" true (p.at_budget > pr.at_budget);
+         Alcotest.(check bool) "tasks never run backwards" true
+           (p.at_tasks >= pr.at_tasks);
+         (match (pr.at_cost, p.at_cost) with
+          | Some c0, Some c1 ->
+            Alcotest.(check bool) "best-so-far never worsens" true
+              (Cost.total c1 <= Cost.total c0)
+          | Some _, None -> Alcotest.fail "best-so-far disappeared"
+          | None, _ -> ());
+         if pr.at_complete then begin
+           Alcotest.(check bool) "completeness is absorbing" true p.at_complete;
+           match (pr.at_cost, p.at_cost) with
+           | Some c0, Some c1 ->
+             Alcotest.(check (float 0.)) "final cost stable" (Cost.total c0)
+               (Cost.total c1)
+           | _ -> Alcotest.fail "complete rung without a plan"
+         end);
+      walk (Some p) rest
+  in
+  walk None a.an_points;
+  let last = List.nth a.an_points (List.length a.an_points - 1) in
+  Alcotest.(check bool) "unbounded rung completes" true last.at_complete;
+  (* The incumbent log: tasks ascend, costs strictly improve, and
+     the last incumbent is the final plan's cost. *)
+  let rec check_incumbents = function
+    | (t0, c0) :: ((t1, c1) :: _ as rest) ->
+      Alcotest.(check bool) "incumbent tasks ascend" true (t1 >= t0);
+      Alcotest.(check bool) "incumbent costs strictly improve" true
+        (Cost.total c1 < Cost.total c0);
+      check_incumbents rest
+    | _ -> ()
+  in
+  check_incumbents a.an_incumbents;
+  match (a.an_result.plan, List.rev a.an_incumbents) with
+  | Some p, (_, c) :: _ ->
+    Alcotest.(check (float 0.)) "last incumbent is the final cost"
+      (Cost.total p.cost) (Cost.total c)
+  | Some _, [] -> Alcotest.fail "plan found but no incumbent recorded"
+  | None, _ -> Alcotest.fail "no plan on the unbounded rung"
 
 (* The ladder's final state must agree with a plain one-shot
    optimization of the same request. *)
@@ -154,34 +132,26 @@ let test_anytime_matches_one_shot () =
     Workload.generate
       (Workload.spec ~shape:Workload.Clique ~skew:0.5 ~n_relations:5 ~seed:33 ())
   in
-  let a = anytime_of q ~promise:Volcano.Search.Dynamic ~budgets:[ 1_000_000_000 ] in
-  let one_shot =
-    optimize_arm q ~required:Phys_prop.any ~promise:Volcano.Search.Dynamic
-      ~guided:true ~domains:1
-  in
+  let a = anytime_of q ~budgets:[ 1_000_000_000 ] in
+  let one_shot = optimize_arm q ~required:Phys_prop.any ~guided:true ~domains:1 in
   Alcotest.(check bool) "both complete" true (a.an_result.complete && one_shot.complete);
   Alcotest.(check string) "identical plan" (render one_shot) (render a.an_result)
 
-(* The new effort counters only move when their feature is on. *)
+(* Move ordering is the model's static rule promise, so no move is
+   ever scored; the anytime counter tracks root-goal improvements. *)
 let test_promise_counters () =
   let q =
     Workload.generate
       (Workload.spec ~shape:Workload.Star ~n_relations:5 ~seed:44 ())
   in
-  let stat promise =
-    (optimize_arm q ~required:Phys_prop.any ~promise ~guided:true ~domains:1).stats
-  in
-  let st = stat Volcano.Search.Static in
-  Alcotest.(check int) "static: no promise evals" 0 st.promise_evals;
-  Alcotest.(check int) "static: no reorders" 0 st.moves_reordered;
-  let dy = stat Volcano.Search.Dynamic in
-  Alcotest.(check bool) "dynamic: promise evaluated" true (dy.promise_evals > 0);
-  Alcotest.(check bool) "dynamic: anytime improvements tracked" true
-    (dy.anytime_improvements >= 0)
+  let s = (optimize_arm q ~required:Phys_prop.any ~guided:true ~domains:1).stats in
+  Alcotest.(check int) "no promise evals" 0 s.promise_evals;
+  Alcotest.(check bool) "anytime improvements tracked" true
+    (s.anytime_improvements >= 0)
 
 let suite =
   [
-    qcheck_static_dynamic_identical;
+    qcheck_arms_identical;
     Alcotest.test_case "anytime monotone" `Quick test_anytime_monotone;
     Alcotest.test_case "anytime matches one-shot" `Quick test_anytime_matches_one_shot;
     Alcotest.test_case "promise counters" `Quick test_promise_counters;

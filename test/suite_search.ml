@@ -60,19 +60,49 @@ let enumerate_plans catalog (query : Logical.expr) ~(order : Sort_order.t) :
   in
   if order = [] then joins
   else begin
-    (* Either sort the join result, or use a merge/NL variant that
-       already delivers the order (checked by the caller via actual
-       output inspection; here we conservatively add sorts on top of
-       everything and also keep the bare plans that might deliver). *)
-    List.map (fun p -> Physical.mk (Physical.Sort order) [ p ]) joins @ joins
+    (* Either sort the join result, or keep a join that already
+       delivers the order: the bare plans (a merge join on the order's
+       column qualifies), plus nested-loop joins over an outer sorted on
+       it. The caller keeps only the plans whose order is guaranteed. *)
+    let has_order_col schema = Schema.mem schema (fst (List.hd order)) in
+    let sorted_outer =
+      List.concat_map
+        (fun l ->
+          List.concat_map
+            (fun r ->
+              let nl a b =
+                Physical.mk (Physical.Nested_loop_join j_pred)
+                  [ Physical.mk (Physical.Sort order) [ a ]; b ]
+              in
+              (if has_order_col l_schema then [ nl l r ] else [])
+              @ if has_order_col r_schema then [ nl r l ] else [])
+            r_plans)
+        l_plans
+    in
+    List.map (fun p -> Physical.mk (Physical.Sort order) [ p ]) joins
+    @ joins @ sorted_outer
   end
 
+(* The order a plan guarantees by its structure alone, under the
+   relational model's property functions: a sort establishes its order,
+   filters and the outer (left) input of a nested-loop or merge join
+   pass it through, and everything else promises none. *)
+let rec structural_order (p : Physical.plan) : Sort_order.t =
+  match (p.alg, p.children) with
+  | Physical.Sort o, _ -> o
+  | Physical.Filter _, [ i ]
+  | (Physical.Nested_loop_join _ | Physical.Merge_join _), i :: _ ->
+    structural_order i
+  | _ -> []
+
+(* A plan counts as delivering [order] only if its structure guarantees
+   it — output that merely happens to be sorted on the sampled data does
+   not count — and running it confirms the order. *)
 let plan_delivers catalog (order : Sort_order.t) (p : Physical.plan) =
-  (* Ground truth by running the plan. *)
+  Sort_order.covers ~provided:(structural_order p) ~required:order
+  &&
   let tuples, schema, _ = Executor.run catalog p in
-  (match Schema.index_of schema (fst (List.hd order)) with
-   | exception Not_found -> false
-   | _ -> Sort_order.is_sorted schema order tuples)
+  Schema.mem schema (fst (List.hd order)) && Sort_order.is_sorted schema order tuples
 
 let optimizer_cost catalog query ~required ~pruning =
   let request =

@@ -38,9 +38,8 @@ let test_session_reuses_memo () =
      never requested at the root before) needs work; everything below
      is answered from the winner tables — up to a goal or two that the
      first run concluded as a failure under a branch-and-bound limit
-     tighter than the second run's (dynamic promise ordering reaches
-     tight limits early, so such entries are more common; the paper's
-     "increasingly generous cost limits" re-optimization covers them). *)
+     tighter than the second run's (the paper's "increasingly generous
+     cost limits" re-optimization covers them). *)
   Alcotest.(check bool)
     (Printf.sprintf "subquery nearly free (%d new goals)" new_goals)
     true
