@@ -1763,9 +1763,10 @@ let scaleup_bench ?(smoke = false) ~full () =
     (* (shape, name, relations, reference). Reference cells are sized so
        the exhaustive search finishes in seconds; ladder cells are the
        10-20-relation regime where only budgeted search is feasible.
-       Outside smoke mode a ladder cell runs up to 16M tasks, which on
-       clique 12 takes more than 5 GB of memory, so ladder cells run
-       only in [full] mode. *)
+       Outside smoke mode a ladder cell runs up to 16M tasks; clique 12
+       explores for its first 3M tasks and holds 2.4 GB of memory at
+       2M tasks and 3.4 GB at 3M, so ladder cells run only in [full]
+       mode. *)
     if smoke then
       [
         (Workload.Clique, "clique", 6, true);
@@ -1914,12 +1915,14 @@ let scaleup_bench ?(smoke = false) ~full () =
                     (fun (arm, ms, first, t10, tbest, (a : Relmodel.Optimizer.anytime))
                     ->
                       let s = a.an_result.stats in
+                      let slots, entries = a.an_goal_footprint in
                       Printf.sprintf
                         "      { \"arm\": \"%s\", \"wall_ms\": %.2f, \
                          \"tasks_to_first_incumbent\": %s, \
                          \"tasks_to_within_10pct\": %s, \"tasks_to_best\": %s, \
                          \"final_cost\": %s, \
                          \"complete\": %b, \"anytime_improvements\": %d, \
+                         \"goal_slots\": %d, \"goal_entries\": %d, \
                          \"curve\": [ %s ] }"
                         arm ms (json_opt first) (json_opt t10) (json_opt tbest)
                         (match a.an_result.plan with
@@ -1927,7 +1930,7 @@ let scaleup_bench ?(smoke = false) ~full () =
                            Printf.sprintf "%.17g"
                              (Cost.total (Relmodel.Optimizer.plan_cost p))
                          | None -> "null")
-                        a.an_result.complete s.anytime_improvements
+                        a.an_result.complete s.anytime_improvements slots entries
                         (String.concat ", "
                            (List.map
                               (fun (p : Relmodel.Optimizer.anytime_point) ->

@@ -142,6 +142,7 @@ type anytime = {
   an_incumbents : (int * Relalg.Cost.t) list;
       (** [(tasks, cost)] at every strict root-incumbent improvement *)
   an_result : result;  (** the state after the last rung *)
+  an_goal_footprint : int * int;  (** (allocated, occupied) goal slots *)
 }
 
 (* Run ONE sequential search, pausing it at each cumulative task budget
@@ -202,7 +203,12 @@ let optimize_anytime req ~budgets (query : Relalg.Logical.expr) ~required : anyt
       explain = None;
     }
   in
-  { an_points = points; an_incumbents = S.incumbents run; an_result }
+  {
+    an_points = points;
+    an_incumbents = S.incumbents run;
+    an_result;
+    an_goal_footprint = S.Memo.goal_footprint opt.S.memo;
+  }
 
 let to_physical = to_physical_raw
 

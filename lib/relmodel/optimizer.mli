@@ -99,6 +99,9 @@ type anytime = {
           goal's best-so-far plan, oldest first: tasks-to-first-
           incumbent is the head's first component *)
   an_result : result;  (** the state after the last rung *)
+  an_goal_footprint : int * int;
+      (** the memo's (allocated, occupied) goal slots after the last
+          rung (see [Volcano.Memo.goal_footprint]) *)
 }
 
 val optimize_anytime :

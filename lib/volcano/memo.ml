@@ -14,11 +14,17 @@
     growable array indexed by mexpr id (groups hold member/parent id
     lists, not pointers), and optimization-goal keys — (required
     property vector, excluding vector) pairs — are interned to small
-    sequential integer ids. Every per-group goal table (winners,
-    claims, in-progress marks, cost lower bounds) is then a flat array
-    indexed by goal id: the stepper loop's hot lookups are a bounds
-    check and an array load, with no hashing and no per-entry boxes
-    beyond the stored values themselves. *)
+    sequential integer ids, memo-wide.
+
+    Each group then keeps its goal table in its own dense slot space,
+    sized by the goals that group was actually asked about rather than
+    by every goal the memo has interned. A small open-addressing [int]
+    array maps an interned goal id to a local slot (power-of-two
+    capacity, at most half full, multiplicative hash, linear probe),
+    and parallel per-slot arrays hold the winner, the in-progress and
+    claim bits, the cached cost lower bound, and the EXPLAIN
+    alternatives. A lookup hashes an int and probes an int array; it
+    allocates nothing. *)
 
 module Make (M : Signatures.MODEL) = struct
   type group = int
@@ -101,10 +107,9 @@ module Make (M : Signatures.MODEL) = struct
 
   module Goal_tbl = Hashtbl.Make (Goal_key)
 
-  (** Interned-goal-id tables. The per-group goal tables themselves are
-      flat arrays now; this module remains for id-keyed side tables
-      (EXPLAIN provenance here, per-run in-progress marks in the
-      search) where population is sparse. *)
+  (** Hash tables keyed by interned goal id. The memo's own goal tables
+      are per-group slot spaces (below); the search uses this for its
+      parallel workers' per-run in-progress marks. *)
   module Id_tbl = Hashtbl.Make (struct
     type t = int
 
@@ -113,11 +118,14 @@ module Make (M : Signatures.MODEL) = struct
     let hash (i : int) = i
   end)
 
-  (* The goal-id-indexed per-group tables, as flat growable arrays.
-     [None] / [false] are the empty states; arrays grow geometrically
-     on first write past the end, and a read past the end is simply the
-     empty state (goal ids are memo-global, so most groups only ever
-     see a small prefix). *)
+  (* A group's goal table is a dense slot space. [slot_index] is an
+     open-addressing map from interned goal id to local slot: [-1] marks
+     an empty entry, an occupied one packs [(slot lsl id_bits) lor id].
+     Its length is a power of two, twice the slot capacity, so it is at
+     most half full and every probe sequence ends. Slots
+     [0 .. n_slots - 1] are in use and index the per-slot arrays, whose
+     length is the slot capacity ([alts] stays empty until EXPLAIN
+     records something). An empty group allocates nothing. *)
 
   type group_data = {
     gid : int;
@@ -127,17 +135,19 @@ module Make (M : Signatures.MODEL) = struct
         (** ids of expressions (anywhere in the memo) using this group
             as an input *)
     mutable lprops : M.logical_props option;
-    mutable winners : winner option array;  (** indexed by interned goal id *)
-    mutable in_progress : bool array;  (** goal id on the sequential DFS path *)
-    mutable claimed : bool array;
-        (** goals claimed by a parallel worker (transient, per parallel
-            phase): duplicate goals dedupe instead of racing *)
+    mutable slot_index : int array;  (** goal id -> local slot *)
+    mutable n_slots : int;
+    mutable winners : winner option array;  (** per slot *)
+    mutable marks : Bytes.t;
+        (** per slot: the in-progress bit (goal on the sequential DFS
+            path) and the claim bit (claimed by a parallel worker;
+            transient, per parallel phase) *)
     mutable lbounds : M.cost option array;
-        (** cached {!Signatures.MODEL.cost_lower_bound} per interned
-            (required, no-excluding) goal id — guided pruning consults
-            the bound once per (group, requirement) *)
-    alts : alt list Id_tbl.t;
-        (** per-goal EXPLAIN provenance (newest first); only populated
+        (** per slot: cached {!Signatures.MODEL.cost_lower_bound} for a
+            (required, no-excluding) goal — guided pruning consults the
+            bound once per (group, requirement) *)
+    mutable alts : alt list array;
+        (** per slot: EXPLAIN provenance (newest first); only populated
             when the search runs with [explain] recording on *)
     mutable explored : bool;
     mutable exploring : bool;
@@ -219,11 +229,12 @@ module Make (M : Signatures.MODEL) = struct
         mexprs = [];
         parents = [];
         lprops = None;
+        slot_index = [||];
+        n_slots = 0;
         winners = [||];
-        in_progress = [||];
-        claimed = [||];
+        marks = Bytes.empty;
         lbounds = [||];
-        alts = Id_tbl.create 1;
+        alts = [||];
         explored = false;
         exploring = false;
       }
@@ -238,45 +249,107 @@ module Make (M : Signatures.MODEL) = struct
     t.stats.Search_stats.groups_created <- t.stats.Search_stats.groups_created + 1;
     gid
 
-  (* Growable-array plumbing for the goal-id-indexed tables. Each
-     grower pads generously past the requested id so a group's table
-     resizes O(log n) times over a whole search. *)
+  (* ------------------------------------------------------------------ *)
+  (* Per-group goal slots (see [group_data]).                           *)
+  (* ------------------------------------------------------------------ *)
 
-  let grown_len len id = max 8 (max (id + 1) (2 * len))
+  let id_bits = 31
 
-  let ensure_winners d id =
-    let len = Array.length d.winners in
-    if id >= len then begin
-      let bigger = Array.make (grown_len len id) None in
-      Array.blit d.winners 0 bigger 0 len;
-      d.winners <- bigger
+  let id_mask = (1 lsl id_bits) - 1
+
+  (* Multiplicative hash: the high bits of the product mix every bit of
+     the id, so the memo's sequential ids spread over the index. *)
+  let slot_hash id = (id * 0x9E3779B97F4A7C1) lsr 32
+
+  let rec probe index mask id h =
+    let e = index.(h) in
+    if e < 0 then -1
+    else if e land id_mask = id then e lsr id_bits
+    else probe index mask id ((h + 1) land mask)
+
+  (** The local slot of goal [id] in [d], or [-1]. *)
+  let find_slot d id =
+    let index = d.slot_index in
+    let mask = Array.length index - 1 in
+    if mask < 0 then -1 else probe index mask id (slot_hash id land mask)
+
+  let rec place index mask e h =
+    if index.(h) < 0 then index.(h) <- e else place index mask e ((h + 1) land mask)
+
+  let extend a n fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* Double the slot capacity (at least 2 slots) and rehash the index. *)
+  let grow_slots d =
+    let n = max 2 (Array.length d.slot_index) in
+    let index = Array.make (2 * n) (-1) in
+    let mask = (2 * n) - 1 in
+    Array.iter
+      (fun e -> if e >= 0 then place index mask e (slot_hash (e land id_mask) land mask))
+      d.slot_index;
+    d.slot_index <- index;
+    d.winners <- extend d.winners n None;
+    let marks = Bytes.make n '\000' in
+    Bytes.blit d.marks 0 marks 0 (Bytes.length d.marks);
+    d.marks <- marks;
+    d.lbounds <- extend d.lbounds n None;
+    if Array.length d.alts > 0 then d.alts <- extend d.alts n []
+
+  (** The local slot of goal [id] in [d], allocating one on first
+      sight. *)
+  let slot_for d id =
+    let s = find_slot d id in
+    if s >= 0 then s
+    else begin
+      if 2 * (d.n_slots + 1) > Array.length d.slot_index then grow_slots d;
+      let s = d.n_slots in
+      d.n_slots <- s + 1;
+      let index = d.slot_index in
+      let mask = Array.length index - 1 in
+      place index mask ((s lsl id_bits) lor id) (slot_hash id land mask);
+      s
     end
 
-  let ensure_in_progress d id =
-    let len = Array.length d.in_progress in
-    if id >= len then begin
-      let bigger = Array.make (grown_len len id) false in
-      Array.blit d.in_progress 0 bigger 0 len;
-      d.in_progress <- bigger
-    end
+  (* [f id slot] for every occupied slot of [d]. *)
+  let iter_slots d f =
+    Array.iter (fun e -> if e >= 0 then f (e land id_mask) (e lsr id_bits)) d.slot_index
 
-  let ensure_claimed d id =
-    let len = Array.length d.claimed in
-    if id >= len then begin
-      let bigger = Array.make (grown_len len id) false in
-      Array.blit d.claimed 0 bigger 0 len;
-      d.claimed <- bigger
-    end
+  let in_progress_bit = 1
 
-  let ensure_lbounds d id =
-    let len = Array.length d.lbounds in
-    if id >= len then begin
-      let bigger = Array.make (grown_len len id) None in
-      Array.blit d.lbounds 0 bigger 0 len;
-      d.lbounds <- bigger
-    end
+  let claimed_bit = 2
 
-  let get_winner d id = if id < Array.length d.winners then d.winners.(id) else None
+  let has_mark d s bit = Char.code (Bytes.get d.marks s) land bit <> 0
+
+  let set_mark d s bit on =
+    let c = Char.code (Bytes.get d.marks s) in
+    Bytes.set d.marks s (Char.chr (if on then c lor bit else c land lnot bit))
+
+  let get_winner d id =
+    let s = find_slot d id in
+    if s < 0 then None else d.winners.(s)
+
+  (* The cached lower bound for goal [id], computing and caching it on
+     first use. *)
+  let cached_lower_bound d id required =
+    let s = find_slot d id in
+    match if s < 0 then None else d.lbounds.(s) with
+    | Some c -> c
+    | None ->
+      let c =
+        match d.lprops with
+        | Some props -> M.cost_lower_bound props required
+        | None -> M.cost_zero
+      in
+      let s = slot_for d id in
+      d.lbounds.(s) <- Some c;
+      c
+
+  (* Prepend [l] (newest first) to slot [s]'s EXPLAIN provenance. *)
+  let add_alts d s l =
+    if Array.length d.alts = 0 then d.alts <- Array.make (Array.length d.winners) [];
+    d.alts.(s) <- l @ d.alts.(s)
 
   let canonical_inputs t inputs = List.map (find_root t) inputs
 
@@ -299,9 +372,9 @@ module Make (M : Signatures.MODEL) = struct
   (* ------------------------------------------------------------------ *)
   (* Goal-key interning (hash-consing). Every (required, excluding)     *)
   (* pair the search ever forms is mapped to a small integer id, once;  *)
-  (* all per-group goal tables are then flat integer-indexed arrays, so *)
-  (* repeated lookups — and especially the lock-striped claim/publish   *)
-  (* churn of the parallel phase — stop rehashing property vectors.     *)
+  (* the per-group slot spaces are then keyed by that int, so repeated  *)
+  (* lookups — and especially the lock-striped claim/publish churn of   *)
+  (* the parallel phase — stop rehashing property vectors.              *)
   (* ------------------------------------------------------------------ *)
 
   (** [intern t key] — the id of [key], allocating one on first sight.
@@ -314,6 +387,7 @@ module Make (M : Signatures.MODEL) = struct
       id
     | None ->
       let id = t.n_keys in
+      assert (id <= id_mask);
       if id = Array.length t.keys then begin
         let bigger = Array.make (max 64 (2 * Array.length t.keys)) key in
         Array.blit t.keys 0 bigger 0 id;
@@ -376,27 +450,31 @@ module Make (M : Signatures.MODEL) = struct
       let da = data t a and db = data t b in
       db.parent <- a;
       da.explored <- da.explored && db.explored;
-      (* Combine winner tables, keeping the better entry per goal. Goal
-         ids are memo-global, so the tables merge id-for-id. *)
-      Array.iteri
-        (fun id w ->
-          match w with
-          | None -> ()
-          | Some w -> (
-            ensure_winners da id;
-            match da.winners.(id) with
-            | None -> da.winners.(id) <- Some w
-            | Some existing ->
-              if not (winner_le existing w) then da.winners.(id) <- Some w))
-        db.winners;
-      (* Combine EXPLAIN provenance id-for-id: both classes' recorded
-         alternatives describe the same (now unified) goal. *)
-      Id_tbl.iter
-        (fun id l ->
-          match Id_tbl.find_opt da.alts id with
-          | None -> Id_tbl.replace da.alts id l
-          | Some existing -> Id_tbl.replace da.alts id (l @ existing))
-        db.alts;
+      (* Fold b's goal table into a's, walking b's occupied slots only.
+         Goal ids are memo-global, so entries match id-for-id: the better
+         winner survives, and both classes' EXPLAIN provenance describes
+         the same (now unified) goal. b's marks and cached bounds are
+         dropped (a's lower bound stands), and b's slot space is freed:
+         a dead class is never consulted again. *)
+      iter_slots db (fun id s ->
+          (match db.winners.(s) with
+           | None -> ()
+           | Some w -> (
+             let sa = slot_for da id in
+             match da.winners.(sa) with
+             | Some existing when winner_le existing w -> ()
+             | _ -> da.winners.(sa) <- Some w));
+          match if Array.length db.alts > 0 then db.alts.(s) else [] with
+          | [] -> ()
+          | l ->
+            let sa = slot_for da id in
+            add_alts da sa l);
+      db.slot_index <- [||];
+      db.n_slots <- 0;
+      db.winners <- [||];
+      db.marks <- Bytes.empty;
+      db.lbounds <- [||];
+      db.alts <- [||];
       (* Move b's expressions and parent links into a. Cross-group
          same-key duplicates cannot exist (insert would have merged
          instead), so b's own expressions keep their index entries. *)
@@ -474,8 +552,8 @@ module Make (M : Signatures.MODEL) = struct
 
   let set_winner_id t g id plan bound =
     let d = data t (find_root t g) in
-    ensure_winners d id;
-    d.winners.(id) <- Some { w_plan = plan; w_bound = bound }
+    let s = slot_for d id in
+    d.winners.(s) <- Some { w_plan = plan; w_bound = bound }
 
   let winner t g key = winner_id t g (intern t key)
 
@@ -485,43 +563,45 @@ module Make (M : Signatures.MODEL) = struct
       [id] of group [g]. Sequential-phase entry point. *)
   let record_alt t g id alt =
     let d = data t (find_root t g) in
-    let existing = Option.value (Id_tbl.find_opt d.alts id) ~default:[] in
-    Id_tbl.replace d.alts id (alt :: existing)
+    let s = slot_for d id in
+    add_alts d s [ alt ]
 
   (** [alts t g id] — recorded alternatives for a goal, oldest first
       (the order the search pursued them in). *)
   let alts t g id =
     let d = data t (find_root t g) in
-    List.rev (Option.value (Id_tbl.find_opt d.alts id) ~default:[])
+    let s = find_slot d id in
+    if s < 0 || Array.length d.alts = 0 then [] else List.rev d.alts.(s)
 
   (** Winner-table snapshot with materialized keys, for tests and
-      debugging (the live table is indexed by interned ids). *)
+      debugging (the live table is keyed by interned ids). *)
   let winners_alist t g : (Goal_key.t * winner) list =
     let d = data t (find_root t g) in
     let out = ref [] in
-    Array.iteri
-      (fun id w -> match w with None -> () | Some w -> out := (t.keys.(id), w) :: !out)
-      d.winners;
+    iter_slots d (fun id s ->
+        match d.winners.(s) with None -> () | Some w -> out := (t.keys.(id), w) :: !out);
     !out
+
+  (** [goal_footprint t] — (allocated, occupied) goal slots summed over
+      the root groups. Each allocated slot also has two entries in its
+      group's index. *)
+  let goal_footprint t =
+    let allocated = ref 0 and occupied = ref 0 in
+    for g = 0 to t.n_groups - 1 do
+      let d = t.groups.(g) in
+      if d.parent = g then begin
+        allocated := !allocated + Array.length d.winners;
+        occupied := !occupied + d.n_slots
+      end
+    done;
+    (!allocated, !occupied)
 
   (** [lower_bound t g required] — the model's certified cost lower
       bound for delivering [required] from group [g], cached per
       (group, interned requirement). Sequential-phase entry point. *)
   let lower_bound t g required =
-    let g = find_root t g in
-    let d = data t g in
-    let id = intern t (required, None) in
-    match if id < Array.length d.lbounds then d.lbounds.(id) else None with
-    | Some c -> c
-    | None ->
-      let c =
-        match d.lprops with
-        | Some props -> M.cost_lower_bound props required
-        | None -> M.cost_zero
-      in
-      ensure_lbounds d id;
-      d.lbounds.(id) <- Some c;
-      c
+    let d = data t (find_root t g) in
+    cached_lower_bound d (intern t (required, None)) required
 
   (* ------------------------------------------------------------------ *)
   (* Lock-striped access for the parallel search phase. The memo's      *)
@@ -556,17 +636,12 @@ module Make (M : Signatures.MODEL) = struct
     let incoming = { w_plan = plan; w_bound = bound } in
     Mutex.protect (stripe t g) (fun () ->
         let d = data t g in
-        match get_winner d id with
-        | None ->
-          ensure_winners d id;
-          d.winners.(id) <- Some incoming;
-          true
-        | Some existing ->
-          if winner_le existing incoming then false
-          else begin
-            d.winners.(id) <- Some incoming;
-            true
-          end)
+        let s = slot_for d id in
+        match d.winners.(s) with
+        | Some existing when winner_le existing incoming -> false
+        | _ ->
+          d.winners.(s) <- Some incoming;
+          true)
 
   let publish_winner t g key plan bound =
     publish_winner_id t g (intern_locked t key) plan bound
@@ -579,13 +654,10 @@ module Make (M : Signatures.MODEL) = struct
     let g = find_root t g in
     Mutex.protect (stripe t g) (fun () ->
         let d = data t g in
-        if
-          (id < Array.length d.claimed && d.claimed.(id))
-          || get_winner d id <> None
-        then false
+        let s = slot_for d id in
+        if has_mark d s claimed_bit || d.winners.(s) <> None then false
         else begin
-          ensure_claimed d id;
-          d.claimed.(id) <- true;
+          set_mark d s claimed_bit true;
           true
         end)
 
@@ -601,10 +673,10 @@ module Make (M : Signatures.MODEL) = struct
     let g = find_root t g in
     Mutex.protect (stripe t g) (fun () ->
         let d = data t g in
-        if id < Array.length d.claimed && d.claimed.(id) then false
+        let s = slot_for d id in
+        if has_mark d s claimed_bit then false
         else begin
-          ensure_claimed d id;
-          d.claimed.(id) <- true;
+          set_mark d s claimed_bit true;
           true
         end)
 
@@ -619,7 +691,8 @@ module Make (M : Signatures.MODEL) = struct
     let g = find_root t g in
     Mutex.protect (stripe t g) (fun () ->
         let d = data t g in
-        if id < Array.length d.claimed then d.claimed.(id) <- false)
+        let s = find_slot d id in
+        if s >= 0 then set_mark d s claimed_bit false)
 
   (** {!lower_bound} for parallel workers: the intern table is guarded
       by the intern mutex and the per-group cache by the group's
@@ -629,18 +702,7 @@ module Make (M : Signatures.MODEL) = struct
     let g = find_root t g in
     let d = data t g in
     let id = intern_locked t (required, None) in
-    Mutex.protect (stripe t g) (fun () ->
-        match if id < Array.length d.lbounds then d.lbounds.(id) else None with
-        | Some c -> c
-        | None ->
-          let c =
-            match d.lprops with
-            | Some props -> M.cost_lower_bound props required
-            | None -> M.cost_zero
-          in
-          ensure_lbounds d id;
-          d.lbounds.(id) <- Some c;
-          c)
+    Mutex.protect (stripe t g) (fun () -> cached_lower_bound d id required)
 
   (** {!record_alt} under the group's stripe lock, for parallel
       workers. *)
@@ -653,7 +715,9 @@ module Make (M : Signatures.MODEL) = struct
   let reset_claims t =
     for g = 0 to t.n_groups - 1 do
       let d = t.groups.(g) in
-      Array.fill d.claimed 0 (Array.length d.claimed) false
+      for s = 0 to d.n_slots - 1 do
+        set_mark d s claimed_bit false
+      done
     done
 
   (** Fully compress union-find paths so concurrent readers of a frozen
@@ -665,16 +729,18 @@ module Make (M : Signatures.MODEL) = struct
 
   let in_progress t g id =
     let d = data t (find_root t g) in
-    id < Array.length d.in_progress && d.in_progress.(id)
+    let s = find_slot d id in
+    s >= 0 && has_mark d s in_progress_bit
 
   let mark_in_progress t g id =
     let d = data t (find_root t g) in
-    ensure_in_progress d id;
-    d.in_progress.(id) <- true
+    let s = slot_for d id in
+    set_mark d s in_progress_bit true
 
   let unmark_in_progress t g id =
     let d = data t (find_root t g) in
-    if id < Array.length d.in_progress then d.in_progress.(id) <- false
+    let s = find_slot d id in
+    if s >= 0 then set_mark d s in_progress_bit false
 
   let is_explored t g = (data t (find_root t g)).explored
 

@@ -159,6 +159,291 @@ let prop_insert_unique_home =
       List.iter (fun (t, _) -> ignore (Memo.insert m (get t) [])) actions;
       Memo.n_mexprs m = before)
 
+(* ------------------------------------------------------------------ *)
+(* The per-group goal slot space against a reference model. A bare
+   integer model keeps the goal keys cheap: goal [p] is the key
+   [(p, None)], and after interning [0 .. n_goals - 1] in order its id is
+   [p]. Leaf [i]'s logical properties are [i], and the lower bound of
+   [required] for properties [lp] is [lp * n_goals + required], so a
+   bound served from the wrong slot or the wrong class shows. *)
+
+let n_goals = 10_000
+
+module Int_model = struct
+  let model_name = "int"
+
+  type op = int
+
+  let op_arity _ = 0
+
+  let op_equal = Int.equal
+
+  let op_hash = Hashtbl.hash
+
+  let op_name = string_of_int
+
+  type alg = int
+
+  let alg_arity _ = 0
+
+  let alg_name = string_of_int
+
+  type logical_props = int
+
+  let derive op _ = op
+
+  type phys_props = int
+
+  let pp_equal = Int.equal
+
+  let pp_hash = Hashtbl.hash
+
+  let pp_covers ~provided ~required = provided = required
+
+  let pp_to_string = string_of_int
+
+  type cost = int
+
+  let cost_zero = 0
+
+  let cost_infinite = max_int
+
+  let cost_is_infinite c = c = max_int
+
+  let cost_add = ( + )
+
+  let cost_sub = ( - )
+
+  let cost_compare = Int.compare
+
+  let cost_to_string = string_of_int
+
+  let cost_of _ ~inputs:_ ~input_props:_ ~output:_ = 1
+
+  let deliver _ _ = 0
+
+  let cost_lower_bound lp required = (lp * n_goals) + required
+
+  let transforms = []
+
+  let implementations = []
+
+  let enforcers ~props:_ ~required:_ = []
+end
+
+module IM = Volcano.Memo.Make (Int_model)
+
+type slot_op =
+  | Set_winner of int * int * int option * int  (** group, goal, plan cost, bound *)
+  | Mark of int * int
+  | Unmark of int * int
+  | Lower_bound of int * int
+  | Claim of int * int
+  | Release of int * int
+  | Record_alt of int * int * int
+  | Merge of int * int
+
+let show_slot_op = function
+  | Set_winner (g, id, c, b) ->
+    Printf.sprintf "set_winner(%d,%d,%s,%d)" g id
+      (match c with None -> "fail" | Some c -> string_of_int c)
+      b
+  | Mark (g, id) -> Printf.sprintf "mark(%d,%d)" g id
+  | Unmark (g, id) -> Printf.sprintf "unmark(%d,%d)" g id
+  | Lower_bound (g, id) -> Printf.sprintf "lower_bound(%d,%d)" g id
+  | Claim (g, id) -> Printf.sprintf "claim(%d,%d)" g id
+  | Release (g, id) -> Printf.sprintf "release(%d,%d)" g id
+  | Record_alt (g, id, a) -> Printf.sprintf "alt(%d,%d,%d)" g id a
+  | Merge (a, b) -> Printf.sprintf "merge(%d,%d)" a b
+
+let n_leaves = 5
+
+let gen_slot_ops =
+  let open QCheck.Gen in
+  let group = int_range 0 (n_leaves - 1) in
+  (* A few hot goals (repeat hits) and a long tail up to [n_goals]. *)
+  let goal = frequency [ (1, int_range 0 15); (3, int_range 0 (n_goals - 1)) ] in
+  let op =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun (g, id) c b -> Set_winner (g, id, c, b))
+            (pair group goal) (opt (int_range 0 50)) (int_range 0 50) );
+        (3, map2 (fun g id -> Mark (g, id)) group goal);
+        (2, map2 (fun g id -> Unmark (g, id)) group goal);
+        (3, map2 (fun g id -> Lower_bound (g, id)) group goal);
+        (3, map2 (fun g id -> Claim (g, id)) group goal);
+        (2, map2 (fun g id -> Release (g, id)) group goal);
+        (3, map3 (fun g id a -> Record_alt (g, id, a)) group goal (int_range 0 9));
+        (1, map2 (fun a b -> Merge (a, b)) group group);
+      ]
+  in
+  list_size (int_range 1 600) op
+
+(* The reference model: one Hashtbl per goal table, keyed by (root
+   group, goal id), and its own union-find in which [merge a b] keeps
+   [a]'s root. *)
+type ref_model = {
+  r_parent : int array;
+  r_winners : (int * int, IM.winner) Hashtbl.t;
+  r_marks : (int * int, unit) Hashtbl.t;
+  r_claims : (int * int, unit) Hashtbl.t;
+  r_bounds : (int * int, int) Hashtbl.t;
+  r_alts : (int * int, IM.alt list) Hashtbl.t;  (** newest first *)
+}
+
+let rec ref_root r g = if r.r_parent.(g) = g then g else ref_root r r.r_parent.(g)
+
+let plan_of cost =
+  { IM.p_alg = cost; p_inputs = []; p_props = 0; p_cost = cost; p_rule = "r" }
+
+let same_winner (a : IM.winner option) (b : IM.winner option) =
+  match a, b with
+  | None, None -> true
+  | Some a, Some b ->
+    Option.map (fun (p : IM.plan) -> p.p_cost) a.w_plan
+    = Option.map (fun (p : IM.plan) -> p.p_cost) b.w_plan
+    && a.w_bound = b.w_bound
+  | _ -> false
+
+let ref_merge r a b =
+  let a = ref_root r a and b = ref_root r b in
+  if a <> b then begin
+    r.r_parent.(b) <- a;
+    let moved tbl = Hashtbl.fold (fun (g, id) v acc -> if g = b then (id, v) :: acc else acc) tbl [] in
+    List.iter
+      (fun (id, w) ->
+        match Hashtbl.find_opt r.r_winners (a, id) with
+        | Some existing when IM.winner_le existing w -> ()
+        | _ -> Hashtbl.replace r.r_winners (a, id) w)
+      (moved r.r_winners);
+    List.iter
+      (fun (id, l) ->
+        let existing = Option.value (Hashtbl.find_opt r.r_alts (a, id)) ~default:[] in
+        Hashtbl.replace r.r_alts (a, id) (l @ existing))
+      (moved r.r_alts);
+    (* The dead class's marks, claims and cached bounds are dropped. *)
+    let drop tbl = Hashtbl.filter_map_inplace (fun (g, _) v -> if g = b then None else Some v) tbl in
+    drop r.r_winners;
+    drop r.r_marks;
+    drop r.r_claims;
+    drop r.r_bounds;
+    drop r.r_alts
+  end
+
+let prop_slot_space_matches_model =
+  let arb =
+    QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_slot_op ops)) gen_slot_ops
+  in
+  Helpers.qcheck_case ~count:60 "memo: goal slots match a Hashtbl model" arb (fun ops ->
+      let m = IM.create (Volcano.Search_stats.create ()) in
+      for p = 0 to n_goals - 1 do
+        assert (IM.intern m (p, None) = p)
+      done;
+      let leaves = Array.init n_leaves (fun i -> IM.insert m i []) in
+      let r =
+        {
+          r_parent = Array.init n_leaves Fun.id;
+          r_winners = Hashtbl.create 64;
+          r_marks = Hashtbl.create 64;
+          r_claims = Hashtbl.create 64;
+          r_bounds = Hashtbl.create 64;
+          r_alts = Hashtbl.create 64;
+        }
+      in
+      let lp g = ref_root r g in
+      let agrees g id =
+        let k = (ref_root r g, id) in
+        same_winner (IM.winner_id m leaves.(g) id) (Hashtbl.find_opt r.r_winners k)
+        && IM.in_progress m leaves.(g) id = Hashtbl.mem r.r_marks k
+        && IM.alts m leaves.(g) id
+           = List.rev (Option.value (Hashtbl.find_opt r.r_alts k) ~default:[])
+      in
+      let step op =
+        match op with
+        | Set_winner (g, id, c, b) ->
+          let w = { IM.w_plan = Option.map plan_of c; w_bound = b } in
+          IM.set_winner_id m leaves.(g) id w.w_plan b;
+          Hashtbl.replace r.r_winners (ref_root r g, id) w;
+          agrees g id
+        | Mark (g, id) ->
+          IM.mark_in_progress m leaves.(g) id;
+          Hashtbl.replace r.r_marks (ref_root r g, id) ();
+          agrees g id
+        | Unmark (g, id) ->
+          IM.unmark_in_progress m leaves.(g) id;
+          Hashtbl.remove r.r_marks (ref_root r g, id);
+          agrees g id
+        | Lower_bound (g, id) ->
+          let k = (ref_root r g, id) in
+          let want =
+            match Hashtbl.find_opt r.r_bounds k with
+            | Some c -> c
+            | None ->
+              let c = Int_model.cost_lower_bound (lp g) id in
+              Hashtbl.replace r.r_bounds k c;
+              c
+          in
+          IM.lower_bound m leaves.(g) id = want && agrees g id
+        | Claim (g, id) ->
+          let k = (ref_root r g, id) in
+          let want = not (Hashtbl.mem r.r_claims k || Hashtbl.mem r.r_winners k) in
+          if want then Hashtbl.replace r.r_claims k ();
+          IM.try_claim_id m leaves.(g) id = want && agrees g id
+        | Release (g, id) ->
+          IM.release_claim_id m leaves.(g) id;
+          Hashtbl.remove r.r_claims (ref_root r g, id);
+          agrees g id
+        | Record_alt (g, id, a) ->
+          let alt = { IM.a_alg = a; a_rule = "r"; a_cost = None; a_reason = IM.Alt_completed } in
+          IM.record_alt m leaves.(g) id alt;
+          let k = (ref_root r g, id) in
+          Hashtbl.replace r.r_alts k
+            (alt :: Option.value (Hashtbl.find_opt r.r_alts k) ~default:[]);
+          agrees g id
+        | Merge (a, b) ->
+          ignore (IM.merge m leaves.(a) leaves.(b) : IM.group);
+          ref_merge r a b;
+          IM.find_root m leaves.(a) = leaves.(ref_root r a)
+      in
+      List.for_all step ops
+      (* Full sweep: every goal the model knows, every live class's
+         winner count, and the slot space stays within twice its use. *)
+      && Hashtbl.fold (fun (g, id) _ ok -> ok && agrees g id) r.r_winners true
+      && Hashtbl.fold (fun (g, id) _ ok -> ok && agrees g id) r.r_alts true
+      && List.for_all
+           (fun g ->
+             ref_root r g <> g
+             || List.length (IM.winners_alist m leaves.(g))
+                = Hashtbl.fold
+                    (fun (g', _) _ n -> if g' = g then n + 1 else n)
+                    r.r_winners 0)
+           (List.init n_leaves Fun.id)
+      &&
+      let allocated, occupied = IM.goal_footprint m in
+      allocated <= 2 * occupied)
+
+(* Machine-neutral memory pin: after a full optimization, each class's
+   goal table is sized by the goals that class holds. *)
+let test_goal_footprint_bound () =
+  List.iter
+    (fun (shape, name, n) ->
+      let q = Workload.generate (Workload.spec ~shape ~n_relations:n ~seed:42 ()) in
+      let module M = (val Relmodel.Rel_model.make ~catalog:q.catalog ()) in
+      let module S = Volcano.Search.Make (M) in
+      let s = S.create () in
+      ignore
+        (S.optimize s (Relmodel.Rel_model.to_tree q.logical) ~required:Phys_prop.any
+          : S.outcome);
+      let allocated, occupied = S.Memo.goal_footprint s.S.memo in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %d: %d allocated goal slots <= 4 x %d occupied" name n
+           allocated occupied)
+        true
+        (occupied > 0 && allocated <= 4 * occupied))
+    [ (Workload.Clique, "clique", 6); (Workload.Grid, "grid", 9) ]
+
 let suite =
   [
     Alcotest.test_case "insert dedup" `Quick test_insert_dedup;
@@ -170,4 +455,6 @@ let suite =
     Alcotest.test_case "in-progress marks" `Quick test_in_progress_marks;
     Alcotest.test_case "extract_any" `Quick test_extract_any;
     prop_insert_unique_home;
+    prop_slot_space_matches_model;
+    Alcotest.test_case "goal footprint tracks occupancy" `Slow test_goal_footprint_bound;
   ]

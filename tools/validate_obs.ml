@@ -200,7 +200,8 @@ let validate_bench path =
    budgets strictly ascend, whose tasks never run backwards, and whose
    best-so-far cost never appears and then disappears or worsens;
    reference cells must be flagged all-identical and every reference
-   arm complete with a final cost. *)
+   arm complete with a final cost. Every arm reports its memo's goal
+   slots and entries, and allocates at most 4 slots per entry. *)
 let validate_scaleup path =
   let j = load path in
   (match Obs.Json.member "all_reference_cells_identical" j with
@@ -266,6 +267,15 @@ let validate_scaleup path =
             fail "%s: %s is a reference arm but did not complete" path where;
           if reference && Obs.Json.member "final_cost" arm = Some Obs.Json.Null
           then fail "%s: %s is a reference arm without a final cost" path where;
+          let count f =
+            match Option.bind (Obs.Json.member f arm) Obs.Json.to_int with
+            | Some v when v >= 0 -> v
+            | _ -> fail "%s: %s has no %s count" path where f
+          in
+          let slots = count "goal_slots" and entries = count "goal_entries" in
+          if slots > 4 * entries then
+            fail "%s: %s allocates %d goal slots for %d entries (> 4x)" path where
+              slots entries;
           let curve =
             match Option.bind (Obs.Json.member "curve" arm) Obs.Json.to_list with
             | Some [] -> fail "%s: %s has an empty curve" path where
