@@ -1208,8 +1208,11 @@ let obs_bench ?(smoke = false) ~full () =
    Three properties gate the run — the plan stays bit-identical, the
    profiler's per-rule task sums equal the engine's task counters on
    every arm (attribution parity holds under work stealing too), and
-   the profiled arms stay under 2x the off arm. Prints and gates; the
-   durable numbers live in BENCH_obs.json. *)
+   the profiled arms stay under 2x the off arm. A fourth is machine
+   neutral: the minor-heap words the profiler adds to one fixed
+   optimization, per executed task, stay at most 4 (charging a task
+   allocates nothing; building each distinct name once is the rest).
+   Prints and gates; the durable numbers live in BENCH_obs.json. *)
 let obsprof_bench ?(smoke = false) ~full () =
   header "OBSPROF  Profiler & flight-recorder watchdog (plan-inert, <2x)";
   let sizes = if smoke then [ 4; 5 ] else if full then [ 5; 6 ] else [ 5 ] in
@@ -1300,6 +1303,28 @@ let obsprof_bench ?(smoke = false) ~full () =
   Printf.printf "\n  geomean profiled slowdown (sequential arms): %.2fx\n" slowdown;
   if smoke && slowdown > 2. then
     fail "profiled slowdown %.2fx exceeds the 2x smoke gate" slowdown;
+  let q =
+    Workload.generate
+      (Workload.spec ~shape:Workload.Clique ~n_relations:5 ~seed:(seed_base + 2300) ())
+  in
+  let words profiled =
+    let profiler = if profiled then Some (Obs.Profile.create ()) else None in
+    let request =
+      { (Relmodel.Optimizer.request q.catalog) with restore_columns = false; profiler }
+    in
+    let w0 = Gc.minor_words () in
+    let r = Relmodel.Optimizer.optimize request q.logical ~required:Phys_prop.any in
+    (Gc.minor_words () -. w0, r.stats.Volcano.Search_stats.tasks)
+  in
+  ignore (words false);
+  ignore (words true);
+  let off, tasks = words false in
+  let on, _ = words true in
+  let per_task = (on -. off) /. float_of_int tasks in
+  Printf.printf "  profiler allocation (clique n=5, %d tasks): %.2f words/task\n" tasks
+    per_task;
+  if per_task > 4. then
+    fail "profiler allocates %.2f words per task, above the bound of 4" per_task;
   if !failures <> [] then begin
     List.iter (Printf.printf "  FAIL: %s\n") (List.rev !failures);
     if smoke then exit 1

@@ -5,6 +5,10 @@
 val now_ns : unit -> int64
 (** Monotonic nanoseconds since an arbitrary epoch. *)
 
+val now_int : unit -> int
+(** {!now_ns} collapsed to an int (63 bits of nanoseconds), read
+    without allocating: for timestamps taken on every engine task. *)
+
 val ms_of_ns : int64 -> float
 
 val us_of_ns : int64 -> float

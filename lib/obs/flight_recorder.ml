@@ -73,13 +73,16 @@ let ring t ~track =
   Mutex.protect t.fr_lock (fun () -> t.fr_rings <- r :: t.fr_rings);
   r
 
-let record r kind ~group ~detail =
+let record_at r kind ~ns ~group ~detail =
   let slot = r.rg_slots.(r.rg_count mod Array.length r.rg_slots) in
-  slot.ev_ns <- Int64.to_int (Clock.now_ns ());
+  slot.ev_ns <- ns;
   slot.ev_kind <- kind_code kind;
   slot.ev_group <- group;
   slot.ev_detail <- detail;
   r.rg_count <- r.rg_count + 1
+
+let record r kind ~group ~detail =
+  record_at r kind ~ns:(Clock.now_int ()) ~group ~detail
 
 (* ------------------------------------------------------------------ *)
 (* Post-mortem view                                                    *)

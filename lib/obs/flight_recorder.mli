@@ -40,6 +40,11 @@ val record : ring -> kind -> group:int -> detail:int -> unit
     (or [-1]); [detail] is kind-specific (task kind index, worker id,
     ...). *)
 
+val record_at : ring -> kind -> ns:int -> group:int -> detail:int -> unit
+(** {!record} with a timestamp the caller already read (monotonic
+    nanoseconds collapsed to an int, as {!Clock.now_int} reads them), so
+    a bracket timed by the profiler reads the clock once per edge. *)
+
 (** {1 Post-mortem view} *)
 
 type event = {

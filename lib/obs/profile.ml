@@ -14,33 +14,45 @@ type cell = {
   mutable c_plans_won : int;
   mutable c_pruned : int;
   mutable c_wasted : int;
-  mutable c_ns : int64;
+  mutable c_ns : int;
 }
-
-type buf = {
-  pb_track : int;
-  pb_cells : (int * string, cell) Hashtbl.t;
-}
-
-type t = {
-  pr_lock : Mutex.t;
-  mutable pr_bufs : buf list;
-}
-
-let create () = { pr_lock = Mutex.create (); pr_bufs = [] }
-
-let buf t ~track =
-  let b = { pb_track = track; pb_cells = Hashtbl.create 64 } in
-  Mutex.protect t.pr_lock (fun () -> t.pr_bufs <- b :: t.pr_bufs);
-  b
 
 let kind_code = function Rule -> 0 | Enforcer -> 1 | Operator -> 2 | Engine -> 3
 
-let cell b kind name =
-  let key = (kind_code kind, name) in
-  match Hashtbl.find_opt b.pb_cells key with
-  | Some c -> c
-  | None ->
+(* Cells by name, one table per kind: the only place a name is hashed.
+   A hit allocates nothing. *)
+type table = (string, cell) Hashtbl.t array
+
+type t = {
+  pr_lock : Mutex.t;
+  mutable pr_live : buf list;  (** buffers whose writer is running *)
+  pr_folded : table;  (** finished writers' counts, merged *)
+  mutable pr_tracks : int list;  (** every track a buffer was made for *)
+}
+
+and buf = {
+  pb_owner : t;
+  pb_cells : table;
+  mutable pb_live : bool;  (** in [pb_owner.pr_live]; touched by the writer only *)
+}
+
+let table () : table = Array.init 4 (fun _ -> Hashtbl.create 16)
+
+let create () =
+  { pr_lock = Mutex.create (); pr_live = []; pr_folded = table (); pr_tracks = [] }
+
+let buf t ~track =
+  Mutex.protect t.pr_lock (fun () ->
+      if not (List.mem track t.pr_tracks) then t.pr_tracks <- track :: t.pr_tracks);
+  { pb_owner = t; pb_cells = table (); pb_live = false }
+
+let iter_cells f (tbl : table) = Array.iter (Hashtbl.iter (fun _ c -> f c)) tbl
+
+let find_cell (tbl : table) kind name =
+  let cells = tbl.(kind_code kind) in
+  match Hashtbl.find cells name with
+  | c -> c
+  | exception Not_found ->
     let c =
       {
         c_kind = kind;
@@ -50,36 +62,74 @@ let cell b kind name =
         c_plans_won = 0;
         c_pruned = 0;
         c_wasted = 0;
-        c_ns = 0L;
+        c_ns = 0;
       }
     in
-    Hashtbl.add b.pb_cells key c;
+    Hashtbl.add cells name c;
     c
 
-let task b kind name ~ns =
-  let c = cell b kind name in
+let cell b kind name = find_cell b.pb_cells kind name
+
+let task c ~ns =
   c.c_tasks <- c.c_tasks + 1;
-  c.c_ns <- Int64.add c.c_ns ns
+  c.c_ns <- c.c_ns + ns
 
-let mexprs b kind name n =
-  if n <> 0 then begin
-    let c = cell b kind name in
-    c.c_mexprs <- c.c_mexprs + n
+let mexprs c n = c.c_mexprs <- c.c_mexprs + n
+
+let plan_won c = c.c_plans_won <- c.c_plans_won + 1
+
+let pruned c = c.c_pruned <- c.c_pruned + 1
+
+let wasted c n = c.c_wasted <- c.c_wasted + n
+
+(* A cell never charged (or already folded) is no entry: attribution
+   reports only what some charge recorded. Time accrues only with
+   tasks. *)
+let is_zero c =
+  c.c_tasks = 0 && c.c_mexprs = 0 && c.c_plans_won = 0 && c.c_pruned = 0
+  && c.c_wasted = 0
+
+let add_into (dst : table) (c : cell) =
+  if not (is_zero c) then begin
+    let d = find_cell dst c.c_kind c.c_name in
+    d.c_tasks <- d.c_tasks + c.c_tasks;
+    d.c_mexprs <- d.c_mexprs + c.c_mexprs;
+    d.c_plans_won <- d.c_plans_won + c.c_plans_won;
+    d.c_pruned <- d.c_pruned + c.c_pruned;
+    d.c_wasted <- d.c_wasted + c.c_wasted;
+    d.c_ns <- d.c_ns + c.c_ns
   end
 
-let plan_won b kind name =
-  let c = cell b kind name in
-  c.c_plans_won <- c.c_plans_won + 1
+(* Fold a finished writer's counts into the collector and drop the
+   buffer from the live list. Its cells are zeroed, not removed, so
+   handles the writer cached stay valid for its next run. *)
+let retire b =
+  let t = b.pb_owner in
+  Mutex.protect t.pr_lock (fun () ->
+      iter_cells
+        (fun c ->
+          add_into t.pr_folded c;
+          c.c_tasks <- 0;
+          c.c_mexprs <- 0;
+          c.c_plans_won <- 0;
+          c.c_pruned <- 0;
+          c.c_wasted <- 0;
+          c.c_ns <- 0)
+        b.pb_cells;
+      t.pr_live <- List.filter (fun x -> x != b) t.pr_live;
+      b.pb_live <- false)
 
-let pruned b kind name =
-  let c = cell b kind name in
-  c.c_pruned <- c.c_pruned + 1
-
-let wasted b kind name n =
-  if n <> 0 then begin
-    let c = cell b kind name in
-    c.c_wasted <- c.c_wasted + n
+let writing b f =
+  if b.pb_live then f ()
+  else begin
+    let t = b.pb_owner in
+    Mutex.protect t.pr_lock (fun () ->
+        b.pb_live <- true;
+        t.pr_live <- b :: t.pr_live);
+    Fun.protect ~finally:(fun () -> retire b) f
   end
+
+let live_buffers t = Mutex.protect t.pr_lock (fun () -> List.length t.pr_live)
 
 (* ------------------------------------------------------------------ *)
 (* Merged report                                                       *)
@@ -96,50 +146,37 @@ type entry = {
   ns : int64;
 }
 
-let bufs t = Mutex.protect t.pr_lock (fun () -> t.pr_bufs)
-
 let report t =
-  let merged : (int * string, entry ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun b ->
-      Hashtbl.iter
-        (fun key (c : cell) ->
-          match Hashtbl.find_opt merged key with
-          | Some e ->
-            e :=
-              {
-                !e with
-                tasks = !e.tasks + c.c_tasks;
-                mexprs = !e.mexprs + c.c_mexprs;
-                plans_won = !e.plans_won + c.c_plans_won;
-                pruned = !e.pruned + c.c_pruned;
-                wasted = !e.wasted + c.c_wasted;
-                ns = Int64.add !e.ns c.c_ns;
-              }
-          | None ->
-            Hashtbl.add merged key
-              (ref
-                 {
-                   kind = c.c_kind;
-                   name = c.c_name;
-                   tasks = c.c_tasks;
-                   mexprs = c.c_mexprs;
-                   plans_won = c.c_plans_won;
-                   pruned = c.c_pruned;
-                   wasted = c.c_wasted;
-                   ns = c.c_ns;
-                 }))
-        b.pb_cells)
-    (bufs t);
-  Hashtbl.fold (fun _ e acc -> !e :: acc) merged []
-  |> List.sort (fun a b ->
-         let c = Int64.compare b.ns a.ns in
-         if c <> 0 then c else compare (a.kind, a.name) (b.kind, b.name))
+  let merged = table () in
+  Mutex.protect t.pr_lock (fun () ->
+      iter_cells (add_into merged) t.pr_folded;
+      List.iter (fun b -> iter_cells (add_into merged) b.pb_cells) t.pr_live);
+  let entries = ref [] in
+  iter_cells
+    (fun c ->
+      entries :=
+        {
+          kind = c.c_kind;
+          name = c.c_name;
+          tasks = c.c_tasks;
+          mexprs = c.c_mexprs;
+          plans_won = c.c_plans_won;
+          pruned = c.c_pruned;
+          wasted = c.c_wasted;
+          ns = Int64.of_int c.c_ns;
+        }
+        :: !entries)
+    merged;
+  List.sort
+    (fun a b ->
+      let c = Int64.compare b.ns a.ns in
+      if c <> 0 then c else compare (a.kind, a.name) (b.kind, b.name))
+    !entries
 
 let total_tasks t =
   List.fold_left (fun acc e -> acc + e.tasks) 0 (report t)
 
-let tracks t = List.sort_uniq compare (List.map (fun b -> b.pb_track) (bufs t))
+let tracks t = List.sort compare (Mutex.protect t.pr_lock (fun () -> t.pr_tracks))
 
 let ms_of e = Int64.to_float e.ns /. 1e6
 

@@ -1,11 +1,19 @@
 (** Per-rule / per-enforcer / per-operator search effort attribution.
 
-    A profiler owns one buffer per {e track} (sequential engine =
-    track 0, each parallel worker domain its own track), exactly like
-    {!Trace}: buffers are single-writer, so the task hot path records
-    without locks, and the collector's registration list is the only
-    mutex-guarded state. After the run {!report} merges every track
-    into one list of per-(kind, name) entries.
+    A profiler hands out one buffer per {e writer} — the sequential
+    engine on track 0, each parallel worker domain on its own track,
+    exactly like {!Trace}. Buffers are single-writer, so the task hot
+    path records without locks. A writer resolves each attribution
+    [(kind, name)] to a {!cell} once — the only place a name is hashed
+    — and then charges tasks to it with integer adds alone: no string,
+    tuple, closure or boxed integer per task.
+
+    A buffer is {e live} only while its writer runs ({!writing}); when
+    the writer finishes, its counts are folded into the collector
+    under the collector's lock. So the collector holds at most as many
+    live buffers as there are concurrent writers, however many
+    optimizations, sessions or parallel phases it has seen, and
+    {!report} merges the folded counts with the live buffers.
 
     The attribution contract: the engine charges {e exactly one}
     {!task} call per executed task (so the sum of per-entry task counts
@@ -20,32 +28,51 @@ type kind = Rule | Enforcer | Operator | Engine
 val kind_name : kind -> string
 
 type buf
-(** One track's attribution buffer. Single-writer: only the owning
+(** One writer's attribution buffer. Single-writer: only the owning
     domain may record into it. *)
 
+type cell
+(** The counters of one [(kind, name)] in one buffer. *)
+
 type t
-(** A collector: the set of track buffers for one optimization. *)
+(** A collector: the folded counts of finished writers plus the
+    buffers of running ones. *)
 
 val create : unit -> t
 
 val buf : t -> track:int -> buf
-(** Register a new buffer for [track]. Thread-safe. *)
+(** A new buffer for [track], idle until {!writing}. Thread-safe. *)
 
-val task : buf -> kind -> string -> ns:int64 -> unit
-(** Charge one executed task and its wall time to [(kind, name)]. *)
+val writing : buf -> (unit -> 'a) -> 'a
+(** [writing b f] runs [f] as [b]'s writer: [b] is live (visible to
+    {!report}) while [f] runs, and its counts are folded into the
+    collector when [f] returns or raises. Nested calls on a live
+    buffer just run [f]. *)
 
-val mexprs : buf -> kind -> string -> int -> unit
+val cell : buf -> kind -> string -> cell
+(** Find or create [(kind, name)]'s cell in [b]. Hashes [name]: resolve
+    once per attribution site, not per task. A cell stays valid across
+    {!writing} brackets. *)
+
+val task : cell -> ns:int -> unit
+(** Charge one executed task and its monotonic time in nanoseconds. *)
+
+val mexprs : cell -> int -> unit
 (** Charge [n] generated mexprs (a rule firing's yield). *)
 
-val plan_won : buf -> kind -> string -> unit
-(** The winning plan of some goal came from [(kind, name)]. *)
+val plan_won : cell -> unit
+(** The winning plan of some goal came from this cell's rule or
+    enforcer. *)
 
-val pruned : buf -> kind -> string -> unit
-(** A goal spawned by [(kind, name)] was pruned. *)
+val pruned : cell -> unit
+(** A goal or move of this cell's rule or enforcer was pruned. *)
 
-val wasted : buf -> kind -> string -> int -> unit
+val wasted : cell -> int -> unit
 (** Charge [n] tasks of wasted work: tasks executed while pursuing a
-    move of [(kind, name)] whose subtree produced no winner. *)
+    move whose subtree produced no winner. *)
+
+val live_buffers : t -> int
+(** Buffers whose writer is running now. *)
 
 (** {1 Merged report} *)
 
@@ -62,14 +89,15 @@ type entry = {
 
 val report : t -> entry list
 (** Every entry merged across tracks, sorted by cumulative time
-    (descending). Call only after all writers finished. *)
+    (descending). Exact once all writers finished; during a run, the
+    live buffers' counts are read as they stand. *)
 
 val total_tasks : t -> int
 (** Sum of per-entry task counts — must equal the engine's total task
     counter (the attribution-parity invariant). *)
 
 val tracks : t -> int list
-(** The registered track numbers, ascending. *)
+(** Every track a buffer was made for, ascending. *)
 
 val to_json : t -> Json.t
 

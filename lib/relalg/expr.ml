@@ -167,18 +167,44 @@ let cmp_symbol = function
 
 let arith_symbol = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
 
-let rec pp ppf = function
-  | Col c -> Format.pp_print_string ppf c
-  | Const v -> Value.pp ppf v
-  | Cmp (op, a, b) -> Format.fprintf ppf "%a %s %a" pp_atom a (cmp_symbol op) pp_atom b
-  | And (a, b) -> Format.fprintf ppf "%a AND %a" pp_atom a pp_atom b
-  | Or (a, b) -> Format.fprintf ppf "(%a OR %a)" pp a pp b
-  | Not e -> Format.fprintf ppf "NOT %a" pp_atom e
-  | Arith (op, a, b) -> Format.fprintf ppf "%a %s %a" pp_atom a (arith_symbol op) pp_atom b
+(* Rendered straight into one buffer, not through [Format] (whose
+   per-call state costs hundreds of words): plan-cache fingerprints
+   render expressions on every request, and operator and algorithm
+   names, which embed predicates, are built by EXPLAIN and the search
+   profiler. *)
+let to_string e =
+  let b = Buffer.create 64 in
+  let add = Buffer.add_string b in
+  let rec go = function
+    | Col c -> add c
+    | Const v -> add (Value.to_string v)
+    | Cmp (op, x, y) -> infix x (cmp_symbol op) y
+    | And (x, y) -> infix x "AND" y
+    | Or (x, y) ->
+      add "(";
+      go x;
+      add " OR ";
+      go y;
+      add ")"
+    | Not x ->
+      add "NOT ";
+      atom x
+    | Arith (op, x, y) -> infix x (arith_symbol op) y
+  and infix x sym y =
+    atom x;
+    add " ";
+    add sym;
+    add " ";
+    atom y
+  and atom e =
+    match e with
+    | Col _ | Const _ -> go e
+    | Cmp _ | And _ | Or _ | Not _ | Arith _ ->
+      add "(";
+      go e;
+      add ")"
+  in
+  go e;
+  Buffer.contents b
 
-and pp_atom ppf e =
-  match e with
-  | Col _ | Const _ -> pp ppf e
-  | Cmp _ | And _ | Or _ | Not _ | Arith _ -> Format.fprintf ppf "(%a)" pp e
-
-let to_string e = Format.asprintf "%a" pp e
+let pp ppf e = Format.pp_print_string ppf (to_string e)

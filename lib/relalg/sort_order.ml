@@ -30,14 +30,10 @@ let is_sorted schema order tuples =
   let rec go i = i >= n - 1 || (cmp tuples.(i) tuples.(i + 1) <= 0 && go (i + 1)) in
   go 0
 
-let pp ppf t =
-  match t with
-  | [] -> Format.pp_print_string ppf "any"
-  | _ ->
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-      (fun ppf (c, d) ->
-        Format.fprintf ppf "%s%s" c (match d with Asc -> "" | Desc -> " desc"))
-      ppf t
+let to_string = function
+  | [] -> "any"
+  | t ->
+    String.concat ", "
+      (List.map (fun (c, d) -> match d with Asc -> c | Desc -> c ^ " desc") t)
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)

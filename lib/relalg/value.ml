@@ -69,11 +69,11 @@ let div a b =
   | _, Float 0. -> Null
   | _, _ -> arith "div" ( / ) ( /. ) a b
 
-let pp ppf = function
-  | Null -> Format.pp_print_string ppf "NULL"
-  | Bool b -> Format.pp_print_bool ppf b
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%g" f
-  | Str s -> Format.fprintf ppf "%S" s
+let to_string = function
+  | Null -> "NULL"
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%g" f
+  | Str s -> Printf.sprintf "%S" s
 
-let to_string v = Format.asprintf "%a" pp v
+let pp ppf v = Format.pp_print_string ppf (to_string v)

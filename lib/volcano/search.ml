@@ -130,6 +130,36 @@ module Make (M : Signatures.MODEL) = struct
     | Seq
     | Worker of worker_ctx
 
+  (* Operator cells keyed by a representative mexpr's operator, hashed
+     with the hash the memo already cached. *)
+  module Op_tbl = Hashtbl.Make (struct
+    type t = Memo.mexpr
+
+    let equal (a : t) (b : t) = M.op_equal a.op b.op
+
+    let hash (m : t) = m.op_h
+  end)
+
+  (* A searcher view's profiler state: its buffer and the cells the
+     engine charges, each resolved once — so charging a task is a few
+     integer adds, never a name built or hashed. Names are built once
+     per distinct operator and enforcer algorithm. *)
+  type prof = {
+    pf_buf : Obs.Profile.buf;
+    pf_transforms : Obs.Profile.cell array;  (** by transformation rule index *)
+    pf_impls : Obs.Profile.cell array;  (** by implementation rule index *)
+    pf_optimize_group : Obs.Profile.cell;
+    pf_explore_group : Obs.Profile.cell;
+    mutable pf_ops : Obs.Profile.cell array;
+        (** logical operator cells by mexpr [mid], resolved on first
+            use (a mexpr's operator never changes); an unresolved slot
+            holds [pf_optimize_group], which no operator resolves to *)
+    pf_op_cells : Obs.Profile.cell Op_tbl.t;  (** the same, by operator *)
+    pf_enforcers : (M.alg, Obs.Profile.cell) Hashtbl.t;
+        (** enforcer cells by algorithm value (structural equality: the
+            name is a function of the value) *)
+  }
+
   type t = {
     memo : Memo.t;
     config : config;
@@ -138,9 +168,7 @@ module Make (M : Signatures.MODEL) = struct
     tr_buf : Obs.Trace.buf option;
         (** this searcher view's span buffer: track 0 for the
             sequential engine, track [n] for the [n]-th worker *)
-    pr_buf : Obs.Profile.buf option;
-        (** this searcher view's profiler buffer, tracked like
-            [tr_buf] *)
+    prof : prof option;  (** this searcher view's profiler, tracked like [tr_buf] *)
     fr_ring : Obs.Flight_recorder.ring option;
         (** this searcher view's flight-recorder ring, tracked like
             [tr_buf] *)
@@ -154,6 +182,25 @@ module Make (M : Signatures.MODEL) = struct
     cost : M.cost;  (** total cost of this subtree *)
   }
 
+  let make_prof pr ~track =
+    let pb = Obs.Profile.buf pr ~track in
+    let rule name = Obs.Profile.cell pb Obs.Profile.Rule name in
+    {
+      pf_buf = pb;
+      pf_transforms = Array.of_list (List.map (fun r -> rule r.Rule.t_name) M.transforms);
+      pf_impls = Array.of_list (List.map (fun r -> rule r.Rule.i_name) M.implementations);
+      pf_optimize_group = Obs.Profile.cell pb Obs.Profile.Engine "optimize_group";
+      pf_explore_group = Obs.Profile.cell pb Obs.Profile.Engine "explore_group";
+      pf_ops = [||];
+      pf_op_cells = Op_tbl.create 64;
+      pf_enforcers = Hashtbl.create 16;
+    }
+
+  (* Run [f] as the writer of this view's profiler buffer: the buffer's
+     counts fold into the collector when [f] ends. *)
+  let profiling t f =
+    match t.prof with None -> f () | Some pf -> Obs.Profile.writing pf.pf_buf f
+
   let create ?(config = default_config) () =
     let stats = Search_stats.create () in
     {
@@ -162,7 +209,7 @@ module Make (M : Signatures.MODEL) = struct
       stats;
       mode = Seq;
       tr_buf = Option.map (fun tr -> Obs.Trace.buf tr ~track:0) config.tracer;
-      pr_buf = Option.map (fun pr -> Obs.Profile.buf pr ~track:0) config.profiler;
+      prof = Option.map (make_prof ~track:0) config.profiler;
       fr_ring =
         Option.map (fun fr -> Obs.Flight_recorder.ring fr ~track:0) config.recorder;
     }
@@ -309,6 +356,7 @@ module Make (M : Signatures.MODEL) = struct
         input_reqs : M.phys_props list;  (** one alternative vector *)
         promise : int;
         rule : string;  (** producing implementation rule, for provenance *)
+        ridx : int;  (** that rule's index in [M.implementations] *)
       }
     | Enforce of {
         alg : M.alg;
@@ -320,7 +368,8 @@ module Make (M : Signatures.MODEL) = struct
   let promise_of = function Impl m -> m.promise | Enforce m -> m.promise
 
   (* Implementation moves of rule [rule] rooted at multi-expression [m]. *)
-  let impl_moves_at t (rule : (M.op, M.alg, M.logical_props, M.phys_props) Rule.implement)
+  let impl_moves_at t ~ridx
+      (rule : (M.op, M.alg, M.logical_props, M.phys_props) Rule.implement)
       (m : Memo.mexpr) ~required : move list =
     bindings_at t rule.i_pattern m
     |> List.concat_map (fun b ->
@@ -340,6 +389,7 @@ module Make (M : Signatures.MODEL) = struct
                           input_reqs = vector;
                           promise = rule.i_promise;
                           rule = rule.i_name;
+                          ridx;
                         })
                     c.c_alternatives))
 
@@ -403,6 +453,7 @@ module Make (M : Signatures.MODEL) = struct
     im_goal : goal_state;
     im_alg : M.alg;
     im_rule : string;  (** producing implementation rule, for provenance *)
+    im_ridx : int;  (** its index in [M.implementations] *)
     im_start : int;
         (** [run.r_tasks] when pursuit began, for the profiler's
             wasted-work accounting *)
@@ -460,19 +511,51 @@ module Make (M : Signatures.MODEL) = struct
   (* Profiler / flight-recorder attribution                              *)
   (* ------------------------------------------------------------------ *)
 
-  (* The (kind, name) a task's effort is charged to — exactly one
-     charge per executed task, so per-entry task sums equal the task
-     counters. Transform and input-optimization tasks charge their
-     rule; enforcer tasks their algorithm; mexpr tasks their logical
-     operator; engine bookkeeping tasks a fixed engine key. *)
-  let task_attr : task -> Obs.Profile.kind * string = function
-    | T_optimize_group _ -> (Obs.Profile.Engine, "optimize_group")
-    | T_explore_group _ | T_explore_round _ -> (Obs.Profile.Engine, "explore_group")
-    | T_optimize_mexpr (_, m) -> (Obs.Profile.Operator, M.op_name m.op)
-    | T_apply_transform (_, _, i) ->
-      (Obs.Profile.Rule, (List.assoc i rule_index).Rule.t_name)
-    | T_optimize_inputs st -> (Obs.Profile.Rule, st.im_rule)
-    | T_apply_enforcer st -> (Obs.Profile.Enforcer, M.alg_name st.en_alg)
+  let op_cell pf (m : Memo.mexpr) =
+    let n = Array.length pf.pf_ops in
+    if m.mid >= n then begin
+      let grown = Array.make (max (m.mid + 1) (2 * n)) pf.pf_optimize_group in
+      Array.blit pf.pf_ops 0 grown 0 n;
+      pf.pf_ops <- grown
+    end;
+    let c = pf.pf_ops.(m.mid) in
+    if c != pf.pf_optimize_group then c
+    else begin
+      let c =
+        match Op_tbl.find pf.pf_op_cells m with
+        | c -> c
+        | exception Not_found ->
+          let c = Obs.Profile.cell pf.pf_buf Obs.Profile.Operator (M.op_name m.op) in
+          Op_tbl.add pf.pf_op_cells m c;
+          c
+      in
+      pf.pf_ops.(m.mid) <- c;
+      c
+    end
+
+  (* An enforcer move's cell, looked up by its algorithm value: a
+     pursued move runs one [T_apply_enforcer] task, so this resolves
+     once per move and builds the name once per distinct enforcer. *)
+  let enforcer_cell pf alg =
+    match Hashtbl.find pf.pf_enforcers alg with
+    | c -> c
+    | exception Not_found ->
+      let c = Obs.Profile.cell pf.pf_buf Obs.Profile.Enforcer (M.alg_name alg) in
+      Hashtbl.add pf.pf_enforcers alg c;
+      c
+
+  (* The cell a task's effort is charged to — exactly one charge per
+     executed task, so per-entry task sums equal the task counters.
+     Transform and input-optimization tasks charge their rule; enforcer
+     tasks their algorithm; mexpr tasks their logical operator; engine
+     bookkeeping tasks a fixed engine entry. *)
+  let task_cell pf : task -> Obs.Profile.cell = function
+    | T_optimize_group _ -> pf.pf_optimize_group
+    | T_explore_group _ | T_explore_round _ -> pf.pf_explore_group
+    | T_optimize_mexpr (_, m) -> op_cell pf m
+    | T_apply_transform (_, _, i) -> pf.pf_transforms.(i)
+    | T_optimize_inputs st -> pf.pf_impls.(st.im_ridx)
+    | T_apply_enforcer st -> enforcer_cell pf st.en_alg
 
   (* Kind-specific [detail] payload of ring events about tasks. *)
   let task_code : task -> int = function
@@ -484,13 +567,18 @@ module Make (M : Signatures.MODEL) = struct
     | T_optimize_inputs _ -> 5
     | T_apply_enforcer _ -> 6
 
-  (* All no-ops unless the corresponding collector is configured. *)
-  let profile_pruned t kind name =
-    match t.pr_buf with None -> () | Some pb -> Obs.Profile.pruned pb kind name
+  (* Side-channel charges. Each is one branch, and builds no name,
+     unless the view profiles. *)
+  let impl_pruned t ridx =
+    match t.prof with None -> () | Some pf -> Obs.Profile.pruned pf.pf_impls.(ridx)
 
-  let profile_wasted t kind name n =
-    match t.pr_buf with None -> () | Some pb -> Obs.Profile.wasted pb kind name n
+  let impl_wasted t ridx n =
+    match t.prof with None -> () | Some pf -> Obs.Profile.wasted pf.pf_impls.(ridx) n
 
+  let enforcer_pruned t alg =
+    match t.prof with None -> () | Some pf -> Obs.Profile.pruned (enforcer_cell pf alg)
+
+  (* A no-op unless a flight recorder is configured. *)
   let fr_event t kind ~group ~detail =
     match t.fr_ring with
     | None -> ()
@@ -712,11 +800,11 @@ module Make (M : Signatures.MODEL) = struct
        record_winner t g gs.gs_key_id None gs.gs_limit);
     (* Credit the winner to the rule (or enforcer algorithm) that
        produced it. *)
-    (match (gs.gs_best, t.pr_buf) with
-     | Some p, Some pb ->
-       if p.Memo.p_rule = "enforcer" then
-         Obs.Profile.plan_won pb Obs.Profile.Enforcer (M.alg_name p.Memo.p_alg)
-       else Obs.Profile.plan_won pb Obs.Profile.Rule p.Memo.p_rule
+    (match (gs.gs_best, t.prof) with
+     | Some p, Some pf ->
+       Obs.Profile.plan_won
+         (if p.Memo.p_rule = "enforcer" then enforcer_cell pf p.Memo.p_alg
+          else Obs.Profile.cell pf.pf_buf Obs.Profile.Rule p.Memo.p_rule)
      | _ -> ());
     (* The published entry, not the claim, is now the goal's authority
        — release the claim so a later run that needs a more generous
@@ -761,7 +849,7 @@ module Make (M : Signatures.MODEL) = struct
     | mv :: rest ->
       gs.gs_moves <- rest;
       (match mv with
-       | Impl { alg; input_groups; input_reqs; promise = _; rule } ->
+       | Impl { alg; input_groups; input_reqs; promise = _; rule; ridx } ->
          let input_props = List.map (lookup t) input_groups in
          let output_props = lookup t gs.gs_group in
          let delivered = M.deliver alg input_reqs in
@@ -795,7 +883,7 @@ module Make (M : Signatures.MODEL) = struct
            in
            if doomed then begin
              t.stats.goals_pruned_lb <- t.stats.goals_pruned_lb + 1;
-             profile_pruned t Obs.Profile.Rule rule;
+             impl_pruned t ridx;
              fr_event t Obs.Flight_recorder.Prune
                ~group:(Memo.find_root t.memo gs.gs_group) ~detail:0;
              note_alt t gs ~alg ~rule ~cost:None ~reason:Memo.Alt_pruned_lb;
@@ -808,6 +896,7 @@ module Make (M : Signatures.MODEL) = struct
                     im_goal = gs;
                     im_alg = alg;
                     im_rule = rule;
+                    im_ridx = ridx;
                     im_start = run.r_tasks;
                     im_delivered = delivered;
                     im_acc_cost = local;
@@ -834,7 +923,7 @@ module Make (M : Signatures.MODEL) = struct
            let sub_limit = M.cost_sub gs.gs_bound local in
            if t.config.pruning && M.cost_compare sub_limit M.cost_zero <= 0 then begin
              t.stats.pruned <- t.stats.pruned + 1;
-             profile_pruned t Obs.Profile.Enforcer (M.alg_name alg);
+             enforcer_pruned t alg;
              fr_event t Obs.Flight_recorder.Prune
                ~group:(Memo.find_root t.memo gs.gs_group) ~detail:1;
              note_alt t gs ~alg ~rule:"enforcer" ~cost:(Some local)
@@ -850,7 +939,7 @@ module Make (M : Signatures.MODEL) = struct
              && cost_lt sub_limit (lower_bound_for t gs.gs_group relaxed)
            then begin
              t.stats.goals_pruned_lb <- t.stats.goals_pruned_lb + 1;
-             profile_pruned t Obs.Profile.Enforcer (M.alg_name alg);
+             enforcer_pruned t alg;
              fr_event t Obs.Flight_recorder.Prune
                ~group:(Memo.find_root t.memo gs.gs_group) ~detail:1;
              note_alt t gs ~alg ~rule:"enforcer" ~cost:None ~reason:Memo.Alt_pruned_lb;
@@ -899,7 +988,9 @@ module Make (M : Signatures.MODEL) = struct
       then begin
         t.stats.goals_pruned_lb <- t.stats.goals_pruned_lb + 1;
         t.stats.failures <- t.stats.failures + 1;
-        profile_pruned t Obs.Profile.Engine "optimize_group";
+        (match t.prof with
+         | None -> ()
+         | Some pf -> Obs.Profile.pruned pf.pf_optimize_group);
         fr_event t Obs.Flight_recorder.Prune ~group:g ~detail:2;
         record_winner t g kid None gs.gs_limit;
         (* A worker acquired the claim before entering; the goal
@@ -1107,7 +1198,7 @@ module Make (M : Signatures.MODEL) = struct
       else
         List.iter
           (fun (i, rule) ->
-            let moves = impl_moves_at t rule m ~required:gs.gs_required in
+            let moves = impl_moves_at t ~ridx:i rule m ~required:gs.gs_required in
             gs.gs_impl.(i) <- gs.gs_impl.(i) @ moves)
           implementation_index
     end
@@ -1188,11 +1279,10 @@ module Make (M : Signatures.MODEL) = struct
             bindings;
           (* Credit the genuinely new mexprs (the memo dedups the rest)
              to the rule that generated them. *)
-          match t.pr_buf with
+          match t.prof with
           | None -> ()
-          | Some pb ->
-            Obs.Profile.mexprs pb Obs.Profile.Rule rule.Rule.t_name
-              (t.stats.mexprs_created - mexprs_before)
+          | Some pf ->
+            Obs.Profile.mexprs pf.pf_transforms.(i) (t.stats.mexprs_created - mexprs_before)
         end
       end
     end
@@ -1217,7 +1307,7 @@ module Make (M : Signatures.MODEL) = struct
            false)
     in
     if failed then begin
-      profile_wasted t Obs.Profile.Rule st.im_rule (run.r_tasks - st.im_start);
+      impl_wasted t st.im_ridx (run.r_tasks - st.im_start);
       note_alt t gs ~alg:st.im_alg ~rule:st.im_rule ~cost:None
         ~reason:Memo.Alt_input_failed;
       next_move run gs
@@ -1255,8 +1345,8 @@ module Make (M : Signatures.MODEL) = struct
         in
         if over_bound then begin
           t.stats.pruned <- t.stats.pruned + 1;
-          profile_pruned t Obs.Profile.Rule st.im_rule;
-          profile_wasted t Obs.Profile.Rule st.im_rule (run.r_tasks - st.im_start);
+          impl_pruned t st.im_ridx;
+          impl_wasted t st.im_ridx (run.r_tasks - st.im_start);
           fr_event t Obs.Flight_recorder.Prune
             ~group:(Memo.find_root t.memo gs.gs_group) ~detail:0;
           note_alt t gs ~alg:st.im_alg ~rule:st.im_rule
@@ -1295,8 +1385,10 @@ module Make (M : Signatures.MODEL) = struct
     let gs = st.en_goal in
     (match st.en_slot.answer with
      | None ->
-       profile_wasted t Obs.Profile.Enforcer (M.alg_name st.en_alg)
-         (run.r_tasks - st.en_start);
+       (match t.prof with
+        | None -> ()
+        | Some pf ->
+          Obs.Profile.wasted (enforcer_cell pf st.en_alg) (run.r_tasks - st.en_start));
        note_alt t gs ~alg:st.en_alg ~rule:"enforcer" ~cost:None
          ~reason:Memo.Alt_input_failed
      | Some sub ->
@@ -1358,6 +1450,21 @@ module Make (M : Signatures.MODEL) = struct
          bracketing proper: the task span is the goal's last child. *)
       flush_goal_closes run
 
+  (* Close the profiler / flight-recorder bracket of a task begun at
+     [ns0]: one clock read serves both, so a task reads the clock twice
+     whichever of them are attached. *)
+  let end_task t task ~ns0 =
+    let ns = Obs.Clock.now_int () in
+    (match t.prof with
+     | None -> ()
+     | Some pf -> Obs.Profile.task (task_cell pf task) ~ns:(ns - ns0));
+    match t.fr_ring with
+    | None -> ()
+    | Some ring ->
+      Obs.Flight_recorder.record_at ring Obs.Flight_recorder.Task_end ~ns
+        ~group:(Memo.find_root t.memo (task_group task))
+        ~detail:(task_code task)
+
   (* Execute one task. Returns [false] when the stack is empty. *)
   let step run =
     match run.r_stack with
@@ -1368,38 +1475,24 @@ module Make (M : Signatures.MODEL) = struct
       run.r_tasks <- run.r_tasks + 1;
       let t = run.rt in
       Search_stats.count_task t.stats (task_kind task);
-      (match (t.pr_buf, t.fr_ring) with
+      (match (t.prof, t.fr_ring) with
        | None, None -> exec_with_trace run task
-       | pr, fr ->
-         (match fr with
+       | _ ->
+         let ns0 = Obs.Clock.now_int () in
+         (match t.fr_ring with
           | None -> ()
           | Some ring ->
-            Obs.Flight_recorder.record ring Obs.Flight_recorder.Task_begin
+            Obs.Flight_recorder.record_at ring Obs.Flight_recorder.Task_begin ~ns:ns0
               ~group:(Memo.find_root t.memo (task_group task))
               ~detail:(task_code task));
-         let t_start = match pr with None -> 0L | Some _ -> Obs.Clock.now_ns () in
          (* Exactly one profile charge per executed task — including
             tasks that abort (a worker's [Par_unexplored]), which the
             task counters also include: the attribution-parity
             invariant (sum of per-entry tasks = total tasks). *)
-         let finish () =
-           (match pr with
-            | None -> ()
-            | Some pb ->
-              let kind, name = task_attr task in
-              Obs.Profile.task pb kind name
-                ~ns:(Int64.sub (Obs.Clock.now_ns ()) t_start));
-           match fr with
-           | None -> ()
-           | Some ring ->
-             Obs.Flight_recorder.record ring Obs.Flight_recorder.Task_end
-               ~group:(Memo.find_root t.memo (task_group task))
-               ~detail:(task_code task)
-         in
          (match exec_with_trace run task with
-          | () -> finish ()
+          | () -> end_task t task ~ns0
           | exception e ->
-            finish ();
+            end_task t task ~ns0;
             raise e));
       true
 
@@ -1462,7 +1555,7 @@ module Make (M : Signatures.MODEL) = struct
             ignore (step run : bool);
             loop ()
       in
-      let status = loop () in
+      let status = profiling run.rt loop in
       run.r_millis <- run.r_millis +. ((Unix.gettimeofday () -. t0) *. 1000.);
       run.r_status <- Some status;
       (* A budget pause is an abnormal end: dump the flight recorder so
@@ -1825,9 +1918,7 @@ module Make (M : Signatures.MODEL) = struct
       let wbuf =
         Option.map (fun tr -> Obs.Trace.buf tr ~track:(widx + 1)) t.config.tracer
       in
-      let wpbuf =
-        Option.map (fun pr -> Obs.Profile.buf pr ~track:(widx + 1)) t.config.profiler
-      in
+      let wprof = Option.map (make_prof ~track:(widx + 1)) t.config.profiler in
       let wring =
         Option.map
           (fun fr -> Obs.Flight_recorder.ring fr ~track:(widx + 1))
@@ -1839,10 +1930,11 @@ module Make (M : Signatures.MODEL) = struct
           stats = wstats;
           mode = Worker ctx;
           tr_buf = wbuf;
-          pr_buf = wpbuf;
+          prof = wprof;
           fr_ring = wring;
         }
       in
+      profiling wt @@ fun () ->
       let phase_span =
         Option.map
           (fun buf -> Obs.Trace.open_span buf ~cat:"phase" "parallel-worker")
@@ -2034,7 +2126,8 @@ module Make (M : Signatures.MODEL) = struct
   let run ?(limit = M.cost_infinite) ?budget ?(domains = 1) t (query : M.op Tree.t)
       ~required : outcome =
     if domains <= 1 then optimize ~limit ?budget t query ~required
-    else begin
+    else
+      profiling t @@ fun () ->
       let t0 = Unix.gettimeofday () in
       let deadline =
         let b = Option.value budget ~default:t.config.budget in
@@ -2096,7 +2189,6 @@ module Make (M : Signatures.MODEL) = struct
       r.r_millis <- (Unix.gettimeofday () -. t0) *. 1000.;
       phase "finish" (fun () -> ignore (resume ?budget r : status));
       outcome_of r
-    end
 
   (* Render the memo: every equivalence class with its logical
      multi-expressions and the winners recorded per optimization goal —

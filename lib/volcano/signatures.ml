@@ -24,10 +24,15 @@ module type MODEL = sig
   (** {1 Physical algebra: algorithms and enforcers} — item (3) *)
 
   type alg
+  (** The search profiler keys enforcer attribution by algorithm
+      value under polymorphic hashing and equality, so the algorithms
+      {!enforcers} returns must be plain data, holding no functions. *)
 
   val alg_arity : alg -> int
 
   val alg_name : alg -> string
+  (** A function of the value alone: equal algorithms have equal
+      names. *)
 
   (** {1 ADT "logical properties"} — item (6), with the property
       function for logical operators from item (10); selectivity

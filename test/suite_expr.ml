@@ -121,11 +121,47 @@ let prop_and_commutative =
     (fun (a, b, t) ->
       Expr.eval_pred schema (And (a, b)) t = Expr.eval_pred schema (And (b, a)) t)
 
+(* Rendering of every constructor, pinned to the strings the
+   [Format]-based printer produced: operator names, EXPLAIN text and
+   plan-cache fingerprints all depend on them. *)
+let test_rendering () =
+  let f x = Const (Value.Float x) in
+  List.iter
+    (fun (e, want) -> Alcotest.(check string) want want (Expr.to_string e))
+    [
+      (col "r.a" =% int 1, "r.a = 1");
+      ( (col "r.a" <% col "r.b") &&% Not (col "s.a" >=% int (-3)),
+        "(r.a < r.b) AND (NOT (s.a >= -3))" );
+      ( col "r.a" =% int 9 ||% (col "r.b" <=% int 2 &&% (col "s.a" =% col "r.a")),
+        "(r.a = 9 OR (r.b <= 2) AND (s.a = r.a))" );
+      ( Cmp
+          ( Ne,
+            Arith (Add, col "r.a", Arith (Mul, col "r.b", int 10)),
+            Arith (Div, col "s.a", Arith (Sub, int 4, int 2)) ),
+        "(r.a + (r.b * 10)) <> (s.a / (4 - 2))" );
+      (Cmp (Eq, col "t.s", Const (Value.Str "it's \"q\"\n")), "t.s = \"it's \\\"q\\\"\\n\"");
+      ( Cmp (Gt, col "t.f", f 2.5e-7) &&% Cmp (Lt, col "t.f", f 1234567.0),
+        "(t.f > 2.5e-07) AND (t.f < 1.23457e+06)" );
+      ( Cmp (Eq, col "t.n", Const Value.Null)
+        ||% Not (Cmp (Eq, col "t.b", Const (Value.Bool true))),
+        "(t.n = NULL OR NOT (t.b = true))" );
+      (Not (Not (col "t.b")), "NOT (NOT t.b)");
+    ];
+  List.iter
+    (fun (o, want) -> Alcotest.(check string) want want (Sort_order.to_string o))
+    [
+      ([], "any");
+      ([ ("r.a", Sort_order.Asc) ], "r.a");
+      ( [ ("r.a", Sort_order.Desc); ("s.b", Sort_order.Asc); ("t.c", Sort_order.Desc) ],
+        "r.a desc, s.b, t.c desc" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "comparisons" `Quick test_eval_comparisons;
     Alcotest.test_case "null semantics" `Quick test_null_semantics;
     Alcotest.test_case "arithmetic eval" `Quick test_arith_eval;
+    Alcotest.test_case "rendering" `Quick test_rendering;
     Alcotest.test_case "columns" `Quick test_columns;
     Alcotest.test_case "conjuncts roundtrip" `Quick test_conjuncts_roundtrip;
     Alcotest.test_case "conjoin canonical" `Quick test_conjoin_canonical;

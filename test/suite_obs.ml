@@ -670,6 +670,90 @@ let prop_profile_plan_inert =
       plain = render result
       && Obs.Profile.total_tasks profiler = result.stats.Volcano.Search_stats.tasks)
 
+(* Every count column of the profile report on fixed queries matches
+   the golden listing ({!Golden_profile}): attribution is a function of
+   the search alone, whatever the recording mechanism. *)
+let test_profile_golden () =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (shape, label) ->
+      let q = workload ~shape ~n:5 ~seed:1705 in
+      let profiler = Obs.Profile.create () in
+      let result = optimize ~profiler q in
+      let key (e : Obs.Profile.entry) = (Obs.Profile.kind_name e.kind, e.name) in
+      let entries =
+        List.sort (fun a b -> compare (key a) (key b)) (Obs.Profile.report profiler)
+      in
+      Printf.bprintf b "== %s tasks=%d entries=%d\n" label
+        result.stats.Volcano.Search_stats.tasks (List.length entries);
+      List.iter
+        (fun (e : Obs.Profile.entry) ->
+          Printf.bprintf b "%s|%s|%d|%d|%d|%d|%d\n" (Obs.Profile.kind_name e.kind)
+            e.name e.tasks e.mexprs e.plans_won e.pruned e.wasted)
+        entries)
+    [ (Workload.Chain, "chain5"); (Workload.Star, "star5"); (Workload.Clique, "clique5") ];
+  let got = String.split_on_char '\n' (Buffer.contents b) in
+  let want = String.split_on_char '\n' Golden_profile.expected in
+  List.iteri
+    (fun i w ->
+      match List.nth_opt got i with
+      | Some g when g = w -> ()
+      | g -> Alcotest.failf "line %d: want %S, got %S" (i + 1) w (Option.value g ~default:"<end>"))
+    want;
+  Alcotest.(check int) "line count" (List.length want) (List.length got)
+
+(* A finished writer's counts fold into the collector, so the live
+   buffer count stays bounded by the writers running now — here none —
+   however many sessions the service renews. Each catalog change makes
+   the plan service renew its worker's session (a fresh searcher and
+   profiler buffer). *)
+let test_profile_buffers_fold () =
+  let catalog = Helpers.small_catalog () in
+  let profiler = Obs.Profile.create () in
+  let request =
+    { (Relmodel.Optimizer.request catalog) with
+      restore_columns = false;
+      profiler = Some profiler;
+      domains = 2 }
+  in
+  let srv = Plansrv.create (Plansrv.config ~capacity:16 ~shards:2 request) in
+  let w = Plansrv.worker srv in
+  let q =
+    Expr.(
+      Logical.join (col "s.c" =% col "t.c")
+        (Logical.join (col "r.a" =% col "s.a") (Logical.get "r") (Logical.get "s"))
+        (Logical.get "t"))
+  in
+  for i = 1 to 50 do
+    Catalog.update_stats catalog ~table:"r" ();
+    let resp = Plansrv.serve_one srv w q ~required:Phys_prop.any in
+    Alcotest.(check bool) (Printf.sprintf "renewal %d planned" i) true (resp.plan <> None);
+    Alcotest.(check int) (Printf.sprintf "renewal %d: no live buffer" i) 0
+      (Obs.Profile.live_buffers profiler)
+  done;
+  Alcotest.(check int) "folded tasks equal the service's task counter"
+    (Plansrv.metrics srv).search.Volcano.Search_stats.tasks
+    (Obs.Profile.total_tasks profiler)
+
+(* Machine-neutral cost gate: the minor-heap words the profiler adds to
+   one fixed optimization, per executed task. Charging a task must not
+   allocate; what remains is building each distinct name once. *)
+let test_profiler_allocation () =
+  let q = workload ~shape:Workload.Clique ~n:5 ~seed:1705 in
+  let words profiled =
+    let profiler = if profiled then Some (Obs.Profile.create ()) else None in
+    let w0 = Gc.minor_words () in
+    let result = optimize ?profiler q in
+    (Gc.minor_words () -. w0, result.stats.Volcano.Search_stats.tasks)
+  in
+  ignore (words false);
+  ignore (words true);
+  let off, tasks = words false in
+  let on, _ = words true in
+  let per_task = (on -. off) /. float_of_int tasks in
+  if per_task > 4. then
+    Alcotest.failf "profiler allocates %.2f words per task (bound 4)" per_task
+
 (* ------------------------------------------------------------------ *)
 (* Plansrv slow-query log and status                                   *)
 (* ------------------------------------------------------------------ *)
@@ -744,6 +828,10 @@ let suite =
     Alcotest.test_case "profiling never changes the plan" `Quick
       test_profiling_bit_identity;
     prop_profile_plan_inert;
+    Alcotest.test_case "profile attribution golden" `Quick test_profile_golden;
+    Alcotest.test_case "profile buffers fold on session renewal" `Quick
+      test_profile_buffers_fold;
+    Alcotest.test_case "profiler allocation per task" `Quick test_profiler_allocation;
     Alcotest.test_case "plansrv slow log and status" `Quick
       test_plansrv_slow_log_and_status;
   ]
