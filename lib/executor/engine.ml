@@ -23,6 +23,22 @@ let aggregate_schema = Catalog.Plan_schema.aggregate_schema
 let schema_of ctx (p : Physical.plan) : Schema.t = Catalog.plan_schema ctx.catalog p
 
 (* ---------------------------------------------------------------------- *)
+(* Keys                                                                    *)
+(* ---------------------------------------------------------------------- *)
+
+(* Compare [a]'s values at [aidx] with [b]'s at [bidx], from key [k]
+   on; [Value.equal] is this comparison reading 0. This and the other
+   per-row and per-probe key loops are top-level functions with no free
+   variables, so a call allocates nothing: a local [let rec] over the
+   rows would build a closure on every call. *)
+let rec compare_keys aidx (a : Tuple.t) bidx (b : Tuple.t) k =
+  if k >= Array.length aidx then 0
+  else begin
+    let c = Value.compare a.(aidx.(k)) b.(bidx.(k)) in
+    if c <> 0 then c else compare_keys aidx a bidx b (k + 1)
+  end
+
+(* ---------------------------------------------------------------------- *)
 (* Hash index                                                              *)
 (* ---------------------------------------------------------------------- *)
 
@@ -58,9 +74,10 @@ module Index = struct
     done;
     !h land max_int
 
-  let has_null cols (r : Tuple.t) =
-    let rec go k = k < Array.length cols && (Value.is_null r.(cols.(k)) || go (k + 1)) in
-    go 0
+  let rec null_from cols (r : Tuple.t) k =
+    k < Array.length cols && (Value.is_null r.(cols.(k)) || null_from cols r (k + 1))
+
+  let has_null cols r = null_from cols r 0
 
   let release t =
     if Array.length t.rows > 0 then begin
@@ -123,12 +140,7 @@ module Index = struct
     t.size <- p + 1;
     link t p h
 
-  let matches t p key_cols (probe : Tuple.t) =
-    let r = t.rows.(p) and cols = t.cols in
-    let rec go k =
-      k >= Array.length cols || (Value.equal r.(cols.(k)) probe.(key_cols.(k)) && go (k + 1))
-    in
-    go 0
+  let matches t p key_cols probe = compare_keys t.cols t.rows.(p) key_cols probe 0 = 0
 
   let rec scan t h key_cols probe p =
     if p < 0 || (t.hashes.(p) = h && matches t p key_cols probe) then p
@@ -194,6 +206,69 @@ let array_cursor schema fill : Cursor.t =
         rows := [||];
         n := 0);
   }
+
+(* ---------------------------------------------------------------------- *)
+(* Sorting                                                                 *)
+(* ---------------------------------------------------------------------- *)
+
+(* The executor's one sort: a stable top-down merge sort. Ranges of at
+   most [insertion_max] rows are insertion-sorted, and two sorted halves
+   already in order are not merged, so sorted input costs n - 1
+   comparisons. The merge copies the left half out to a scratch array
+   from [Array_pool] (a fresh one per sort would pile up in the major
+   heap; see [Array_pool]). *)
+
+let insertion_max = 12
+
+let insertion_sort cmp (a : Tuple.t array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && cmp a.(!j) x > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* Merge the sorted runs [a.(lo .. mid - 1)] and [a.(mid .. hi - 1)],
+   taking the left row on a tie. Once the left run is used up, the rest
+   of the right run is already in place. *)
+let merge cmp (a : Tuple.t array) tmp lo mid hi =
+  let n = mid - lo in
+  Array.blit a lo tmp 0 n;
+  let i = ref 0 and j = ref mid and k = ref lo in
+  while !i < n && !j < hi do
+    let l = tmp.(!i) and r = a.(!j) in
+    if cmp l r <= 0 then begin
+      a.(!k) <- l;
+      incr i
+    end
+    else begin
+      a.(!k) <- r;
+      incr j
+    end;
+    incr k
+  done;
+  Array.blit tmp !i a !k (n - !i)
+
+let rec merge_sort cmp a tmp lo hi =
+  if hi - lo <= insertion_max then insertion_sort cmp a lo hi
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    merge_sort cmp a tmp lo mid;
+    merge_sort cmp a tmp mid hi;
+    if cmp a.(mid - 1) a.(mid) > 0 then merge cmp a tmp lo mid hi
+  end
+
+(* Sort [a.(0 .. n - 1)] by [cmp], stably. *)
+let sort_rows cmp (a : Tuple.t array) n =
+  if n <= insertion_max then insertion_sort cmp a 0 n
+  else begin
+    let tmp = Array_pool.Rows.take (n / 2) in
+    merge_sort cmp a tmp 0 n;
+    Array_pool.Rows.give tmp
+  end
 
 (* ---------------------------------------------------------------------- *)
 (* Aggregate evaluation                                                    *)
@@ -292,7 +367,7 @@ let index_scan ctx name cols pred : Cursor.t =
       let qualifying =
         Cursor.to_array (Cursor.filter_stream keep (Cursor.of_array table.schema table.tuples))
       in
-      Array.sort cmp qualifying;
+      sort_rows cmp qualifying (Array.length qualifying);
       Io_stats.read ctx.io (1 + pages_of ctx table.schema (Array.length qualifying));
       (qualifying, Array.length qualifying))
 
@@ -324,7 +399,7 @@ let sort_op ctx order ~dedup (input : Cursor.t) : Cursor.t =
   let cmp = Sort_order.compare_tuples schema order in
   array_cursor schema (fun () ->
       let tuples = materialize_for_sort ctx input in
-      Array.sort cmp tuples;
+      sort_rows cmp tuples (Array.length tuples);
       (tuples, if dedup then dedup_sorted tuples else Array.length tuples))
 
 let hash_dedup_op (input : Cursor.t) : Cursor.t =
@@ -435,6 +510,30 @@ let hash_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
         left.Cursor.close ());
   }
 
+(* One side's current group of equal-key rows in a merge join: the
+   first [size] rows of [rows], an array reused from group to group. *)
+type group = {
+  mutable rows : Tuple.t array;
+  mutable size : int;
+}
+
+(* Refill [g] with the consecutive rows from [!cur] on whose key at
+   [idx] equals [first]'s, pulling them from [input]; leaves [cur] at
+   the first row that differs. *)
+let rec collect_group g (input : Cursor.t) cur idx first =
+  match !cur with
+  | Some t when compare_keys idx t idx first 0 = 0 ->
+    if g.size = Array.length g.rows then begin
+      let bigger = Array.make (max 8 (2 * g.size)) [||] in
+      Array.blit g.rows 0 bigger 0 g.size;
+      g.rows <- bigger
+    end;
+    g.rows.(g.size) <- t;
+    g.size <- g.size + 1;
+    cur := input.Cursor.next ();
+    collect_group g input cur idx first
+  | Some _ | None -> ()
+
 (* Streaming merge join over inputs sorted on the equi-key columns:
    buffers one group of equal keys per side, emits their cross product
    (filtered by the residual predicate), then advances both sides. Rows
@@ -444,39 +543,26 @@ let merge_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
   let keep = Expr.eval_pred schema pred in
   let lidx = key_positions left.Cursor.schema (List.map fst keys) in
   let ridx = key_positions right.Cursor.schema (List.map snd keys) in
-  let compare_keys aidx (a : Tuple.t) bidx (b : Tuple.t) =
-    let rec go k =
-      if k >= Array.length aidx then 0
-      else begin
-        let c = Value.compare a.(aidx.(k)) b.(bidx.(k)) in
-        if c <> 0 then c else go (k + 1)
-      end
-    in
-    go 0
-  in
   let lcur = ref None and rcur = ref None in
   let advance_l () = lcur := left.Cursor.next () in
   let advance_r () = rcur := right.Cursor.next () in
   (* The current cross product: left group, right group, and the next
      pair to emit. *)
-  let lgroup = ref [||] and rgroup = ref [||] and li = ref 0 and ri = ref 0 in
-  (* Collect the consecutive tuples whose key equals [first]'s; leaves
-     the cursor at the first non-matching tuple. *)
-  let collect_group cur advance idx first =
-    let rec go acc =
-      match !cur with
-      | Some t when compare_keys idx t idx first = 0 ->
-        advance ();
-        go (t :: acc)
-      | Some _ | None -> Array.of_list (List.rev acc)
-    in
-    go []
+  let lgroup = { rows = [||]; size = 0 } and rgroup = { rows = [||]; size = 0 } in
+  let li = ref 0 and ri = ref 0 in
+  let start_group g cur input idx first =
+    g.size <- 0;
+    collect_group g input cur idx first
+  in
+  let clear g =
+    g.rows <- [||];
+    g.size <- 0
   in
   let rec next () =
-    if !li < Array.length !lgroup then begin
-      let t = Tuple.concat !lgroup.(!li) !rgroup.(!ri) in
+    if !li < lgroup.size then begin
+      let t = Tuple.concat lgroup.rows.(!li) rgroup.rows.(!ri) in
       incr ri;
-      if !ri >= Array.length !rgroup then begin
+      if !ri >= rgroup.size then begin
         ri := 0;
         incr li
       end;
@@ -492,7 +578,7 @@ let merge_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
         advance_r ();
         next ()
       | Some l, Some r ->
-        let c = compare_keys lidx l ridx r in
+        let c = compare_keys lidx l ridx r 0 in
         if c < 0 then begin
           advance_l ();
           next ()
@@ -502,8 +588,8 @@ let merge_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
           next ()
         end
         else begin
-          lgroup := collect_group lcur advance_l lidx l;
-          rgroup := collect_group rcur advance_r ridx r;
+          start_group lgroup lcur left lidx l;
+          start_group rgroup rcur right ridx r;
           li := 0;
           ri := 0;
           next ()
@@ -518,13 +604,13 @@ let merge_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
         right.Cursor.open_ ();
         advance_l ();
         advance_r ();
-        lgroup := [||];
-        rgroup := [||]);
+        clear lgroup;
+        clear rgroup);
     next;
     close =
       (fun () ->
-        lgroup := [||];
-        rgroup := [||];
+        clear lgroup;
+        clear rgroup;
         left.Cursor.close ();
         right.Cursor.close ());
   }
@@ -602,36 +688,19 @@ let hash_semi ~anti (left : Cursor.t) (right : Cursor.t) : Cursor.t =
         left.Cursor.close ());
   }
 
+(* Advance [cur] over [input] past every row equal to [t] at [cols],
+   the one just consumed: a merge set operation's inputs only need to be
+   sorted, not duplicate-free, and its output is a set. *)
+let rec skip_equal (input : Cursor.t) cur cols t =
+  cur := input.Cursor.next ();
+  match !cur with
+  | Some u when compare_keys cols u cols t 0 = 0 -> skip_equal input cur cols t
+  | Some _ | None -> ()
+
 let merge_setop kind (left : Cursor.t) (right : Cursor.t) : Cursor.t =
+  let cols = all_columns left.Cursor.schema in
   let lcur = ref None and rcur = ref None in
-  let compare_tuples (a : Tuple.t) (b : Tuple.t) =
-    let n = min (Array.length a) (Array.length b) in
-    let rec go i =
-      if i >= n then 0
-      else begin
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-      end
-    in
-    go 0
-  in
-  (* Advance a side past every tuple equal to the one just consumed:
-     inputs only need to be sorted, not duplicate-free, and the output
-     is a set. *)
-  let skip_l l =
-    let rec go () =
-      lcur := left.Cursor.next ();
-      match !lcur with Some t when compare_tuples t l = 0 -> go () | _ -> ()
-    in
-    go ()
-  in
-  let skip_r r =
-    let rec go () =
-      rcur := right.Cursor.next ();
-      match !rcur with Some t when compare_tuples t r = 0 -> go () | _ -> ()
-    in
-    go ()
-  in
+  let skip_l l = skip_equal left lcur cols l and skip_r r = skip_equal right rcur cols r in
   let rec next () =
     match !lcur, !rcur with
     | None, None -> None
@@ -650,7 +719,7 @@ let merge_setop kind (left : Cursor.t) (right : Cursor.t) : Cursor.t =
       | `Intersect | `Difference -> None
     end
     | Some l, Some r ->
-      let c = compare_tuples l r in
+      let c = compare_keys cols l cols r 0 in
       if c < 0 then begin
         skip_l l;
         match kind with `Union | `Difference -> Some l | `Intersect -> next ()
@@ -726,12 +795,7 @@ let stream_aggregate keys aggs (input : Cursor.t) : Cursor.t =
     in_group := true;
     update !states t
   in
-  let same_group (t : Tuple.t) =
-    let rec go k =
-      k >= Array.length kidx || (Value.equal !first.(kidx.(k)) t.(kidx.(k)) && go (k + 1))
-    in
-    go 0
-  in
+  let same_group t = compare_keys kidx !first kidx t 0 = 0 in
   let rec next () =
     match input.Cursor.next () with
     | None ->

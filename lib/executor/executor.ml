@@ -2,6 +2,7 @@
     into open/next/close cursors over the catalog's paged storage, with
     I/O accounting that mirrors the cost model. *)
 
+module Array_pool = Array_pool
 module Cursor = Cursor
 module Engine = Engine
 module Io_stats = Io_stats

@@ -42,9 +42,11 @@ type registry = {
   mutable counters : counter list;  (** reverse registration order *)
   mutable gauges : gauge list;
   mutable histograms : histogram list;
+  mutable hooks : (unit -> unit) list;  (** reverse registration order *)
 }
 
-let create () = { lock = Mutex.create (); counters = []; gauges = []; histograms = [] }
+let create () =
+  { lock = Mutex.create (); counters = []; gauges = []; histograms = []; hooks = [] }
 
 let counter reg ?(help = "") name =
   Mutex.protect reg.lock (fun () ->
@@ -64,6 +66,8 @@ let gauge reg ?(help = "") name read =
       match List.find_opt (fun g -> g.g_name = name) reg.gauges with
       | Some g -> g.g_read <- read
       | None -> reg.gauges <- { g_name = name; g_help = help; g_read = read } :: reg.gauges)
+
+let before_export reg f = Mutex.protect reg.lock (fun () -> reg.hooks <- f :: reg.hooks)
 
 let histogram reg ?(help = "") name =
   Mutex.protect reg.lock (fun () ->
@@ -123,9 +127,15 @@ let quantile h q =
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The instruments to export, after running the export hooks (outside
+   the lock: a hook may read other locked state). *)
 let snapshot reg =
-  Mutex.protect reg.lock (fun () ->
-      (List.rev reg.counters, List.rev reg.gauges, List.rev reg.histograms))
+  let hooks, instruments =
+    Mutex.protect reg.lock (fun () ->
+        (reg.hooks, (List.rev reg.counters, List.rev reg.gauges, List.rev reg.histograms)))
+  in
+  List.iter (fun f -> f ()) (List.rev hooks);
+  instruments
 
 let fmt_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f

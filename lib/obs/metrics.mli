@@ -29,6 +29,12 @@ val counter_value : counter -> int
 val gauge : registry -> ?help:string -> string -> (unit -> float) -> unit
 (** Registering an existing name replaces its reader. *)
 
+val before_export : registry -> (unit -> unit) -> unit
+(** [before_export reg f] runs [f] once at the start of every export,
+    before any gauge is read, so gauges that read one costly
+    computation can share it per export instead of redoing it each.
+    Hooks run in registration order. *)
+
 (** {1 Histograms} — power-of-two log-bucketed, for long-tailed
     distributions (latencies, per-goal task counts). Quantiles are
     estimated from the bucket walk: the reported value is the upper

@@ -227,9 +227,16 @@ let sanitize name =
       | _ -> '_')
     name
 
-(* Export rule/enforcer attribution as registry gauges: the gauge
-   closures re-merge at scrape time, so they track a live search. *)
+(* Export rule/enforcer attribution as registry gauges. Each export
+   merges one report, indexed by kind and name, before any gauge reads
+   it; so the gauges track a live search, and a scrape costs one report,
+   not one per gauge. *)
 let register ?(prefix = "rule_") t reg =
+  let index = ref (Hashtbl.create 0) in
+  Metrics.before_export reg (fun () ->
+      let tbl = Hashtbl.create 64 in
+      List.iter (fun e -> Hashtbl.replace tbl (e.kind, e.name) e) (report t);
+      index := tbl);
   let seen = Hashtbl.create 16 in
   let publish e =
     let base =
@@ -245,11 +252,7 @@ let register ?(prefix = "rule_") t reg =
           ~help:(Printf.sprintf "profiler %s for %s %s" suffix (kind_name e.kind) e.name)
           (base ^ "_" ^ suffix)
           (fun () ->
-            match
-              List.find_opt
-                (fun x -> x.kind = e.kind && x.name = e.name)
-                (report t)
-            with
+            match Hashtbl.find_opt !index (e.kind, e.name) with
             | Some x -> pick x
             | None -> 0.)
       in

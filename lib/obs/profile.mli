@@ -107,4 +107,5 @@ val pp_table : ?top:int -> Format.formatter -> t -> unit
 val register : ?prefix:string -> t -> Metrics.registry -> unit
 (** Export rule and enforcer entries as [rule_*] gauges (tasks, mexprs,
     plans_won, wasted, time_ms per entry). Gauges read live state at
-    scrape time. *)
+    scrape time: each export merges one report, which all of them
+    read. *)

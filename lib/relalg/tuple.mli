@@ -13,7 +13,7 @@ val project : Schema.t -> string list -> t -> t
 val compare_by : Schema.t -> (string * [ `Asc | `Desc ]) list -> t -> t -> int
 (** Lexicographic comparison by the given columns and directions.
     Staged: [compare_by schema keys] resolves the columns once and
-    returns the comparator. *)
+    returns the comparator, and a comparison allocates nothing. *)
 
 val equal : t -> t -> bool
 

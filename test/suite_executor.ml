@@ -85,6 +85,44 @@ let test_sort_and_dedup () =
     [ [ 1; 1 ]; [ 2; 1 ]; [ 3; 1 ] ]
     (run_cursor deduped)
 
+(* Sort_dedup keeps the first row, in input order, of each run of
+   equal rows: [Int 1] equals [Float 1.], so which one survives shows. *)
+let test_sort_dedup_keeps_first () =
+  let ctx = Executor.Engine.context (Catalog.create ()) in
+  let input : Tuple.t array =
+    [|
+      [| Value.Float 1.; Value.Int 0 |];
+      [| Value.Int 2; Value.Int 0 |];
+      [| Value.Int 1; Value.Int 0 |];
+      [| Value.Float 2.; Value.Int 0 |];
+      [| Value.Int 1; Value.Int 0 |];
+    |]
+  in
+  let deduped =
+    Executor.Engine.sort_op ctx (Sort_order.asc [ "r.k"; "r.v" ]) ~dedup:true
+      (Executor.Cursor.of_array schema_rk input)
+  in
+  let out = Executor.Cursor.to_array deduped in
+  Alcotest.(check int) "two distinct rows" 2 (Array.length out);
+  Alcotest.(check bool) "first of the 1s kept" true (out.(0) == input.(0));
+  Alcotest.(check bool) "first of the 2s kept" true (out.(1) == input.(1))
+
+(* The merge sort's scratch array comes from the pool and goes back to
+   it holding no rows. *)
+let test_sort_scratch_pooled () =
+  let n = 1000 in
+  let rows = Array.init n (fun i -> [| Value.Int (n - i); Value.Int 0 |]) in
+  let scratch = Executor.Array_pool.Rows.take (n / 2) in
+  Executor.Array_pool.Rows.give scratch;
+  Executor.Engine.sort_rows (Sort_order.compare_tuples schema_rk (Sort_order.asc [ "r.k" ])) rows n;
+  Alcotest.(check (list int)) "sorted" (List.init n (fun i -> i + 1))
+    (Array.to_list (Array.map (fun r -> List.hd (ints r)) rows));
+  let again = Executor.Array_pool.Rows.take (n / 2) in
+  Alcotest.(check bool) "the pooled scratch was used and given back" true (again == scratch);
+  Alcotest.(check bool) "given back holding no rows" true
+    (Array.for_all (fun r -> Array.length r = 0) again);
+  Executor.Array_pool.Rows.give again
+
 let test_hash_dedup () =
   let input = src schema_rk [ (1, 1); (2, 2); (1, 1); (2, 2); (3, 3) ] in
   let c = Executor.Engine.hash_dedup_op input in
@@ -264,6 +302,65 @@ let sorted n schema rows =
   Array.sort (Sort_order.compare_tuples schema (Sort_order.asc cols)) a;
   Executor.Cursor.of_array schema a
 
+(* Inputs for the sort property: rows of two key columns holding NULL,
+   an Int or an integral Float (so [Int 1] ties [Float 1.]) and a third
+   holding the row's input position; an order of one to three keys,
+   each ascending or descending; and the input's layout. *)
+let schema_sort : Schema.t =
+  [|
+    Schema.attribute "t.a" Schema.TInt;
+    Schema.attribute "t.b" Schema.TInt;
+    Schema.attribute "t.pos" Schema.TInt;
+  |]
+
+let gen_sort_case =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        return Value.Null;
+        map (fun i -> Value.Int i) (int_range 0 4);
+        map (fun i -> Value.Float (float_of_int i)) (int_range 0 4);
+      ]
+  in
+  let key = pair (oneofl [ "t.a"; "t.b"; "t.pos" ]) (oneofl [ Sort_order.Asc; Sort_order.Desc ]) in
+  let* layout = oneofl [ `Random; `Sorted; `Reversed; `Equal ] in
+  let* order = list_size (int_range 1 3) key in
+  let* n = oneof [ int_range 0 40; int_range 0 3000 ] in
+  let* keys = list_repeat n (pair value value) in
+  let cmp = Sort_order.compare_tuples schema_sort order in
+  let row (a, b) = [| a; b; Value.Int 0 |] in
+  let rows =
+    match layout, keys with
+    | `Random, _ -> List.map row keys
+    | `Sorted, _ -> List.stable_sort cmp (List.map row keys)
+    | `Reversed, _ -> List.rev (List.stable_sort cmp (List.map row keys))
+    | `Equal, [] -> []
+    | `Equal, k :: _ -> List.map (fun _ -> row k) keys
+  in
+  return (layout, order, List.mapi (fun i r -> (r.(2) <- Value.Int i; r)) rows)
+
+let print_sort_case (layout, order, rows) =
+  Printf.sprintf "%s, %d rows, order %s"
+    (match layout with
+     | `Random -> "random"
+     | `Sorted -> "sorted"
+     | `Reversed -> "reversed"
+     | `Equal -> "all equal")
+    (List.length rows)
+    (Format.asprintf "%a" Sort_order.pp order)
+
+(* The executor's sort is [List.stable_sort]: the same rows, rows that
+   tie on the keys in input order. *)
+let prop_sort_stable =
+  Helpers.qcheck_case ~count:200 "sort equals List.stable_sort"
+    (QCheck.make ~print:print_sort_case gen_sort_case)
+    (fun (_, order, rows) ->
+      let cmp = Sort_order.compare_tuples schema_sort order in
+      let a = Array.of_list rows in
+      Executor.Engine.sort_rows cmp a (Array.length a);
+      List.for_all2 ( == ) (List.stable_sort cmp rows) (Array.to_list a))
+
 let prop_joins_agree =
   Helpers.qcheck_case ~count:300 "nested-loop, hash and merge join agree" gen_rows
     (fun (ls, rs) ->
@@ -401,6 +498,8 @@ let suite =
     Alcotest.test_case "merge join == hash join" `Quick test_merge_equals_hash;
     Alcotest.test_case "nested loop" `Quick test_nested_loop_rescan;
     Alcotest.test_case "sort and sort_dedup" `Quick test_sort_and_dedup;
+    Alcotest.test_case "sort_dedup keeps the first equal row" `Quick test_sort_dedup_keeps_first;
+    Alcotest.test_case "sort scratch comes from the pool" `Quick test_sort_scratch_pooled;
     Alcotest.test_case "hash dedup" `Quick test_hash_dedup;
     Alcotest.test_case "merge set ops with duplicates" `Quick test_merge_setops_with_duplicates;
     Alcotest.test_case "hash set ops" `Quick test_hash_setops;
@@ -415,4 +514,5 @@ let suite =
     Alcotest.test_case "exception mid-drain" `Quick test_exception_mid_drain;
     prop_joins_agree;
     prop_setops_agree;
+    prop_sort_stable;
   ]

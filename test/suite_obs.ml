@@ -628,6 +628,98 @@ let test_profiler_export_shapes () =
     (Printf.sprintf "... and %d more" (List.length entries - 5))
     (List.nth lines 6)
 
+(* A profile of [n] rule entries, two enforcers and an operator,
+   charged directly on [track]'s buffer. *)
+let charge_profile ?(track = 0) pr n =
+  let b = Obs.Profile.buf pr ~track in
+  Obs.Profile.writing b (fun () ->
+      for i = 0 to n - 1 do
+        let c = Obs.Profile.cell b Obs.Profile.Rule (Printf.sprintf "r%04d" i) in
+        for _ = 0 to i mod 5 do
+          Obs.Profile.task c ~ns:(1000 * (i mod 17))
+        done;
+        Obs.Profile.mexprs c (i mod 3);
+        if i mod 4 = 0 then Obs.Profile.plan_won c;
+        Obs.Profile.wasted c (i mod 2)
+      done;
+      List.iter
+        (fun name -> Obs.Profile.task (Obs.Profile.cell b Obs.Profile.Enforcer name) ~ns:500)
+        [ "sort"; "exchange" ];
+      Obs.Profile.task (Obs.Profile.cell b Obs.Profile.Operator "hash_join") ~ns:1)
+
+(* The rule gauges as [Obs.Profile.register] once built them: every
+   read merges a whole report and scans it. The reference for gauges
+   that share one report per export (names here need no sanitizing). *)
+let register_per_read pr reg =
+  List.iter
+    (fun (e : Obs.Profile.entry) ->
+      let base =
+        match e.kind with
+        | Obs.Profile.Rule -> "rule_" ^ e.name
+        | Obs.Profile.Enforcer -> "rule_enforcer_" ^ e.name
+        | Obs.Profile.Operator | Obs.Profile.Engine -> ""
+      in
+      if base <> "" then
+        List.iter
+          (fun (suffix, pick) ->
+            Obs.Metrics.gauge reg
+              ~help:
+                (Printf.sprintf "profiler %s for %s %s" suffix (Obs.Profile.kind_name e.kind)
+                   e.name)
+              (base ^ "_" ^ suffix)
+              (fun () ->
+                match
+                  List.find_opt
+                    (fun (x : Obs.Profile.entry) -> x.kind = e.kind && x.name = e.name)
+                    (Obs.Profile.report pr)
+                with
+                | Some x -> pick x
+                | None -> 0.))
+          [
+            ("tasks", fun (x : Obs.Profile.entry) -> float_of_int x.tasks);
+            ("mexprs", fun x -> float_of_int x.mexprs);
+            ("plans_won", fun x -> float_of_int x.plans_won);
+            ("wasted", fun x -> float_of_int x.wasted);
+            ("time_ms", fun x -> Int64.to_float x.ns /. 1e6);
+          ])
+    (Obs.Profile.report pr)
+
+(* A scrape of the rule gauges merges one report, not one per gauge,
+   and exports what per-read gauges export, byte for byte. *)
+let test_profiler_scrape_one_report () =
+  let pr = Obs.Profile.create () in
+  charge_profile pr 200;
+  let reg = Obs.Metrics.create () and reference = Obs.Metrics.create () in
+  Obs.Profile.register pr reg;
+  register_per_read pr reference;
+  let exports = ref 0 in
+  Obs.Metrics.before_export reg (fun () -> incr exports);
+  let same msg =
+    Alcotest.(check string) (msg ^ ": prometheus") (Obs.Metrics.to_prometheus reference)
+      (Obs.Metrics.to_prometheus reg);
+    Alcotest.(check string) (msg ^ ": json")
+      (Obs.Json.to_string (Obs.Metrics.to_json reference))
+      (Obs.Json.to_string (Obs.Metrics.to_json reg))
+  in
+  same "identical to per-read gauges";
+  Alcotest.(check int) "each export runs the hooks once" 2 !exports;
+  (* The gauges track the profile: charges after registration show. *)
+  charge_profile ~track:1 pr 10;
+  same "identical after more charges";
+  let text = Obs.Metrics.to_prometheus reg in
+  Alcotest.(check bool) "new charges exported" true (Helpers.contains text "rule_r0004_tasks 10\n");
+  (* 1,729 entries, as a clique-6 optimization records: merging a
+     report per gauge read took over 10 s for one scrape. *)
+  let big = Obs.Profile.create () in
+  charge_profile big 1729;
+  let reg = Obs.Metrics.create () in
+  Obs.Profile.register big reg;
+  let t0 = Obs.Clock.now_ns () in
+  let text = Obs.Metrics.to_prometheus reg in
+  let ms = Obs.Clock.span_ms ~since:t0 (Obs.Clock.now_ns ()) in
+  Alcotest.(check bool) "every entry exported" true (Helpers.contains text "rule_r1728_time_ms ");
+  if ms > 2000. then Alcotest.failf "scraping 1,729 entries took %.0f ms" ms
+
 (* Observability stays plan-inert with the profiler and the flight
    recorder attached, at 1, 2, and 4 domains. *)
 let test_profiling_bit_identity () =
@@ -825,6 +917,7 @@ let suite =
     Alcotest.test_case "profiler attribution parity" `Quick
       test_profiler_attribution_parity;
     Alcotest.test_case "profiler export shapes" `Quick test_profiler_export_shapes;
+    Alcotest.test_case "profiler scrape merges one report" `Quick test_profiler_scrape_one_report;
     Alcotest.test_case "profiling never changes the plan" `Quick
       test_profiling_bit_identity;
     prop_profile_plan_inert;
