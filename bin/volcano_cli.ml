@@ -94,7 +94,7 @@ let print_trace_summary tracer =
           (List.filter (fun (s : Obs.Trace.span) -> s.sp_track = track) spans)
       in
       Format.eprintf "trace: track %d (%s): %d spans@." track
-        (if track = 0 then "sequential" else "worker " ^ string_of_int track)
+        (if track = 0 then "search" else "track " ^ string_of_int track)
         n)
     (Obs.Trace.tracks tracer);
   let outcomes = Hashtbl.create 8 in
@@ -109,8 +109,7 @@ let print_trace_summary tracer =
   |> List.iter (fun (k, n) -> Format.eprintf "trace: goals %s: %d@." k n)
 
 let run_optimize sql execute compare_exodus no_pruning no_guided left_deep max_steps
-    timeout_ms trace trace_out metrics_out profile_out flightrec_out show_explain
-    domains =
+    timeout_ms trace trace_out metrics_out profile_out flightrec_out show_explain =
   let catalog = demo_catalog () in
   match Sqlfront.parse catalog sql with
   | exception Sqlfront.Parse_error msg ->
@@ -142,7 +141,6 @@ let run_optimize sql execute compare_exodus no_pruning no_guided left_deep max_s
         flags = { Relmodel.Rel_model.default_flags with left_deep_only = left_deep };
         max_tasks = max_steps;
         max_millis = timeout_ms;
-        domains;
         tracer;
         profiler;
         recorder;
@@ -186,7 +184,7 @@ let run_optimize sql execute compare_exodus no_pruning no_guided left_deep max_s
       profile_out;
     Option.iter
       (fun fr ->
-        (* Abnormal ends (budget pause, stall-abandon) already dumped;
+        (* An abnormal end (budget pause) already dumped;
            otherwise dump now so the file always exists for tooling. *)
         if Obs.Flight_recorder.dumps fr = 0 then
           Obs.Flight_recorder.trigger fr ~reason:"end-of-run";
@@ -302,8 +300,7 @@ let apply_skews catalog skews =
 (* RUN: optimize and execute. Without --feedback this is the plain
    optimize-then-execute path, bit-identical to `optimize -x`; with it,
    execution is instrumented, drift is reported, and the catalog learns. *)
-let run_run sql feedback drift_out escape_k threshold no_correct max_replans skews
-    domains =
+let run_run sql feedback drift_out escape_k threshold no_correct max_replans skews =
   let catalog = demo_catalog () in
   apply_skews catalog skews;
   match Sqlfront.parse catalog sql with
@@ -311,9 +308,7 @@ let run_run sql feedback drift_out escape_k threshold no_correct max_replans ske
     Format.eprintf "parse error: %s@." msg;
     1
   | { logical; required } ->
-    let request =
-      { (Relmodel.Optimizer.request catalog) with domains }
-    in
+    let request = Relmodel.Optimizer.request catalog in
     if not feedback then begin
       let result = Relmodel.Optimizer.optimize request logical ~required in
       match result.plan with
@@ -360,7 +355,7 @@ let run_run sql feedback drift_out escape_k threshold no_correct max_replans ske
 (* EXPLAIN: optimize with alternative recording on and print the winner
    provenance tree — per-node costs, producing rules, and the losing
    alternatives of every goal with the reason each lost. *)
-let run_explain sql no_pruning no_guided left_deep domains =
+let run_explain sql no_pruning no_guided left_deep =
   let catalog = demo_catalog () in
   match Sqlfront.parse catalog sql with
   | exception Sqlfront.Parse_error msg ->
@@ -373,7 +368,6 @@ let run_explain sql no_pruning no_guided left_deep domains =
         pruning = not no_pruning;
         guided_pruning = not no_guided;
         flags = { Relmodel.Rel_model.default_flags with left_deep_only = left_deep };
-        domains;
         explain = true;
       }
     in
@@ -550,8 +544,8 @@ let print_response line (r : Plansrv.response) =
     (if r.Plansrv.parameterized then "param " else "")
     line fp
 
-let run_serve file workers capacity shards parameterize feedback skews domains
-    metrics_port slow_ms =
+let run_serve file workers capacity shards parameterize feedback skews metrics_port
+    slow_ms =
   let catalog = demo_catalog () in
   apply_skews catalog skews;
   (* Every cache-miss optimization feeds the service-wide profiler, so
@@ -561,11 +555,7 @@ let run_serve file workers capacity shards parameterize feedback skews domains
   let srv =
     Plansrv.create
       (Plansrv.config ~capacity ~shards ~parameterize ~slow_ms
-         {
-           (Relmodel.Optimizer.request catalog) with
-           domains;
-           profiler = Some profiler;
-         })
+         { (Relmodel.Optimizer.request catalog) with profiler = Some profiler })
   in
   let lines =
     match file with
@@ -632,7 +622,7 @@ let run_serve file workers capacity shards parameterize feedback skews domains
    subexpressions are detected by per-subtree fingerprints, and the
    selected strategy decides which shared results to materialize once
    and rescan instead of recomputing per consumer. *)
-let run_batch file strategy capacity shards domains metrics_out =
+let run_batch file strategy capacity shards metrics_out =
   let catalog = demo_catalog () in
   let lines = In_channel.with_open_text file In_channel.input_lines in
   let parsed = parse_statements catalog (statements_of_lines lines) in
@@ -643,8 +633,7 @@ let run_batch file strategy capacity shards domains metrics_out =
   else begin
     let srv =
       Plansrv.create
-        (Plansrv.config ~capacity ~shards
-           { (Relmodel.Optimizer.request catalog) with domains })
+        (Plansrv.config ~capacity ~shards (Relmodel.Optimizer.request catalog))
     in
     let w = Plansrv.worker srv in
     let queries = List.map (fun (_, logical, required) -> (logical, required)) parsed in
@@ -722,7 +711,7 @@ let run_workload n seed shape skew correlation =
 
 open Cmdliner
 
-(* Domain/worker/capacity counts must be >= 1: a zero or negative count
+(* Worker/capacity counts must be >= 1: a zero or negative count
    is a spelled-out usage error, not a silent clamp. *)
 let pos_int =
   let parse s =
@@ -805,9 +794,8 @@ let optimize_cmd =
       value & flag
       & info [ "trace" ]
           ~doc:
-            "Collect hierarchical search spans (goals, tasks, phases — including the \
-             parallel phase on per-worker tracks) and print a per-track / per-outcome \
-             summary to stderr.")
+            "Collect hierarchical search spans (goals and tasks) and print a \
+             per-track / per-outcome summary to stderr.")
   in
   let trace_out =
     Arg.(
@@ -845,10 +833,10 @@ let optimize_cmd =
       & opt (some string) None
       & info [ "flightrec-out" ] ~docv:"FILE"
           ~doc:
-            "Arm the flight recorder: fixed-size per-worker rings of recent engine \
-             events (task begin/end, claim/publish, prune, incumbent), dumped to \
-             $(docv) when the search pauses on a budget or abandons a stalled run \
-             (and at end-of-run otherwise, so the file always exists).")
+            "Arm the flight recorder: a fixed-size ring of recent engine events \
+             (task begin/end, publish, prune, incumbent), dumped to $(docv) when \
+             the search pauses on a budget (and at end-of-run otherwise, so the \
+             file always exists).")
   in
   let explain =
     Arg.(
@@ -858,20 +846,12 @@ let optimize_cmd =
             "Record losing alternatives during the search and print the winner \
              provenance tree (see also the $(b,explain) subcommand).")
   in
-  let domains =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Run the search on N OCaml domains sharing one memo. The plan and cost \
-             are bit-identical to the sequential engine at any N.")
-  in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Optimize (and optionally run) a SQL statement")
     Term.(
       const run_optimize $ sql_arg $ execute $ exodus $ no_pruning $ no_guided
       $ left_deep $ max_steps $ timeout_ms $ trace $ trace_out $ metrics_out
-      $ profile_out $ flightrec_out $ explain $ domains)
+      $ profile_out $ flightrec_out $ explain)
 
 let skew_conv =
   let parse s =
@@ -952,11 +932,6 @@ let run_cmd =
           ~doc:"Escape-hatch re-optimization budget (the final attempt always runs \
                 to completion).")
   in
-  let domains =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "domains" ] ~docv:"N" ~doc:"OCaml domains for the search.")
-  in
   Cmd.v
     (Cmd.info "run"
        ~doc:
@@ -965,7 +940,7 @@ let run_cmd =
           estimates, and feed corrections back into the catalog")
     Term.(
       const run_run $ sql_arg $ feedback $ drift_out $ escape_k $ threshold
-      $ no_correct $ max_replans $ skew_arg $ domains)
+      $ no_correct $ max_replans $ skew_arg)
 
 let explain_cmd =
   let no_pruning =
@@ -979,11 +954,6 @@ let explain_cmd =
   let left_deep =
     Arg.(value & flag & info [ "left-deep" ] ~doc:"Restrict join plans to left-deep shape.")
   in
-  let domains =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "domains" ] ~docv:"N" ~doc:"OCaml domains for the search.")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -991,7 +961,7 @@ let explain_cmd =
           implementation rule that produced each node, and every goal's losing \
           alternatives with the reason each lost")
     Term.(
-      const run_explain $ sql_arg $ no_pruning $ no_guided $ left_deep $ domains)
+      const run_explain $ sql_arg $ no_pruning $ no_guided $ left_deep)
 
 let tables_cmd =
   Cmd.v (Cmd.info "tables" ~doc:"List the demo catalog") Term.(const run_tables $ const ())
@@ -1034,14 +1004,6 @@ let serve_cmd =
             "Erase the single numeric literal from fingerprints so one dynamic-plan \
              entry serves a whole range of constants.")
   in
-  let domains =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "OCaml domains per cache-miss optimization (intra-query parallel search), \
-             on top of the $(b,--workers) across-query parallelism.")
-  in
   let metrics_port =
     Arg.(
       value
@@ -1078,7 +1040,7 @@ let serve_cmd =
        ~doc:"Optimization service: fingerprinted plan cache over a batch of statements")
     Term.(
       const run_serve $ file $ workers $ capacity $ shards $ parameterize $ feedback
-      $ skew_arg $ domains $ metrics_port $ slow_ms)
+      $ skew_arg $ metrics_port $ slow_ms)
 
 let batch_cmd =
   let file =
@@ -1122,12 +1084,6 @@ let batch_cmd =
       value & opt pos_int 8
       & info [ "shards" ] ~docv:"N" ~doc:"Independently locked cache shards.")
   in
-  let domains =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"OCaml domains per optimization (intra-query parallel search).")
-  in
   let metrics_out =
     Arg.(
       value
@@ -1144,7 +1100,7 @@ let batch_cmd =
           common subexpressions, and materialize/reuse shared results when that \
           lowers the batch cost")
     Term.(
-      const run_batch $ file $ strategy $ capacity $ shards $ domains $ metrics_out)
+      const run_batch $ file $ strategy $ capacity $ shards $ metrics_out)
 
 let workload_cmd =
   let n =

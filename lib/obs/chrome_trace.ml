@@ -1,6 +1,6 @@
 let track_name = function
-  | 0 -> "search (sequential)"
-  | n -> Printf.sprintf "worker %d" n
+  | 0 -> "search"
+  | n -> Printf.sprintf "track %d" n
 
 let to_json t =
   let spans = Trace.spans t in

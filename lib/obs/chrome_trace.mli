@@ -1,7 +1,7 @@
 (** Export a span collector in the Chrome trace event format, loadable
     in chrome://tracing or {{:https://ui.perfetto.dev}Perfetto}. Each
-    track becomes one thread row ([tid]): track 0 is the sequential
-    engine, track [n > 0] the [n]-th parallel worker domain. Spans are
+    track becomes one thread row ([tid]): track 0 is the search engine.
+    Spans are
     complete ([ph = "X"]) events with microsecond timestamps relative
     to the earliest span; goal outcomes and span args land in [args]. *)
 

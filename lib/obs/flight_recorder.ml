@@ -1,9 +1,8 @@
-type kind = Task_begin | Task_end | Claim | Publish | Prune | Incumbent
+type kind = Task_begin | Task_end | Publish | Prune | Incumbent
 
 let kind_name = function
   | Task_begin -> "task_begin"
   | Task_end -> "task_end"
-  | Claim -> "claim"
   | Publish -> "publish"
   | Prune -> "prune"
   | Incumbent -> "incumbent"
@@ -11,17 +10,15 @@ let kind_name = function
 let kind_code = function
   | Task_begin -> 0
   | Task_end -> 1
-  | Claim -> 2
-  | Publish -> 3
-  | Prune -> 4
-  | Incumbent -> 5
+  | Publish -> 2
+  | Prune -> 3
+  | Incumbent -> 4
 
 let kind_of_code = function
   | 0 -> Task_begin
   | 1 -> Task_end
-  | 2 -> Claim
-  | 3 -> Publish
-  | 4 -> Prune
+  | 2 -> Publish
+  | 3 -> Prune
   | _ -> Incumbent
 
 (* One ring slot. All fields are immediate ints mutated in place, so
@@ -161,11 +158,13 @@ let last_reason t = t.fr_last_reason
 
 (* A trigger marks the recorder (always) and writes the post-mortem
    file (when a destination is configured). Torn reads of slots still
-   being written by live workers are acceptable: this fires on the way
-   out of a failing run, and a corrupt tail event beats no record. *)
+   being written by other domains sharing the recorder are acceptable:
+   this fires on the way out of a failing run, and a corrupt tail event
+   beats no record. *)
 let trigger t ~reason =
-  (* Triggers can fire from worker domains (stall-abandon); the counter
-     update takes the registration lock, the file write does not. *)
+  (* Triggers can fire from several domains at once (plan-service
+     workers share one recorder); the counter update takes the
+     registration lock, the file write does not. *)
   Mutex.protect t.fr_lock (fun () ->
       t.fr_last_reason <- reason;
       t.fr_dumps <- t.fr_dumps + 1);

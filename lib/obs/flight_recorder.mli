@@ -1,10 +1,11 @@
-(** Always-on flight recorder: a fixed-size, lock-free, per-worker ring
-    buffer of recent engine events, dumped post-mortem when a search
-    ends abnormally (budget/timeout pause, stall-consensus abandon,
-    feedback escape hatch, plansrv rejection).
+(** Always-on flight recorder: a fixed-size, lock-free ring buffer of
+    recent engine events per searcher, dumped post-mortem when a search
+    ends abnormally (budget/timeout pause, feedback escape hatch,
+    plansrv rejection).
 
-    Each track (sequential engine = 0, workers 1..n) owns one ring of
-    preallocated slots; {!record} mutates a slot in place — no
+    Each searcher registers its own ring (the search engine records on
+    track 0; plan-service workers sharing one recorder each register
+    one) of preallocated slots; {!record} mutates a slot in place — no
     allocation, no lock, no branch on a "enabled" flag — so steady-state
     cost is a few stores per event. The collector registration list is
     the only mutex-guarded state, exactly like {!Trace} and {!Profile}.
@@ -14,7 +15,7 @@
     slots; {!trigger} fires on the way out of a failing run, where a
     corrupt tail event beats no record. *)
 
-type kind = Task_begin | Task_end | Claim | Publish | Prune | Incumbent
+type kind = Task_begin | Task_end | Publish | Prune | Incumbent
 
 val kind_name : kind -> string
 
@@ -37,7 +38,7 @@ val ring : t -> track:int -> ring
 val record : ring -> kind -> group:int -> detail:int -> unit
 (** Record one event, overwriting the oldest when the ring is full.
     Allocation-free and lock-free. [group] is the memo group concerned
-    (or [-1]); [detail] is kind-specific (task kind index, worker id,
+    (or [-1]); [detail] is kind-specific (task kind index, goal id,
     ...). *)
 
 val record_at : ring -> kind -> ns:int -> group:int -> detail:int -> unit

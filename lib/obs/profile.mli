@@ -1,18 +1,19 @@
 (** Per-rule / per-enforcer / per-operator search effort attribution.
 
-    A profiler hands out one buffer per {e writer} — the sequential
-    engine on track 0, each parallel worker domain on its own track,
-    exactly like {!Trace}. Buffers are single-writer, so the task hot
-    path records without locks. A writer resolves each attribution
-    [(kind, name)] to a {!cell} once — the only place a name is hashed
-    — and then charges tasks to it with integer adds alone: no string,
-    tuple, closure or boxed integer per task.
+    A profiler hands out one buffer per {e writer} — each search engine
+    registers one on track 0, and plan-service workers sharing one
+    profiler each register their own, like {!Trace}. Buffers are
+    single-writer, so the task hot path records without locks. A
+    writer resolves each attribution [(kind, name)] to a {!cell} once —
+    the only place a name is hashed — and then charges tasks to it with
+    integer adds alone: no string, tuple, closure or boxed integer per
+    task.
 
     A buffer is {e live} only while its writer runs ({!writing}); when
     the writer finishes, its counts are folded into the collector
     under the collector's lock. So the collector holds at most as many
     live buffers as there are concurrent writers, however many
-    optimizations, sessions or parallel phases it has seen, and
+    optimizations or sessions it has seen, and
     {!report} merges the folded counts with the live buffers.
 
     The attribution contract: the engine charges {e exactly one}

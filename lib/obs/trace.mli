@@ -1,21 +1,17 @@
 (** Hierarchical span tracing for the search engine.
 
-    A collector owns one buffer per {e track} (the sequential engine is
-    track 0; each parallel worker domain gets its own track). A buffer
-    is single-writer — the domain that owns it — so spans are recorded
-    without locks; the collector's registration list is the only
-    mutex-guarded state. After the run, {!spans} merges every track
-    into one start-ordered list, which is what finally lets a trace
-    cover the parallel phase (the old flat hook was simply dropped in
-    workers).
+    A collector owns one buffer per {e track} (the search engine records
+    on track 0). A buffer is single-writer — the domain that owns it —
+    so spans are recorded without locks; the collector's registration
+    list is the only mutex-guarded state. After the run, {!spans}
+    merges every buffer into one start-ordered list.
 
     Spans form a tree through parent ids: a [goal] span brackets one
     (group, property, limit) optimization goal and carries its outcome
-    ([won], [failed], [hit], [pruned-lb], [parked], ...); each executed
+    ([won], [failed], [hit], [pruned-lb], [cycle], ...); each executed
     engine task is a [task] span parented to the goal it serves, so
     per-kind task-span counts equal the engine's task counters; [phase]
-    spans bracket whole phases (per-worker parallel phases, the
-    sequential prefix, ...). *)
+    spans bracket whole phases of a caller's own work. *)
 
 type span = {
   sp_id : int;  (** unique across tracks; see {!id} *)
@@ -61,7 +57,7 @@ val id : span -> int
 
 val spans : t -> span list
 (** Every span from every track, ordered by start time (ties by id).
-    Call only after all writers finished (workers joined). *)
+    Call only after all writers finished. *)
 
 val total : t -> int
 (** Number of spans recorded across all tracks. *)

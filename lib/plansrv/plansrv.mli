@@ -25,10 +25,8 @@ module Fingerprint = Fingerprint
 type config = {
   request : Relmodel.Optimizer.request;
       (** optimizer configuration used by every worker session and
-          cache-miss optimization. Setting its [domains] field above 1
-          gives each cold miss intra-query parallel search
-          ({!Volcano.Search.Make.run}) on top of the service's
-          across-query worker parallelism. *)
+          cache-miss optimization. Each optimization is sequential; the
+          service parallelises across queries with its workers. *)
   capacity : int;  (** total cached entries, divided across shards *)
   shards : int;  (** independently locked cache shards *)
   parameterize : bool;

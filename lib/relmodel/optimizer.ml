@@ -30,7 +30,6 @@ type request = {
   recorder : Obs.Flight_recorder.t option;
   explain : bool;
   restore_columns : bool;
-  domains : int;
 }
 
 let request catalog =
@@ -49,7 +48,6 @@ let request catalog =
     recorder = None;
     explain = false;
     restore_columns = true;
-    domains = 1;
   }
 
 let rec to_physical_raw (p : plan_node) : Relalg.Physical.plan =
@@ -92,9 +90,7 @@ let make_searcher req =
   let opt = S.create ~config () in
   let run (query : Relalg.Logical.expr) required : result =
     let limit = Option.value req.limit ~default:Relalg.Cost.infinite in
-    let outcome =
-      S.run ~limit ~domains:req.domains opt (Rel_model.to_tree query) ~required
-    in
+    let outcome = S.optimize ~limit opt (Rel_model.to_tree query) ~required in
     let rec convert (p : S.plan_tree) : plan_node =
       { alg = p.alg; children = List.map convert p.children; props = p.props; cost = p.cost }
     in
@@ -148,9 +144,7 @@ type anytime = {
 (* Run ONE sequential search, pausing it at each cumulative task budget
    of [budgets] to record the best-so-far cost — the plan-cost-vs-budget
    curve of the run. Budgets are cumulative (the engine's resume
-   semantics), so the whole ladder costs only the largest budget. The
-   ladder drives the sequential engine directly; [req.domains] is
-   ignored. *)
+   semantics), so the whole ladder costs only the largest budget. *)
 let optimize_anytime req ~budgets (query : Relalg.Logical.expr) ~required : anytime =
   let (module M : Rel_model.REL_MODEL) =
     Rel_model.make ~catalog:req.catalog ~params:req.params ~flags:req.flags ()

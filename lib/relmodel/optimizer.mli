@@ -44,19 +44,18 @@ type request = {
   max_tasks : int option;  (** deterministic step budget; [None] = unlimited *)
   max_millis : float option;  (** wall-clock budget; [None] = unlimited *)
   tracer : Obs.Trace.t option;
-      (** hierarchical span collector for the search (goal, task, and
-          phase spans, covering the parallel phase on per-worker
-          tracks); export with {!Obs.Chrome_trace} *)
+      (** hierarchical span collector for the search (goal and task
+          spans); export with {!Obs.Chrome_trace} *)
   profiler : Obs.Profile.t option;
       (** per-rule / per-enforcer / per-operator effort attribution
           (tasks, mexprs, plans won, pruned goals, wasted work,
-          cumulative task time), collected per worker track and merged
-          post-run. Plan-inert: attaching a profiler never changes the
+          cumulative task time), merged into the collector when the
+          search returns. Plan-inert: attaching a profiler never changes the
           found plan. *)
   recorder : Obs.Flight_recorder.t option;
       (** always-on flight recorder of recent engine events in
-          fixed-size per-worker rings, dumped post-mortem on abnormal
-          ends (budget pause, stall-abandon). Plan-inert. *)
+          a fixed-size ring, dumped post-mortem on abnormal ends
+          (budget pause). Plan-inert. *)
   explain : bool;
       (** record losing alternatives during the search and render winner
           provenance into the result's [explain] field *)
@@ -65,10 +64,6 @@ type request = {
           join commutativity reordered the output (default [true]; plan
           benchmarks turn it off so both comparands are judged on the
           bare plan) *)
-  domains : int;
-      (** OCaml 5 domains for intra-query parallel search (default [1] =
-          sequential). The final plan and cost are bit-identical at any
-          domain count; see {!Volcano.Search.Make.run}. *)
 }
 
 val request : Catalog.t -> request
@@ -110,8 +105,7 @@ val optimize_anytime :
 (** Run ONE search, pausing at each cumulative task budget of [budgets]
     (sorted and deduplicated) to record the best-so-far cost: the
     plan-cost-vs-budget curve of the run, at the total price of the
-    largest budget. Drives the sequential engine; [domains] is
-    ignored. *)
+    largest budget. *)
 
 val to_physical : plan_node -> Relalg.Physical.plan
 (** Strip annotations for execution. *)
@@ -137,8 +131,8 @@ type session
 (** One memo kept alive across queries on the same catalog. *)
 
 val session : request -> session
-(** Create a session; the request's configuration (including
-    [domains]) applies to every optimization in it. *)
+(** Create a session; the request's configuration applies to every
+    optimization in it. *)
 
 val optimize_in :
   session -> Relalg.Logical.expr -> required:Relalg.Phys_prop.t -> result

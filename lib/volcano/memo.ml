@@ -21,10 +21,9 @@
     by every goal the memo has interned. A small open-addressing [int]
     array maps an interned goal id to a local slot (power-of-two
     capacity, at most half full, multiplicative hash, linear probe),
-    and parallel per-slot arrays hold the winner, the in-progress and
-    claim bits, the cached cost lower bound, and the EXPLAIN
-    alternatives. A lookup hashes an int and probes an int array; it
-    allocates nothing. *)
+    and parallel per-slot arrays hold the winner, the in-progress mark,
+    the cached cost lower bound, and the EXPLAIN alternatives. A lookup
+    hashes an int and probes an int array; it allocates nothing. *)
 
 module Make (M : Signatures.MODEL) = struct
   type group = int
@@ -107,17 +106,6 @@ module Make (M : Signatures.MODEL) = struct
 
   module Goal_tbl = Hashtbl.Make (Goal_key)
 
-  (** Hash tables keyed by interned goal id. The memo's own goal tables
-      are per-group slot spaces (below); the search uses this for its
-      parallel workers' per-run in-progress marks. *)
-  module Id_tbl = Hashtbl.Make (struct
-    type t = int
-
-    let equal (a : int) (b : int) = a = b
-
-    let hash (i : int) = i
-  end)
-
   (* A group's goal table is a dense slot space. [slot_index] is an
      open-addressing map from interned goal id to local slot: [-1] marks
      an empty entry, an occupied one packs [(slot lsl id_bits) lor id].
@@ -139,9 +127,8 @@ module Make (M : Signatures.MODEL) = struct
     mutable n_slots : int;
     mutable winners : winner option array;  (** per slot *)
     mutable marks : Bytes.t;
-        (** per slot: the in-progress bit (goal on the sequential DFS
-            path) and the claim bit (claimed by a parallel worker;
-            transient, per parallel phase) *)
+        (** per slot: nonzero while the goal is on the search's DFS path
+            (in progress) *)
     mutable lbounds : M.cost option array;
         (** per slot: cached {!Signatures.MODEL.cost_lower_bound} for a
             (required, no-excluding) goal — guided pruning consults the
@@ -169,11 +156,6 @@ module Make (M : Signatures.MODEL) = struct
 
   module Expr_tbl = Hashtbl.Make (Expr_key)
 
-  (* Number of winner-table lock stripes (power of two). Stripes are
-     keyed by root group id, so one group's winner/claim tables are
-     always guarded by the same mutex. *)
-  let n_stripes = 64
-
   type t = {
     mutable groups : group_data array;  (** group arena, indexed by group id *)
     mutable n_groups : int;
@@ -181,15 +163,9 @@ module Make (M : Signatures.MODEL) = struct
     mutable n_exprs : int;
     index : mexpr Expr_tbl.t;
     stats : Search_stats.t;
-    stripes : Mutex.t array;
-        (** winner/claim-table locks for the parallel search phase; the
-            sequential engine never takes them *)
     key_index : int Goal_tbl.t;  (** goal-key hash-consing: key -> id *)
     mutable keys : Goal_key.t array;  (** id -> goal key *)
     mutable n_keys : int;
-    key_mutex : Mutex.t;
-        (** guards the intern tables during the parallel phase; the
-            sequential engine interns without it *)
   }
 
   let create stats =
@@ -200,11 +176,9 @@ module Make (M : Signatures.MODEL) = struct
       n_exprs = 0;
       index = Expr_tbl.create 256;
       stats;
-      stripes = Array.init n_stripes (fun _ -> Mutex.create ());
       key_index = Goal_tbl.create 64;
       keys = [||];
       n_keys = 0;
-      key_mutex = Mutex.create ();
     }
 
   let data t g =
@@ -316,16 +290,6 @@ module Make (M : Signatures.MODEL) = struct
   let iter_slots d f =
     Array.iter (fun e -> if e >= 0 then f (e land id_mask) (e lsr id_bits)) d.slot_index
 
-  let in_progress_bit = 1
-
-  let claimed_bit = 2
-
-  let has_mark d s bit = Char.code (Bytes.get d.marks s) land bit <> 0
-
-  let set_mark d s bit on =
-    let c = Char.code (Bytes.get d.marks s) in
-    Bytes.set d.marks s (Char.chr (if on then c lor bit else c land lnot bit))
-
   let get_winner d id =
     let s = find_slot d id in
     if s < 0 then None else d.winners.(s)
@@ -373,12 +337,10 @@ module Make (M : Signatures.MODEL) = struct
   (* Goal-key interning (hash-consing). Every (required, excluding)     *)
   (* pair the search ever forms is mapped to a small integer id, once;  *)
   (* the per-group slot spaces are then keyed by that int, so repeated  *)
-  (* lookups — and especially the lock-striped claim/publish churn of   *)
-  (* the parallel phase — stop rehashing property vectors.              *)
+  (* lookups stop rehashing property vectors.                           *)
   (* ------------------------------------------------------------------ *)
 
-  (** [intern t key] — the id of [key], allocating one on first sight.
-      Sequential-phase entry point: takes no lock. *)
+  (** [intern t key] — the id of [key], allocating one on first sight. *)
   let intern t (key : Goal_key.t) : int =
     match Goal_tbl.find_opt t.key_index key with
     | Some id ->
@@ -397,15 +359,6 @@ module Make (M : Signatures.MODEL) = struct
       t.n_keys <- id + 1;
       Goal_tbl.replace t.key_index key id;
       id
-
-  (** {!intern} under the intern mutex, for parallel workers. The hit
-      counter is incremented inside the lock, so worker counts are
-      exact. *)
-  let intern_locked t key = Mutex.protect t.key_mutex (fun () -> intern t key)
-
-  (** The key an id stands for. Taken under the intern mutex so a
-      worker always observes a fully published entry. *)
-  let key_of_id t id : Goal_key.t = Mutex.protect t.key_mutex (fun () -> t.keys.(id))
 
   let lprops t g =
     let d = data t (find_root t g) in
@@ -427,10 +380,9 @@ module Make (M : Signatures.MODEL) = struct
         d.parents <- m.mid :: d.parents)
       m.inputs
 
-  (* Monotonic winner ordering, shared by class merging and by the
-     parallel publish path: a plan beats a failure, a cheaper plan beats
-     a dearer one, and of two failures the one recorded under the more
-     generous bound carries more information. *)
+  (* Winner ordering for class merging: a plan beats a failure, a
+     cheaper plan beats a dearer one, and of two failures the one
+     recorded under the more generous bound carries more information. *)
   let winner_le (w : winner) (v : winner) =
     match w.w_plan, v.w_plan with
     | Some p1, Some p2 -> M.cost_compare p1.p_cost p2.p_cost <= 0
@@ -560,7 +512,7 @@ module Make (M : Signatures.MODEL) = struct
   let set_winner t g key plan bound = set_winner_id t g (intern t key) plan bound
 
   (** [record_alt t g id alt] — append EXPLAIN provenance for the goal
-      [id] of group [g]. Sequential-phase entry point. *)
+      [id] of group [g]. *)
   let record_alt t g id alt =
     let d = data t (find_root t g) in
     let s = slot_for d id in
@@ -598,149 +550,25 @@ module Make (M : Signatures.MODEL) = struct
 
   (** [lower_bound t g required] — the model's certified cost lower
       bound for delivering [required] from group [g], cached per
-      (group, interned requirement). Sequential-phase entry point. *)
+      (group, interned requirement). *)
   let lower_bound t g required =
     let d = data t (find_root t g) in
     cached_lower_bound d (intern t (required, None)) required
 
-  (* ------------------------------------------------------------------ *)
-  (* Lock-striped access for the parallel search phase. The memo's      *)
-  (* logical structure (groups, mexprs, expression index) must already  *)
-  (* be frozen — exploration complete, no inserts or merges — so only   *)
-  (* the per-group winner and claim tables need guarding.               *)
-  (* ------------------------------------------------------------------ *)
-
-  let stripe t g = t.stripes.(g land (n_stripes - 1))
-
-  (** [winner_locked_id t g id] is {!winner_id} under the group's
-      stripe lock, returning a private copy so the caller never
-      observes a concurrent publish halfway through. *)
-  let winner_locked_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        match get_winner (data t g) id with
-        | None -> None
-        | Some w -> Some { w_plan = w.w_plan; w_bound = w.w_bound })
-
-  let winner_locked t g key = winner_locked_id t g (intern_locked t key)
-
-  (** [publish_winner_id t g id plan bound] records a winner from a
-      parallel worker, merging monotonically under the stripe lock:
-      whichever of the existing and incoming entries {!winner_le}
-      prefers survives, so racing publications commute. Returns [false]
-      when an existing entry already subsumed the incoming one — the
-      computation that produced it was redundant; a publication that is
-      fresh or strictly improves the table returns [true]. *)
-  let publish_winner_id t g id plan bound =
-    let g = find_root t g in
-    let incoming = { w_plan = plan; w_bound = bound } in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        let s = slot_for d id in
-        match d.winners.(s) with
-        | Some existing when winner_le existing incoming -> false
-        | _ ->
-          d.winners.(s) <- Some incoming;
-          true)
-
-  let publish_winner t g key plan bound =
-    publish_winner_id t g (intern_locked t key) plan bound
-
-  (** [try_claim_id t g id] claims the goal for the calling worker.
-      Returns [false] when another worker already claimed it or a
-      winner is already recorded — the once-per-goal dedup of the
-      parallel phase. *)
-  let try_claim_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        let s = slot_for d id in
-        if has_mark d s claimed_bit || d.winners.(s) <> None then false
-        else begin
-          set_mark d s claimed_bit true;
-          true
-        end)
-
-  let try_claim t g key = try_claim_id t g (intern_locked t key)
-
-  (** [try_acquire_id t g id] — test-and-set on the claim bit alone,
-      ignoring any recorded winner. Parallel workers use it to
-      serialize {e re-optimizations}: a goal whose recorded failure
-      bound proved insufficient must be recomputed under a more
-      generous limit even though an entry exists — exactly the case
-      {!try_claim_id}'s winner check is designed to refuse. *)
-  let try_acquire_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        let s = slot_for d id in
-        if has_mark d s claimed_bit then false
-        else begin
-          set_mark d s claimed_bit true;
-          true
-        end)
-
-  (** [release_claim_id t g id] reopens a claimed goal. Parallel
-      workers release claims when a run is abandoned mid-flight (its
-      claimed-but-unpublished goals must become claimable again, or
-      every run parked on them would stall) and when a goal is
-      finalized (the published winner, not the claim, is then the
-      authority — a later run that needs a more generous bound
-      re-claims and re-optimizes instead of parking forever). *)
-  let release_claim_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        let s = find_slot d id in
-        if s >= 0 then set_mark d s claimed_bit false)
-
-  (** {!lower_bound} for parallel workers: the intern table is guarded
-      by the intern mutex and the per-group cache by the group's
-      stripe. The bound is deterministic per class, so racing
-      recomputations store the same value. *)
-  let lower_bound_locked t g required =
-    let g = find_root t g in
-    let d = data t g in
-    let id = intern_locked t (required, None) in
-    Mutex.protect (stripe t g) (fun () -> cached_lower_bound d id required)
-
-  (** {!record_alt} under the group's stripe lock, for parallel
-      workers. *)
-  let record_alt_locked t g id alt =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () -> record_alt t g id alt)
-
-  (** Forget all claims (start of a parallel phase; claims are
-      transient and never consulted by the sequential engine). *)
-  let reset_claims t =
-    for g = 0 to t.n_groups - 1 do
-      let d = t.groups.(g) in
-      for s = 0 to d.n_slots - 1 do
-        set_mark d s claimed_bit false
-      done
-    done
-
-  (** Fully compress union-find paths so concurrent readers of a frozen
-      memo only ever race on writes of already-final root values. *)
-  let compress_paths t =
-    for g = 0 to t.n_groups - 1 do
-      ignore (find_root t g : group)
-    done
-
   let in_progress t g id =
     let d = data t (find_root t g) in
     let s = find_slot d id in
-    s >= 0 && has_mark d s in_progress_bit
+    s >= 0 && Bytes.get d.marks s <> '\000'
 
   let mark_in_progress t g id =
     let d = data t (find_root t g) in
     let s = slot_for d id in
-    set_mark d s in_progress_bit true
+    Bytes.set d.marks s '\001'
 
   let unmark_in_progress t g id =
     let d = data t (find_root t g) in
     let s = find_slot d id in
-    if s >= 0 then set_mark d s in_progress_bit false
+    if s >= 0 then Bytes.set d.marks s '\000'
 
   let is_explored t g = (data t (find_root t g)).explored
 

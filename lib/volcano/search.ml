@@ -57,13 +57,10 @@ module Make (M : Signatures.MODEL) = struct
             exhaustive search of the paper *)
     tracer : Obs.Trace.t option;
         (** hierarchical span collector: one [goal] span per (group,
-            property, limit) optimization goal with its outcome, one
-            [task] span per executed engine task nested under its goal,
-            and [phase] spans around the parallel phases. Workers buffer
-            spans on their own tracks and the collector merges them
-            post-run, so traces cover the parallel phase. [None] (the
-            default) records nothing and costs one pattern match per
-            task. *)
+            property, limit) optimization goal with its outcome, and one
+            [task] span per executed engine task nested under its goal.
+            [None] (the default) records nothing and costs one pattern
+            match per task. *)
     explain : bool;
         (** record losing alternatives (and their losing reasons) in
             the memo as the search abandons or completes each move, for
@@ -74,17 +71,14 @@ module Make (M : Signatures.MODEL) = struct
             exactly one charge per executed task (so per-entry task
             sums equal the task counters), plus mexprs generated per
             rule firing, plans won, goals pruned, and wasted work.
-            Workers record into their own tracks, merged post-run like
-            trace tracks. Observation-only: recording never changes
-            pursuit order, pruning, or winners. [None] (the default)
-            records nothing. *)
+            Observation-only: recording never changes pursuit order,
+            pruning, or winners. [None] (the default) records nothing. *)
     recorder : Obs.Flight_recorder.t option;
         (** always-on flight recorder: a fixed-size lock-free ring of
-            recent engine events per track (task begin/end,
-            claim/publish, prune, incumbent improvement), dumped
-            post-mortem when the run ends abnormally (budget pause,
-            stall-consensus abandon). ~Zero steady-state cost and
-            plan-inert, like the profiler. *)
+            recent engine events (task begin/end, publish, prune,
+            incumbent improvement), dumped post-mortem when the run
+            ends abnormally (a budget pause). ~Zero steady-state cost
+            and plan-inert, like the profiler. *)
   }
 
   let default_config =
@@ -99,37 +93,6 @@ module Make (M : Signatures.MODEL) = struct
       recorder = None;
     }
 
-  (* How this searcher view accesses the shared goal state. [Seq] is
-     the plain single-domain engine: unlocked winner tables and the
-     memo's own in-progress marks. [Worker] is a per-domain view used
-     during the parallel phase of {!run}: winner reads and writes go
-     through the memo's lock stripes and merge monotonically, while
-     in-progress marks live in per-run private tables — a mark is a
-     statement about *this* run's descent (inverse-rule/enforcer cycle
-     neutralization), and sharing it across runs would make one run's
-     unfinished goal look like another's cycle. *)
-  type worker_ctx = {
-    wk_cap : M.cost;
-        (** the incumbent plan's cost — the most generous limit any
-            consultation in this optimization can still carry. A worker
-            re-optimizing a goal whose recorded failure bound proved
-            insufficient computes at this cap, so the refreshed entry
-            settles the goal for the rest of the phase instead of being
-            re-optimized under every intermediate limit. *)
-    mutable wk_blocked : bool;
-        (** set by the stepper when the current run deferred to a goal
-            another worker has claimed: suspend this run *)
-    wk_tick : int Atomic.t;
-        (** shared publication tick, bumped on every worker publication
-            (and claim release): a parked run can only have become
-            runnable if the tick moved, so workers sleep on it instead
-            of sweeping their blocked queues *)
-  }
-
-  type mode =
-    | Seq
-    | Worker of worker_ctx
-
   (* Operator cells keyed by a representative mexpr's operator, hashed
      with the hash the memo already cached. *)
   module Op_tbl = Hashtbl.Make (struct
@@ -140,7 +103,7 @@ module Make (M : Signatures.MODEL) = struct
     let hash (m : t) = m.op_h
   end)
 
-  (* A searcher view's profiler state: its buffer and the cells the
+  (* The searcher's profiler state: its buffer and the cells the
      engine charges, each resolved once — so charging a task is a few
      integer adds, never a name built or hashed. Names are built once
      per distinct operator and enforcer algorithm. *)
@@ -164,14 +127,10 @@ module Make (M : Signatures.MODEL) = struct
     memo : Memo.t;
     config : config;
     stats : Search_stats.t;
-    mode : mode;
-    tr_buf : Obs.Trace.buf option;
-        (** this searcher view's span buffer: track 0 for the
-            sequential engine, track [n] for the [n]-th worker *)
-    prof : prof option;  (** this searcher view's profiler, tracked like [tr_buf] *)
+    tr_buf : Obs.Trace.buf option;  (** the searcher's span buffer (track 0) *)
+    prof : prof option;  (** the searcher's profiler (track 0) *)
     fr_ring : Obs.Flight_recorder.ring option;
-        (** this searcher view's flight-recorder ring, tracked like
-            [tr_buf] *)
+        (** the searcher's flight-recorder ring (track 0) *)
   }
 
   (** A fully extracted plan: the optimizer's output. *)
@@ -182,8 +141,8 @@ module Make (M : Signatures.MODEL) = struct
     cost : M.cost;  (** total cost of this subtree *)
   }
 
-  let make_prof pr ~track =
-    let pb = Obs.Profile.buf pr ~track in
+  let make_prof pr =
+    let pb = Obs.Profile.buf pr ~track:0 in
     let rule name = Obs.Profile.cell pb Obs.Profile.Rule name in
     {
       pf_buf = pb;
@@ -196,8 +155,8 @@ module Make (M : Signatures.MODEL) = struct
       pf_enforcers = Hashtbl.create 16;
     }
 
-  (* Run [f] as the writer of this view's profiler buffer: the buffer's
-     counts fold into the collector when [f] ends. *)
+  (* Run [f] as the writer of the searcher's profiler buffer: the
+     buffer's counts fold into the collector when [f] ends. *)
   let profiling t f =
     match t.prof with None -> f () | Some pf -> Obs.Profile.writing pf.pf_buf f
 
@@ -207,48 +166,21 @@ module Make (M : Signatures.MODEL) = struct
       memo = Memo.create stats;
       config;
       stats;
-      mode = Seq;
       tr_buf = Option.map (fun tr -> Obs.Trace.buf tr ~track:0) config.tracer;
-      prof = Option.map (make_prof ~track:0) config.profiler;
+      prof = Option.map make_prof config.profiler;
       fr_ring =
         Option.map (fun fr -> Obs.Flight_recorder.ring fr ~track:0) config.recorder;
     }
 
-  (* Goal-state accessors, dispatched on the searcher's mode (see
-     {!mode}). The sequential paths compile to exactly the pre-parallel
-     engine's direct memo calls. All per-goal tables are addressed by
-     the goal's interned key id (the memo's hash-consing fast path). *)
-
-  let intern_goal t key =
-    match t.mode with
-    | Seq -> Memo.intern t.memo key
-    | Worker _ -> Memo.intern_locked t.memo key
-
-  let winner_for t g id =
-    match t.mode with
-    | Seq -> Memo.winner_id t.memo g id
-    | Worker _ -> Memo.winner_locked_id t.memo g id
+  (* Goal state lives in the memo, addressed by the goal's interned key
+     id (the memo's hash-consing fast path). *)
 
   let record_winner t g id plan bound =
     (match t.fr_ring with
      | None -> ()
      | Some ring ->
        Obs.Flight_recorder.record ring Obs.Flight_recorder.Publish ~group:g ~detail:id);
-    match t.mode with
-    | Seq -> Memo.set_winner_id t.memo g id plan bound
-    | Worker ctx ->
-      if not (Memo.publish_winner_id t.memo g id plan bound) then
-        t.stats.Search_stats.par_dup_goals <- t.stats.Search_stats.par_dup_goals + 1;
-      (* Wake parked runs: their blocking goal may be this one. *)
-      Atomic.incr ctx.wk_tick
-
-  (* Cached group cost lower bound for a requirement (guided pruning).
-     The bound is deterministic per class, so both paths observe the
-     same value. *)
-  let lower_bound_for t g required =
-    match t.mode with
-    | Seq -> Memo.lower_bound t.memo g required
-    | Worker _ -> Memo.lower_bound_locked t.memo g required
+    Memo.set_winner_id t.memo g id plan bound
 
   let stats t = t.stats
 
@@ -428,10 +360,7 @@ module Make (M : Signatures.MODEL) = struct
     gs_key_id : int;  (** interned id of (required, excluded) *)
     gs_required : M.phys_props;
     gs_excluded : M.phys_props option;
-    mutable gs_limit : M.cost;
-        (** the caller's limit; raised to the phase cap by workers
-            re-optimizing a goal whose recorded bound proved
-            insufficient (see [optimize_group_init]) *)
+    gs_limit : M.cost;  (** the caller's limit *)
     mutable gs_bound : M.cost;  (** running branch-and-bound bound *)
     mutable gs_best : Memo.plan option;
     gs_impl : move list array;  (** per-implementation-rule collection buckets *)
@@ -568,7 +497,7 @@ module Make (M : Signatures.MODEL) = struct
     | T_apply_enforcer _ -> 6
 
   (* Side-channel charges. Each is one branch, and builds no name,
-     unless the view profiles. *)
+     unless the searcher profiles. *)
   let impl_pruned t ridx =
     match t.prof with None -> () | Some pf -> Obs.Profile.pruned pf.pf_impls.(ridx)
 
@@ -599,8 +528,6 @@ module Make (M : Signatures.MODEL) = struct
   type run = {
     rt : t;
     r_root : Memo.group;
-    r_required : M.phys_props;
-    r_limit : M.cost;
     r_goal : goal_state;  (** the root goal; its best-so-far is the anytime plan *)
     mutable r_stack : task list;
     mutable r_depth : int;
@@ -611,10 +538,6 @@ module Make (M : Signatures.MODEL) = struct
             plan — the anytime cost-vs-effort curve of the run *)
     mutable r_millis : float;  (** active wall-clock milliseconds, across resumes *)
     mutable r_status : status option;  (** [Some Complete] once the stack drains *)
-    r_marks : (int, unit Memo.Id_tbl.t) Hashtbl.t;
-        (** worker-mode in-progress marks (interned goal ids), private
-            to this run and keyed by root group; unused (empty) in
-            [Seq] mode *)
     mutable r_open_goals : Obs.Trace.span list;
         (** open goal spans, innermost first — the parent chain for the
             next task span; empty when tracing is off *)
@@ -627,39 +550,6 @@ module Make (M : Signatures.MODEL) = struct
     run.r_stack <- task :: run.r_stack;
     run.r_depth <- run.r_depth + 1;
     Search_stats.note_stack_depth run.rt.stats run.r_depth
-
-  (* In-progress marks, dispatched on the searcher's mode. Sequentially
-     they live in the memo (the engine is one big DFS); in worker mode
-     each run keeps its own table, because a mark means "this run's
-     descent passes through that goal" — the cycle-neutralization
-     property of Figure 2 — and one run's unfinished goal must not look
-     like a cycle to a different run. *)
-
-  let run_marks run g =
-    match Hashtbl.find_opt run.r_marks g with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Memo.Id_tbl.create 4 in
-      Hashtbl.add run.r_marks g tbl;
-      tbl
-
-  let goal_in_progress run g id =
-    match run.rt.mode with
-    | Seq -> Memo.in_progress run.rt.memo g id
-    | Worker _ -> Memo.Id_tbl.mem (run_marks run g) id
-
-  let mark_goal_in_progress run g id =
-    match run.rt.mode with
-    | Seq -> Memo.mark_in_progress run.rt.memo g id
-    | Worker _ ->
-      (* The claim that keeps other workers off this goal was acquired
-         atomically at consultation time (see [optimize_group_init]). *)
-      Memo.Id_tbl.replace (run_marks run g) id ()
-
-  let unmark_goal_in_progress run g id =
-    match run.rt.mode with
-    | Seq -> Memo.unmark_in_progress run.rt.memo g id
-    | Worker _ -> Memo.Id_tbl.remove (run_marks run g) id
 
   (* ------------------------------------------------------------------ *)
   (* Tracing spans (all no-ops unless [config.tracer] is set)            *)
@@ -704,13 +594,6 @@ module Make (M : Signatures.MODEL) = struct
         (fun (sp, outcome) -> Obs.Trace.close ~outcome sp)
         (List.rev closing)
 
-  (* Close every span a run still holds open — it is being thrown away
-     (a worker abandoning a seed, a parked run cut by the deadline). *)
-  let abandon_run_spans run =
-    flush_goal_closes run;
-    List.iter (fun sp -> Obs.Trace.close ~outcome:"abandoned" sp) run.r_open_goals;
-    run.r_open_goals <- []
-
   (* The parent span of a task: its goal's span if the task carries a
      goal, the innermost open goal of the run otherwise. *)
   let task_parent run task =
@@ -732,7 +615,7 @@ module Make (M : Signatures.MODEL) = struct
   let new_goal t ~group ~required ~excluded ~limit slot =
     {
       gs_group = Memo.find_root t.memo group;
-      gs_key_id = intern_goal t (required, excluded);
+      gs_key_id = Memo.intern t.memo (required, excluded);
       gs_required = required;
       gs_excluded = excluded;
       gs_limit = limit;
@@ -751,10 +634,8 @@ module Make (M : Signatures.MODEL) = struct
   let note_alt t gs ~alg ~rule ~cost ~reason =
     if t.config.explain then begin
       let g = Memo.find_root t.memo gs.gs_group in
-      let alt = { Memo.a_alg = alg; a_rule = rule; a_cost = cost; a_reason = reason } in
-      match t.mode with
-      | Seq -> Memo.record_alt t.memo g gs.gs_key_id alt
-      | Worker _ -> Memo.record_alt_locked t.memo g gs.gs_key_id alt
+      Memo.record_alt t.memo g gs.gs_key_id
+        { Memo.a_alg = alg; a_rule = rule; a_cost = cost; a_reason = reason }
     end
 
   (* Record a completed candidate plan against the goal, tightening the
@@ -792,7 +673,7 @@ module Make (M : Signatures.MODEL) = struct
   let finalize_goal run gs =
     let t = run.rt in
     let g = Memo.find_root t.memo gs.gs_group in
-    unmark_goal_in_progress run g gs.gs_key_id;
+    Memo.unmark_in_progress t.memo g gs.gs_key_id;
     (match gs.gs_best with
      | Some p -> record_winner t g gs.gs_key_id (Some p) gs.gs_limit
      | None ->
@@ -806,13 +687,6 @@ module Make (M : Signatures.MODEL) = struct
          (if p.Memo.p_rule = "enforcer" then enforcer_cell pf p.Memo.p_alg
           else Obs.Profile.cell pf.pf_buf Obs.Profile.Rule p.Memo.p_rule)
      | _ -> ());
-    (* The published entry, not the claim, is now the goal's authority
-       — release the claim so a later run that needs a more generous
-       bound can re-acquire and re-optimize instead of parking on a
-       claim nobody will ever act on again. *)
-    (match t.mode with
-     | Worker _ -> Memo.release_claim_id t.memo g gs.gs_key_id
-     | Seq -> ());
     goal_conclude run gs (match gs.gs_best with Some _ -> "won" | None -> "failed");
     gs.gs_slot.answer <- gs.gs_best
 
@@ -834,9 +708,9 @@ module Make (M : Signatures.MODEL) = struct
   let move_floor t gs = function
     | Impl { input_groups; input_reqs; _ } ->
       List.fold_left2
-        (fun acc gi ri -> M.cost_add acc (lower_bound_for t gi ri))
+        (fun acc gi ri -> M.cost_add acc (Memo.lower_bound t.memo gi ri))
         M.cost_zero input_groups input_reqs
-    | Enforce { relaxed; _ } -> lower_bound_for t gs.gs_group relaxed
+    | Enforce { relaxed; _ } -> Memo.lower_bound t.memo gs.gs_group relaxed
 
   (* Pursue the goal's next pending move, or finalize. Each move runs to
      completion before the next starts, so the bound tightened by one
@@ -864,7 +738,7 @@ module Make (M : Signatures.MODEL) = struct
            in
            let pending =
              List.map2
-               (fun gi ri -> (gi, ri, lower_bound_for t gi ri))
+               (fun gi ri -> (gi, ri, Memo.lower_bound t.memo gi ri))
                input_groups input_reqs
            in
            (* Guided pruning: project the candidate's cheapest possible
@@ -936,7 +810,7 @@ module Make (M : Signatures.MODEL) = struct
                 already exceeds the budget left after the enforcer's
                 own cost, the subgoal can only fail. *)
              t.config.pruning && t.config.guided
-             && cost_lt sub_limit (lower_bound_for t gs.gs_group relaxed)
+             && cost_lt sub_limit (Memo.lower_bound t.memo gs.gs_group relaxed)
            then begin
              t.stats.goals_pruned_lb <- t.stats.goals_pruned_lb + 1;
              enforcer_pruned t alg;
@@ -984,7 +858,7 @@ module Make (M : Signatures.MODEL) = struct
          and answer immediately. *)
       if
         t.config.pruning && t.config.guided
-        && cost_lt gs.gs_limit (lower_bound_for t g gs.gs_required)
+        && cost_lt gs.gs_limit (Memo.lower_bound t.memo g gs.gs_required)
       then begin
         t.stats.goals_pruned_lb <- t.stats.goals_pruned_lb + 1;
         t.stats.failures <- t.stats.failures + 1;
@@ -993,38 +867,18 @@ module Make (M : Signatures.MODEL) = struct
          | Some pf -> Obs.Profile.pruned pf.pf_optimize_group);
         fr_event t Obs.Flight_recorder.Prune ~group:g ~detail:2;
         record_winner t g kid None gs.gs_limit;
-        (* A worker acquired the claim before entering; the goal
-           concluded without a [finalize_goal], so release it here (the
-           published failure is now the authority). *)
-        (match t.mode with
-         | Worker _ -> Memo.release_claim_id t.memo g kid
-         | Seq -> ());
         goal_conclude run gs "pruned-lb";
         gs.gs_slot.answer <- None
       end
       else begin
         t.stats.goals <- t.stats.goals + 1;
-        mark_goal_in_progress run g kid;
+        Memo.mark_in_progress t.memo g kid;
         gs.gs_phase <- G_collect;
         push run (T_optimize_group gs);
         push run (T_explore_group g)
       end
     in
-    (* Worker: suspend this run on goal [(g, kid)] — the claim holder
-       will publish (and tick), at which point the re-pushed
-       consultation re-runs and is answered from the table. *)
-    let park_on ctx =
-      t.stats.Search_stats.par_dup_kills <- t.stats.Search_stats.par_dup_kills + 1;
-      push run (T_optimize_group gs);
-      goal_conclude run gs "parked";
-      ctx.wk_blocked <- true
-    in
-    let count_claim () =
-      t.stats.Search_stats.par_goals_claimed <-
-        t.stats.Search_stats.par_goals_claimed + 1;
-      fr_event t Obs.Flight_recorder.Claim ~group:g ~detail:kid
-    in
-    match winner_for t g kid with
+    match Memo.winner_id t.memo g kid with
     | Some { w_plan = Some p; _ } ->
       t.stats.goal_hits <- t.stats.goal_hits + 1;
       goal_conclude run gs "hit";
@@ -1040,46 +894,15 @@ module Make (M : Signatures.MODEL) = struct
         (* Recorded failure, but under a stricter bound than ours:
            re-optimize ("the same expression and physical property
            vector may be optimized multiple times, with increasingly
-           generous cost limits"). Workers re-optimize at the phase cap
-           so the refreshed entry answers every later consultation. *)
-        match t.mode with
-        | Seq -> start_optimization ()
-        | Worker ctx ->
-          if M.cost_compare ctx.wk_cap gs.gs_limit > 0 then begin
-            gs.gs_limit <- ctx.wk_cap;
-            if t.config.pruning then gs.gs_bound <- ctx.wk_cap
-          end;
-          (* Serialize the re-optimization on the claim bit alone
-             ([try_claim] would refuse: an entry exists by definition
-             here). The loser parks; the holder publishes at the cap,
-             which answers the re-polled consultation. *)
-          if Memo.try_acquire_id t.memo g kid then begin
-            count_claim ();
-            start_optimization ()
-          end
-          else park_on ctx
+           generous cost limits"). *)
+        start_optimization ()
       end
     | None ->
-      if goal_in_progress run g kid then begin
+      if Memo.in_progress t.memo g kid then begin
         goal_conclude run gs "cycle";
         gs.gs_slot.answer <- None
       end
-      else begin
-        match t.mode with
-        | Seq -> start_optimization ()
-        | Worker ctx ->
-          (* Claim acquisition is fused with the consultation: exactly
-             one run ever computes a goal (no check-then-claim window),
-             so the claim table kills duplicates outright. A failed
-             claim means the goal is being computed — park — or was
-             published between our winner read and the claim attempt —
-             the re-polled consultation then hits the fresh entry. *)
-          if Memo.try_claim_id t.memo g kid then begin
-            count_claim ();
-            start_optimization ()
-          end
-          else park_on ctx
-      end
+      else start_optimization ()
 
   (* The class is closed; fan move generation out, one task per
      multi-expression, then re-enter in [G_pursue] to assemble. *)
@@ -1098,9 +921,7 @@ module Make (M : Signatures.MODEL) = struct
      implementation moves flattened rule-major (the recursive engine's
      enumeration order), enforcers appended, stably sorted by the
      model's rule promise (§4.2) with the move's cost floor as
-     tie-break, optionally truncated to the k most promising — one
-     deterministic order shared by the sequential pursuit and the
-     parallel seeding. *)
+     tie-break, optionally truncated to the k most promising. *)
   let assemble_moves t gs =
     let impl = List.concat (Array.to_list gs.gs_impl) in
     let enf = enforcer_moves ~props:(lookup t gs.gs_group) ~required:gs.gs_required in
@@ -1114,66 +935,6 @@ module Make (M : Signatures.MODEL) = struct
     match t.config.max_moves with
     | None -> ordered
     | Some k -> List.filteri (fun i _ -> i < k) ordered
-
-  (* The subgoals a goal's pending moves will schedule, each with the
-     cost limit branch-and-bound grants it: the goal's current bound
-     minus the move's local cost. Moves are filtered exactly as the
-     sequential pursuit filters them (excluded vectors, property
-     coverage, local cost already over the bound), so no never-pursued
-     goal is seeded. Every limit here is at least as generous as the
-     limit the resumed sequential pass can consult the goal under — the
-     bound only tightens after seeding — so a winner or failure
-     published at the seeded limit answers those consultations exactly
-     as a fresh sequential computation would.
-
-     Seeds deliberately use the plain Figure-2 limit (bound minus local
-     cost), NOT the guided sibling-tightened limit: tightened limits
-     shrink as siblings resolve, so a seed published under one could be
-     less generous than a limit the resumed pass later consults under,
-     breaking the one-sided invariant above. Guided pruning still
-     applies inside each worker's pursuit of the seeded goal. *)
-  let seeds_of_moves t gs moves =
-    let bound = gs.gs_bound in
-    List.concat_map
-      (fun mv ->
-        match mv with
-        | Impl { alg; input_groups; input_reqs; _ } ->
-          let delivered = M.deliver alg input_reqs in
-          if
-            excluded_by ~excluded:gs.gs_excluded ~delivered
-            || not (M.pp_covers ~provided:delivered ~required:gs.gs_required)
-          then []
-          else begin
-            let input_props = List.map (lookup t) input_groups in
-            let output_props = lookup t gs.gs_group in
-            let local =
-              M.cost_of alg ~inputs:input_props ~input_props:input_reqs
-                ~output:output_props
-            in
-            let sub_limit = M.cost_sub bound local in
-            if t.config.pruning && M.cost_compare sub_limit M.cost_zero <= 0 then []
-            else
-              List.map2
-                (fun gi ri -> (Memo.find_root t.memo gi, (ri, None), sub_limit))
-                input_groups input_reqs
-          end
-        | Enforce { alg; relaxed; excluded; _ } ->
-          let delivered = M.deliver alg [ relaxed ] in
-          if
-            excluded_by ~excluded:gs.gs_excluded ~delivered
-            || not (M.pp_covers ~provided:delivered ~required:gs.gs_required)
-          then []
-          else begin
-            let gprops = lookup t gs.gs_group in
-            let local =
-              M.cost_of alg ~inputs:[ gprops ] ~input_props:[ relaxed ] ~output:gprops
-            in
-            let sub_limit = M.cost_sub bound local in
-            if t.config.pruning && M.cost_compare sub_limit M.cost_zero <= 0 then []
-            else
-              [ (Memo.find_root t.memo gs.gs_group, (relaxed, Some excluded), sub_limit) ]
-          end)
-      moves
 
   let optimize_group_pursue run gs =
     gs.gs_moves <- assemble_moves run.rt gs;
@@ -1203,19 +964,11 @@ module Make (M : Signatures.MODEL) = struct
           implementation_index
     end
 
-  (* Raised when a parallel worker would have to explore a group. The
-     parallel phase runs only after exploration reached a fixpoint over
-     every reachable group, so this is a should-not-happen escape: the
-     worker abandons its current seed (winners it already published
-     remain sound) and the sequential finishing pass computes the rest. *)
-  exception Par_unexplored
-
   let explore_group run g =
     let t = run.rt in
     let g = Memo.find_root t.memo g in
     if Memo.is_explored t.memo g || Memo.is_exploring t.memo g then ()
     else begin
-      (match t.mode with Worker _ -> raise Par_unexplored | Seq -> ());
       Memo.set_exploring t.memo g true;
       push run (T_explore_round g)
     end
@@ -1429,7 +1182,7 @@ module Make (M : Signatures.MODEL) = struct
     | Some buf ->
       (* A goal consultation begins the goal: open its span first so
          this task — and the goal's whole task subtree — nests inside
-         it. A parked goal re-enters here and gets a fresh span. *)
+         it. *)
       (match task with
        | T_optimize_group gs when gs.gs_phase = G_init && gs.gs_span = None ->
          goal_open run buf gs
@@ -1486,9 +1239,9 @@ module Make (M : Signatures.MODEL) = struct
               ~group:(Memo.find_root t.memo (task_group task))
               ~detail:(task_code task));
          (* Exactly one profile charge per executed task — including
-            tasks that abort (a worker's [Par_unexplored]), which the
-            task counters also include: the attribution-parity
-            invariant (sum of per-entry tasks = total tasks). *)
+            a task that raises, which the task counters also include:
+            the attribution-parity invariant (sum of per-entry tasks =
+            total tasks). *)
          (match exec_with_trace run task with
           | () -> end_task t task ~ns0
           | exception e ->
@@ -1496,32 +1249,27 @@ module Make (M : Signatures.MODEL) = struct
             raise e));
       true
 
-  (* A run record with an empty work stack. *)
-  let fresh_run t ~root ~required ~limit goal =
-    {
-      rt = t;
-      r_root = root;
-      r_required = required;
-      r_limit = limit;
-      r_goal = goal;
-      r_stack = [];
-      r_depth = 0;
-      r_tasks = 0;
-      r_incumbents = [];
-      r_millis = 0.;
-      r_status = None;
-      r_marks = Hashtbl.create 8;
-      r_open_goals = [];
-      r_closing = [];
-    }
-
   (** Begin a resumable optimization: capture the query in the memo and
       set up the root goal. No search work happens until {!resume}. *)
   let start ?(limit = M.cost_infinite) t (query : M.op Tree.t) ~required : run =
     let root = insert_query t query in
     let slot = { answer = None } in
     let goal = new_goal t ~group:root ~required ~excluded:None ~limit slot in
-    let run = fresh_run t ~root ~required ~limit goal in
+    let run =
+      {
+        rt = t;
+        r_root = root;
+        r_goal = goal;
+        r_stack = [];
+        r_depth = 0;
+        r_tasks = 0;
+        r_incumbents = [];
+        r_millis = 0.;
+        r_status = None;
+        r_open_goals = [];
+        r_closing = [];
+      }
+    in
     push run (T_optimize_group goal);
     run
 
@@ -1792,403 +1540,6 @@ module Make (M : Signatures.MODEL) = struct
     let run = start ~limit t query ~required in
     ignore (resume ?budget run : status);
     outcome_of run
-
-  (* ------------------------------------------------------------------ *)
-  (* Intra-query parallel search                                         *)
-  (* ------------------------------------------------------------------ *)
-
-  (* Every group reachable from [root] through multi-expression inputs,
-     in deterministic preorder. *)
-  let reachable_groups t root =
-    let seen = Hashtbl.create 64 in
-    let order = ref [] in
-    let rec go g =
-      let g = Memo.find_root t.memo g in
-      if not (Hashtbl.mem seen g) then begin
-        Hashtbl.add seen g ();
-        order := g :: !order;
-        List.iter
-          (fun (m : Memo.mexpr) -> List.iter go m.inputs)
-          (Memo.mexprs t.memo g)
-      end
-    in
-    go root;
-    List.rev !order
-
-  (* Close every reachable class before the workers start: first the
-     root's own exploration cascade (the sequential engine's first move,
-     task for task), then any reachable group still unexplored, until
-     the reachable set is stable. Afterwards the memo's logical
-     structure is frozen: move generation and goal pursuit only read
-     it, which is what makes the parallel phase race-free. *)
-  let explore_reachable t root ~required ~limit =
-    let goal = new_goal t ~group:root ~required ~excluded:None ~limit { answer = None } in
-    let run = fresh_run t ~root ~required ~limit goal in
-    let drain () =
-      while step run do
-        ()
-      done
-    in
-    let rec fix () =
-      let unexplored =
-        List.filter (fun g -> not (Memo.is_explored t.memo g)) (reachable_groups t root)
-      in
-      if unexplored <> [] then begin
-        List.iter (fun g -> push run (T_explore_group g)) (List.rev unexplored);
-        drain ();
-        fix ()
-      end
-    in
-    push run (T_explore_group (Memo.find_root t.memo root));
-    drain ();
-    fix ()
-
-  (* Dedup seeds per (group, goal key), keeping the most generous limit
-     (an entry computed under it answers the consultations of every
-     merged duplicate), and order them bottom-up (lower group ids were
-     created earlier, hence sit lower in the query), so workers publish
-     shared subgoal winners before the larger goals that consult them
-     start. *)
-  let dedup_seeds seeds =
-    let seen : (int, M.cost Memo.Goal_tbl.t) Hashtbl.t = Hashtbl.create 64 in
-    let order = ref [] in
-    List.iter
-      (fun (g, key, limit) ->
-        let tbl =
-          match Hashtbl.find_opt seen g with
-          | Some tbl -> tbl
-          | None ->
-            let tbl = Memo.Goal_tbl.create 8 in
-            Hashtbl.add seen g tbl;
-            tbl
-        in
-        match Memo.Goal_tbl.find_opt tbl key with
-        | None ->
-          Memo.Goal_tbl.replace tbl key limit;
-          order := (g, key) :: !order
-        | Some prev ->
-          if M.cost_compare limit prev > 0 then Memo.Goal_tbl.replace tbl key limit)
-      seeds;
-    List.stable_sort
-      (fun (a, _, _) (b, _, _) -> compare (a : int) b)
-      (List.rev_map
-         (fun (g, key) -> (g, key, Memo.Goal_tbl.find (Hashtbl.find seen g) key))
-         !order)
-
-  (* The parallel phase: [domains] worker domains cooperate over the
-     seed goals. Each goal is computed with the standard task engine
-     against a private worker view — shared memo, lock-striped winner
-     access, per-run in-progress marks and per-worker stats — under the
-     exact cost limit branch-and-bound grants that subgoal given the
-     incumbent plan found by the sequential prefix. Seeding at those
-     limits keeps Figure 2's pruning alive inside every worker (seeding
-     at infinite limits would perform the exhaustive, unpruned DP — an
-     order of magnitude more work on the join workloads), and is
-     sufficient: the resumed pass can only consult these goals under
-     limits at most as generous (its bound only tightens), which any
-     published winner (a true optimum) or failure (with the seeded
-     bound) answers exactly as a fresh sequential computation would.
-
-     Scheduling is work stealing: seeds are dealt round-robin into
-     per-domain Chase–Lev deques ({!Deque}); each worker pops its own
-     deque bottom-up (shared subgoals publish before the larger goals
-     that consult them) and steals the top — the largest pending goals
-     — from others when its own runs dry. Claim acquisition is fused
-     with the winner consultation inside [optimize_group_init], so a
-     goal is computed by exactly one run; a run that loses the claim
-     parks, and wakes when the shared publication tick moves (every
-     publish and claim release bumps it). A genuine cross-worker wait
-     cycle — every worker idle, nothing published across repeated
-     backoffs — is broken by abandoning one parked run and releasing
-     its claims (a handful of re-claimable goals), never by duplicating
-     a computation. *)
-  let par_phase t ~domains ~deadline ~cap seeds =
-    let deques = Array.init domains (fun _ -> Deque.create ()) in
-    (* Deal bottom-up-ordered seeds round-robin, but push each share in
-       top-down order: the owner then pops bottom-up while thieves
-       steal from the top — the topmost, largest goals. *)
-    let shares = Array.make domains [] in
-    List.iteri (fun i s -> shares.(i mod domains) <- s :: shares.(i mod domains)) seeds;
-    Array.iteri (fun w share -> List.iter (Deque.push deques.(w)) share) shares;
-    let tick = Atomic.make 0 in
-    let idle = Atomic.make 0 in
-    let work widx =
-      let wstats = Search_stats.create () in
-      let ctx = { wk_cap = cap; wk_blocked = false; wk_tick = tick } in
-      let wbuf =
-        Option.map (fun tr -> Obs.Trace.buf tr ~track:(widx + 1)) t.config.tracer
-      in
-      let wprof = Option.map (make_prof ~track:(widx + 1)) t.config.profiler in
-      let wring =
-        Option.map
-          (fun fr -> Obs.Flight_recorder.ring fr ~track:(widx + 1))
-          t.config.recorder
-      in
-      let wt =
-        {
-          t with
-          stats = wstats;
-          mode = Worker ctx;
-          tr_buf = wbuf;
-          prof = wprof;
-          fr_ring = wring;
-        }
-      in
-      profiling wt @@ fun () ->
-      let phase_span =
-        Option.map
-          (fun buf -> Obs.Trace.open_span buf ~cat:"phase" "parallel-worker")
-          wbuf
-      in
-      let past_deadline () =
-        match deadline with None -> false | Some d -> Unix.gettimeofday () >= d
-      in
-      (* Suspended runs. *)
-      let blocked : run Queue.t = Queue.create () in
-      (* Release every claim a run still holds (its in-progress marks
-         are exactly its claimed-but-unpublished goals) and bump the
-         tick so runs parked on them re-poll and re-claim. *)
-      let release_run_claims run =
-        let released = ref false in
-        Hashtbl.iter
-          (fun g tbl ->
-            Memo.Id_tbl.iter
-              (fun id () ->
-                released := true;
-                Memo.release_claim_id t.memo g id)
-              tbl)
-          run.r_marks;
-        Hashtbl.reset run.r_marks;
-        if !released then Atomic.incr tick
-      in
-      (* Step a run until it completes (true) or suspends (false). *)
-      let step_through run =
-        let rec go () =
-          ctx.wk_blocked <- false;
-          if not (step run) then true
-          else if not ctx.wk_blocked then go ()
-          else false
-        in
-        try go ()
-        with Par_unexplored ->
-          run.r_stack <- [];
-          release_run_claims run;
-          abandon_run_spans run;
-          true
-      in
-      let abandon_run run =
-        run.r_stack <- [];
-        release_run_claims run;
-        abandon_run_spans run
-      in
-      let park run = Queue.add run blocked in
-      let launch (g, key, limit) =
-        let required, excluded = key in
-        let goal = new_goal wt ~group:g ~required ~excluded ~limit { answer = None } in
-        let run = fresh_run wt ~root:g ~required ~limit goal in
-        push run (T_optimize_group goal);
-        if not (step_through run) then park run
-      in
-      let my = deques.(widx) in
-      (* One probe sweep over the other deques; [Retry] re-probes the
-         same victim (another thief advanced it), [Empty] moves on. *)
-      let try_steal () =
-        let res = ref None in
-        let v = ref 1 in
-        while !res = None && !v < domains do
-          match Deque.steal deques.((widx + !v) mod domains) with
-          | Deque.Stolen s ->
-            wstats.Search_stats.par_steals <- wstats.Search_stats.par_steals + 1;
-            Option.iter
-              (fun buf ->
-                (* [phase] cat: a steal is a scheduler event, not an
-                   engine task (task spans must tally with the task
-                   counters). *)
-                let sp =
-                  Obs.Trace.open_span buf ~cat:"phase"
-                    ~args:[ ("victim", string_of_int ((widx + !v) mod domains)) ]
-                    "steal"
-                in
-                Obs.Trace.close ~outcome:"stolen" sp)
-              wbuf;
-            res := Some s
-          | Deque.Retry -> ()
-          | Deque.Empty -> incr v
-        done;
-        !res
-      in
-      (* Event-driven wakeup: a parked run can only have become
-         runnable if the tick moved since we last polled (every
-         publication — and claim release — happens after the winner
-         read that parked us, so its bump is never missed). *)
-      let last_tick = ref (-1) in
-      (* Consecutive backoffs during which every worker was idle and
-         nothing published: evidence of a cross-worker wait cycle. *)
-      let futile = ref 0 in
-      let finished = ref false in
-      while not !finished do
-        if past_deadline () then finished := true
-        else begin
-          let now = Atomic.get tick in
-          if now <> !last_tick && not (Queue.is_empty blocked) then begin
-            last_tick := now;
-            futile := 0;
-            let n = Queue.length blocked in
-            for _ = 1 to n do
-              let run = Queue.pop blocked in
-              if not (step_through run) then park run
-            done
-          end;
-          match Deque.pop my with
-          | Some s ->
-            futile := 0;
-            launch s
-          | None -> (
-            match try_steal () with
-            | Some s ->
-              futile := 0;
-              launch s
-            | None ->
-              if Queue.is_empty blocked then finished := true
-              else begin
-                (* Backoff: nothing runnable. Sleep on the tick — the
-                   claim holders may share our core, and yielding is
-                   what lets them publish. *)
-                wstats.Search_stats.par_backoffs <-
-                  wstats.Search_stats.par_backoffs + 1;
-                Atomic.incr idle;
-                Unix.sleepf 0.0002;
-                let stalled =
-                  Atomic.get idle = domains && Atomic.get tick = !last_tick
-                in
-                Atomic.decr idle;
-                if stalled then incr futile else futile := 0;
-                if !futile > 25 then begin
-                  (* Every worker idle and nothing published across
-                     repeated backoffs: a wait cycle. Abandon our
-                     oldest parked run, releasing its claims (which
-                     bumps the tick and wakes the others); the goals it
-                     held are re-claimable, nothing was duplicated, and
-                     whatever is still unanswered at phase end falls to
-                     the sequential finishing pass. *)
-                  futile := 0;
-                  let run = Queue.pop blocked in
-                  abandon_run run;
-                  (* The stall consensus abandoned a parked run: an
-                     abnormal event worth a post-mortem. *)
-                  Option.iter
-                    (fun fr ->
-                      Obs.Flight_recorder.trigger fr ~reason:"stall-abandon")
-                    t.config.recorder
-                end
-              end)
-        end
-      done;
-      (* Runs still parked at the deadline are being thrown away. *)
-      Queue.iter abandon_run blocked;
-      Option.iter (fun sp -> Obs.Trace.close sp) phase_span;
-      wstats
-    in
-    let workers = List.init domains (fun i -> Domain.spawn (fun () -> work i)) in
-    List.iter (fun d -> Search_stats.merge ~into:t.stats (Domain.join d)) workers
-
-  (** {!optimize} with intra-query parallelism. With [domains = n > 1]
-      the optimization runs in four phases:
-
-      {ol
-      {- exploration runs to a fixpoint sequentially, freezing the
-         memo's logical structure (workers never fire transformation
-         rules, so no equivalence classes merge under their feet);}
-      {- the sequential engine runs as usual up to its {e first}
-         complete candidate plan — the incumbent, whose cost bounds
-         every limit the rest of the search can use;}
-      {- [n] OCaml domains optimize the root's remaining subgoals —
-         sibling input goals and enforcer goals — against the shared
-         memo under the incumbent's cost limit, stealing seed goals
-         from each other's deques, claiming goals so duplicates park
-         instead of racing, and publishing winners under lock stripes
-         with monotonic merge;}
-      {- the paused sequential run resumes over the warm winner tables
-         and computes the final answer.}}
-
-      The final plan and cost are bit-identical to the sequential engine
-      at any domain count — phase 3 only publishes entries the
-      sequential engine itself would record (true optima, true bounded
-      failures), so the resumed run consults warm answers but can never
-      be steered to a different result. Only effort statistics (tasks,
-      hits, claimed and duplicated goals) vary with scheduling.
-      [domains <= 1] is exactly {!optimize}. Budgets with [domains > 1]
-      bound the wall clock across all phases but the task count only in
-      the sequential phases. With a [tracer] configured, every phase is
-      covered: the sequential engine records on track 0 under [phase]
-      spans, each worker on its own track, and the collector merges the
-      buffers post-run. *)
-  let run ?(limit = M.cost_infinite) ?budget ?(domains = 1) t (query : M.op Tree.t)
-      ~required : outcome =
-    if domains <= 1 then optimize ~limit ?budget t query ~required
-    else
-      profiling t @@ fun () ->
-      let t0 = Unix.gettimeofday () in
-      let deadline =
-        let b = Option.value budget ~default:t.config.budget in
-        Option.map (fun ms -> t0 +. (ms /. 1000.)) b.max_millis
-      in
-      let past_deadline () =
-        match deadline with None -> false | Some d -> Unix.gettimeofday () >= d
-      in
-      (* Bracket each of the four phases in a [phase] span on track 0.
-         Monomorphic on purpose: every phase body returns unit. *)
-      let phase name (f : unit -> unit) =
-        match t.tr_buf with
-        | None -> f ()
-        | Some buf ->
-          let sp = Obs.Trace.open_span buf ~cat:"phase" name in
-          f ();
-          Obs.Trace.close sp
-      in
-      let root = insert_query t query in
-      let key = (required, None) in
-      let answered =
-        match Memo.winner t.memo root key with
-        | Some { w_plan = Some p; _ } -> (not t.config.pruning) || cost_le p.p_cost limit
-        | Some { w_plan = None; w_bound } -> cost_le limit w_bound
-        | None -> false
-      in
-      if not answered then begin
-        phase "explore" (fun () -> explore_reachable t root ~required ~limit);
-        Memo.compress_paths t.memo
-      end;
-      let r = start ~limit t query ~required in
-      if not answered then begin
-        (* Sequential prefix: drive the engine to its first complete
-           candidate. Promise ordering makes this a near-greedy descent,
-           a small fraction of the total search. *)
-        phase "prefix" (fun () ->
-            while r.r_stack <> [] && r.r_goal.gs_best = None && not (past_deadline ()) do
-              ignore (step r : bool)
-            done);
-        match r.r_goal.gs_best with
-        | Some incumbent when r.r_stack <> [] && not (past_deadline ()) ->
-          (* The root's move list is already assembled and mid-pursuit
-             with its bound tightened to the incumbent's cost: the goals
-             its remaining moves will demand, at the limits
-             branch-and-bound grants them, are the parallel seeds. *)
-          let seeds =
-          dedup_seeds (seeds_of_moves t r.r_goal r.r_goal.gs_moves)
-        in
-          if seeds <> [] then begin
-            Memo.reset_claims t.memo;
-            phase "parallel" (fun () ->
-                par_phase t ~domains ~deadline ~cap:incumbent.p_cost seeds)
-          end
-        | _ -> ()
-      end;
-      (* Charge the exploration, prefix, and parallel phases against the
-         run's wall clock so a time budget bounds the whole
-         optimization, not just the finishing pass. *)
-      r.r_millis <- (Unix.gettimeofday () -. t0) *. 1000.;
-      phase "finish" (fun () -> ignore (resume ?budget r : status));
-      outcome_of r
 
   (* Render the memo: every equivalence class with its logical
      multi-expressions and the winners recorded per optimization goal —

@@ -47,11 +47,6 @@ type t = {
   mutable tasks : int;
   tasks_by_kind : int array;  (** indexed by [task_kind_index] *)
   mutable stack_hwm : int;
-  mutable par_goals_claimed : int;
-      (** goals claimed and computed by parallel workers *)
-  mutable par_dup_goals : int;
-      (** goals a worker computed only to find another worker had
-          already published an (equivalent) winner *)
   mutable goals_pruned_lb : int;
       (** goals killed before pursuit because the group's cost lower
           bound already exceeded the goal's limit (guided pruning) *)
@@ -61,17 +56,6 @@ type t = {
   mutable memo_fastpath_hits : int;
       (** goal-key intern lookups answered by the memo's hash-consing
           table (no structural hashing or key allocation) *)
-  mutable par_steals : int;
-      (** goal tasks a worker stole from another worker's deque
-          (stealing scheduler only) *)
-  mutable par_backoffs : int;
-      (** backoff waits: a worker with only parked goals slept until
-          another worker published progress (stealing scheduler only) *)
-  mutable par_dup_kills : int;
-      (** duplicate goal computations killed outright by the claim
-          table: the goal was already being computed (or answered)
-          elsewhere, so this worker parked or skipped it instead of
-          recomputing (stealing scheduler only) *)
   mutable mqo_shared_groups : int;
       (** logical subexpressions that occurred in two or more queries of
           a batch (multi-query optimization) *)
@@ -117,14 +101,9 @@ let create () =
     tasks = 0;
     tasks_by_kind = Array.make (List.length task_kinds) 0;
     stack_hwm = 0;
-    par_goals_claimed = 0;
-    par_dup_goals = 0;
     goals_pruned_lb = 0;
     input_limits_tightened = 0;
     memo_fastpath_hits = 0;
-    par_steals = 0;
-    par_backoffs = 0;
-    par_dup_kills = 0;
     mqo_shared_groups = 0;
     mqo_materialize_chosen = 0;
     mqo_reuse_hits = 0;
@@ -153,14 +132,9 @@ let reset t =
   t.tasks <- 0;
   Array.fill t.tasks_by_kind 0 (Array.length t.tasks_by_kind) 0;
   t.stack_hwm <- 0;
-  t.par_goals_claimed <- 0;
-  t.par_dup_goals <- 0;
   t.goals_pruned_lb <- 0;
   t.input_limits_tightened <- 0;
   t.memo_fastpath_hits <- 0;
-  t.par_steals <- 0;
-  t.par_backoffs <- 0;
-  t.par_dup_kills <- 0;
   t.mqo_shared_groups <- 0;
   t.mqo_materialize_chosen <- 0;
   t.mqo_reuse_hits <- 0;
@@ -189,14 +163,9 @@ let merge ~into t =
   into.merges <- into.merges + t.merges;
   into.tasks <- into.tasks + t.tasks;
   Array.iteri (fun i n -> into.tasks_by_kind.(i) <- into.tasks_by_kind.(i) + n) t.tasks_by_kind;
-  into.par_goals_claimed <- into.par_goals_claimed + t.par_goals_claimed;
-  into.par_dup_goals <- into.par_dup_goals + t.par_dup_goals;
   into.goals_pruned_lb <- into.goals_pruned_lb + t.goals_pruned_lb;
   into.input_limits_tightened <- into.input_limits_tightened + t.input_limits_tightened;
   into.memo_fastpath_hits <- into.memo_fastpath_hits + t.memo_fastpath_hits;
-  into.par_steals <- into.par_steals + t.par_steals;
-  into.par_backoffs <- into.par_backoffs + t.par_backoffs;
-  into.par_dup_kills <- into.par_dup_kills + t.par_dup_kills;
   into.mqo_shared_groups <- into.mqo_shared_groups + t.mqo_shared_groups;
   into.mqo_materialize_chosen <- into.mqo_materialize_chosen + t.mqo_materialize_chosen;
   into.mqo_reuse_hits <- into.mqo_reuse_hits + t.mqo_reuse_hits;
@@ -225,14 +194,9 @@ let diff ~since t =
   d.merges <- t.merges - since.merges;
   d.tasks <- t.tasks - since.tasks;
   Array.iteri (fun i n -> d.tasks_by_kind.(i) <- n - since.tasks_by_kind.(i)) t.tasks_by_kind;
-  d.par_goals_claimed <- t.par_goals_claimed - since.par_goals_claimed;
-  d.par_dup_goals <- t.par_dup_goals - since.par_dup_goals;
   d.goals_pruned_lb <- t.goals_pruned_lb - since.goals_pruned_lb;
   d.input_limits_tightened <- t.input_limits_tightened - since.input_limits_tightened;
   d.memo_fastpath_hits <- t.memo_fastpath_hits - since.memo_fastpath_hits;
-  d.par_steals <- t.par_steals - since.par_steals;
-  d.par_backoffs <- t.par_backoffs - since.par_backoffs;
-  d.par_dup_kills <- t.par_dup_kills - since.par_dup_kills;
   d.mqo_shared_groups <- t.mqo_shared_groups - since.mqo_shared_groups;
   d.mqo_materialize_chosen <- t.mqo_materialize_chosen - since.mqo_materialize_chosen;
   d.mqo_reuse_hits <- t.mqo_reuse_hits - since.mqo_reuse_hits;
@@ -258,14 +222,12 @@ let note_stack_depth t depth = if depth > t.stack_hwm then t.stack_hwm <- depth
 let pp ppf t =
   Format.fprintf ppf
     "goals=%d hits=%d misses=%d groups=%d mexprs=%d firings=%d plans=%d enforcers=%d \
-     failures=%d pruned=%d merges=%d tasks=%d hwm=%d par-claimed=%d par-dup=%d \
-     lb-pruned=%d limits-tightened=%d fastpath=%d steals=%d backoffs=%d dup-kills=%d \
-     mqo-shared=%d mqo-mat=%d mqo-reuse=%d fb-runs=%d fb-observed=%d fb-drift=%d \
-     fb-corrections=%d fb-escapes=%d fb-replans=%d anytime=%d"
+     failures=%d pruned=%d merges=%d tasks=%d hwm=%d lb-pruned=%d limits-tightened=%d \
+     fastpath=%d mqo-shared=%d mqo-mat=%d mqo-reuse=%d fb-runs=%d fb-observed=%d \
+     fb-drift=%d fb-corrections=%d fb-escapes=%d fb-replans=%d anytime=%d"
     t.goals t.goal_hits t.goal_misses t.groups_created t.mexprs_created t.rule_firings
     t.plans_costed t.enforcer_moves t.failures t.pruned t.merges t.tasks t.stack_hwm
-    t.par_goals_claimed t.par_dup_goals t.goals_pruned_lb t.input_limits_tightened
-    t.memo_fastpath_hits t.par_steals t.par_backoffs t.par_dup_kills t.mqo_shared_groups
+    t.goals_pruned_lb t.input_limits_tightened t.memo_fastpath_hits t.mqo_shared_groups
     t.mqo_materialize_chosen t.mqo_reuse_hits t.feedback_runs t.feedback_nodes_observed
     t.feedback_drift_nodes t.feedback_corrections t.feedback_escapes t.feedback_replans
     t.anytime_improvements
@@ -296,14 +258,9 @@ let fields t =
     ("merges", fun () -> t.merges);
     ("tasks_total", fun () -> t.tasks);
     ("stack_hwm", fun () -> t.stack_hwm);
-    ("par_goals_claimed", fun () -> t.par_goals_claimed);
-    ("par_dup_goals", fun () -> t.par_dup_goals);
     ("goals_pruned_lb", fun () -> t.goals_pruned_lb);
     ("input_limits_tightened", fun () -> t.input_limits_tightened);
     ("memo_fastpath_hits", fun () -> t.memo_fastpath_hits);
-    ("par_steals", fun () -> t.par_steals);
-    ("par_backoffs", fun () -> t.par_backoffs);
-    ("par_dup_kills", fun () -> t.par_dup_kills);
     ("mqo_shared_groups", fun () -> t.mqo_shared_groups);
     ("mqo_materialize_chosen", fun () -> t.mqo_materialize_chosen);
     ("mqo_reuse_hits", fun () -> t.mqo_reuse_hits);

@@ -241,6 +241,43 @@ let test_resume_after_complete_is_noop () =
   Alcotest.(check bool) "still complete" true (S.resume run = S.Complete);
   Alcotest.(check int) "no further tasks" tasks (S.stats t).tasks
 
+(* A wall-clock budget of zero pauses the run before its first task:
+   no plan, no work, and a "time-budget" post-mortem. The paused run
+   then resumes under no budget to the exact plan of an unbudgeted
+   optimization. *)
+let test_time_budget_pause_and_resume () =
+  let request =
+    {
+      (Relmodel.Optimizer.request catalog) with
+      max_millis = Some 0.;
+      restore_columns = false;
+    }
+  in
+  let r = Relmodel.Optimizer.optimize request three_way_join ~required:Phys_prop.any in
+  Alcotest.(check bool) "incomplete" false r.complete;
+  Alcotest.(check int) "no task ran" 0 r.tasks_run;
+  Alcotest.(check bool) "no plan" true (r.plan = None);
+  let render (o : S.outcome) =
+    match o.plan with
+    | None -> "NONE"
+    | Some p -> Format.asprintf "%a|%.17g" S.pp_plan p (Cost.total p.cost)
+  in
+  let tree = Relmodel.Rel_model.to_tree three_way_join in
+  let recorder = Obs.Flight_recorder.create ~capacity:64 () in
+  let t = S.create ~config:{ S.default_config with recorder = Some recorder } () in
+  let run = S.start t tree ~required:Phys_prop.any in
+  Alcotest.(check bool) "paused on the wall clock" true
+    (S.resume ~budget:(S.budget ~max_millis:0. ()) run = S.Paused S.Time_budget);
+  Alcotest.(check int) "paused before any task" 0 (S.outcome_of run).tasks_run;
+  Alcotest.(check string) "recorder names the budget" "time-budget"
+    (Obs.Flight_recorder.last_reason recorder);
+  Alcotest.(check bool) "resumes to completion" true
+    (S.resume ~budget:S.unlimited run = S.Complete);
+  let fresh = S.optimize (S.create ()) tree ~required:Phys_prop.any in
+  Alcotest.(check bool) "unbudgeted run finds a plan" true (fresh.plan <> None);
+  Alcotest.(check string) "resumed plan = unbudgeted plan" (render fresh)
+    (render (S.outcome_of run))
+
 (* ------------------------------------------------------------------ *)
 (* Tracing and scheduler counters                                      *)
 (* ------------------------------------------------------------------ *)
@@ -299,6 +336,8 @@ let suite =
       test_resume_equivalence;
     Alcotest.test_case "resume after completion is a no-op" `Quick
       test_resume_after_complete_is_noop;
+    Alcotest.test_case "wall-clock budget pauses and resumes" `Quick
+      test_time_budget_pause_and_resume;
     Alcotest.test_case "span tracing matches the task counters" `Quick
       test_trace_spans_and_counters;
   ]

@@ -238,8 +238,6 @@ type slot_op =
   | Mark of int * int
   | Unmark of int * int
   | Lower_bound of int * int
-  | Claim of int * int
-  | Release of int * int
   | Record_alt of int * int * int
   | Merge of int * int
 
@@ -251,8 +249,6 @@ let show_slot_op = function
   | Mark (g, id) -> Printf.sprintf "mark(%d,%d)" g id
   | Unmark (g, id) -> Printf.sprintf "unmark(%d,%d)" g id
   | Lower_bound (g, id) -> Printf.sprintf "lower_bound(%d,%d)" g id
-  | Claim (g, id) -> Printf.sprintf "claim(%d,%d)" g id
-  | Release (g, id) -> Printf.sprintf "release(%d,%d)" g id
   | Record_alt (g, id, a) -> Printf.sprintf "alt(%d,%d,%d)" g id a
   | Merge (a, b) -> Printf.sprintf "merge(%d,%d)" a b
 
@@ -273,8 +269,6 @@ let gen_slot_ops =
         (3, map2 (fun g id -> Mark (g, id)) group goal);
         (2, map2 (fun g id -> Unmark (g, id)) group goal);
         (3, map2 (fun g id -> Lower_bound (g, id)) group goal);
-        (3, map2 (fun g id -> Claim (g, id)) group goal);
-        (2, map2 (fun g id -> Release (g, id)) group goal);
         (3, map3 (fun g id a -> Record_alt (g, id, a)) group goal (int_range 0 9));
         (1, map2 (fun a b -> Merge (a, b)) group group);
       ]
@@ -288,7 +282,6 @@ type ref_model = {
   r_parent : int array;
   r_winners : (int * int, IM.winner) Hashtbl.t;
   r_marks : (int * int, unit) Hashtbl.t;
-  r_claims : (int * int, unit) Hashtbl.t;
   r_bounds : (int * int, int) Hashtbl.t;
   r_alts : (int * int, IM.alt list) Hashtbl.t;  (** newest first *)
 }
@@ -323,11 +316,10 @@ let ref_merge r a b =
         let existing = Option.value (Hashtbl.find_opt r.r_alts (a, id)) ~default:[] in
         Hashtbl.replace r.r_alts (a, id) (l @ existing))
       (moved r.r_alts);
-    (* The dead class's marks, claims and cached bounds are dropped. *)
+    (* The dead class's marks and cached bounds are dropped. *)
     let drop tbl = Hashtbl.filter_map_inplace (fun (g, _) v -> if g = b then None else Some v) tbl in
     drop r.r_winners;
     drop r.r_marks;
-    drop r.r_claims;
     drop r.r_bounds;
     drop r.r_alts
   end
@@ -347,7 +339,6 @@ let prop_slot_space_matches_model =
           r_parent = Array.init n_leaves Fun.id;
           r_winners = Hashtbl.create 64;
           r_marks = Hashtbl.create 64;
-          r_claims = Hashtbl.create 64;
           r_bounds = Hashtbl.create 64;
           r_alts = Hashtbl.create 64;
         }
@@ -386,15 +377,6 @@ let prop_slot_space_matches_model =
               c
           in
           IM.lower_bound m leaves.(g) id = want && agrees g id
-        | Claim (g, id) ->
-          let k = (ref_root r g, id) in
-          let want = not (Hashtbl.mem r.r_claims k || Hashtbl.mem r.r_winners k) in
-          if want then Hashtbl.replace r.r_claims k ();
-          IM.try_claim_id m leaves.(g) id = want && agrees g id
-        | Release (g, id) ->
-          IM.release_claim_id m leaves.(g) id;
-          Hashtbl.remove r.r_claims (ref_root r g, id);
-          agrees g id
         | Record_alt (g, id, a) ->
           let alt = { IM.a_alg = a; a_rule = "r"; a_cost = None; a_reason = IM.Alt_completed } in
           IM.record_alt m leaves.(g) id alt;

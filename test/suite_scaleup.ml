@@ -12,19 +12,18 @@ let render (result : Relmodel.Optimizer.result) =
   | Some p ->
     Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
 
-let optimize_arm q ~required ~guided ~domains =
+let optimize_arm q ~required ~guided =
   let request =
     {
       (Relmodel.Optimizer.request q.Workload.catalog) with
       restore_columns = false;
       guided_pruning = guided;
-      domains;
     }
   in
   Relmodel.Optimizer.optimize request q.Workload.logical ~required
 
 (* Under unbounded budgets the guided and unguided arms find
-   bit-identical plans at 1, 2 and 4 domains. Exercised across random
+   bit-identical plans. Exercised across random
    topologies (cyclic ones included), skew, correlation, and both
    required properties. *)
 let qcheck_arms_identical =
@@ -44,7 +43,7 @@ let qcheck_arms_identical =
       (match correlation with None -> "-" | Some c -> string_of_float c)
       sorted
   in
-  Helpers.qcheck_case ~count:12 "pruning arms and domains agree"
+  Helpers.qcheck_case ~count:12 "pruning arms agree"
     (QCheck.make ~print gen)
     (fun (n, shape, seed, skew, correlation, sorted) ->
       let q =
@@ -55,11 +54,8 @@ let qcheck_arms_identical =
         if sorted then Phys_prop.sorted (Sort_order.asc [ List.hd q.relations ^ ".jk1" ])
         else Phys_prop.any
       in
-      let reference = render (optimize_arm q ~required ~guided:true ~domains:1) in
-      List.for_all
-        (fun (guided, domains) ->
-          render (optimize_arm q ~required ~guided ~domains) = reference)
-        [ (false, 1); (true, 2); (true, 4) ])
+      render (optimize_arm q ~required ~guided:true)
+      = render (optimize_arm q ~required ~guided:false))
 
 let anytime_of q ~budgets =
   let request =
@@ -133,7 +129,7 @@ let test_anytime_matches_one_shot () =
       (Workload.spec ~shape:Workload.Clique ~skew:0.5 ~n_relations:5 ~seed:33 ())
   in
   let a = anytime_of q ~budgets:[ 1_000_000_000 ] in
-  let one_shot = optimize_arm q ~required:Phys_prop.any ~guided:true ~domains:1 in
+  let one_shot = optimize_arm q ~required:Phys_prop.any ~guided:true in
   Alcotest.(check bool) "both complete" true (a.an_result.complete && one_shot.complete);
   Alcotest.(check string) "identical plan" (render one_shot) (render a.an_result)
 
@@ -144,7 +140,7 @@ let test_promise_counters () =
     Workload.generate
       (Workload.spec ~shape:Workload.Star ~n_relations:5 ~seed:44 ())
   in
-  let s = (optimize_arm q ~required:Phys_prop.any ~guided:true ~domains:1).stats in
+  let s = (optimize_arm q ~required:Phys_prop.any ~guided:true).stats in
   Alcotest.(check int) "no promise evals" 0 s.promise_evals;
   Alcotest.(check bool) "anytime improvements tracked" true
     (s.anytime_improvements >= 0)

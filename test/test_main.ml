@@ -14,7 +14,6 @@ let () =
       ("executor", Suite_executor.suite);
       ("access_paths", Suite_access_paths.suite);
       ("parallel", Suite_parallel.suite);
-      ("parsearch", Suite_parsearch.suite);
       ("pruning", Suite_pruning.suite);
       ("dynplan", Suite_dynplan.suite);
       ("session", Suite_session.suite);

@@ -431,7 +431,7 @@ let validate_flightrec path =
        | _ -> fail "%s: event %d has a bad track" path i);
       (match str_field "kind" ev with
        | Some
-           ( "task_begin" | "task_end" | "claim" | "publish" | "prune"
+           ( "task_begin" | "task_end" | "publish" | "prune"
            | "incumbent" ) -> ()
        | _ -> fail "%s: event %d has an unknown kind" path i);
       List.iter
