@@ -1,21 +1,20 @@
-(* Benchmark harness regenerating the paper's evaluation (Figure 4) and
-   the ablations A1-A10 of DESIGN.md.
+(* Benchmark harness regenerating the paper's evaluation (Figure 4),
+   the ablations A1-A10 of DESIGN.md, and the BENCH_*.json reports.
 
-     dune exec bench/main.exe            -- every experiment
-     dune exec bench/main.exe -- f4      -- just Figure 4
-     dune exec bench/main.exe -- a1..a10 -- one ablation
-     dune exec bench/main.exe -- plansrv -- plan-cache service (BENCH_plansrv.json)
-     dune exec bench/main.exe -- pruning -- guided-pruning ablation (BENCH_pruning.json)
-     dune exec bench/main.exe -- pruning smoke -- CI mode: small sizes, nonzero exit on failure
-     dune exec bench/main.exe -- obs     -- observability overhead (BENCH_obs.json)
-     dune exec bench/main.exe -- obs smoke -- CI mode: nonzero exit on divergence or parity break
-     dune exec bench/main.exe -- mqo     -- multi-query optimization (BENCH_mqo.json)
-     dune exec bench/main.exe -- mqo smoke -- CI mode: nonzero exit if sharing-off diverges
-                                              or a materialization raises the batch cost
-     dune exec bench/main.exe -- feedback -- runtime cardinality feedback (BENCH_feedback.json)
-     dune exec bench/main.exe -- feedback smoke -- CI mode: nonzero exit if a skewed arm
-                                              fails to recover or feedback perturbs results
-     dune exec bench/main.exe -- full    -- paper-sized query counts everywhere
+     dune exec bench/main.exe              -- every target
+     dune exec bench/main.exe -- f4        -- just Figure 4
+     dune exec bench/main.exe -- a1..a10   -- one ablation (printed only)
+     dune exec bench/main.exe -- plansrv   -- plan-cache service      (BENCH_plansrv.json)
+     dune exec bench/main.exe -- pruning   -- guided-pruning ablation (BENCH_pruning.json)
+     dune exec bench/main.exe -- obs       -- observability overhead  (BENCH_obs.json)
+     dune exec bench/main.exe -- mqo       -- multi-query optimization (BENCH_mqo.json)
+     dune exec bench/main.exe -- feedback  -- runtime cardinality feedback (BENCH_feedback.json)
+     dune exec bench/main.exe -- scaleup   -- anytime search on large join graphs (BENCH_scaleup.json)
+
+   A trailing [smoke] runs small sizes, writes the reports under _smoke/
+   (never over a committed report), and exits nonzero when a gate
+   fails; [full] runs paper-sized counts everywhere. An unknown target
+   name is a usage error (exit 2).
 
    Absolute times are machine-dependent (the paper used a ~12 MIPS
    SparcStation-1); shapes, ratios, and crossovers are what EXPERIMENTS.md
@@ -619,19 +618,131 @@ let a10 ~full () =
     [ 50; 200; 500; 1_000; 2_000; 5_000; 20_000 ]
 
 (* ------------------------------------------------------------------ *)
-(* PLANSRV: the plan-cache service under a repeated workload — warm    *)
-(* hits vs cold optimizations, and concurrent serving throughput.      *)
-(* Writes BENCH_plansrv.json next to the build.                        *)
+(* Reports: the one schema every BENCH_*.json is written in.           *)
 (* ------------------------------------------------------------------ *)
+
+(* A report holds cells, each keyed by its identity (workload,
+   relations, required property, sharing, workers, ...) and holding
+   one record per arm. An arm's [counters] are machine-neutral (tasks,
+   plan costs, pruning/memo/MQO/feedback counts, flags) and reproduce
+   exactly on any machine; its [timings] (wall clock, slowdowns, rates)
+   vary from run to run and are not compared across reports; [extras]
+   carry structured per-arm data such as an anytime curve. Named boolean
+   gates hold the run's correctness claims, headlines its summary
+   numbers. tools/bench_diff matches cells across reports by key and
+   tools/validate_obs checks this shape. *)
+
+type mode = Smoke | Default | Full
+
+type arm = {
+  arm : string;
+  counters : (string * Obs.Json.t) list;
+  timings : (string * float) list;
+  extras : (string * Obs.Json.t) list;
+}
+
+type cell = { key : (string * Obs.Json.t) list; arms : arm list }
+
+type report = {
+  bench : string;
+  gates : gates;
+  headlines : (string * float) list;
+  cells : cell list;
+}
+
+(* Each named gate holds until a check under it fails; every failed
+   check keeps its message for the log. *)
+and gates = { mutable verdicts : (string * bool) list; mutable failures : string list }
+
+let new_gates () = { verdicts = []; failures = [] }
+
+let check g name ok fmt =
+  Printf.ksprintf
+    (fun msg ->
+      (if List.mem_assoc name g.verdicts then
+         g.verdicts <-
+           List.map (fun (n, v) -> (n, if n = name then v && ok else v)) g.verdicts
+       else g.verdicts <- g.verdicts @ [ (name, ok) ]);
+      if not ok then g.failures <- msg :: g.failures)
+    fmt
+
+let arm ?(timings = []) ?(extras = []) name counters =
+  { arm = name; counters; timings; extras }
+
+let int = Obs.Json.int
+
+let num x = Obs.Json.Num x
+
+let str s = Obs.Json.Str s
+
+let bool b = Obs.Json.Bool b
+
+let opt_int = function None -> Obs.Json.Null | Some t -> int t
+
+(* Smoke runs never overwrite a committed report. *)
+let smoke_dir = "_smoke"
+
+(* One line per arm, so a regenerated report diffs line by line. *)
+let render mode r =
+  let open Obs.Json in
+  let fields kvs = to_string (Obj kvs) in
+  let round3 x = Float.round (x *. 1000.) /. 1000. in
+  let arm_line a =
+    fields
+      ([ ("arm", Str a.arm); ("counters", Obj a.counters);
+         ("timings", Obj (List.map (fun (k, v) -> (k, Num (round3 v))) a.timings)) ]
+      @ a.extras)
+  in
+  let cell_lines c =
+    Printf.sprintf "  {\"key\":%s,\"arms\":[\n    %s]}" (fields c.key)
+      (String.concat ",\n    " (List.map arm_line c.arms))
+  in
+  Printf.sprintf
+    "{\"bench\":%s,\"mode\":%s,\"cores\":%d,\n\"gates\":%s,\n\"headlines\":%s,\n\"cells\":[\n%s]}\n"
+    (to_string (Str r.bench))
+    (to_string
+       (Str (match mode with Smoke -> "smoke" | Default -> "default" | Full -> "full")))
+    (Domain.recommended_domain_count ())
+    (fields (List.map (fun (k, v) -> (k, Bool v)) r.gates.verdicts))
+    (fields (List.map (fun (k, v) -> (k, Num (round3 v))) r.headlines))
+    (String.concat ",\n" (List.map cell_lines r.cells))
+
+(* Print and write the report (smoke runs into [smoke_dir]), list the
+   failed checks, and exit nonzero in smoke mode when a gate failed. *)
+let finish mode r =
+  let dir = if mode = Smoke then smoke_dir else "." in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = Filename.concat dir ("BENCH_" ^ r.bench ^ ".json") in
+  let text = render mode r in
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  Printf.printf "%s\n  wrote %s\n%!" text path;
+  if r.gates.failures <> [] then begin
+    List.iter (Printf.printf "  FAIL: %s\n") (List.rev r.gates.failures);
+    if mode = Smoke then exit 1
+  end
+
+(* Plans compare as their EXPLAIN text plus the 17-digit total cost. *)
+let render_plan (plan : Relmodel.Optimizer.plan_node option) =
+  match plan with
+  | None -> "NONE"
+  | Some p -> Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
+
+let plan_cost (plan : Relmodel.Optimizer.plan_node option) =
+  match plan with Some p -> num (Cost.total p.cost) | None -> Obs.Json.Null
 
 let median xs =
   match List.sort Float.compare xs with
   | [] -> nan
   | sorted -> List.nth sorted (List.length sorted / 2)
 
-let plansrv_bench ~full () =
+(* ------------------------------------------------------------------ *)
+(* PLANSRV: the plan-cache service under a repeated workload — warm    *)
+(* hits vs cold optimizations, and concurrent serving throughput.      *)
+(* ------------------------------------------------------------------ *)
+
+let plansrv_bench mode =
   header "PLANSRV  Plan-cache service: repeated workload, warm vs cold";
-  let replays = if full then 100 else 50 in
+  let replays = if mode = Full then 100 else 50 in
   (* 20 distinct queries over one catalog: the same 5-relation chain
      under 20 different selection constants — the shape of a
      parameterized application workload. *)
@@ -657,6 +768,11 @@ let plansrv_bench ~full () =
   let request =
     { (Relmodel.Optimizer.request catalog) with restore_columns = false }
   in
+  let gates = new_gates () in
+  let key path workers =
+    [ ("path", str path); ("unique_queries", int n_unique); ("replays", int replays);
+      ("workers", int workers) ]
+  in
   (* Latency profile on one worker: per-response latency is measured
      inside the service. *)
   let srv = Plansrv.create (Plansrv.config request) in
@@ -673,25 +789,32 @@ let plansrv_bench ~full () =
   let m = Plansrv.metrics srv in
   let cold_med = median cold and warm_med = median warm in
   let speedup = cold_med /. warm_med in
-  Printf.printf
-    "%d unique queries x %d replays = %d requests; hits %d, misses %d (hit rate %.1f%%)\n"
-    n_unique replays n m.hits m.misses
-    (100. *. Float.of_int m.hits /. Float.of_int m.requests);
-  Printf.printf "  cold (optimize) median: %8.3f ms   mean: %8.3f ms\n" cold_med (mean cold);
-  Printf.printf "  warm (cache hit) median: %7.3f ms   mean: %8.3f ms\n" warm_med (mean warm);
-  Printf.printf "  median speedup: %.1fx\n\n" speedup;
+  let hit_rate = Float.of_int m.hits /. Float.of_int m.requests in
+  check gates "one_miss_per_unique_query" (m.misses = n_unique)
+    "serve_one: %d misses for %d unique queries" m.misses n_unique;
+  let latency_cell =
+    {
+      key = key "serve_one" 1;
+      arms =
+        [
+          arm "serve"
+            [ ("requests", int m.requests); ("hits", int m.hits); ("misses", int m.misses);
+              ("evictions", int m.evictions); ("entries", int m.entries) ]
+            ~timings:
+              [ ("cold_median_ms", cold_med); ("cold_mean_ms", mean cold);
+                ("warm_median_ms", warm_med); ("warm_mean_ms", mean warm) ];
+        ];
+    }
+  in
   (* Concurrent throughput: per worker count, a cold run on a fresh
-     service (its misses column counts duplicated optimizations from
-     concurrent workers missing on the same key) and a second, fully
-     warmed run over the same stream. Domains beyond the available
-     cores only add scheduling and GC-synchronization overhead, so read
-     the scaling against the reported core count. *)
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "  available cores: %d\n" cores;
-  Printf.printf "  workers | cold (ms) | misses | warm (ms) | warm req/s | lock-free hits\n";
-  Printf.printf "  --------+-----------+--------+-----------+------------+---------------\n";
+     service (at more than one worker its misses count duplicated
+     optimizations from workers missing on the same key, which varies
+     from run to run) and a second, fully warmed run over the same
+     stream. Domains beyond the available cores only add scheduling and
+     GC-synchronization overhead, so read the scaling against the
+     report's core count. *)
   let batch = Array.map (fun q -> (q, Phys_prop.any)) stream in
-  let throughput =
+  let throughput_cells =
     List.map
       (fun workers ->
         let srv = Plansrv.create (Plansrv.config request) in
@@ -705,48 +828,37 @@ let plansrv_bench ~full () =
            single-core container. *)
         let lockfree = (Plansrv.metrics srv).lockfree_hits - before_warm in
         let rps = Float.of_int n /. dt_warm in
-        Printf.printf "  %7d | %9.1f | %6d | %9.1f | %10.0f | %d/%d\n%!" workers
-          (dt_cold *. 1000.) misses (dt_warm *. 1000.) rps lockfree n;
-        (workers, dt_cold *. 1000., misses, dt_warm *. 1000., rps, lockfree))
-      [ 1; 2; 4 ]
+        check gates "warm_pass_lockfree" (lockfree = n)
+          "%d workers: %d of %d warm requests served lock-free" workers lockfree n;
+        if workers = 1 then
+          check gates "one_miss_per_unique_query" (misses = n_unique)
+            "serve, 1 worker: %d misses for %d unique queries" misses n_unique;
+        let cold_misses = ("cold_misses", Float.of_int misses) in
+        {
+          key = key "serve" workers;
+          arms =
+            [
+              arm "serve"
+                ((if workers = 1 then [ ("cold_misses", int misses) ] else [])
+                @ [ ("warm_lockfree_hits", int lockfree) ])
+                ~timings:
+                  ([ ("cold_wall_ms", dt_cold *. 1000.) ]
+                  @ (if workers = 1 then [] else [ cold_misses ])
+                  @ [ ("warm_wall_ms", dt_warm *. 1000.); ("warm_req_per_s", rps) ]);
+            ];
+        })
+      (if mode = Smoke then [ 1; 2 ] else [ 1; 2; 4 ])
   in
-  let oc = open_out "BENCH_plansrv.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"unique_queries\": %d,\n\
-    \  \"replays\": %d,\n\
-    \  \"requests\": %d,\n\
-    \  \"hits\": %d,\n\
-    \  \"misses\": %d,\n\
-    \  \"hit_rate\": %.4f,\n\
-    \  \"cold_median_ms\": %.4f,\n\
-    \  \"cold_mean_ms\": %.4f,\n\
-    \  \"warm_median_ms\": %.4f,\n\
-    \  \"warm_mean_ms\": %.4f,\n\
-    \  \"median_speedup\": %.1f,\n\
-    \  \"evictions\": %d,\n\
-    \  \"entries\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"throughput\": [\n%s\n\
-    \  ]\n\
-     }\n"
-    n_unique replays n m.hits m.misses
-    (Float.of_int m.hits /. Float.of_int m.requests)
-    cold_med (mean cold) warm_med (mean warm) speedup m.evictions m.entries cores
-    (String.concat ",\n"
-       (List.map
-          (fun (w, cold_ms, misses, warm_ms, rps, lockfree) ->
-            Printf.sprintf
-              "    { \"workers\": %d, \"cold_wall_ms\": %.1f, \"cold_misses\": %d, \
-               \"warm_wall_ms\": %.1f, \"warm_req_per_s\": %.0f, \
-               \"warm_lockfree_hits\": %d }"
-              w cold_ms misses warm_ms rps lockfree)
-          throughput));
-  close_out oc;
-  Printf.printf "\n  wrote BENCH_plansrv.json\n%!"
+  finish mode
+    {
+      bench = "plansrv";
+      gates;
+      headlines = [ ("hit_rate", hit_rate); ("median_speedup", speedup) ];
+      cells = latency_cell :: throughput_cells;
+    }
 
 (* ------------------------------------------------------------------ *)
-(* PRUNING  Guided-pruning ablation (BENCH_pruning.json)               *)
+(* PRUNING  Guided-pruning ablation                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Three arms over the same workloads: no pruning at all, plain
@@ -754,38 +866,23 @@ let plansrv_bench ~full () =
    (group cost lower bounds driving goal kills, doomed-move
    projections, and sibling-aware input limits). The winning plan must
    be bit-identical across every arm; total engine tasks are the
-   machine-independent work measure. [smoke] shrinks the sizes for CI
-   and makes the run exit nonzero when any arm diverges or the star
-   workload shows no lower-bound pruning. *)
-let pruning_bench ?(smoke = false) ~full () =
+   machine-independent work measure. *)
+let pruning_bench mode =
   header "PRUNING  Guided pruning ablation (group cost lower bounds)";
-  Printf.printf
-    "Per workload and required property: wall clock (best of %d), total engine\n\
-     tasks, and the guided-pruning counters. \"identical\" compares the plan\n\
-     rendering (operators, properties, per-node costs to the last bit) against\n\
-     the no-pruning arm of the same workload.\n\n"
-    (if smoke then 1 else 3);
-  let sizes = if smoke then [ 4; 5 ] else if full then [ 5; 6; 7; 8 ] else [ 5; 6; 7 ] in
-  let reps = if smoke then 1 else 3 in
+  let reps = if mode = Smoke then 1 else 3 in
+  let sizes =
+    match mode with Smoke -> [ 4; 5 ] | Default -> [ 5; 6; 7 ] | Full -> [ 5; 6; 7; 8 ]
+  in
   let workloads =
     List.concat_map
       (fun n -> [ (Workload.Chain, "chain", n); (Workload.Star, "star", n) ])
       sizes
   in
   let arms = [ ("none", false, false); ("figure2", true, false); ("guided", true, true) ] in
-  let render (result : Relmodel.Optimizer.result) =
-    match result.plan with
-    | None -> "NONE"
-    | Some p ->
-      Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
-  in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  Printf.printf
-    "  workload | required | arm     | wall (ms) | tasks | lb-pruned | tightened | fastpath | identical\n";
-  Printf.printf
-    "  ---------+----------+---------+-----------+-------+-----------+-----------+----------+----------\n";
-  let rows =
+  let gates = new_gates () in
+  (* Star totals per arm for the headline: tasks and lower-bound kills. *)
+  let star_tasks = Hashtbl.create 3 and star_lb = ref 0 in
+  let cells =
     List.concat_map
       (fun (shape, name, n) ->
         let q =
@@ -798,7 +895,7 @@ let pruning_bench ?(smoke = false) ~full () =
             ("sorted", Phys_prop.sorted (Sort_order.asc [ List.hd q.relations ^ ".jk1" ]));
           ]
         in
-        List.concat_map
+        List.map
           (fun (rname, required) ->
             let measure ~pruning ~guided =
               let request =
@@ -821,74 +918,52 @@ let pruning_bench ?(smoke = false) ~full () =
               (!best *. 1000., Option.get !last)
             in
             let baseline = ref "" in
-            List.map
-              (fun (arm, pruning, guided) ->
-                let ms, r = measure ~pruning ~guided in
-                let rendered = render r in
-                if arm = "none" then baseline := rendered;
-                let identical = rendered = !baseline in
-                if not identical then
-                  fail "%s n=%d %s: arm %s diverges from no-pruning plan" name n
-                    rname arm;
-                let s = r.stats in
-                Printf.printf
-                  "  %5s n=%d | %8s | %-7s | %9.1f | %5d | %9d | %9d | %8d | %b\n%!"
-                  name n rname arm ms s.tasks s.goals_pruned_lb
-                  s.input_limits_tightened s.memo_fastpath_hits identical;
-                ( name, n, rname, arm, ms, s.tasks, s.goals_pruned_lb,
-                  s.input_limits_tightened, s.memo_fastpath_hits,
-                  (match r.plan with Some p -> Cost.total p.cost | None -> nan),
-                  identical ))
-            arms)
+            let cell_arms =
+              List.map
+                (fun (arm_name, pruning, guided) ->
+                  let ms, r = measure ~pruning ~guided in
+                  let rendered = render_plan r.plan in
+                  if arm_name = "none" then baseline := rendered;
+                  let identical = rendered = !baseline in
+                  check gates "arms_identical" identical
+                    "%s n=%d %s: arm %s diverges from no-pruning plan" name n rname arm_name;
+                  let s = r.stats in
+                  if name = "star" then begin
+                    Hashtbl.replace star_tasks arm_name
+                      (s.tasks + Option.value (Hashtbl.find_opt star_tasks arm_name) ~default:0);
+                    if arm_name = "guided" then star_lb := !star_lb + s.goals_pruned_lb
+                  end;
+                  arm arm_name
+                    [ ("tasks", int s.tasks); ("goals_pruned_lb", int s.goals_pruned_lb);
+                      ("input_limits_tightened", int s.input_limits_tightened);
+                      ("memo_fastpath_hits", int s.memo_fastpath_hits);
+                      ("plan_cost", plan_cost r.plan) ]
+                    ~timings:[ ("wall_ms", ms) ])
+                arms
+            in
+            {
+              key = [ ("workload", str name); ("relations", int n); ("required", str rname) ];
+              arms = cell_arms;
+            })
           requireds)
       workloads
   in
-  let star_tasks arm =
-    List.fold_left
-      (fun acc (name, _, _, a, _, tasks, _, _, _, _, _) ->
-        if name = "star" && a = arm then acc + tasks else acc)
-      0 rows
-  in
-  let star_lb_pruned =
-    List.fold_left
-      (fun acc (name, _, _, a, _, _, lb, _, _, _, _) ->
-        if name = "star" && a = "guided" then acc + lb else acc)
-      0 rows
-  in
-  let f2 = star_tasks "figure2" and guided = star_tasks "guided" in
+  let f2 = Hashtbl.find star_tasks "figure2" and guided = Hashtbl.find star_tasks "guided" in
   let reduction = 100. *. (1. -. (Float.of_int guided /. Float.of_int f2)) in
-  Printf.printf
-    "\n  star workload: figure2 %d tasks, guided %d tasks (%.1f%% reduction); \
-     lb-pruned %d\n"
-    f2 guided reduction star_lb_pruned;
-  if star_lb_pruned = 0 then
-    fail "star workload: guided arm never pruned on a lower bound";
-  let oc = open_out "BENCH_pruning.json" in
-  Printf.fprintf oc
-    "{\n  \"cores\": %d,\n  \"star_task_reduction_pct\": %.2f,\n\
-    \  \"star_goals_pruned_lb\": %d,\n\
-    \  \"all_arms_identical\": %b,\n  \"runs\": [\n%s\n  ]\n}\n"
-    (Domain.recommended_domain_count ()) reduction star_lb_pruned (!failures = [])
-    (String.concat ",\n"
-       (List.map
-          (fun (name, n, rname, arm, ms, tasks, lb, tight, fast, cost, identical) ->
-            Printf.sprintf
-              "    { \"workload\": \"%s\", \"relations\": %d, \"required\": \"%s\", \
-               \"arm\": \"%s\", \"wall_ms\": %.2f, \"tasks\": %d, \
-               \"goals_pruned_lb\": %d, \"input_limits_tightened\": %d, \
-               \"memo_fastpath_hits\": %d, \"plan_cost\": %.17g, \
-               \"identical_to_no_pruning\": %b }"
-              name n rname arm ms tasks lb tight fast cost identical)
-          rows));
-  close_out oc;
-  Printf.printf "\n  wrote BENCH_pruning.json\n%!";
-  if !failures <> [] then begin
-    List.iter (Printf.printf "  FAIL: %s\n") (List.rev !failures);
-    if smoke then exit 1
-  end
+  check gates "star_lb_pruning" (!star_lb > 0)
+    "star workload: guided arm never pruned on a lower bound";
+  finish mode
+    {
+      bench = "pruning";
+      gates;
+      headlines =
+        [ ("star_task_reduction_pct", reduction);
+          ("star_goals_pruned_lb", Float.of_int !star_lb) ];
+      cells;
+    }
 
 (* ------------------------------------------------------------------ *)
-(* OBS  Observability overhead (BENCH_obs.json)                        *)
+(* OBS  Observability overhead                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Five arms over the same workloads: observability off, span tracing
@@ -899,35 +974,22 @@ let pruning_bench ?(smoke = false) ~full () =
    never steer the search — the traced arm's span counts must equal the
    engine's task counters, and the profiled arms' per-rule task sums
    must equal the same counters (trace and profile are each a complete
-   account of the work). [smoke] shrinks sizes for CI and exits nonzero
-   when a plan diverges, parity breaks, or the overhead explodes. *)
-let obs_bench ?(smoke = false) ~full () =
+   account of the work). The overhead gates are generous (4x tracing,
+   2x profiled) because CI machines are noisy and smoke sizes tiny. *)
+let obs_bench mode =
   header "OBS  Observability overhead (tracing, EXPLAIN, profiler, recorder)";
-  let sizes = if smoke then [ 4; 5 ] else if full then [ 5; 6; 7 ] else [ 5; 6 ] in
-  let reps = if smoke then 3 else 7 in
-  Printf.printf
-    "Per workload: median wall clock of %d runs per arm, span counts of the\n\
-     traced arm, and each arm's overhead relative to the off arm.\n\n"
-    reps;
+  let sizes = match mode with Smoke -> [ 4; 5 ] | Default -> [ 5; 6 ] | Full -> [ 5; 6; 7 ] in
+  let reps = if mode = Smoke then 3 else 7 in
   let workloads =
     List.concat_map
       (fun n -> [ (Workload.Chain, "chain", n); (Workload.Star, "star", n) ])
       sizes
   in
-  let render (result : Relmodel.Optimizer.result) =
-    match result.plan with
-    | None -> "NONE"
-    | Some p ->
-      Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
-  in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  Printf.printf
-    "  workload | arm               | wall (ms) | tasks | spans | overhead\n";
-  Printf.printf
-    "  ---------+-------------------+-----------+-------+-------+---------\n";
-  let rows =
-    List.concat_map
+  let gates = new_gates () in
+  let arm_names = [ "off"; "trace"; "trace+explain"; "profile"; "profile+flightrec" ] in
+  let slowdowns = Hashtbl.create 5 in
+  let cells =
+    List.map
       (fun (shape, name, n) ->
         let q =
           Workload.generate
@@ -978,210 +1040,77 @@ let obs_bench ?(smoke = false) ~full () =
           (median !samples, Option.get !last, !last_tracer, !last_profiler)
         in
         let base_ms, base_r, _, _ = measure ~arm:"off" in
-        let baseline = render base_r in
-        List.map
-          (fun arm ->
-            let ms, r, tracer, profiler =
-              if arm = "off" then (base_ms, base_r, None, None) else measure ~arm
-            in
-            if render r <> baseline then
-              fail "%s n=%d: arm %s diverges from the untraced plan" name n arm;
-            let spans, task_spans =
-              match tracer with
-              | None -> (0, 0)
-              | Some tr ->
-                ( Obs.Trace.total tr,
-                  List.length
-                    (List.filter
-                       (fun (sp : Obs.Trace.span) -> sp.Obs.Trace.sp_cat = "task")
-                       (Obs.Trace.spans tr)) )
-            in
-            if tracer <> None && task_spans <> r.stats.Volcano.Search_stats.tasks then
-              fail "%s n=%d: arm %s recorded %d task spans for %d tasks" name n arm
-                task_spans r.stats.Volcano.Search_stats.tasks;
-            (match profiler with
-             | None -> ()
-             | Some pr ->
-               let total = Obs.Profile.total_tasks pr in
-               if total <> r.stats.Volcano.Search_stats.tasks then
-                 fail "%s n=%d: arm %s attributed %d tasks for %d executed" name n
-                   arm total r.stats.Volcano.Search_stats.tasks);
-            let overhead = 100. *. ((ms /. base_ms) -. 1.) in
-            Printf.printf "  %5s n=%d | %-17s | %9.2f | %5d | %5d | %+7.1f%%\n%!"
-              name n arm ms r.stats.Volcano.Search_stats.tasks spans
-              (if arm = "off" then 0. else overhead);
-            (name, n, arm, ms, r.stats.Volcano.Search_stats.tasks, spans, overhead))
-          [ "off"; "trace"; "trace+explain"; "profile"; "profile+flightrec" ])
+        let baseline = render_plan base_r.plan in
+        let cell_arms =
+          List.map
+            (fun arm_name ->
+              let ms, r, tracer, profiler =
+                if arm_name = "off" then (base_ms, base_r, None, None)
+                else measure ~arm:arm_name
+              in
+              let tasks = r.stats.Volcano.Search_stats.tasks in
+              check gates "plans_identical" (render_plan r.plan = baseline)
+                "%s n=%d: arm %s diverges from the untraced plan" name n arm_name;
+              let spans, task_spans =
+                match tracer with
+                | None -> (0, 0)
+                | Some tr ->
+                  ( Obs.Trace.total tr,
+                    List.length
+                      (List.filter
+                         (fun (sp : Obs.Trace.span) -> sp.Obs.Trace.sp_cat = "task")
+                         (Obs.Trace.spans tr)) )
+              in
+              if tracer <> None then
+                check gates "span_parity" (task_spans = tasks)
+                  "%s n=%d: arm %s recorded %d task spans for %d tasks" name n arm_name
+                  task_spans tasks;
+              Option.iter
+                (fun pr ->
+                  let total = Obs.Profile.total_tasks pr in
+                  check gates "attribution_parity" (total = tasks)
+                    "%s n=%d: arm %s attributed %d tasks for %d executed" name n arm_name
+                    total tasks)
+                profiler;
+              let slowdown = ms /. base_ms in
+              if arm_name <> "off" then
+                Hashtbl.replace slowdowns arm_name
+                  (slowdown
+                  :: Option.value (Hashtbl.find_opt slowdowns arm_name) ~default:[]);
+              arm arm_name
+                [ ("tasks", int tasks); ("spans", int spans) ]
+                ~timings:[ ("wall_ms", ms); ("slowdown_x", slowdown) ])
+            arm_names
+        in
+        { key = [ ("workload", str name); ("relations", int n) ]; arms = cell_arms })
       workloads
   in
-  (* Overhead across workloads: tracing buys a complete account of the
-     search for a bounded slice of the wall clock. The geomean of the
-     per-workload ratios is the headline; the smoke gate is generous
-     (4x) because CI machines are noisy and smoke sizes are tiny. *)
-  let ratios arm =
-    List.filter_map
-      (fun (_, _, a, _, _, _, overhead) ->
-        if a = arm then Some (1. +. (overhead /. 100.)) else None)
-      rows
-  in
-  let trace_x = geomean (ratios "trace") in
-  let explain_x = geomean (ratios "trace+explain") in
-  let profile_x = geomean (ratios "profile") in
-  let flightrec_x = geomean (ratios "profile+flightrec") in
-  Printf.printf
-    "\n  geomean slowdown: tracing %.2fx, tracing+explain %.2fx, profiler \
-     %.2fx,\n  profiler+flightrec %.2fx (off = 1.00x)\n"
-    trace_x explain_x profile_x flightrec_x;
-  if smoke && trace_x > 4. then
-    fail "tracing slowdown %.2fx exceeds the 4x smoke gate" trace_x;
+  (* Overhead across workloads: the geomean of the per-workload ratios
+     is each arm's headline. *)
+  let x arm_name = geomean (Hashtbl.find slowdowns arm_name) in
+  let trace_x = x "trace" and explain_x = x "trace+explain" in
+  let profile_x = x "profile" and flightrec_x = x "profile+flightrec" in
+  check gates "trace_under_4x" (trace_x <= 4.)
+    "tracing slowdown %.2fx exceeds the 4x gate" trace_x;
   (* The profiler and ring are counters and preallocated slots, no
      allocation per event: they must stay far cheaper than tracing. *)
-  if smoke && profile_x > 2. then
-    fail "profiler slowdown %.2fx exceeds the 2x smoke gate" profile_x;
-  if smoke && flightrec_x > 2. then
-    fail "profiler+flightrec slowdown %.2fx exceeds the 2x smoke gate" flightrec_x;
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\n  \"cores\": %d,\n  \"trace_slowdown_x\": %.3f,\n\
-    \  \"trace_explain_slowdown_x\": %.3f,\n\
-    \  \"profile_slowdown_x\": %.3f,\n\
-    \  \"profile_flightrec_slowdown_x\": %.3f,\n\
-    \  \"all_arms_identical\": %b,\n  \"runs\": [\n%s\n  ]\n}\n"
-    (Domain.recommended_domain_count ()) trace_x explain_x profile_x flightrec_x
-    (!failures = [])
-    (String.concat ",\n"
-       (List.map
-          (fun (name, n, arm, ms, tasks, spans, overhead) ->
-            Printf.sprintf
-              "    { \"workload\": \"%s\", \"relations\": %d, \"arm\": \"%s\", \
-               \"wall_ms\": %.3f, \"tasks\": %d, \"spans\": %d, \
-               \"overhead_pct\": %.1f }"
-              name n arm ms tasks spans overhead)
-          rows));
-  close_out oc;
-  Printf.printf "\n  wrote BENCH_obs.json\n%!";
-  if !failures <> [] then begin
-    List.iter (Printf.printf "  FAIL: %s\n") (List.rev !failures);
-    if smoke then exit 1
-  end
+  check gates "profile_under_2x" (profile_x <= 2.)
+    "profiler slowdown %.2fx exceeds the 2x gate" profile_x;
+  check gates "profile_flightrec_under_2x" (flightrec_x <= 2.)
+    "profiler+flightrec slowdown %.2fx exceeds the 2x gate" flightrec_x;
+  finish mode
+    {
+      bench = "obs";
+      gates;
+      headlines =
+        [ ("trace_slowdown_x", trace_x); ("trace_explain_slowdown_x", explain_x);
+          ("profile_slowdown_x", profile_x);
+          ("profile_flightrec_slowdown_x", flightrec_x) ];
+      cells;
+    }
 
 (* ------------------------------------------------------------------ *)
-(* OBSPROF  Profiler / flight-recorder watchdog (no report)            *)
-(* ------------------------------------------------------------------ *)
-
-(* The regression watchdog behind the profiled arms of OBS: off vs
-   profiler vs profiler+flight-recorder. Three properties gate the run —
-   the plan stays bit-identical, the profiler's per-rule task sums equal
-   the engine's task counters on every arm, and
-   the profiled arms stay under 2x the off arm. A fourth is machine
-   neutral: the minor-heap words the profiler adds to one fixed
-   optimization, per executed task, stay at most 4 (charging a task
-   allocates nothing; building each distinct name once is the rest).
-   Prints and gates; the durable numbers live in BENCH_obs.json. *)
-let obsprof_bench ?(smoke = false) ~full () =
-  header "OBSPROF  Profiler & flight-recorder watchdog (plan-inert, <2x)";
-  let sizes = if smoke then [ 4; 5 ] else if full then [ 5; 6 ] else [ 5 ] in
-  let reps = if smoke then 3 else 5 in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let render (result : Relmodel.Optimizer.result) =
-    match result.plan with
-    | None -> "NONE"
-    | Some p ->
-      Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
-  in
-  Printf.printf "  workload | arm               | wall (ms) | tasks | overhead\n";
-  Printf.printf "  ---------+-------------------+-----------+-------+---------\n";
-  let ratios = ref [] in
-  List.iter
-    (fun (shape, name, n) ->
-      let q =
-        Workload.generate
-          (Workload.spec ~shape ~n_relations:n ~seed:(seed_base + (2300 * n)) ())
-      in
-      let measure ~arm =
-        let samples = ref [] and last = ref None and last_profiler = ref None in
-        for _ = 1 to reps do
-          let profiler = if arm = "off" then None else Some (Obs.Profile.create ()) in
-          let recorder =
-            if arm = "profile+flightrec" then Some (Obs.Flight_recorder.create ())
-            else None
-          in
-          let request =
-            {
-              (Relmodel.Optimizer.request q.catalog) with
-              restore_columns = false;
-              profiler;
-              recorder;
-            }
-          in
-          let dt, r =
-            time_it (fun () ->
-                Relmodel.Optimizer.optimize request q.logical ~required:Phys_prop.any)
-          in
-          samples := (dt *. 1000.) :: !samples;
-          last := Some r;
-          last_profiler := profiler
-        done;
-        (median !samples, Option.get !last, !last_profiler)
-      in
-      let base_ms, base_r, _ = measure ~arm:"off" in
-      let baseline = render base_r in
-      List.iter
-        (fun arm ->
-          let ms, r, profiler =
-            if arm = "off" then (base_ms, base_r, None) else measure ~arm
-          in
-          if render r <> baseline then fail "%s n=%d: arm %s changes the plan" name n arm;
-          (match profiler with
-           | None -> ()
-           | Some pr ->
-             let total = Obs.Profile.total_tasks pr in
-             if total <> r.stats.Volcano.Search_stats.tasks then
-               fail "%s n=%d: arm %s attributed %d tasks for %d executed" name n arm
-                 total r.stats.Volcano.Search_stats.tasks);
-          let x = ms /. base_ms in
-          if arm <> "off" then ratios := x :: !ratios;
-          Printf.printf "  %5s n=%d | %-17s | %9.2f | %5d | %+7.1f%%\n%!" name n arm ms
-            r.stats.Volcano.Search_stats.tasks
-            (if arm = "off" then 0. else 100. *. (x -. 1.)))
-        [ "off"; "profile"; "profile+flightrec" ])
-    (List.concat_map
-       (fun n -> [ (Workload.Chain, "chain", n); (Workload.Star, "star", n) ])
-       sizes);
-  let slowdown = geomean !ratios in
-  Printf.printf "\n  geomean profiled slowdown: %.2fx\n" slowdown;
-  if smoke && slowdown > 2. then
-    fail "profiled slowdown %.2fx exceeds the 2x smoke gate" slowdown;
-  let q =
-    Workload.generate
-      (Workload.spec ~shape:Workload.Clique ~n_relations:5 ~seed:(seed_base + 2300) ())
-  in
-  let words profiled =
-    let profiler = if profiled then Some (Obs.Profile.create ()) else None in
-    let request =
-      { (Relmodel.Optimizer.request q.catalog) with restore_columns = false; profiler }
-    in
-    let w0 = Gc.minor_words () in
-    let r = Relmodel.Optimizer.optimize request q.logical ~required:Phys_prop.any in
-    (Gc.minor_words () -. w0, r.stats.Volcano.Search_stats.tasks)
-  in
-  ignore (words false);
-  ignore (words true);
-  let off, tasks = words false in
-  let on, _ = words true in
-  let per_task = (on -. off) /. float_of_int tasks in
-  Printf.printf "  profiler allocation (clique n=5, %d tasks): %.2f words/task\n" tasks
-    per_task;
-  if per_task > 4. then
-    fail "profiler allocates %.2f words per task, above the bound of 4" per_task;
-  if !failures <> [] then begin
-    List.iter (Printf.printf "  FAIL: %s\n") (List.rev !failures);
-    if smoke then exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* MQO  Multi-query optimization (BENCH_mqo.json)                      *)
+(* MQO  Multi-query optimization                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Sharing-ratio arms (0%, ~30%, ~70% of the batch embedding a common
@@ -1189,41 +1118,22 @@ let obsprof_bench ?(smoke = false) ~full () =
    optimization in the shared memo (off), the Volcano-SH post-pass, and
    Volcano-RU arrival-order reuse. The off arm must be bit-identical to
    N fresh independent optimizations, and no strategy may ever raise
-   the batch cost above the independent baseline — [smoke] exits
-   nonzero when either property breaks. *)
-let mqo_bench ?(smoke = false) ~full () =
+   the batch cost above the independent baseline. Outside smoke mode
+   both strategies must also strictly improve every sharing arm. *)
+let mqo_bench mode =
   header "MQO  Multi-query optimization (shared memo, materialize/reuse)";
-  let count = if smoke then 6 else if full then 16 else 10 in
-  let n_relations = if smoke then 5 else 6 in
+  let count = if mode = Full then 16 else 10 in
+  let n_relations = 6 in
   let core_relations = 3 in
-  let sharings = [ 0.0; 0.3; 0.7 ] in
-  Printf.printf
-    "Batches of %d queries over one %d-relation catalog; a sharing-ratio arm\n\
-     embeds the same selective %d-relation join core in that fraction of the\n\
-     batch. Totals are estimated plan costs (seconds); \"saved\" compares the\n\
-     batch against optimizing every query independently.\n\n"
-    count n_relations core_relations;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let sharings = if mode = Smoke then [ 0.0; 0.3 ] else [ 0.0; 0.3; 0.7 ] in
+  let gates = new_gates () in
   let make_batch sharing =
     Workload.generate_overlapping
       (Workload.spec ~n_relations ~seed:(seed_base + 1900) ())
       ~count ~core_relations ~sharing ()
   in
-  let render (plan : Relmodel.Optimizer.plan_node option) =
-    match plan with
-    | None -> "NONE"
-    | Some p ->
-      Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
-  in
-  Printf.printf
-    "  sharing | strategy   | wall (ms) | independent | batch    | saved | groups | mat \
-     | reuse | off identical\n";
-  Printf.printf
-    "  --------+------------+-----------+-------------+----------+-------+--------+-----\
-     +-------+--------------\n";
-  let rows =
-    List.concat_map
+  let cells =
+    List.map
       (fun sharing ->
         (* The independent baseline for the bit-identity gate: every
            query optimized on a fresh memo. *)
@@ -1232,115 +1142,63 @@ let mqo_bench ?(smoke = false) ~full () =
         let baseline =
           List.map
             (fun q ->
-              render (Relmodel.Optimizer.optimize baseline_req q ~required:Phys_prop.any).plan)
+              render_plan
+                (Relmodel.Optimizer.optimize baseline_req q ~required:Phys_prop.any).plan)
             baseline_batch.queries
         in
-        List.map
-          (fun strategy ->
-            (* A fresh batch (same seed, bit-identical queries and
-               statistics) per arm: strategies register materialized
-               intermediates in the catalog, so arms must not share it. *)
-            let b = make_batch sharing in
-            let request = Relmodel.Optimizer.request b.batch_catalog in
-            let queries = List.map (fun q -> (q, Phys_prop.any)) b.queries in
-            let dt, report =
-              time_it (fun () -> Mqo.optimize_batch ~strategy request queries)
-            in
-            let off_identical =
-              match strategy with
-              | Mqo.Off ->
-                let same =
-                  List.for_all2
-                    (fun base (qr : Mqo.query_result) -> base = render qr.Mqo.plan)
-                    baseline report.Mqo.results
-                in
-                if not same then
-                  fail "sharing %.1f: off arm diverges from independent optimization"
-                    sharing;
-                Some same
-              | _ ->
-                if report.Mqo.batch_total > report.Mqo.independent_total then
-                  fail
-                    "sharing %.1f: %s raised batch cost above the independent baseline \
-                     (%.6f > %.6f)"
-                    sharing
-                    (Mqo.strategy_name strategy)
-                    report.Mqo.batch_total report.Mqo.independent_total;
-                None
-            in
-            let saved_pct =
-              if report.Mqo.independent_total > 0. then
-                100.
-                *. (report.Mqo.independent_total -. report.Mqo.batch_total)
-                /. report.Mqo.independent_total
-              else 0.
-            in
-            Printf.printf
-              "  %6.0f%% | %-10s | %9.1f | %11.6f | %8.6f | %4.1f%% | %6d | %3d | %5d \
-               | %s\n\
-               %!"
-              (100. *. sharing)
-              (Mqo.strategy_name strategy)
-              (dt *. 1000.) report.Mqo.independent_total report.Mqo.batch_total
-              saved_pct report.Mqo.shared_groups report.Mqo.materialize_chosen
-              report.Mqo.reuse_hits
-              (match off_identical with
-               | Some b -> string_of_bool b
-               | None -> "-");
-            ( sharing, strategy, dt *. 1000., report.Mqo.independent_total,
-              report.Mqo.batch_total, saved_pct, report.Mqo.shared_groups,
-              report.Mqo.materialize_chosen, report.Mqo.reuse_hits, off_identical ))
-          [ Mqo.Off; Mqo.Volcano_sh; Mqo.Volcano_ru ])
+        let cell_arms =
+          List.map
+            (fun strategy ->
+              (* A fresh batch (same seed, bit-identical queries and
+                 statistics) per arm: strategies register materialized
+                 intermediates in the catalog, so arms must not share it. *)
+              let b = make_batch sharing in
+              let request = Relmodel.Optimizer.request b.batch_catalog in
+              let queries = List.map (fun q -> (q, Phys_prop.any)) b.queries in
+              let dt, report =
+                time_it (fun () -> Mqo.optimize_batch ~strategy request queries)
+              in
+              let name = Mqo.strategy_name strategy in
+              let ind = report.Mqo.independent_total and batch = report.Mqo.batch_total in
+              (match strategy with
+               | Mqo.Off ->
+                 check gates "off_identical_to_independent"
+                   (List.for_all2
+                      (fun base (qr : Mqo.query_result) -> base = render_plan qr.Mqo.plan)
+                      baseline report.Mqo.results)
+                   "sharing %.1f: off arm diverges from independent optimization" sharing
+               | _ ->
+                 check gates "never_above_independent" (batch <= ind)
+                   "sharing %.1f: %s raised batch cost above the independent baseline \
+                    (%.6f > %.6f)"
+                   sharing name batch ind;
+                 (* The headline claim; smoke keeps only the safety gates. *)
+                 if mode <> Smoke && sharing >= 0.3 then
+                   check gates "sharing_improves" (batch < ind)
+                     "sharing %.1f: %s failed to improve on the independent baseline"
+                     sharing name);
+              let saved_pct = if ind > 0. then 100. *. (ind -. batch) /. ind else 0. in
+              arm name
+                [ ("independent_total", num ind); ("batch_total", num batch);
+                  ("saved_pct", num saved_pct);
+                  ("mqo_shared_groups", int report.Mqo.shared_groups);
+                  ("mqo_materialize_chosen", int report.Mqo.materialize_chosen);
+                  ("mqo_reuse_hits", int report.Mqo.reuse_hits) ]
+                ~timings:[ ("wall_ms", dt *. 1000.) ])
+            [ Mqo.Off; Mqo.Volcano_sh; Mqo.Volcano_ru ]
+        in
+        {
+          key =
+            [ ("sharing", num sharing); ("queries", int count);
+              ("relations", int n_relations); ("core_relations", int core_relations) ];
+          arms = cell_arms;
+        })
       sharings
   in
-  (* The headline claim: on the sharing arms, both strategies must beat
-     independent optimization strictly. Smoke keeps only the safety
-     gates (bit-identity, never-regress); the full artifact records the
-     improvement for EXPERIMENTS.md to quote. *)
-  List.iter
-    (fun (sharing, strategy, _, ind, batch, _, _, _, _, _) ->
-      if (not smoke) && sharing >= 0.3 && strategy <> Mqo.Off && batch >= ind then
-        fail "sharing %.1f: %s failed to improve on the independent baseline" sharing
-          (Mqo.strategy_name strategy))
-    rows;
-  let oc = open_out "BENCH_mqo.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"cores\": %d,\n\
-    \  \"count\": %d,\n\
-    \  \"relations\": %d,\n\
-    \  \"core_relations\": %d,\n\
-    \  \"all_gates_pass\": %b,\n\
-    \  \"runs\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    count n_relations core_relations (!failures = [])
-    (String.concat ",\n"
-       (List.map
-          (fun (sharing, strategy, ms, ind, batch, saved, groups, mat, reuse, offid) ->
-            Printf.sprintf
-              "    { \"sharing\": %.2f, \"strategy\": \"%s\", \"wall_ms\": %.2f, \
-               \"independent_total\": %.17g, \"batch_total\": %.17g, \
-               \"saved_pct\": %.2f, \"mqo_shared_groups\": %d, \
-               \"mqo_materialize_chosen\": %d, \"mqo_reuse_hits\": %d%s }"
-              sharing
-              (Mqo.strategy_name strategy)
-              ms ind batch saved groups mat reuse
-              (match offid with
-               | Some b -> Printf.sprintf ", \"identical_to_independent\": %b" b
-               | None -> ""))
-          rows));
-  close_out oc;
-  Printf.printf "\n  wrote BENCH_mqo.json\n%!";
-  if !failures <> [] then begin
-    List.iter (Printf.printf "  FAIL: %s\n") (List.rev !failures);
-    if smoke then exit 1
-  end
+  finish mode { bench = "mqo"; gates; headlines = []; cells }
 
 (* ------------------------------------------------------------------ *)
-(* FEEDBACK  Runtime cardinality feedback (BENCH_feedback.json)        *)
+(* FEEDBACK  Runtime cardinality feedback                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Skewed-statistics arms: the catalog's claimed row or distinct counts
@@ -1358,12 +1216,11 @@ let mqo_bench ?(smoke = false) ~full () =
    accurate one. Measured work on the other skewed arms is recorded but
    not gated: an overcounted table can push the optimizer into a plan
    that happens to measure cheaper than the estimated-best one — a
-   cost-model gap the artifact documents rather than hides. [smoke]
-   exits nonzero on any gate failure. *)
-let feedback_bench ?(smoke = false) ~full:_ () =
+   cost-model gap the report documents rather than hides. Every mode
+   runs the same arms. *)
+let feedback_bench mode =
   header "FEEDBACK  Runtime cardinality feedback (drift, correction, recovery)";
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let gates = new_gates () in
   let make_catalog () =
     let catalog = Catalog.create () in
     ignore
@@ -1441,7 +1298,8 @@ let feedback_bench ?(smoke = false) ~full:_ () =
          Expr.(col "emp.dept_id" =% col "dept.id")
          (Logical.get "emp") (Logical.get "dept"))
   in
-  let arms =
+  let escape_factor = 4. in
+  let skews =
     [
       ("row_undercount", (fun c -> skew_rows c "emp" 0.02), q_range, true);
       ("row_overcount", (fun c -> skew_rows c "emp" 50.), q_range, true);
@@ -1449,7 +1307,6 @@ let feedback_bench ?(smoke = false) ~full:_ () =
       ("accurate", (fun _ -> ()), q_range, false);
     ]
   in
-  let explain_of plan = Relmodel.Optimizer.explain plan in
   (* Different plans deliver the same bag in different orders; only the
      instrumentation bit-identity gate compares arrays exactly. *)
   let bag tuples =
@@ -1490,13 +1347,7 @@ let feedback_bench ?(smoke = false) ~full:_ () =
       (Feedback.measured_work phys nodes ~io, nodes, tuples)
     | Feedback.Aborted _ -> assert false (* no escape factor armed *)
   in
-  Printf.printf
-    "  arm            | max q-error | work before | work after | recovered | \
-     corrections | escape replans\n";
-  Printf.printf
-    "  ---------------+-------------+-------------+------------+-----------+-\
-     ------------+---------------\n";
-  let rows =
+  let cell_arms =
     List.map
       (fun (name, skew, q, expect_drift) ->
         (* Optimize and execute against the lie. *)
@@ -1509,8 +1360,8 @@ let feedback_bench ?(smoke = false) ~full:_ () =
         let plain, _, _ =
           Executor.run catalog (Relmodel.Optimizer.to_physical before_plan)
         in
-        if plain <> tuples_before then
-          fail "%s: instrumented execution is not bit-identical to Executor.run" name;
+        check gates "instrumentation_bit_identical" (plain = tuples_before)
+          "%s: instrumented execution is not bit-identical to Executor.run" name;
         (* Close the loop: corrections, then re-optimize and re-execute. *)
         let outcome =
           Feedback.run_plan
@@ -1520,88 +1371,78 @@ let feedback_bench ?(smoke = false) ~full:_ () =
         let corrections = List.length outcome.Feedback.report.Feedback.corrections in
         let after_plan = optimize catalog q in
         let work_after, nodes_after, tuples_after = work catalog after_plan in
-        if bag tuples_after <> bag tuples_before then
-          fail "%s: re-optimized plan changed the query result" name;
+        check gates "results_unchanged" (bag tuples_after = bag tuples_before)
+          "%s: re-optimized plan changed the query result" name;
         (* Escape hatch on a fresh copy of the same skewed catalog. *)
         let escape_catalog = make_catalog () in
         skew escape_catalog;
         let escape_outcome =
           Feedback.run
-            ~config:(Feedback.config ~escape_factor:4. ())
+            ~config:(Feedback.config ~escape_factor ())
             (Relmodel.Optimizer.request escape_catalog)
             q ~required:Phys_prop.any
         in
         let replans = escape_outcome.Feedback.report.Feedback.replans in
-        if bag escape_outcome.Feedback.tuples <> bag tuples_before then
-          fail "%s: escape-hatch execution changed the query result" name;
+        let escaped = escape_outcome.Feedback.report.Feedback.escaped in
+        check gates "results_unchanged"
+          (bag escape_outcome.Feedback.tuples = bag tuples_before)
+          "%s: escape-hatch execution changed the query result" name;
         let recovered = work_after < work_before in
         let st_before = single_table_q nodes_before in
         let st_after = single_table_q nodes_after in
-        Printf.printf
-          "  %-14s | %10.1fx | %11.0f | %10.0f | %-9b | %11d | %d%s\n%!" name max_q
-          work_before work_after recovered corrections replans
-          (if escape_outcome.Feedback.report.Feedback.escaped then " (escaped)" else "");
-        (name, expect_drift, max_q, work_before, work_after, recovered, corrections,
-         escape_outcome.Feedback.report.Feedback.escaped, replans,
-         explain_of before_plan = explain_of after_plan, st_before, st_after))
-      arms
+        let same_plan =
+          Relmodel.Optimizer.explain before_plan = Relmodel.Optimizer.explain after_plan
+        in
+        if expect_drift then begin
+          check gates "skewed_arms_drift" (max_q >= 10.)
+            "%s: expected >= 10x estimate error, measured %.1fx" name max_q;
+          check gates "estimates_converge" (st_after <= 2.)
+            "%s: single-table estimates did not converge (%.1fx -> %.1fx)" name
+            st_before st_after
+        end;
+        (match name with
+         | "row_undercount" ->
+           check gates "undercount_recovers" recovered
+             "row_undercount: re-optimized plan did not strictly lower measured work \
+              (%.0f -> %.0f)"
+             work_before work_after;
+           check gates "undercount_escapes" escaped
+             "row_undercount: escape hatch did not fire at 4x"
+         | "accurate" ->
+           check gates "accurate_stable"
+             (corrections = 0 && same_plan && not escaped)
+             "accurate: %d corrections, plan %s, escape %s on accurate statistics"
+             corrections
+             (if same_plan then "kept" else "changed")
+             (if escaped then "fired" else "idle")
+         | _ -> ());
+        arm name
+          [ ("max_q_error", num max_q); ("work_before", num work_before);
+            ("work_after", num work_after); ("recovered", bool recovered);
+            ("corrections", int corrections); ("escaped", bool escaped);
+            ("escape_replans", int replans); ("plan_unchanged", bool same_plan);
+            ("single_table_q_before", num st_before);
+            ("single_table_q_after", num st_after) ])
+      skews
   in
-  List.iter
-    (fun (name, expect_drift, max_q, before, after, recovered, corrections, escaped,
-          _replans, same_plan, st_before, st_after) ->
-      if expect_drift && max_q < 10. then
-        fail "%s: expected >= 10x estimate error, measured %.1fx" name max_q;
-      if expect_drift && st_after > 2. then
-        fail "%s: single-table estimates did not converge (%.1fx -> %.1fx)" name
-          st_before st_after;
-      match name with
-      | "row_undercount" ->
-        if not recovered then
-          fail "row_undercount: re-optimized plan did not strictly lower measured work \
-                (%.0f -> %.0f)"
-            before after;
-        if not escaped then fail "row_undercount: escape hatch did not fire at 4x"
-      | "accurate" ->
-        if corrections <> 0 then
-          fail "accurate: %d corrections installed on accurate statistics" corrections;
-        if not same_plan then fail "accurate: plan changed without statistics drift";
-        if escaped then fail "accurate: escape hatch fired on accurate statistics"
-      | _ -> ())
-    rows;
-  let oc = open_out "BENCH_feedback.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"cores\": %d,\n\
-    \  \"drift_threshold\": 2.0,\n\
-    \  \"escape_factor\": 4.0,\n\
-    \  \"all_gates_pass\": %b,\n\
-    \  \"arms\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    (!failures = [])
-    (String.concat ",\n"
-       (List.map
-          (fun (name, _, max_q, before, after, recovered, corrections, escaped, replans,
-                same_plan, st_before, st_after) ->
-            Printf.sprintf
-              "    { \"arm\": \"%s\", \"max_q_error\": %.2f, \"work_before\": %.17g, \
-               \"work_after\": %.17g, \"recovered\": %b, \"corrections\": %d, \
-               \"escaped\": %b, \"escape_replans\": %d, \"plan_unchanged\": %b, \
-               \"single_table_q_before\": %.2f, \"single_table_q_after\": %.2f }"
-              name max_q before after recovered corrections escaped replans same_plan
-              st_before st_after)
-          rows));
-  close_out oc;
-  Printf.printf "\n  wrote BENCH_feedback.json\n%!";
-  if !failures <> [] then begin
-    List.iter (Printf.printf "  FAIL: %s\n") (List.rev !failures);
-    if smoke then exit 1
-  end
+  finish mode
+    {
+      bench = "feedback";
+      gates;
+      headlines = [];
+      cells =
+        [
+          {
+            key =
+              [ ("workload", str "emp_dept"); ("drift_threshold", num 2.);
+                ("escape_factor", num escape_factor) ];
+            arms = cell_arms;
+          };
+        ];
+    }
 
 (* ------------------------------------------------------------------ *)
-(* SCALEUP  Anytime search on large join graphs (BENCH_scaleup.json)  *)
+(* SCALEUP  Anytime search on large join graphs                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Plan-cost-vs-budget curves on 6-18-relation join graphs (clique,
@@ -1611,31 +1452,28 @@ let feedback_bench ?(smoke = false) ~full:_ () =
    (the engine's anytime resume semantics), so the whole curve costs
    only the largest budget. Reference cells (<= 10 relations) get an
    extra effectively unbounded rung: there the search completes and the
-   final plan must be bit-identical across both arms. [smoke] shrinks
-   the grid for CI and exits nonzero when a reference arm diverges. *)
-let scaleup_bench ?(smoke = false) ~full () =
+   final plan must be bit-identical across both arms. A cell's key
+   carries its last rung, so a reference cell is the same cell under
+   any ladder and its counters match across modes. *)
+let scaleup_bench mode =
   header "SCALEUP  Anytime search on large join graphs";
-  Printf.printf
-    "Per cell (topology x relations) and arm: tasks to first incumbent, tasks to\n\
-     an incumbent within 10%% of the cell's best final cost, and the best-so-far\n\
-     cost at each budget rung. Reference cells run to completion; their plans\n\
-     must be bit-identical across arms.\n\n";
   let cells =
     (* (shape, name, relations, reference). Reference cells are sized so
        the exhaustive search finishes in seconds; ladder cells are the
        10-20-relation regime where only budgeted search is feasible.
        Outside smoke mode a ladder cell runs up to 16M tasks; clique 12
        explores for its first 3M tasks and holds 2.4 GB of memory at
-       2M tasks and 3.4 GB at 3M, so ladder cells run only in [full]
+       2M tasks and 3.4 GB at 3M, so ladder cells run only in [Full]
        mode. *)
-    if smoke then
+    match mode with
+    | Smoke ->
       [
         (Workload.Clique, "clique", 6, true);
         (Workload.Cycle, "cycle", 8, true);
         (Workload.Snowflake, "snowflake", 8, true);
         (Workload.Clique, "clique", 12, false);
       ]
-    else if full then
+    | Full ->
       [
         (Workload.Clique, "clique", 8, true);
         (Workload.Cycle, "cycle", 10, true);
@@ -1646,7 +1484,7 @@ let scaleup_bench ?(smoke = false) ~full () =
         (Workload.Grid, "grid", 16, false);
         (Workload.Snowflake, "snowflake", 18, false);
       ]
-    else
+    | Default ->
       [
         (Workload.Clique, "clique", 6, true);
         (Workload.Cycle, "cycle", 8, true);
@@ -1655,26 +1493,14 @@ let scaleup_bench ?(smoke = false) ~full () =
       ]
   in
   let ladder =
-    if smoke then [ 1_000; 4_000; 16_000; 64_000 ]
+    if mode = Smoke then [ 1_000; 4_000; 16_000; 64_000 ]
     else [ 2_000_000; 4_000_000; 8_000_000; 16_000_000 ]
   in
   (* Cumulative, so this rung just lets reference cells run to the end. *)
   let exhaustive_cap = 1_000_000_000 in
   let arms = [ ("guided", true); ("unguided", false) ] in
-  let render (result : Relmodel.Optimizer.result) =
-    match result.plan with
-    | None -> "NONE"
-    | Some p ->
-      Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
-  in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let opt_str = function None -> "-" | Some t -> string_of_int t in
-  Printf.printf
-    "  cell               | arm              | wall (ms) | first inc | within 10%% |   best at | final cost | complete\n";
-  Printf.printf
-    "  -------------------+------------------+-----------+-----------+------------+-----------+------------+---------\n";
-  let cell_rows =
+  let gates = new_gates () in
+  let cells =
     List.map
       (fun (shape, name, n, reference) ->
         let q =
@@ -1685,7 +1511,7 @@ let scaleup_bench ?(smoke = false) ~full () =
         let budgets = ladder @ if reference then [ exhaustive_cap ] else [] in
         let measured =
           List.map
-            (fun (arm, guided) ->
+            (fun (arm_name, guided) ->
               let request =
                 {
                   (Relmodel.Optimizer.request q.catalog) with
@@ -1698,7 +1524,7 @@ let scaleup_bench ?(smoke = false) ~full () =
                     Relmodel.Optimizer.optimize_anytime request ~budgets q.logical
                       ~required:Phys_prop.any)
               in
-              (arm, dt *. 1000., a))
+              (arm_name, dt *. 1000., a))
             arms
         in
         (* The 10% level is relative to the best final cost any arm of
@@ -1715,9 +1541,9 @@ let scaleup_bench ?(smoke = false) ~full () =
         in
         let threshold = 1.1 *. best_final in
         let baseline = ref "" in
-        let arm_rows =
+        let cell_arms =
           List.map
-            (fun (arm, ms, (a : Relmodel.Optimizer.anytime)) ->
+            (fun (arm_name, ms, (a : Relmodel.Optimizer.anytime)) ->
               let tasks_to_first =
                 match a.an_incumbents with [] -> None | (t, _) :: _ -> Some t
               in
@@ -1736,109 +1562,86 @@ let scaleup_bench ?(smoke = false) ~full () =
                 | [] -> None
               in
               if reference then begin
-                let rendered = render a.an_result in
-                if not a.an_result.complete then
-                  fail "%s n=%d: arm %s did not complete its exhaustive rung" name n
-                    arm;
-                if arm = "guided" then baseline := rendered;
-                if rendered <> !baseline then
-                  fail "%s n=%d: arm %s plan diverges from the guided reference" name
-                    n arm
+                let rendered = render_plan a.an_result.plan in
+                check gates "reference_arms_complete" a.an_result.complete
+                  "%s n=%d: arm %s did not complete its exhaustive rung" name n arm_name;
+                if arm_name = "guided" then baseline := rendered;
+                check gates "reference_plans_identical" (rendered = !baseline)
+                  "%s n=%d: arm %s plan diverges from the guided reference" name n
+                  arm_name
               end;
-              Printf.printf
-                "  %9s n=%-7d | %-16s | %9.1f | %9s | %10s | %9s | %10.4g | %b\n%!"
-                name n arm ms (opt_str tasks_to_first) (opt_str tasks_to_10)
-                (opt_str tasks_to_best)
-                (Option.value (final_cost a) ~default:nan)
-                a.an_result.complete;
-              (arm, ms, tasks_to_first, tasks_to_10, tasks_to_best, a))
+              let slots, entries = a.an_goal_footprint in
+              let cost_json c = Option.fold ~none:Obs.Json.Null ~some:num c in
+              let curve =
+                List.map
+                  (fun (p : Relmodel.Optimizer.anytime_point) ->
+                    Obs.Json.Obj
+                      [ ("budget", int p.at_budget); ("tasks", int p.at_tasks);
+                        ("cost", cost_json (Option.map Cost.total p.at_cost));
+                        ("complete", bool p.at_complete) ])
+                  a.an_points
+              in
+              arm arm_name
+                [ ("tasks", int a.an_result.stats.tasks);
+                  ("tasks_to_first_incumbent", opt_int tasks_to_first);
+                  ("tasks_to_within_10pct", opt_int tasks_to_10);
+                  ("tasks_to_best", opt_int tasks_to_best);
+                  ("final_cost", cost_json (final_cost a));
+                  ("complete", bool a.an_result.complete);
+                  ("anytime_improvements", int a.an_result.stats.anytime_improvements);
+                  ("goal_slots", int slots); ("goal_entries", int entries) ]
+                ~timings:[ ("wall_ms", ms) ]
+                ~extras:[ ("curve", Obs.Json.Arr curve) ])
             measured
         in
-        (name, n, reference, arm_rows))
+        {
+          key =
+            [ ("workload", str name); ("relations", int n); ("reference", bool reference);
+              ("budget", int (List.nth budgets (List.length budgets - 1))) ];
+          arms = cell_arms;
+        })
       cells
   in
-  let json_opt = function None -> "null" | Some t -> string_of_int t in
-  let oc = open_out "BENCH_scaleup.json" in
-  Printf.fprintf oc
-    "{\n  \"cores\": %d,\n  \"all_reference_cells_identical\": %b,\n  \"cells\": [\n%s\n  ]\n}\n"
-    (Domain.recommended_domain_count ())
-    (* each failure above is a reference cell whose plan did not match *)
-    (!failures = [])
-    (String.concat ",\n"
-       (List.map
-          (fun (name, n, reference, arm_rows) ->
-            Printf.sprintf
-              "    { \"workload\": \"%s\", \"relations\": %d, \"reference\": %b, \
-               \"arms\": [\n%s\n    ] }"
-              name n reference
-              (String.concat ",\n"
-                 (List.map
-                    (fun (arm, ms, first, t10, tbest, (a : Relmodel.Optimizer.anytime))
-                    ->
-                      let s = a.an_result.stats in
-                      let slots, entries = a.an_goal_footprint in
-                      Printf.sprintf
-                        "      { \"arm\": \"%s\", \"wall_ms\": %.2f, \
-                         \"tasks_to_first_incumbent\": %s, \
-                         \"tasks_to_within_10pct\": %s, \"tasks_to_best\": %s, \
-                         \"final_cost\": %s, \
-                         \"complete\": %b, \"anytime_improvements\": %d, \
-                         \"goal_slots\": %d, \"goal_entries\": %d, \
-                         \"curve\": [ %s ] }"
-                        arm ms (json_opt first) (json_opt t10) (json_opt tbest)
-                        (match a.an_result.plan with
-                         | Some p ->
-                           Printf.sprintf "%.17g"
-                             (Cost.total (Relmodel.Optimizer.plan_cost p))
-                         | None -> "null")
-                        a.an_result.complete s.anytime_improvements slots entries
-                        (String.concat ", "
-                           (List.map
-                              (fun (p : Relmodel.Optimizer.anytime_point) ->
-                                Printf.sprintf
-                                  "{ \"budget\": %d, \"tasks\": %d, \"cost\": %s, \
-                                   \"complete\": %b }"
-                                  p.at_budget p.at_tasks
-                                  (match p.at_cost with
-                                   | Some c -> Printf.sprintf "%.17g" (Cost.total c)
-                                   | None -> "null")
-                                  p.at_complete)
-                              a.an_points)))
-                    arm_rows)))
-          cell_rows));
-  close_out oc;
-  Printf.printf "\n  wrote BENCH_scaleup.json\n%!";
-  if !failures <> [] then begin
-    List.iter (Printf.printf "  FAIL: %s\n") (List.rev !failures);
-    if smoke then exit 1
-  end
+  finish mode { bench = "scaleup"; gates; headlines = []; cells }
 
 (* ------------------------------------------------------------------ *)
 
+let targets =
+  [
+    ("f4", f4); ("a1", a1); ("a2", a2); ("a3", a3); ("a4", a4); ("a5", a5); ("a6", a6);
+    ("a7", a7); ("a8", a8); ("a9", a9); ("a10", a10);
+  ]
+
+let reports =
+  [
+    ("plansrv", plansrv_bench); ("pruning", pruning_bench); ("obs", obs_bench);
+    ("mqo", mqo_bench); ("feedback", feedback_bench); ("scaleup", scaleup_bench);
+  ]
+
+let usage () =
+  prerr_endline
+    ("usage: main.exe [TARGET...] [smoke | full]\n  targets: all "
+    ^ String.concat " " (List.map fst targets @ List.map fst reports));
+  exit 2
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let full = List.mem "full" args in
-  let smoke = List.mem "smoke" args in
-  let args = List.filter (fun a -> a <> "full" && a <> "smoke") args in
-  let all = args = [] || args = [ "all" ] in
-  let want name = all || List.mem name args in
+  let mode =
+    match (List.mem "smoke" args, List.mem "full" args) with
+    | true, true -> usage ()
+    | true, false -> Smoke
+    | false, true -> Full
+    | false, false -> Default
+  in
+  let names = List.filter (fun a -> a <> "full" && a <> "smoke") args in
+  List.iter
+    (fun a ->
+      if a <> "all" && not (List.mem_assoc a targets || List.mem_assoc a reports) then
+        usage ())
+    names;
+  let all = names = [] || names = [ "all" ] in
+  let want name = all || List.mem name names in
   let t0 = Unix.gettimeofday () in
-  if want "f4" then f4 ~full ();
-  if want "a1" then a1 ~full ();
-  if want "a2" then a2 ~full ();
-  if want "a3" then a3 ~full ();
-  if want "a4" then a4 ~full ();
-  if want "a5" then a5 ~full ();
-  if want "a6" then a6 ~full ();
-  if want "a7" then a7 ~full ();
-  if want "a8" then a8 ~full ();
-  if want "a9" then a9 ~full ();
-  if want "a10" then a10 ~full ();
-  if want "plansrv" then plansrv_bench ~full ();
-  if want "pruning" then pruning_bench ~smoke ~full ();
-  if want "obs" then obs_bench ~smoke ~full ();
-  if want "obsprof" then obsprof_bench ~smoke ~full ();
-  if want "mqo" then mqo_bench ~smoke ~full ();
-  if want "feedback" then feedback_bench ~smoke ~full ();
-  if want "scaleup" then scaleup_bench ~smoke ~full ();
+  List.iter (fun (name, run) -> if want name then run ~full:(mode = Full) ()) targets;
+  List.iter (fun (name, run) -> if want name then run mode) reports;
   Printf.printf "\nTotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -8,8 +8,7 @@
      validate_obs trace FILE       Chrome trace event file
      validate_obs metrics FILE     metrics snapshot (counters/gauges/histograms)
      validate_obs drift FILE       drift report from [volcano-cli run --feedback]
-     validate_obs bench FILE...    benchmark reports (non-empty JSON objects)
-     validate_obs scaleup FILE     scale-up report from [bench scaleup]
+     validate_obs bench FILE...    BENCH_*.json reports (the one report schema)
      validate_obs profile FILE     search profile from [optimize --profile-out]
      validate_obs flightrec FILE   flight-recorder dump from [--flightrec-out] *)
 
@@ -186,141 +185,124 @@ let validate_drift path =
   Printf.printf "OK %s: %d nodes, %d corrections\n" path (List.length nodes)
     (List.length corrections)
 
-(* A benchmark report: a non-empty JSON object (the arms write their
-   own schemas; parseability and shape are what CI guards). *)
-let validate_bench path =
-  match load path with
-  | Obs.Json.Obj (_ :: _ as fields) ->
-    Printf.printf "OK %s: %d fields\n" path (List.length fields)
-  | _ -> fail "%s: not a non-empty JSON object" path
+(* Field [name] of [j], read by [conv] and accepted by [ok]; otherwise
+   exit naming the file, the place ([at], e.g. "cell ... arm guided ")
+   and the field. *)
+let need ?(ok = fun _ -> true) path at conv name j =
+  match Option.bind (Obs.Json.member name j) conv with
+  | Some v when ok v -> v
+  | _ -> fail "%s: %s%s missing or invalid" path at name
 
-(* The scale-up report from [bench scaleup] (BENCH_scaleup.json): a
-   non-empty cells array, each cell carrying workload/relations/
-   reference and a non-empty arms array; each arm a budget curve whose
-   budgets strictly ascend, whose tasks never run backwards, and whose
-   best-so-far cost never appears and then disappears or worsens;
-   reference cells must be flagged all-identical and every reference
-   arm complete with a final cost. Every arm reports its memo's goal
-   slots and entries, and allocates at most 4 slots per entry. *)
-let validate_scaleup path =
+let to_bool = function Obs.Json.Bool b -> Some b | _ -> None
+
+let to_obj = function Obs.Json.Obj fs -> Some fs | _ -> None
+
+let nonempty l = l <> []
+
+(* An anytime curve: one {budget, tasks, cost, complete} point per
+   rung, budgets strictly ascending, tasks never running backwards, and
+   a best-so-far cost that never disappears or worsens once found. *)
+let validate_curve path at curve =
+  let open Obs.Json in
+  ignore
+    (List.fold_left
+       (fun (prev_budget, prev_tasks, prev_cost) p ->
+         let budget = need path at to_int "budget" p in
+         if budget <= prev_budget then fail "%s: %sbudgets do not ascend" path at;
+         let tasks = need path at to_int "tasks" p in
+         if tasks < prev_tasks then fail "%s: %stasks run backwards" path at;
+         ignore (need path at to_bool "complete" p);
+         let cost =
+           match member "cost" p with
+           | Some Null -> None
+           | Some (Num c) -> Some c
+           | _ -> fail "%s: %shas a rung without a numeric cost" path at
+         in
+         (match (prev_cost, cost) with
+          | Some _, None -> fail "%s: %sbest-so-far disappeared" path at
+          | Some pc, Some c when c > pc ->
+            fail "%s: %sbest-so-far worsened along the ladder" path at
+          | _ -> ());
+         (budget, tasks, cost))
+       (min_int, 0, None) curve)
+
+(* A benchmark report in the one schema bench/main.ml writes: a
+   non-empty bench name; mode smoke, default or full; cores >= 1; a
+   non-empty gates object of booleans, every one true; a headlines
+   object of numbers (null where a ratio is undefined); and a non-empty
+   cells array. Each cell has a non-empty key of scalars, unique in the
+   report, and a non-empty arms array of uniquely named arms, each with
+   a counters object (numbers, booleans, null) and a timings object
+   (non-negative numbers or null). Deeper checks apply wherever their
+   shape appears: an arm's anytime curve (see [validate_curve]);
+   goal_slots at most 4 times goal_entries; and in a cell keyed
+   [reference: true], every arm complete with a final cost. *)
+let validate_bench path =
+  let open Obs.Json in
   let j = load path in
-  (match Obs.Json.member "all_reference_cells_identical" j with
-   | Some (Obs.Json.Bool true) -> ()
-   | Some (Obs.Json.Bool false) ->
-     fail "%s: a reference cell's plan diverged across arms" path
-   | _ -> fail "%s: all_reference_cells_identical missing" path);
-  let cells =
-    match Option.bind (Obs.Json.member "cells" j) Obs.Json.to_list with
-    | Some [] -> fail "%s: cells is empty" path
-    | Some l -> l
-    | None -> fail "%s: cells missing or not an array" path
-  in
-  let n_arms = ref 0 in
+  ignore (need path "" to_str "bench" j ~ok:(( <> ) ""));
+  ignore (need path "" to_str "mode" j ~ok:(fun m -> List.mem m [ "smoke"; "default"; "full" ]));
+  ignore (need path "" to_int "cores" j ~ok:(fun c -> c >= 1));
+  let gates = need path "" to_obj "gates" j ~ok:nonempty in
+  List.iter
+    (fun (g, v) -> if v <> Bool true then fail "%s: gate %s is not true" path g)
+    gates;
+  List.iter
+    (fun (h, v) ->
+      match v with Num _ | Null -> () | _ -> fail "%s: headline %s is not a number" path h)
+    (need path "" to_obj "headlines" j);
+  let cells = need path "" to_list "cells" j ~ok:nonempty in
+  let keys = Hashtbl.create 16 and n_arms = ref 0 in
   List.iteri
     (fun i cell ->
-      let cname =
-        match str_field "workload" cell with
-        | Some w -> w
-        | None -> fail "%s: cell %d has no workload" path i
-      in
-      (match Option.bind (Obs.Json.member "relations" cell) Obs.Json.to_int with
-       | Some n when n >= 1 -> ()
-       | _ -> fail "%s: cell %d has a bad relation count" path i);
-      let reference =
-        match Obs.Json.member "reference" cell with
-        | Some (Obs.Json.Bool b) -> b
-        | _ -> fail "%s: cell %d has no reference flag" path i
-      in
-      let arms =
-        match Option.bind (Obs.Json.member "arms" cell) Obs.Json.to_list with
-        | Some [] -> fail "%s: cell %s has no arms" path cname
-        | Some l -> l
-        | None -> fail "%s: cell %s arms missing or not an array" path cname
-      in
+      let key = need path (Printf.sprintf "cell %d " i) to_obj "key" cell ~ok:nonempty in
       List.iter
-        (fun arm ->
+        (fun (k, v) ->
+          match v with
+          | Arr _ | Obj _ | Null -> fail "%s: cell %d key %s is not a scalar" path i k
+          | _ -> ())
+        key;
+      let at = "cell " ^ to_string (Obj (List.sort compare key)) ^ " " in
+      if Hashtbl.mem keys at then fail "%s: %srepeats" path at;
+      Hashtbl.replace keys at ();
+      let arms = need path at to_list "arms" cell ~ok:nonempty in
+      let names = List.map (need path at to_str "arm" ~ok:(( <> ) "")) arms in
+      if List.length (List.sort_uniq compare names) <> List.length names then
+        fail "%s: %srepeats an arm" path at;
+      List.iter2
+        (fun name arm ->
           incr n_arms;
-          let aname =
-            match str_field "arm" arm with
-            | Some a -> a
-            | None -> fail "%s: cell %s has an unnamed arm" path cname
-          in
-          let where = Printf.sprintf "cell %s arm %s" cname aname in
-          (* tasks_to_* are null (never reached) or positive. *)
+          let at = at ^ "arm " ^ name ^ " " in
+          let counters = need path at to_obj "counters" arm in
           List.iter
-            (fun f ->
-              match Obs.Json.member f arm with
-              | Some Obs.Json.Null -> ()
-              | Some t -> begin
-                match Obs.Json.to_int t with
-                | Some v when v >= 1 -> ()
-                | _ -> fail "%s: %s has a bad %s" path where f
-              end
-              | None -> fail "%s: %s has no %s" path where f)
-            [ "tasks_to_first_incumbent"; "tasks_to_within_10pct"; "tasks_to_best" ];
-          let complete =
-            match Obs.Json.member "complete" arm with
-            | Some (Obs.Json.Bool b) -> b
-            | _ -> fail "%s: %s has no completeness flag" path where
-          in
-          if reference && not complete then
-            fail "%s: %s is a reference arm but did not complete" path where;
-          if reference && Obs.Json.member "final_cost" arm = Some Obs.Json.Null
-          then fail "%s: %s is a reference arm without a final cost" path where;
-          let count f =
-            match Option.bind (Obs.Json.member f arm) Obs.Json.to_int with
-            | Some v when v >= 0 -> v
-            | _ -> fail "%s: %s has no %s count" path where f
-          in
-          let slots = count "goal_slots" and entries = count "goal_entries" in
-          if slots > 4 * entries then
-            fail "%s: %s allocates %d goal slots for %d entries (> 4x)" path where
-              slots entries;
-          let curve =
-            match Option.bind (Obs.Json.member "curve" arm) Obs.Json.to_list with
-            | Some [] -> fail "%s: %s has an empty curve" path where
-            | Some l -> l
-            | None -> fail "%s: %s curve missing or not an array" path where
-          in
-          let prev_budget = ref min_int and prev_tasks = ref 0 in
-          let prev_cost = ref None in
+            (fun (c, v) ->
+              match v with
+              | Num _ | Bool _ | Null -> ()
+              | _ -> fail "%s: %scounter %s is not a number or flag" path at c)
+            counters;
           List.iter
-            (fun p ->
-              let budget =
-                match Option.bind (Obs.Json.member "budget" p) Obs.Json.to_int with
-                | Some b -> b
-                | None -> fail "%s: %s has a rung without a budget" path where
-              in
-              if budget <= !prev_budget then
-                fail "%s: %s budgets do not ascend" path where;
-              prev_budget := budget;
-              (match Option.bind (Obs.Json.member "tasks" p) Obs.Json.to_int with
-               | Some t when t >= !prev_tasks -> prev_tasks := t
-               | Some _ -> fail "%s: %s tasks run backwards" path where
-               | None -> fail "%s: %s has a rung without tasks" path where);
-              (match Obs.Json.member "complete" p with
-               | Some (Obs.Json.Bool _) -> ()
-               | _ -> fail "%s: %s has a rung without a complete flag" path where);
-              match Obs.Json.member "cost" p with
-              | Some Obs.Json.Null ->
-                if !prev_cost <> None then
-                  fail "%s: %s best-so-far disappeared" path where
-              | Some c -> begin
-                match Obs.Json.to_float c with
-                | Some v -> begin
-                  (match !prev_cost with
-                   | Some pv when v > pv ->
-                     fail "%s: %s best-so-far worsened along the ladder" path where
-                   | _ -> ());
-                  prev_cost := Some v
-                end
-                | None -> fail "%s: %s has a non-numeric rung cost" path where
-              end
-              | None -> fail "%s: %s has a rung without a cost" path where)
-            curve)
-        arms)
+            (fun (t, v) ->
+              match v with
+              | Num x when x >= 0. -> ()
+              | Null -> ()
+              | _ -> fail "%s: %stiming %s is not a non-negative number" path at t)
+            (need path at to_obj "timings" arm);
+          if List.assoc_opt "reference" key = Some (Bool true) then begin
+            if List.assoc_opt "complete" counters <> Some (Bool true) then
+              fail "%s: %sis a reference arm but did not complete" path at;
+            ignore (need path at to_float "final_cost" (Obj counters))
+          end;
+          let count c = Option.bind (List.assoc_opt c counters) to_int in
+          (match (count "goal_slots", count "goal_entries") with
+           | Some slots, Some entries when slots > 4 * entries ->
+             fail "%s: %sallocates %d goal slots for %d entries (> 4x)" path at slots entries
+           | _ -> ());
+          if member "curve" arm <> None then
+            validate_curve path at (need path at to_list "curve" arm ~ok:nonempty))
+        names arms)
     cells;
-  Printf.printf "OK %s: %d cells, %d arms\n" path (List.length cells) !n_arms
+  Printf.printf "OK %s: %d gates, %d cells, %d arms\n" path (List.length gates)
+    (List.length cells) !n_arms
 
 (* A search profile from [volcano-cli optimize --profile-out]: a
    positive total task count, track 0 present, a non-empty entries
@@ -379,7 +361,9 @@ let validate_profile path =
 (* A flight-recorder dump from [--flightrec-out] (or a post-mortem
    trigger): a non-empty reason, a positive capacity, consistent
    recorded/dropped/event counts, and events with known kinds,
-   non-negative timestamps, and non-descending time order. *)
+   non-negative timestamps, and non-descending time order. The ring may
+   be empty: a budget that runs out before the first task records
+   nothing. *)
 let validate_flightrec path =
   let j = load path in
   (match str_field "reason" j with
@@ -392,8 +376,8 @@ let validate_flightrec path =
   in
   let recorded =
     match Option.bind (Obs.Json.member "recorded" j) Obs.Json.to_int with
-    | Some r when r >= 1 -> r
-    | _ -> fail "%s: recorded missing or < 1" path
+    | Some r when r >= 0 -> r
+    | _ -> fail "%s: recorded missing or negative" path
   in
   let dropped =
     match Option.bind (Obs.Json.member "dropped" j) Obs.Json.to_int with
@@ -408,7 +392,6 @@ let validate_flightrec path =
   in
   let events =
     match Option.bind (Obs.Json.member "events" j) Obs.Json.to_list with
-    | Some [] -> fail "%s: events is empty" path
     | Some l -> l
     | None -> fail "%s: events missing or not an array" path
   in
@@ -450,11 +433,10 @@ let () =
   | _ :: "metrics" :: [ path ] -> validate_metrics path
   | _ :: "drift" :: [ path ] -> validate_drift path
   | _ :: "bench" :: (_ :: _ as paths) -> List.iter validate_bench paths
-  | _ :: "scaleup" :: [ path ] -> validate_scaleup path
   | _ :: "profile" :: [ path ] -> validate_profile path
   | _ :: "flightrec" :: [ path ] -> validate_flightrec path
   | _ ->
     prerr_endline
       "usage: validate_obs {trace FILE | metrics FILE | drift FILE | bench FILE... | \
-       scaleup FILE | profile FILE | flightrec FILE}";
+       profile FILE | flightrec FILE}";
     exit 2
