@@ -83,20 +83,19 @@ let goal_task_histogram reg tracer =
     spans;
   Hashtbl.iter (fun _ n -> Obs.Metrics.observe hist (float_of_int n)) counts
 
-(* Post-run stderr summary of a span trace: per-track span counts and
-   the goal outcomes — bounded output no matter how large the search. *)
+(* The counters of the layers above the search, exported beside its own
+   under the volcano_search_ prefix wherever search metrics are: the
+   batch optimizer's sharing counters (0 without a batch report) and the
+   feedback loop's (0 unless a live set is passed). *)
+let register_layers ?report ?(feedback = Feedback.counters ()) reg =
+  Mqo.register ?report reg;
+  Feedback.register reg feedback
+
+(* Post-run stderr summary of a span trace: the span count and the goal
+   outcomes — bounded output no matter how large the search. *)
 let print_trace_summary tracer =
   let spans = Obs.Trace.spans tracer in
-  List.iter
-    (fun track ->
-      let n =
-        List.length
-          (List.filter (fun (s : Obs.Trace.span) -> s.sp_track = track) spans)
-      in
-      Format.eprintf "trace: track %d (%s): %d spans@." track
-        (if track = 0 then "search" else "track " ^ string_of_int track)
-        n)
-    (Obs.Trace.tracks tracer);
+  Format.eprintf "trace: %d spans@." (List.length spans);
   let outcomes = Hashtbl.create 8 in
   List.iter
     (fun (s : Obs.Trace.span) ->
@@ -158,14 +157,13 @@ let run_optimize sql execute compare_exodus no_pruning no_guided left_deep max_s
         Option.iter
           (fun path ->
             Obs.Chrome_trace.write path tr;
-            Format.eprintf "wrote %s (%d spans, %d tracks)@." path
-              (Obs.Trace.total tr)
-              (List.length (Obs.Trace.tracks tr)))
+            Format.eprintf "wrote %s (%d spans)@." path (Obs.Trace.total tr))
           trace_out;
         Option.iter
           (fun path ->
             let reg = Obs.Metrics.create () in
             Volcano.Search_stats.register reg result.stats;
+            register_layers reg;
             goal_task_histogram reg tr;
             Option.iter (fun pr -> Obs.Profile.register pr reg) profiler;
             Obs.Json.write_file path (Obs.Metrics.to_json reg);
@@ -557,6 +555,8 @@ let run_serve file workers capacity shards parameterize feedback skews metrics_p
       (Plansrv.config ~capacity ~shards ~parameterize ~slow_ms
          { (Relmodel.Optimizer.request catalog) with profiler = Some profiler })
   in
+  let fb_counters = Feedback.counters () in
+  register_layers ~feedback:fb_counters (Plansrv.registry srv);
   let lines =
     match file with
     | Some path -> In_channel.with_open_text path In_channel.input_lines
@@ -586,8 +586,9 @@ let run_serve file workers capacity shards parameterize feedback skews metrics_p
           | None -> ()
           | Some plan ->
             let outcome = Feedback.run_plan ~config:fb_config request logical ~required plan in
-            Plansrv.note_search srv outcome.Feedback.report.Feedback.stats;
             let rep = outcome.Feedback.report in
+            Plansrv.note_search srv rep.Feedback.stats;
+            Feedback.add_counters ~into:fb_counters rep.Feedback.counters;
             if rep.Feedback.drifted <> [] then
               Format.printf "      FEEDBACK %d/%d nodes drifted (threshold %.1fx)@."
                 (List.length rep.Feedback.drifted)
@@ -609,6 +610,7 @@ let run_serve file workers capacity shards parameterize feedback skews metrics_p
       List.iteri (fun i (line, _, _) -> print_response line responses.(i)) parsed
     end;
     Format.printf "@.%a@." Plansrv.pp_metrics (Plansrv.metrics srv);
+    if feedback then Format.printf "feedback: %a@." Feedback.pp_counters fb_counters;
     match metrics_port with
     | None -> 0
     | Some port ->
@@ -685,7 +687,9 @@ let run_batch file strategy capacity shards metrics_out =
       report.shared_groups report.materialize_chosen report.reuse_hits;
     Option.iter
       (fun path ->
-        Obs.Json.write_file path (Obs.Metrics.to_json (Plansrv.registry srv));
+        let reg = Plansrv.registry srv in
+        register_layers ~report reg;
+        Obs.Json.write_file path (Obs.Metrics.to_json reg);
         Format.eprintf "wrote %s@." path)
       metrics_out;
     0
@@ -795,7 +799,7 @@ let optimize_cmd =
       & info [ "trace" ]
           ~doc:
             "Collect hierarchical search spans (goals and tasks) and print a \
-             per-track / per-outcome summary to stderr.")
+             span-count / per-outcome summary to stderr.")
   in
   let trace_out =
     Arg.(
@@ -804,7 +808,7 @@ let optimize_cmd =
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
             "Write the span trace to $(docv) in the Chrome trace event format \
-             (load in chrome://tracing or Perfetto; one track per domain).")
+             (load in chrome://tracing or Perfetto).")
   in
   let metrics_out =
     Arg.(

@@ -65,6 +65,57 @@ type correction = {
   stats_version : int;
 }
 
+type counters = {
+  mutable fb_runs : int;
+  mutable fb_nodes_observed : int;
+  mutable fb_drift_nodes : int;
+  mutable fb_corrections : int;
+  mutable fb_escapes : int;
+  mutable fb_replans : int;
+}
+
+let counters () =
+  {
+    fb_runs = 0;
+    fb_nodes_observed = 0;
+    fb_drift_nodes = 0;
+    fb_corrections = 0;
+    fb_escapes = 0;
+    fb_replans = 0;
+  }
+
+(* The counters by metric-name suffix, in display order. *)
+let counter_table =
+  [
+    ("feedback_runs", fun c -> c.fb_runs);
+    ("feedback_nodes_observed", fun c -> c.fb_nodes_observed);
+    ("feedback_drift_nodes", fun c -> c.fb_drift_nodes);
+    ("feedback_corrections", fun c -> c.fb_corrections);
+    ("feedback_escapes", fun c -> c.fb_escapes);
+    ("feedback_replans", fun c -> c.fb_replans);
+  ]
+
+let add_counters ~into c =
+  into.fb_runs <- into.fb_runs + c.fb_runs;
+  into.fb_nodes_observed <- into.fb_nodes_observed + c.fb_nodes_observed;
+  into.fb_drift_nodes <- into.fb_drift_nodes + c.fb_drift_nodes;
+  into.fb_corrections <- into.fb_corrections + c.fb_corrections;
+  into.fb_escapes <- into.fb_escapes + c.fb_escapes;
+  into.fb_replans <- into.fb_replans + c.fb_replans
+
+let pp_counters ppf c =
+  Format.pp_print_string ppf
+    (String.concat " "
+       (List.map (fun (name, read) -> Printf.sprintf "%s=%d" name (read c)) counter_table))
+
+let metric_names prefix = List.map (fun (name, _) -> prefix ^ name) counter_table
+
+let register reg c =
+  List.iter
+    (fun (name, read) ->
+      Obs.Metrics.gauge reg ("volcano_search_" ^ name) (fun () -> float_of_int (read c)))
+    counter_table
+
 type report = {
   nodes : node_obs list;
   drifted : node_obs list;
@@ -72,6 +123,7 @@ type report = {
   corrections : correction list;
   escaped : bool;
   replans : int;
+  counters : counters;
   stats : S.t;
 }
 
@@ -493,15 +545,8 @@ let report_to_json r =
       ("escaped", J.Bool r.escaped);
       ("replans", J.int r.replans);
       ( "stats",
-        J.Obj
-          [
-            ("feedback_runs", J.int r.stats.S.feedback_runs);
-            ("feedback_nodes_observed", J.int r.stats.S.feedback_nodes_observed);
-            ("feedback_drift_nodes", J.int r.stats.S.feedback_drift_nodes);
-            ("feedback_corrections", J.int r.stats.S.feedback_corrections);
-            ("feedback_escapes", J.int r.stats.S.feedback_escapes);
-            ("feedback_replans", J.int r.stats.S.feedback_replans);
-          ] );
+        J.Obj (List.map (fun (name, read) -> (name, J.int (read r.counters))) counter_table)
+      );
     ]
 
 (* ---------------------------------------------------------------------- *)
@@ -516,19 +561,19 @@ type outcome = {
   report : report;
 }
 
-let finish config stats catalog ~escaped ~replans ~mid_corrections plan_node
+let finish config c stats catalog ~escaped ~replans ~mid_corrections plan_node
     (tuples, schema, io, nodes) =
-  stats.S.feedback_runs <- stats.S.feedback_runs + 1;
-  stats.S.feedback_nodes_observed <- stats.S.feedback_nodes_observed + List.length nodes;
+  c.fb_runs <- c.fb_runs + 1;
+  c.fb_nodes_observed <- c.fb_nodes_observed + List.length nodes;
   let drifted = drift_nodes ~threshold:config.drift_threshold nodes in
-  stats.S.feedback_drift_nodes <- stats.S.feedback_drift_nodes + List.length drifted;
+  c.fb_drift_nodes <- c.fb_drift_nodes + List.length drifted;
   let post =
     if config.correct && drifted <> [] then
       apply_corrections catalog ~threshold:config.drift_threshold
         (Opt.to_physical plan_node) nodes
     else []
   in
-  stats.S.feedback_corrections <- stats.S.feedback_corrections + List.length post;
+  c.fb_corrections <- c.fb_corrections + List.length post;
   {
     tuples;
     schema;
@@ -542,6 +587,7 @@ let finish config stats catalog ~escaped ~replans ~mid_corrections plan_node
         corrections = mid_corrections @ post;
         escaped;
         replans;
+        counters = c;
         stats;
       };
   }
@@ -549,6 +595,7 @@ let finish config stats catalog ~escaped ~replans ~mid_corrections plan_node
 let run_plan ?(config = default_config) (request : Opt.request) query ~required
     plan_node =
   let catalog = request.Opt.catalog in
+  let c = counters () in
   let stats = S.create () in
   let escaped = ref false in
   let replans = ref 0 in
@@ -561,7 +608,7 @@ let run_plan ?(config = default_config) (request : Opt.request) query ~required
     | Complete (tuples, schema, io, nodes) -> (plan_node, (tuples, schema, io, nodes))
     | Aborted { at; nodes; io = _ } -> begin
       escaped := true;
-      stats.S.feedback_escapes <- stats.S.feedback_escapes + 1;
+      c.fb_escapes <- c.fb_escapes + 1;
       escape_trigger config;
       (* Correct only the node that blew its budget: its count already
          proves the estimate wrong by the escape factor, while every
@@ -576,9 +623,9 @@ let run_plan ?(config = default_config) (request : Opt.request) query ~required
            disarm the hatch and finish the run. *)
         attempt 0 plan_node
       | cs -> begin
-        stats.S.feedback_corrections <- stats.S.feedback_corrections + List.length cs;
+        c.fb_corrections <- c.fb_corrections + List.length cs;
         mid_corrections := !mid_corrections @ cs;
-        stats.S.feedback_replans <- stats.S.feedback_replans + 1;
+        c.fb_replans <- c.fb_replans + 1;
         incr replans;
         let result = Opt.optimize request query ~required in
         S.merge ~into:stats result.Opt.stats;
@@ -589,7 +636,7 @@ let run_plan ?(config = default_config) (request : Opt.request) query ~required
     end
   in
   let final_plan, run = attempt config.max_replans plan_node in
-  finish config stats catalog ~escaped:!escaped ~replans:!replans
+  finish config c stats catalog ~escaped:!escaped ~replans:!replans
     ~mid_corrections:!mid_corrections final_plan run
 
 let run ?config (request : Opt.request) query ~required =
@@ -601,7 +648,7 @@ let run ?config (request : Opt.request) query ~required =
 let run_dynamic ?(config = default_config) (request : Opt.request) (dyn : Dynplan.t)
     ~param =
   let catalog = request.Opt.catalog in
-  let stats = S.create () in
+  let c = counters () and stats = S.create () in
   (* The static plan was optimized at the range midpoint (see
      Dynplan.prepare); that witness carries its embedded constants. *)
   let witness =
@@ -619,13 +666,13 @@ let run_dynamic ?(config = default_config) (request : Opt.request) (dyn : Dynpla
       catalog static_actual
   with
   | Complete (tuples, schema, io, nodes) ->
-    finish config stats catalog ~escaped:false ~replans:0 ~mid_corrections:[]
+    finish config c stats catalog ~escaped:false ~replans:0 ~mid_corrections:[]
       static_node
       (tuples, schema, io, nodes)
   | Aborted _ -> begin
     (* Abort into the dynplan bucket covering the actual parameter: the
        start-up-time choose-plan re-run as a run-time fallback. *)
-    stats.S.feedback_escapes <- stats.S.feedback_escapes + 1;
+    c.fb_escapes <- c.fb_escapes + 1;
     escape_trigger config;
     let bucket = Dynplan.choose dyn param in
     let bucket_node =
@@ -637,7 +684,7 @@ let run_dynamic ?(config = default_config) (request : Opt.request) (dyn : Dynpla
       observed_run ~estimate_plan:believed catalog (Opt.to_physical bucket_node)
     with
     | Complete (tuples, schema, io, nodes) ->
-      finish config stats catalog ~escaped:true ~replans:0 ~mid_corrections:[]
+      finish config c stats catalog ~escaped:true ~replans:0 ~mid_corrections:[]
         bucket_node
         (tuples, schema, io, nodes)
     | Aborted _ -> assert false (* no escape factor on the fallback run *)

@@ -97,6 +97,43 @@ type correction = {
           stamp cached plans must now carry to stay fresh *)
 }
 
+(** The feedback loop's own counters, kept apart from the search's
+    {!Volcano.Search_stats}. *)
+type counters = {
+  mutable fb_runs : int;
+      (** instrumented executions completed: plans run with per-node
+          cardinality observers *)
+  mutable fb_nodes_observed : int;
+      (** plan nodes whose actual output cardinality was recorded *)
+  mutable fb_drift_nodes : int;
+      (** observed nodes whose q-error (max(obs,est)/min(obs,est), both
+          clamped below at 1) reached the drift threshold *)
+  mutable fb_corrections : int;
+      (** per-table statistics corrections installed through
+          [Catalog.update_stats], each bumping that table's stats
+          version (and thereby invalidating stale cached plans) *)
+  mutable fb_escapes : int;
+      (** mid-query escape-hatch aborts: a node's observed cardinality
+          blew past its estimate by the configured k factor *)
+  mutable fb_replans : int;  (** re-optimizations after an escape-hatch abort *)
+}
+
+val counters : unit -> counters
+(** All zero. *)
+
+val add_counters : into:counters -> counters -> unit
+
+val pp_counters : Format.formatter -> counters -> unit
+(** One line of [name=value] pairs, named as in {!metric_names} [""]. *)
+
+val register : Obs.Metrics.registry -> counters -> unit
+(** Surface the counters as gauges named
+    ["volcano_search_feedback_" ^ counter], read live. *)
+
+val metric_names : string -> string list
+(** [metric_names prefix] — the names {!register} creates; with prefix
+    [""], the keys of {!report_to_json}'s ["stats"] object. *)
+
 (** The per-query drift report. *)
 type report = {
   nodes : node_obs list;  (** every observed node, preorder *)
@@ -105,16 +142,16 @@ type report = {
   corrections : correction list;  (** catalog corrections installed *)
   escaped : bool;  (** the escape hatch fired at least once *)
   replans : int;  (** optimizer re-entries triggered *)
+  counters : counters;  (** the run's feedback counters *)
   stats : Volcano.Search_stats.t;
-      (** the run's counters: the [feedback_*] family plus the search
-          effort of any feedback-triggered re-optimization *)
+      (** the search effort of any feedback-triggered re-optimization *)
 }
 
 val report_to_json : report -> Obs.Json.t
 (** Export shape (validated by [validate_obs drift]): [nodes] array
     with per-node path/alg/estimated/observed/ratio/relations, the
     drifted count, corrections with their new stats versions, and every
-    [feedback_*] counter under ["stats"]. *)
+    counter under ["stats"], keyed as {!metric_names} [""] names it. *)
 
 (** {1 Instrumented execution} *)
 

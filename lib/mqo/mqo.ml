@@ -565,10 +565,6 @@ let finish ~strategy ~inds ~final_plans ~final_costs ~reused ~shared ~shared_gro
            })
          final_plans)
   in
-  let stats = Volcano.Search_stats.copy stats in
-  stats.Volcano.Search_stats.mqo_shared_groups <- shared_groups;
-  stats.Volcano.Search_stats.mqo_materialize_chosen <- materialize_chosen;
-  stats.Volcano.Search_stats.mqo_reuse_hits <- reuse_hits;
   {
     strategy;
     results;
@@ -680,12 +676,21 @@ let serve_batch ?(strategy = Off) srv worker queries =
     batch_with ~strategy ~request ~session queries inds ~extra_stats:(fun () ->
         local_stats)
   in
-  (* Fold the batch pass's effort — the RU re-optimizations' counters
-     live in the session results we didn't keep, but the mqo_* deltas
-     are what the service-level registry must export. *)
-  let delta = Volcano.Search_stats.create () in
-  delta.Volcano.Search_stats.mqo_shared_groups <- report.shared_groups;
-  delta.Volcano.Search_stats.mqo_materialize_chosen <- report.materialize_chosen;
-  delta.Volcano.Search_stats.mqo_reuse_hits <- report.reuse_hits;
-  Plansrv.note_search srv delta;
   (report, responses)
+
+(* The report's sharing counters, by metric-name suffix. *)
+let counters =
+  [
+    ("mqo_shared_groups", fun r -> r.shared_groups);
+    ("mqo_materialize_chosen", fun r -> r.materialize_chosen);
+    ("mqo_reuse_hits", fun r -> r.reuse_hits);
+  ]
+
+let metric_names prefix = List.map (fun (name, _) -> prefix ^ name) counters
+
+let register ?report reg =
+  List.iter
+    (fun (name, read) ->
+      Obs.Metrics.gauge reg ("volcano_search_" ^ name) (fun () ->
+          match report with None -> 0. | Some r -> float_of_int (read r)))
+    counters

@@ -86,9 +86,7 @@ type report = {
       (** subexpressions that occurred in two or more queries *)
   materialize_chosen : int;  (** shared results the search materialized *)
   reuse_hits : int;  (** consumer sites rewritten to read a materialized result *)
-  stats : Volcano.Search_stats.t;
-      (** cumulative session search effort, with the [mqo_*] counters
-          filled in *)
+  stats : Volcano.Search_stats.t;  (** cumulative session search effort *)
 }
 
 val optimize_batch :
@@ -109,7 +107,13 @@ val serve_batch :
   report * Plansrv.response list
 (** Like {!optimize_batch}, but the per-query independent results are
     served through the plan service's sharded cache ({!Plansrv.serve_one}
-    per query — warm batches skip the independent optimizations), and
-    the batch pass's extra search effort (including the [mqo_*]
-    counters) is folded into the service's merged metrics
-    ({!Plansrv.note_search}). *)
+    per query — warm batches skip the independent optimizations). *)
+
+val register : ?report:report -> Obs.Metrics.registry -> unit
+(** Surface [report]'s sharing counters ([shared_groups],
+    [materialize_chosen], [reuse_hits]) as gauges named
+    ["volcano_search_mqo_" ^ counter]. Without a report they read 0: no
+    batch ran. *)
+
+val metric_names : string -> string list
+(** [metric_names prefix] — the names {!register} creates. *)

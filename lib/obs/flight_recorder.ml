@@ -32,7 +32,6 @@ type slot = {
 }
 
 type ring = {
-  rg_track : int;
   rg_slots : slot array;
   mutable rg_count : int;  (** total events ever recorded *)
 }
@@ -40,7 +39,8 @@ type ring = {
 type t = {
   fr_lock : Mutex.t;
   fr_capacity : int;
-  mutable fr_rings : ring list;
+  mutable fr_rings : ring list;  (** every ring, in use or not *)
+  mutable fr_free : ring list;  (** rings no writer holds *)
   mutable fr_path : string option;
   mutable fr_dumps : int;
   mutable fr_last_reason : string;
@@ -54,6 +54,7 @@ let create ?(capacity = default_capacity) ?path () =
     fr_lock = Mutex.create ();
     fr_capacity = capacity;
     fr_rings = [];
+    fr_free = [];
     fr_path = path;
     fr_dumps = 0;
     fr_last_reason = "";
@@ -61,14 +62,27 @@ let create ?(capacity = default_capacity) ?path () =
 
 let capacity t = t.fr_capacity
 
-let ring t ~track =
-  let slots =
-    Array.init t.fr_capacity (fun _ ->
-        { ev_ns = 0; ev_kind = -1; ev_group = -1; ev_detail = 0 })
+(* Take a free ring, or make one when every ring is in use; give it
+   back, events and all, when [f] ends. *)
+let recording t f =
+  let r =
+    Mutex.protect t.fr_lock (fun () ->
+        match t.fr_free with
+        | r :: rest ->
+          t.fr_free <- rest;
+          r
+        | [] ->
+          let slots =
+            Array.init t.fr_capacity (fun _ ->
+                { ev_ns = 0; ev_kind = -1; ev_group = -1; ev_detail = 0 })
+          in
+          let r = { rg_slots = slots; rg_count = 0 } in
+          t.fr_rings <- r :: t.fr_rings;
+          r)
   in
-  let r = { rg_track = track; rg_slots = slots; rg_count = 0 } in
-  Mutex.protect t.fr_lock (fun () -> t.fr_rings <- r :: t.fr_rings);
-  r
+  Fun.protect
+    ~finally:(fun () -> Mutex.protect t.fr_lock (fun () -> t.fr_free <- r :: t.fr_free))
+    (fun () -> f r)
 
 let record_at r kind ~ns ~group ~detail =
   let slot = r.rg_slots.(r.rg_count mod Array.length r.rg_slots) in
@@ -87,13 +101,14 @@ let record r kind ~group ~detail =
 
 type event = {
   ns : int;
-  track : int;
   kind : kind;
   group : int;
   detail : int;
 }
 
-let rings t = Mutex.protect t.fr_lock (fun () -> t.fr_rings)
+let all_rings t = Mutex.protect t.fr_lock (fun () -> t.fr_rings)
+
+let rings t = List.length (all_rings t)
 
 let ring_events r =
   let n = Array.length r.rg_slots in
@@ -105,26 +120,21 @@ let ring_events r =
       let s = r.rg_slots.(idx) in
       {
         ns = s.ev_ns;
-        track = r.rg_track;
         kind = kind_of_code s.ev_kind;
         group = s.ev_group;
         detail = s.ev_detail;
       })
 
 let events t =
-  List.concat_map ring_events (rings t)
-  |> List.sort (fun a b ->
-         let c = compare a.ns b.ns in
-         if c <> 0 then c else compare (a.track, a.kind) (b.track, b.kind))
+  List.concat_map ring_events (all_rings t)
+  |> List.stable_sort (fun a b -> compare a.ns b.ns)
 
-let recorded t = List.fold_left (fun acc r -> acc + r.rg_count) 0 (rings t)
+let recorded t = List.fold_left (fun acc r -> acc + r.rg_count) 0 (all_rings t)
 
 let dropped t =
   List.fold_left
     (fun acc r -> acc + max 0 (r.rg_count - Array.length r.rg_slots))
-    0 (rings t)
-
-let tracks t = List.sort_uniq compare (List.map (fun r -> r.rg_track) (rings t))
+    0 (all_rings t)
 
 let to_json ?(reason = "") t =
   let evs =
@@ -133,7 +143,6 @@ let to_json ?(reason = "") t =
         Json.Obj
           [
             ("ns", Json.int e.ns);
-            ("track", Json.int e.track);
             ("kind", Json.Str (kind_name e.kind));
             ("group", Json.int e.group);
             ("detail", Json.int e.detail);
@@ -144,9 +153,9 @@ let to_json ?(reason = "") t =
     [
       ("reason", Json.Str reason);
       ("capacity", Json.int t.fr_capacity);
+      ("rings", Json.int (rings t));
       ("recorded", Json.int (recorded t));
       ("dropped", Json.int (dropped t));
-      ("tracks", Json.Arr (List.map Json.int (tracks t)));
       ("events", Json.Arr evs);
     ]
 

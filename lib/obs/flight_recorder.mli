@@ -1,14 +1,17 @@
-(** Always-on flight recorder: a fixed-size, lock-free ring buffer of
-    recent engine events per searcher, dumped post-mortem when a search
-    ends abnormally (budget/timeout pause, feedback escape hatch,
-    plansrv rejection).
+(** Always-on flight recorder: fixed-size, lock-free ring buffers of
+    recent engine events, dumped post-mortem when a search ends
+    abnormally (budget/timeout pause, feedback escape hatch, plansrv
+    rejection).
 
-    Each searcher registers its own ring (the search engine records on
-    track 0; plan-service workers sharing one recorder each register
-    one) of preallocated slots; {!record} mutates a slot in place — no
-    allocation, no lock, no branch on a "enabled" flag — so steady-state
-    cost is a few stores per event. The collector registration list is
-    the only mutex-guarded state, exactly like {!Trace} and {!Profile}.
+    A running search records into a ring of preallocated slots it holds
+    alone ({!recording}); plan-service workers sharing one recorder
+    each hold their own. {!record} mutates a slot in place — no
+    allocation, no lock, no branch on a "enabled" flag — so
+    steady-state cost is a few stores per event. A finished search
+    hands its ring back, events and all, and the next search records
+    on over the oldest, like {!Profile.writing}: the recorder holds at
+    most one ring per concurrent search, however many it has served.
+    Taking and returning rings is the only mutex-guarded state.
 
     Recording is observation-only: it must never influence the search
     (the plan-inertness contract). Reads of a live ring may see torn
@@ -20,7 +23,7 @@ type kind = Task_begin | Task_end | Publish | Prune | Incumbent
 val kind_name : kind -> string
 
 type ring
-(** One track's event ring. Single-writer. *)
+(** One event ring. Single-writer: held by one search at a time. *)
 
 type t
 
@@ -32,8 +35,13 @@ val create : ?capacity:int -> ?path:string -> unit -> t
 
 val capacity : t -> int
 
-val ring : t -> track:int -> ring
-(** Register a new ring for [track]. Thread-safe. *)
+val recording : t -> (ring -> 'a) -> 'a
+(** [recording t f] runs [f] with a ring no other writer holds: a free
+    one, or a new one when every ring is in use. The ring goes back to
+    [t] when [f] returns or raises. Thread-safe. *)
+
+val rings : t -> int
+(** Rings made so far: the most writers that recorded at once. *)
 
 val record : ring -> kind -> group:int -> detail:int -> unit
 (** Record one event, overwriting the oldest when the ring is full.
@@ -50,7 +58,6 @@ val record_at : ring -> kind -> ns:int -> group:int -> detail:int -> unit
 
 type event = {
   ns : int;  (** monotonic nanoseconds, collapsed to int *)
-  track : int;
   kind : kind;
   group : int;
   detail : int;
@@ -66,9 +73,9 @@ val recorded : t -> int
 val dropped : t -> int
 (** Events lost to ring wraparound. *)
 
-val tracks : t -> int list
-
 val to_json : ?reason:string -> t -> Json.t
+(** [{"reason", "capacity", "rings", "recorded", "dropped", "events"}]:
+    at most [capacity * rings] surviving events, oldest first. *)
 
 val set_path : t -> string -> unit
 (** Set (or replace) the post-mortem destination. *)

@@ -27,7 +27,6 @@ type t = {
   pr_lock : Mutex.t;
   mutable pr_live : buf list;  (** buffers whose writer is running *)
   pr_folded : table;  (** finished writers' counts, merged *)
-  mutable pr_tracks : int list;  (** every track a buffer was made for *)
 }
 
 and buf = {
@@ -38,13 +37,9 @@ and buf = {
 
 let table () : table = Array.init 4 (fun _ -> Hashtbl.create 16)
 
-let create () =
-  { pr_lock = Mutex.create (); pr_live = []; pr_folded = table (); pr_tracks = [] }
+let create () = { pr_lock = Mutex.create (); pr_live = []; pr_folded = table () }
 
-let buf t ~track =
-  Mutex.protect t.pr_lock (fun () ->
-      if not (List.mem track t.pr_tracks) then t.pr_tracks <- track :: t.pr_tracks);
-  { pb_owner = t; pb_cells = table (); pb_live = false }
+let buf t = { pb_owner = t; pb_cells = table (); pb_live = false }
 
 let iter_cells f (tbl : table) = Array.iter (Hashtbl.iter (fun _ c -> f c)) tbl
 
@@ -176,8 +171,6 @@ let report t =
 let total_tasks t =
   List.fold_left (fun acc e -> acc + e.tasks) 0 (report t)
 
-let tracks t = List.sort compare (Mutex.protect t.pr_lock (fun () -> t.pr_tracks))
-
 let ms_of e = Int64.to_float e.ns /. 1e6
 
 let to_json t =
@@ -200,7 +193,6 @@ let to_json t =
   Json.Obj
     [
       ("total_tasks", Json.int (total_tasks t));
-      ("tracks", Json.Arr (List.map Json.int (tracks t)));
       ("entries", Json.Arr entries);
     ]
 

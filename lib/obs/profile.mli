@@ -1,8 +1,8 @@
 (** Per-rule / per-enforcer / per-operator search effort attribution.
 
     A profiler hands out one buffer per {e writer} — each search engine
-    registers one on track 0, and plan-service workers sharing one
-    profiler each register their own, like {!Trace}. Buffers are
+    makes one, so plan-service workers sharing one profiler each write
+    their own, like {!Trace}. Buffers are
     single-writer, so the task hot path records without locks. A
     writer resolves each attribution [(kind, name)] to a {!cell} once —
     the only place a name is hashed — and then charges tasks to it with
@@ -41,8 +41,8 @@ type t
 
 val create : unit -> t
 
-val buf : t -> track:int -> buf
-(** A new buffer for [track], idle until {!writing}. Thread-safe. *)
+val buf : t -> buf
+(** A new buffer, idle until {!writing}. Thread-safe. *)
 
 val writing : buf -> (unit -> 'a) -> 'a
 (** [writing b f] runs [f] as [b]'s writer: [b] is live (visible to
@@ -89,16 +89,13 @@ type entry = {
 }
 
 val report : t -> entry list
-(** Every entry merged across tracks, sorted by cumulative time
+(** Every entry merged across buffers, sorted by cumulative time
     (descending). Exact once all writers finished; during a run, the
     live buffers' counts are read as they stand. *)
 
 val total_tasks : t -> int
 (** Sum of per-entry task counts — must equal the engine's total task
     counter (the attribution-parity invariant). *)
-
-val tracks : t -> int list
-(** Every track a buffer was made for, ascending. *)
 
 val to_json : t -> Json.t
 

@@ -13,6 +13,7 @@ type span = {
 
 type buf = {
   bf_track : int;
+  bf_serial : int;  (** the collector's registration number, from 1 *)
   mutable bf_spans : span list;  (** newest first *)
   mutable bf_count : int;
 }
@@ -20,22 +21,26 @@ type buf = {
 type t = {
   tr_lock : Mutex.t;
   mutable tr_bufs : buf list;
+  mutable tr_serial : int;  (** buffers registered so far *)
 }
 
-let create () = { tr_lock = Mutex.create (); tr_bufs = [] }
+let create () = { tr_lock = Mutex.create (); tr_bufs = []; tr_serial = 0 }
 
 let buf t ~track =
-  let b = { bf_track = track; bf_spans = []; bf_count = 0 } in
-  Mutex.protect t.tr_lock (fun () -> t.tr_bufs <- b :: t.tr_bufs);
-  b
+  Mutex.protect t.tr_lock (fun () ->
+      t.tr_serial <- t.tr_serial + 1;
+      let b = { bf_track = track; bf_serial = t.tr_serial; bf_spans = []; bf_count = 0 } in
+      t.tr_bufs <- b :: t.tr_bufs;
+      b)
 
-(* Span ids carry the track in the high bits so each buffer allocates
-   ids without coordination; 0 is reserved for "no parent". *)
+(* Span ids carry the buffer's serial in the high bits, so each buffer
+   allocates ids without coordination and no two buffers of a collector
+   share one; 0 is reserved for "no parent". *)
 let open_span b ?parent ?(group = -1) ?(args = []) ~cat name =
   b.bf_count <- b.bf_count + 1;
   let sp =
     {
-      sp_id = (b.bf_track lsl 40) lor b.bf_count;
+      sp_id = (b.bf_serial lsl 40) lor b.bf_count;
       sp_parent = (match parent with None -> 0 | Some p -> p.sp_id);
       sp_track = b.bf_track;
       sp_cat = cat;

@@ -1,10 +1,11 @@
 (** Hierarchical span tracing for the search engine.
 
-    A collector owns one buffer per {e track} (the search engine records
-    on track 0). A buffer is single-writer — the domain that owns it —
-    so spans are recorded without locks; the collector's registration
-    list is the only mutex-guarded state. After the run, {!spans}
-    merges every buffer into one start-ordered list.
+    A collector owns one buffer per writer: each search engine registers
+    one, and so does every caller tracing its own layers. A buffer is
+    single-writer — the domain that owns it — so spans are recorded
+    without locks; the collector's registration list is the only
+    mutex-guarded state. After the run, {!spans} merges every buffer
+    into one start-ordered list.
 
     Spans form a tree through parent ids: a [goal] span brackets one
     (group, property, limit) optimization goal and carries its outcome
@@ -14,9 +15,9 @@
     spans bracket whole phases of a caller's own work. *)
 
 type span = {
-  sp_id : int;  (** unique across tracks; see {!id} *)
+  sp_id : int;  (** unique within the collector; see {!id} *)
   sp_parent : int;  (** 0 = no parent *)
-  sp_track : int;
+  sp_track : int;  (** the buffer's {!buf} label: its Chrome-trace thread row *)
   sp_cat : string;  (** ["task"], ["goal"], or ["phase"] *)
   sp_name : string;
   sp_group : int;  (** memo group the span concerns, or [-1] *)
@@ -27,16 +28,19 @@ type span = {
 }
 
 type buf
-(** One track's span buffer. Single-writer: only the owning domain may
+(** One writer's span buffer. Single-writer: only the owning domain may
     open or close spans in it. *)
 
 type t
-(** A collector: the set of track buffers for one optimization. *)
+(** A collector: the span buffers of its writers. *)
 
 val create : unit -> t
 
 val buf : t -> track:int -> buf
-(** Register a new buffer for [track]. Thread-safe. *)
+(** Register a new buffer whose spans carry the label [track], the
+    thread row {!Chrome_trace} draws them on (the search engine uses 0).
+    Thread-safe; the buffer's span ids never collide with those of any
+    other buffer of [t]. *)
 
 val open_span :
   buf ->
@@ -56,14 +60,14 @@ val is_open : span -> bool
 val id : span -> int
 
 val spans : t -> span list
-(** Every span from every track, ordered by start time (ties by id).
+(** Every span from every buffer, ordered by start time (ties by id).
     Call only after all writers finished. *)
 
 val total : t -> int
-(** Number of spans recorded across all tracks. *)
+(** Number of spans recorded across all buffers. *)
 
 val closed : t -> int
-(** Number of {!close} calls that succeeded across all tracks. *)
+(** Number of {!close} calls that succeeded across all buffers. *)
 
 val tracks : t -> int list
-(** The registered track numbers, ascending. *)
+(** The distinct buffer labels, ascending. *)

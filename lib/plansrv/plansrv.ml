@@ -177,8 +177,8 @@ let registry t = t.registry
 let service_request t = t.cfg.request
 
 (* Extra search effort performed on behalf of the service but outside
-   [serve_one] — e.g. the multi-query batch optimizer's re-optimization
-   passes — folded into the same merged view the registry exports. *)
+   [serve_one] — e.g. a feedback loop's re-optimizations — folded into
+   the same merged view the registry exports. *)
 let note_search t delta =
   Mutex.protect t.stats_lock (fun () ->
       Volcano.Search_stats.merge ~into:t.counters.search delta)

@@ -168,14 +168,16 @@ val service_request : t -> Relmodel.Optimizer.request
 
 val note_search : t -> Volcano.Search_stats.t -> unit
 (** Fold a search-effort delta performed on behalf of the service but
-    outside {!serve_one} — e.g. the multi-query batch optimizer's
-    passes — into the merged view {!metrics} and {!registry} export. *)
+    outside {!serve_one} — e.g. a feedback loop's re-optimizations of
+    served plans — into the merged view {!metrics} and {!registry}
+    export. *)
 
 val registry : t -> Obs.Metrics.registry
 (** The service's metrics registry: every counter above as a gauge
     ([plansrv_*]), warm/cold latency histograms
     ([plansrv_warm_latency_ms], [plansrv_cold_latency_ms]), and the
-    merged search-effort counters ([volcano_search_*]). Export with
+    merged search-effort counters ([volcano_search_*]); the layers above
+    the service add their own gauges to it. Export with
     {!Obs.Metrics.to_prometheus} or {!Obs.Metrics.to_json} — this is
     what [volcano-cli serve --metrics-port] serves. *)
 

@@ -127,10 +127,10 @@ module Make (M : Signatures.MODEL) = struct
     memo : Memo.t;
     config : config;
     stats : Search_stats.t;
-    tr_buf : Obs.Trace.buf option;  (** the searcher's span buffer (track 0) *)
-    prof : prof option;  (** the searcher's profiler (track 0) *)
-    fr_ring : Obs.Flight_recorder.ring option;
-        (** the searcher's flight-recorder ring (track 0) *)
+    tr_buf : Obs.Trace.buf option;  (** the searcher's span buffer (label 0) *)
+    prof : prof option;  (** the searcher's profiler buffer and cells *)
+    mutable fr_ring : Obs.Flight_recorder.ring option;
+        (** the flight-recorder ring the searcher holds while it runs *)
   }
 
   (** A fully extracted plan: the optimizer's output. *)
@@ -142,7 +142,7 @@ module Make (M : Signatures.MODEL) = struct
   }
 
   let make_prof pr =
-    let pb = Obs.Profile.buf pr ~track:0 in
+    let pb = Obs.Profile.buf pr in
     let rule name = Obs.Profile.cell pb Obs.Profile.Rule name in
     {
       pf_buf = pb;
@@ -160,6 +160,16 @@ module Make (M : Signatures.MODEL) = struct
   let profiling t f =
     match t.prof with None -> f () | Some pf -> Obs.Profile.writing pf.pf_buf f
 
+  (* Run [f] holding a flight-recorder ring, handed back when [f] ends
+     so the next run records on over it. *)
+  let recording t f =
+    match t.config.recorder with
+    | None -> f ()
+    | Some fr ->
+      Obs.Flight_recorder.recording fr (fun ring ->
+          t.fr_ring <- Some ring;
+          Fun.protect ~finally:(fun () -> t.fr_ring <- None) f)
+
   let create ?(config = default_config) () =
     let stats = Search_stats.create () in
     {
@@ -168,8 +178,7 @@ module Make (M : Signatures.MODEL) = struct
       stats;
       tr_buf = Option.map (fun tr -> Obs.Trace.buf tr ~track:0) config.tracer;
       prof = Option.map make_prof config.profiler;
-      fr_ring =
-        Option.map (fun fr -> Obs.Flight_recorder.ring fr ~track:0) config.recorder;
+      fr_ring = None;
     }
 
   (* Goal state lives in the memo, addressed by the goal's interned key
@@ -1303,7 +1312,7 @@ module Make (M : Signatures.MODEL) = struct
             ignore (step run : bool);
             loop ()
       in
-      let status = profiling run.rt loop in
+      let status = profiling run.rt (fun () -> recording run.rt loop) in
       run.r_millis <- run.r_millis +. ((Unix.gettimeofday () -. t0) *. 1000.);
       run.r_status <- Some status;
       (* A budget pause is an abnormal end: dump the flight recorder so

@@ -1,11 +1,9 @@
 (** Machine-independent search-effort counters. Figure 4 compares
     wall-clock seconds on a SparcStation-1; these counters let the
-    benchmarks report effort in a hardware-neutral way alongside time.
-
-    Since the search core became an explicit task engine, effort is also
-    accounted per task kind, together with the work-stack high-water
-    mark — the scheduler-level counters industrial transformation-based
-    optimizers expose. *)
+    benchmarks report effort in a hardware-neutral way alongside time,
+    per task kind too, with the work-stack high-water mark. They count
+    the search alone: multi-query optimization and runtime feedback
+    keep and export their own counters. *)
 
 (** The task kinds of the search engine's work stack (see
     {!Search.Make}). Kept here, outside the functor, so stats and
@@ -55,34 +53,6 @@ type t = {
       (** goal-key intern lookups answered by the memo's hash-consing
           table: the goal's winner tables are then addressed by a
           small integer id instead of rehashing property vectors *)
-  mutable mqo_shared_groups : int;
-      (** logical subexpressions that occurred in two or more queries of
-          a batch (multi-query optimization) *)
-  mutable mqo_materialize_chosen : int;
-      (** shared subexpressions the batch search decided to materialize
-          once and reuse across consumers *)
-  mutable mqo_reuse_hits : int;
-      (** consumer sites rewritten to read a materialized shared result
-          instead of recomputing it *)
-  mutable feedback_runs : int;
-      (** instrumented executions completed by the runtime feedback loop
-          ({!Feedback}): plans run with per-node cardinality observers *)
-  mutable feedback_nodes_observed : int;
-      (** plan nodes whose actual output cardinality was recorded during
-          an instrumented execution *)
-  mutable feedback_drift_nodes : int;
-      (** observed nodes whose q-error (max(obs,est)/min(obs,est), both
-          clamped below at 1) reached the configured drift threshold *)
-  mutable feedback_corrections : int;
-      (** per-table statistics corrections the feedback loop installed
-          through [Catalog.update_stats], each bumping that table's
-          stats version (and thereby invalidating stale cached plans) *)
-  mutable feedback_escapes : int;
-      (** mid-query escape-hatch aborts: a node's observed cardinality
-          blew past its estimate by the configured k factor *)
-  mutable feedback_replans : int;
-      (** re-optimizations triggered by the feedback loop, whether from
-          an escape-hatch abort or an explicit post-correction re-entry *)
   mutable promise_evals : int;
       (** always 0: the engine orders moves by the model's static rule
           promise (§4.2), which costs no evaluation. Kept so reports
@@ -101,9 +71,9 @@ val copy : t -> t
     the other. *)
 
 val merge : into:t -> t -> unit
-(** Accumulate [t]'s counters into [into] (high-water marks take the
-    max). Used to aggregate per-worker optimizer statistics into one
-    service-wide view. *)
+(** Accumulate [t]'s counters into [into] (the high-water mark takes
+    the max). The plan service folds each cache miss's effort into one
+    service-wide view with it. *)
 
 val diff : since:t -> t -> t
 (** Counter deltas [t - since] (high-water mark taken from [t]): the
@@ -117,6 +87,8 @@ val tasks_of_kind : t -> task_kind -> int
 val note_stack_depth : t -> int -> unit
 
 val pp : Format.formatter -> t -> unit
+(** One line of [suffix=value] pairs, named as in {!metric_names}; the
+    per-kind task counters are left to {!pp_tasks}. *)
 
 val pp_tasks : Format.formatter -> t -> unit
 (** Render the per-kind task counters and the stack high-water mark. *)

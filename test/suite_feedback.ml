@@ -130,11 +130,7 @@ let test_report_json_shape () =
       if jfloat (jmem "ratio" n) < 1. then Alcotest.fail "ratio < 1 in JSON export")
     nodes;
   let stats = jmem "stats" json in
-  List.iter
-    (fun name -> ignore (jint (jmem name stats)))
-    (List.filter
-       (fun n -> String.length n >= 9 && String.sub n 0 9 = "feedback_")
-       (Volcano.Search_stats.metric_names ""))
+  List.iter (fun name -> ignore (jint (jmem name stats))) (Feedback.metric_names "")
 
 (* ---------- drift eligibility ---------- *)
 
@@ -324,23 +320,36 @@ let test_feedback_counters () =
     Feedback.run_plan (Relmodel.Optimizer.request catalog) query ~required:Phys_prop.any
       plan
   in
-  let s = outcome.Feedback.report.Feedback.stats in
-  Alcotest.(check int) "one run" 1 s.Volcano.Search_stats.feedback_runs;
-  Alcotest.(check int) "every node observed"
-    (List.length outcome.Feedback.report.Feedback.nodes)
-    s.Volcano.Search_stats.feedback_nodes_observed;
+  let report = outcome.Feedback.report in
+  let c = report.Feedback.counters in
+  Alcotest.(check int) "one run" 1 c.Feedback.fb_runs;
+  Alcotest.(check int) "every node observed" (List.length report.Feedback.nodes)
+    c.Feedback.fb_nodes_observed;
   Alcotest.(check int) "drift counter matches report"
-    (List.length outcome.Feedback.report.Feedback.drifted)
-    s.Volcano.Search_stats.feedback_drift_nodes;
+    (List.length report.Feedback.drifted)
+    c.Feedback.fb_drift_nodes;
   Alcotest.(check int) "correction counter matches report"
-    (List.length outcome.Feedback.report.Feedback.corrections)
-    s.Volcano.Search_stats.feedback_corrections;
-  (* The feedback_* family is exported through the metrics registry. *)
+    (List.length report.Feedback.corrections)
+    c.Feedback.fb_corrections;
+  Alcotest.(check int) "no re-plan, no re-plan search effort" 0
+    report.Feedback.stats.Volcano.Search_stats.tasks;
+  (* The counters are the feedback layer's own: none is a search
+     counter, and a live sum of runs is exported under the
+     volcano_search_feedback_ names. *)
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is not a search counter") false
+        (List.mem name (Volcano.Search_stats.metric_names "volcano_search_")))
+    (Feedback.metric_names "volcano_search_");
+  let total = Feedback.counters () in
   let reg = Obs.Metrics.create () in
-  Volcano.Search_stats.register reg s;
-  let json = Obs.Json.to_string (Obs.Metrics.to_json reg) in
-  Alcotest.(check bool) "feedback_runs exported" true
-    (Helpers.contains json "feedback_runs")
+  Feedback.register reg total;
+  Feedback.add_counters ~into:total c;
+  Feedback.add_counters ~into:total c;
+  let gauges = Obs.Json.member "gauges" (Obs.Metrics.to_json reg) in
+  Alcotest.(check (option (float 0.))) "gauges read the live sum" (Some 2.)
+    (Option.bind (Option.bind gauges (Obs.Json.member "volcano_search_feedback_runs"))
+       Obs.Json.to_float)
 
 (* ---------- feedback-off bit-identity ---------- *)
 

@@ -207,39 +207,54 @@ let test_ru_never_regresses () =
 
 (* ---------- counters ---------- *)
 
-let test_report_counters_in_stats () =
+(* The value of gauge [name] in [reg]'s JSON export. *)
+let gauge reg name =
+  match Obs.Json.member "gauges" (Obs.Metrics.to_json reg) with
+  | Some g -> Option.bind (Obs.Json.member name g) Obs.Json.to_int
+  | None -> None
+
+let check_gauges msg reg (r : Mqo.report) =
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check (option int)) (msg ^ ": " ^ name) (Some v) (gauge reg name))
+    [
+      ("volcano_search_mqo_shared_groups", r.shared_groups);
+      ("volcano_search_mqo_materialize_chosen", r.materialize_chosen);
+      ("volcano_search_mqo_reuse_hits", r.reuse_hits);
+    ]
+
+let test_report_counters_as_gauges () =
   let b = overlapping ~count:6 ~n_relations:6 ~core_relations:3 ~sharing:0.7 () in
   let req = Optimizer.request b.batch_catalog in
   List.iter
     (fun strategy ->
       let r = Mqo.optimize_batch ~strategy req (pairs_of b) in
-      Alcotest.(check int) "stats mirror shared_groups" r.shared_groups
-        r.stats.Volcano.Search_stats.mqo_shared_groups;
-      Alcotest.(check int) "stats mirror materialize_chosen" r.materialize_chosen
-        r.stats.Volcano.Search_stats.mqo_materialize_chosen;
-      Alcotest.(check int) "stats mirror reuse_hits" r.reuse_hits
-        r.stats.Volcano.Search_stats.mqo_reuse_hits)
+      let reg = Obs.Metrics.create () in
+      Mqo.register ~report:r reg;
+      check_gauges (Mqo.strategy_name strategy) reg r)
     [ Mqo.Off; Mqo.Volcano_sh; Mqo.Volcano_ru ]
 
-let test_counters_through_stats_ops () =
-  let a = Volcano.Search_stats.create () in
-  a.Volcano.Search_stats.mqo_shared_groups <- 3;
-  a.Volcano.Search_stats.mqo_materialize_chosen <- 2;
-  a.Volcano.Search_stats.mqo_reuse_hits <- 5;
-  let c = Volcano.Search_stats.copy a in
-  Alcotest.(check int) "copy keeps mqo counters" 5 c.Volcano.Search_stats.mqo_reuse_hits;
-  let b = Volcano.Search_stats.create () in
-  b.Volcano.Search_stats.mqo_shared_groups <- 1;
-  Volcano.Search_stats.merge ~into:b a;
-  Alcotest.(check int) "merge sums" 4 b.Volcano.Search_stats.mqo_shared_groups;
-  let d = Volcano.Search_stats.diff ~since:a b in
-  Alcotest.(check int) "diff subtracts" 1 d.Volcano.Search_stats.mqo_shared_groups;
-  Alcotest.(check bool) "metric names expose mqo counters" true
-    (List.mem "volcano_search_mqo_reuse_hits"
-       (Volcano.Search_stats.metric_names "volcano_search_"));
-  let rendered = Format.asprintf "%a" Volcano.Search_stats.pp a in
-  Alcotest.(check bool) "pp renders mqo counters" true
-    (Helpers.contains rendered "mqo-reuse=5")
+(* The sharing counters are MQO's, not the search's: they keep their
+   exported names and read 0 without a batch. *)
+let test_counters_owned_by_mqo () =
+  let names = Mqo.metric_names "volcano_search_" in
+  Alcotest.(check (list string)) "exported names"
+    [
+      "volcano_search_mqo_shared_groups";
+      "volcano_search_mqo_materialize_chosen";
+      "volcano_search_mqo_reuse_hits";
+    ]
+    names;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is not a search counter") false
+        (List.mem name (Volcano.Search_stats.metric_names "volcano_search_")))
+    names;
+  let reg = Obs.Metrics.create () in
+  Mqo.register reg;
+  List.iter
+    (fun name -> Alcotest.(check (option int)) (name ^ " without a batch") (Some 0) (gauge reg name))
+    names
 
 (* ---------- plan service batch entry point ---------- *)
 
@@ -268,20 +283,22 @@ let test_serve_batch_off_matches_cache () =
       | _ -> Alcotest.fail "expected warm hit on second batch")
     responses2
 
-let test_serve_batch_merges_mqo_counters () =
+(* A batch served through the plan service exports its sharing counters
+   in the service's registry, next to the search's, as [volcano-cli
+   batch --metrics-out] writes them. *)
+let test_serve_batch_counters_exported () =
   let b = overlapping ~count:6 ~n_relations:6 ~core_relations:3 ~sharing:0.7 () in
   let request = Optimizer.request b.batch_catalog in
   let srv = Plansrv.create (Plansrv.config ~capacity:64 ~shards:2 request) in
   let w = Plansrv.worker srv in
   let report, _ = Mqo.serve_batch ~strategy:Mqo.Volcano_sh srv w (pairs_of b) in
   Alcotest.(check bool) "strategy found sharing" true (report.shared_groups > 0);
-  let m = Plansrv.metrics srv in
-  Alcotest.(check int) "service exports mqo_shared_groups" report.shared_groups
-    m.Plansrv.search.Volcano.Search_stats.mqo_shared_groups;
-  Alcotest.(check int) "service exports mqo_materialize_chosen" report.materialize_chosen
-    m.Plansrv.search.Volcano.Search_stats.mqo_materialize_chosen;
-  Alcotest.(check int) "service exports mqo_reuse_hits" report.reuse_hits
-    m.Plansrv.search.Volcano.Search_stats.mqo_reuse_hits
+  let reg = Plansrv.registry srv in
+  Mqo.register ~report reg;
+  check_gauges "service registry" reg report;
+  Alcotest.(check (option int)) "search counters beside them"
+    (Some (Plansrv.metrics srv).Plansrv.search.Volcano.Search_stats.tasks)
+    (gauge reg "volcano_search_tasks_total")
 
 (* ---------- overlapping-batch generator ---------- *)
 
@@ -348,13 +365,12 @@ let suite =
     Alcotest.test_case "volcano-ru improves shared batch" `Quick
       test_ru_improves_on_shared_batch;
     Alcotest.test_case "volcano-ru never regresses" `Quick test_ru_never_regresses;
-    Alcotest.test_case "report counters in stats" `Quick test_report_counters_in_stats;
-    Alcotest.test_case "counters through stats ops" `Quick
-      test_counters_through_stats_ops;
+    Alcotest.test_case "report counters as gauges" `Quick test_report_counters_as_gauges;
+    Alcotest.test_case "counters owned by Mqo" `Quick test_counters_owned_by_mqo;
     Alcotest.test_case "serve_batch off = cached serving" `Quick
       test_serve_batch_off_matches_cache;
-    Alcotest.test_case "serve_batch merges counters" `Quick
-      test_serve_batch_merges_mqo_counters;
+    Alcotest.test_case "serve_batch counters exported" `Quick
+      test_serve_batch_counters_exported;
     Alcotest.test_case "generator validation" `Quick test_overlapping_validation;
     Alcotest.test_case "generator sharing levels" `Quick test_overlapping_sharing_levels;
     Alcotest.test_case "generator reproducible" `Quick test_overlapping_reproducible;

@@ -144,7 +144,7 @@ let workload ~shape ~n ~seed =
 
 (* The well-formedness contract of a finished run's trace:
    - every span closed exactly once ([closed = total], no open spans);
-   - parent links resolve, stay on one track, and bracket the child in
+   - parent links resolve, stay on one thread row, and bracket the child in
      time (a goal span closes after its concluding task's span);
    - per-kind task-span counts equal the engine's task counters, so the
      trace is a complete account of the work;
@@ -166,7 +166,7 @@ let assert_well_formed msg tracer (stats : Volcano.Search_stats.t) =
         | None -> Alcotest.failf "%s: span %s has a dangling parent id" msg sp.sp_name
         | Some parent ->
           if parent.Obs.Trace.sp_track <> sp.sp_track then
-            Alcotest.failf "%s: span %s crosses tracks to its parent" msg sp.sp_name;
+            Alcotest.failf "%s: span %s crosses rows to its parent" msg sp.sp_name;
           if
             Int64.compare parent.Obs.Trace.sp_start sp.sp_start > 0
             || Int64.compare sp.sp_end parent.Obs.Trace.sp_end > 0
@@ -199,7 +199,7 @@ let test_span_tree_sequential () =
   let tracer = Obs.Trace.create () in
   let result = optimize ~tracer q in
   Alcotest.(check bool) "found a plan" true (result.plan <> None);
-  Alcotest.(check (list int)) "sequential run uses track 0 only" [ 0 ]
+  Alcotest.(check (list int)) "the search draws on row 0 only" [ 0 ]
     (Obs.Trace.tracks tracer);
   assert_well_formed "sequential chain n=4" tracer result.stats;
   let spans = Obs.Trace.spans tracer in
@@ -213,6 +213,26 @@ let test_span_tree_sequential () =
     goals;
   Alcotest.(check bool) "some goal won" true
     (List.exists (fun (sp : Obs.Trace.span) -> sp.Obs.Trace.sp_outcome = "won") goals)
+
+(* Span ids are unique within a collector however many buffers it
+   hands out: two optimizations traced by one collector (as feedback
+   re-plans and a traced plan service make) share no id, and each
+   parent link stays inside its own optimization's tree. *)
+let test_span_ids_unique_across_buffers () =
+  let tracer = Obs.Trace.create () in
+  let results =
+    List.map
+      (fun seed -> optimize ~tracer (workload ~shape:Workload.Chain ~n:3 ~seed))
+      [ 5; 6 ]
+  in
+  let spans = Obs.Trace.spans tracer in
+  let ids = List.sort_uniq compare (List.map Obs.Trace.id spans) in
+  Alcotest.(check int) "every span id distinct" (List.length spans) (List.length ids);
+  Alcotest.(check int) "both runs traced"
+    (List.fold_left
+       (fun acc (r : Relmodel.Optimizer.result) -> acc + r.stats.Volcano.Search_stats.tasks)
+       0 results)
+    (List.length (List.filter (fun (sp : Obs.Trace.span) -> sp.sp_cat = "task") spans))
 
 let test_double_close_raises () =
   let tracer = Obs.Trace.create () in
@@ -281,7 +301,7 @@ let test_chrome_trace_shape () =
     | Some l -> l
     | None -> Alcotest.fail "traceEvents missing or not an array"
   in
-  Alcotest.(check int) "one event per span plus track metadata"
+  Alcotest.(check int) "one event per span plus thread-row metadata"
     (Obs.Trace.total tracer + List.length (Obs.Trace.tracks tracer))
     (List.length events);
   let field name ev = Obs.Json.member name ev in
@@ -317,9 +337,9 @@ let test_chrome_trace_shape () =
       end)
     events;
   List.iter
-    (fun track ->
-      Alcotest.(check bool) (Printf.sprintf "track %d has events" track) true
-        (Hashtbl.mem tids track))
+    (fun row ->
+      Alcotest.(check bool) (Printf.sprintf "row %d has events" row) true
+        (Hashtbl.mem tids row))
     (Obs.Trace.tracks tracer)
 
 (* ------------------------------------------------------------------ *)
@@ -420,16 +440,60 @@ let test_plansrv_latency_and_registry () =
       "volcano_search_tasks";
     ]
 
+(* The sorted gauge names of the metrics exports. The MQO and feedback
+   counters register beside the search's under the same prefix, and
+   dashboards read these names: none may be dropped or renamed. *)
+let search_gauges =
+  List.map (( ^ ) "volcano_search_")
+    [
+      "anytime_improvements"; "enforcer_moves"; "failures"; "feedback_corrections";
+      "feedback_drift_nodes"; "feedback_escapes"; "feedback_nodes_observed";
+      "feedback_replans"; "feedback_runs"; "goal_hits"; "goal_misses"; "goals";
+      "goals_pruned_lb"; "groups_created"; "input_limits_tightened"; "memo_fastpath_hits";
+      "merges"; "mexprs_created"; "mqo_materialize_chosen"; "mqo_reuse_hits";
+      "mqo_shared_groups"; "plans_costed"; "promise_evals"; "pruned"; "rule_firings";
+      "stack_hwm"; "tasks_apply_enforcer"; "tasks_apply_transform"; "tasks_explore_group";
+      "tasks_optimize_group"; "tasks_optimize_inputs"; "tasks_optimize_mexpr"; "tasks_total";
+    ]
+
+let plansrv_gauges =
+  List.map (( ^ ) "plansrv_")
+    [
+      "entries"; "evictions"; "hits"; "invalidations"; "lockfree_hits"; "misses";
+      "param_served"; "rejected"; "requests";
+    ]
+  @ search_gauges
+
+let gauge_names reg =
+  match Obs.Json.member "gauges" (Obs.Metrics.to_json reg) with
+  | Some (Obs.Json.Obj fields) -> List.sort compare (List.map fst fields)
+  | _ -> Alcotest.fail "no gauges object"
+
+(* Registered as [volcano-cli optimize --metrics-out] registers them
+   (less the profiler's rule gauges), and as [serve] and [batch] extend
+   the plan service's registry. *)
+let test_gauge_names_pinned () =
+  let reg = Obs.Metrics.create () in
+  Volcano.Search_stats.register reg (Volcano.Search_stats.create ());
+  Mqo.register reg;
+  Feedback.register reg (Feedback.counters ());
+  Alcotest.(check (list string)) "optimize" search_gauges (gauge_names reg);
+  let request = Relmodel.Optimizer.request (Helpers.small_catalog ()) in
+  let reg = Plansrv.registry (Plansrv.create (Plansrv.config ~capacity:4 ~shards:1 request)) in
+  Mqo.register reg;
+  Feedback.register reg (Feedback.counters ());
+  Alcotest.(check (list string)) "plan service" plansrv_gauges (gauge_names reg)
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_flightrec_wraparound () =
   let fr = Obs.Flight_recorder.create ~capacity:8 () in
-  let ring = Obs.Flight_recorder.ring fr ~track:0 in
-  for i = 0 to 19 do
-    Obs.Flight_recorder.record ring Obs.Flight_recorder.Task_begin ~group:i ~detail:i
-  done;
+  Obs.Flight_recorder.recording fr (fun ring ->
+      for i = 0 to 19 do
+        Obs.Flight_recorder.record ring Obs.Flight_recorder.Task_begin ~group:i ~detail:i
+      done);
   Alcotest.(check int) "recorded counts every event" 20 (Obs.Flight_recorder.recorded fr);
   Alcotest.(check int) "dropped = recorded - capacity" 12 (Obs.Flight_recorder.dropped fr);
   let events = Obs.Flight_recorder.events fr in
@@ -446,10 +510,10 @@ let test_flightrec_wraparound () =
   Alcotest.(check bool) "events time-ordered" true (time_ordered events);
   (* A half-full ring keeps everything in insertion order. *)
   let fr2 = Obs.Flight_recorder.create ~capacity:8 () in
-  let ring2 = Obs.Flight_recorder.ring fr2 ~track:0 in
-  for i = 0 to 4 do
-    Obs.Flight_recorder.record ring2 Obs.Flight_recorder.Publish ~group:i ~detail:i
-  done;
+  Obs.Flight_recorder.recording fr2 (fun ring ->
+      for i = 0 to 4 do
+        Obs.Flight_recorder.record ring Obs.Flight_recorder.Publish ~group:i ~detail:i
+      done);
   Alcotest.(check int) "no drops below capacity" 0 (Obs.Flight_recorder.dropped fr2);
   Alcotest.(check (list int)) "insertion order below capacity" [ 0; 1; 2; 3; 4 ]
     (List.map
@@ -458,47 +522,70 @@ let test_flightrec_wraparound () =
 
 let test_flightrec_concurrent_writers () =
   let fr = Obs.Flight_recorder.create ~capacity:64 () in
+  let holding = Atomic.make 0 in
   let domains =
     List.init 4 (fun w ->
         Domain.spawn (fun () ->
-            (* Each writer owns its ring: registration is thread-safe,
-               recording is single-writer lock-free. *)
-            let ring = Obs.Flight_recorder.ring fr ~track:(w + 1) in
-            for i = 0 to 999 do
-              Obs.Flight_recorder.record ring Obs.Flight_recorder.Publish ~group:w
-                ~detail:i
-            done))
+            (* Each writer holds its own ring: taking one is
+               thread-safe, recording is single-writer lock-free. All
+               four hold theirs at once before recording. *)
+            Obs.Flight_recorder.recording fr (fun ring ->
+                Atomic.incr holding;
+                while Atomic.get holding < 4 do
+                  Domain.cpu_relax ()
+                done;
+                for i = 0 to 999 do
+                  Obs.Flight_recorder.record ring Obs.Flight_recorder.Publish ~group:w
+                    ~detail:i
+                done)))
   in
   List.iter Domain.join domains;
   Alcotest.(check int) "every record landed" 4000 (Obs.Flight_recorder.recorded fr);
   Alcotest.(check int) "drops account for the rest" (4 * (1000 - 64))
     (Obs.Flight_recorder.dropped fr);
-  Alcotest.(check (list int)) "one track per writer" [ 1; 2; 3; 4 ]
-    (Obs.Flight_recorder.tracks fr);
+  Alcotest.(check int) "one ring per concurrent writer" 4 (Obs.Flight_recorder.rings fr);
   let events = Obs.Flight_recorder.events fr in
   Alcotest.(check int) "each ring kept its capacity" (4 * 64) (List.length events);
-  (* Per track, the survivors are that writer's newest 64 details. *)
+  (* Per writer, the survivors are its newest 64 details. *)
   List.iter
-    (fun track ->
+    (fun w ->
       let mine =
         List.filter_map
           (fun (e : Obs.Flight_recorder.event) ->
-            if e.track = track then Some e.detail else None)
+            if e.group = w then Some e.detail else None)
           events
       in
       Alcotest.(check (list int))
-        (Printf.sprintf "track %d keeps its newest events in order" track)
+        (Printf.sprintf "writer %d keeps its newest events in order" w)
         (List.init 64 (fun i -> 936 + i))
         (List.sort compare mine))
-    [ 1; 2; 3; 4 ]
+    [ 0; 1; 2; 3 ]
+
+(* A finished search hands its ring back and the next one records on
+   over it: however many optimizations share a recorder, one at a time
+   they hold one ring, and the dump stays within capacity x rings. *)
+let test_flightrec_rings_reused () =
+  let fr = Obs.Flight_recorder.create ~capacity:16 () in
+  for seed = 1 to 50 do
+    ignore (optimize ~recorder:fr (workload ~shape:Workload.Chain ~n:3 ~seed))
+  done;
+  Alcotest.(check int) "50 optimizations leave 1 ring" 1 (Obs.Flight_recorder.rings fr);
+  Alcotest.(check int) "the ring kept its newest events" 16
+    (List.length (Obs.Flight_recorder.events fr));
+  let j = Obs.Flight_recorder.to_json ~reason:"test" fr in
+  let int name = Option.bind (Obs.Json.member name j) Obs.Json.to_int in
+  Alcotest.(check (option int)) "the dump records its rings" (Some 1) (int "rings");
+  Alcotest.(check (option int)) "recorded = surviving + dropped"
+    (int "recorded")
+    (Option.map (( + ) 16) (int "dropped"))
 
 let test_flightrec_trigger_dump () =
   let path = Filename.temp_file "flightrec" ".json" in
   let fr = Obs.Flight_recorder.create ~capacity:16 ~path () in
-  let ring = Obs.Flight_recorder.ring fr ~track:0 in
-  for i = 0 to 9 do
-    Obs.Flight_recorder.record ring Obs.Flight_recorder.Incumbent ~group:1 ~detail:i
-  done;
+  Obs.Flight_recorder.recording fr (fun ring ->
+      for i = 0 to 9 do
+        Obs.Flight_recorder.record ring Obs.Flight_recorder.Incumbent ~group:1 ~detail:i
+      done);
   Alcotest.(check int) "no dump before a trigger" 0 (Obs.Flight_recorder.dumps fr);
   Obs.Flight_recorder.trigger fr ~reason:"test-abort";
   Alcotest.(check int) "trigger counted" 1 (Obs.Flight_recorder.dumps fr);
@@ -582,9 +669,9 @@ let test_profiler_export_shapes () =
     (List.nth lines 6)
 
 (* A profile of [n] rule entries, two enforcers and an operator,
-   charged directly on [track]'s buffer. *)
-let charge_profile ?(track = 0) pr n =
-  let b = Obs.Profile.buf pr ~track in
+   charged directly on a buffer of its own. *)
+let charge_profile pr n =
+  let b = Obs.Profile.buf pr in
   Obs.Profile.writing b (fun () ->
       for i = 0 to n - 1 do
         let c = Obs.Profile.cell b Obs.Profile.Rule (Printf.sprintf "r%04d" i) in
@@ -657,7 +744,7 @@ let test_profiler_scrape_one_report () =
   same "identical to per-read gauges";
   Alcotest.(check int) "each export runs the hooks once" 2 !exports;
   (* The gauges track the profile: charges after registration show. *)
-  charge_profile ~track:1 pr 10;
+  charge_profile pr 10;
   same "identical after more charges";
   let text = Obs.Metrics.to_prometheus reg in
   Alcotest.(check bool) "new charges exported" true (Helpers.contains text "rule_r0004_tasks 10\n");
@@ -846,6 +933,8 @@ let suite =
     Alcotest.test_case "metrics JSON shape" `Quick test_metrics_json_shape;
     Alcotest.test_case "sequential span tree well-formed" `Quick test_span_tree_sequential;
     Alcotest.test_case "a span closes exactly once" `Quick test_double_close_raises;
+    Alcotest.test_case "span ids unique across buffers" `Quick
+      test_span_ids_unique_across_buffers;
     Alcotest.test_case "observability never changes the plan" `Quick
       test_observability_bit_identity;
     prop_spans_well_formed;
@@ -854,10 +943,12 @@ let suite =
     Alcotest.test_case "explain off by default" `Quick test_explain_off_by_default;
     Alcotest.test_case "plansrv latency quantiles and registry" `Quick
       test_plansrv_latency_and_registry;
+    Alcotest.test_case "exported gauge names pinned" `Quick test_gauge_names_pinned;
     Alcotest.test_case "flight recorder ring wraparound" `Quick test_flightrec_wraparound;
     Alcotest.test_case "flight recorder concurrent writers" `Quick
       test_flightrec_concurrent_writers;
     Alcotest.test_case "flight recorder trigger dump" `Quick test_flightrec_trigger_dump;
+    Alcotest.test_case "flight recorder rings reused" `Quick test_flightrec_rings_reused;
     Alcotest.test_case "profiler attribution parity" `Quick
       test_profiler_attribution_parity;
     Alcotest.test_case "profiler export shapes" `Quick test_profiler_export_shapes;

@@ -29,9 +29,9 @@ let str_field name ev = Option.bind (Obs.Json.member name ev) Obs.Json.to_str
 let num_field name ev = Option.bind (Obs.Json.member name ev) Obs.Json.to_float
 
 (* A Chrome trace: {"traceEvents": [...], "displayTimeUnit": "ms"},
-   every event a complete span ("X") or track metadata ("M") with
-   non-negative microsecond timestamps, and track 0 (the sequential
-   engine) present. *)
+   every event a complete span ("X") or thread-row metadata ("M") with
+   non-negative microsecond timestamps, every span id unique, and row 0
+   (the search engine) present. *)
 let validate_trace path =
   let j = load path in
   (match str_field "displayTimeUnit" j with
@@ -43,7 +43,7 @@ let validate_trace path =
     | Some l -> l
     | None -> fail "%s: traceEvents missing or not an array" path
   in
-  let tracks = Hashtbl.create 8 in
+  let rows = Hashtbl.create 8 and ids = Hashtbl.create 256 in
   List.iteri
     (fun i ev ->
       let ph =
@@ -59,7 +59,11 @@ let validate_trace path =
         | None -> fail "%s: event %d has no tid" path i
       in
       if ph = "X" then begin
-        Hashtbl.replace tracks tid ();
+        Hashtbl.replace rows tid ();
+        (match Option.bind (Obs.Json.member "id" ev) Obs.Json.to_int with
+         | Some id when Hashtbl.mem ids id -> fail "%s: event %d repeats span id %d" path i id
+         | Some id -> Hashtbl.replace ids id ()
+         | None -> fail "%s: event %d has no id" path i);
         (match num_field "ts" ev with
          | Some ts when ts >= 0. -> ()
          | _ -> fail "%s: event %d has a bad ts" path i);
@@ -71,13 +75,13 @@ let validate_trace path =
         | _ -> fail "%s: event %d has an unknown cat" path i
       end)
     events;
-  if not (Hashtbl.mem tracks 0) then fail "%s: no spans on track 0" path;
-  Printf.printf "OK %s: %d events, %d tracks\n" path (List.length events)
-    (Hashtbl.length tracks)
+  if not (Hashtbl.mem rows 0) then fail "%s: no spans on thread row 0" path;
+  Printf.printf "OK %s: %d events, %d thread rows\n" path (List.length events)
+    (Hashtbl.length rows)
 
-(* A metrics snapshot: counters/gauges/histograms objects, every search
-   counter from the glossary present as a gauge, every histogram with
-   count/sum/max/p50/p95/p99. *)
+(* A metrics snapshot: counters/gauges/histograms objects, every search,
+   MQO and feedback counter from the glossary present as a gauge, every
+   histogram with count/sum/max/p50/p95/p99. *)
 let validate_metrics path =
   let j = load path in
   let section name =
@@ -91,7 +95,9 @@ let validate_metrics path =
     (fun name ->
       if not (List.mem_assoc name gauges) then
         fail "%s: search gauge %s missing" path name)
-    (Volcano.Search_stats.metric_names "volcano_search_");
+    (List.concat_map
+       (fun names -> names "volcano_search_")
+       [ Volcano.Search_stats.metric_names; Mqo.metric_names; Feedback.metric_names ]);
   let histograms = section "histograms" in
   List.iter
     (fun (name, h) ->
@@ -109,8 +115,8 @@ let validate_metrics path =
    threshold >= 1, a non-empty nodes array whose entries each carry
    path/alg/estimated/observed/ratio/complete with ratio >= 1, exactly
    one observation per distinct path with the root ([]) present,
-   corrections with table/detail/stats_version, and every feedback_*
-   counter from the metric glossary under "stats". *)
+   corrections with table/detail/stats_version, and every feedback
+   counter ([Feedback.metric_names ""]) under "stats". *)
 let validate_drift path =
   let j = load path in
   (match num_field "drift_threshold" j with
@@ -174,14 +180,10 @@ let validate_drift path =
   in
   List.iter
     (fun name ->
-      let is_feedback =
-        String.length name >= 9 && String.sub name 0 9 = "feedback_"
-      in
-      if is_feedback then
-        match Option.bind (Obs.Json.member name stats) Obs.Json.to_int with
-        | Some v when v >= 0 -> ()
-        | _ -> fail "%s: stats.%s missing or negative" path name)
-    (Volcano.Search_stats.metric_names "");
+      match Option.bind (Obs.Json.member name stats) Obs.Json.to_int with
+      | Some v when v >= 0 -> ()
+      | _ -> fail "%s: stats.%s missing or negative" path name)
+    (Feedback.metric_names "");
   Printf.printf "OK %s: %d nodes, %d corrections\n" path (List.length nodes)
     (List.length corrections)
 
@@ -305,7 +307,7 @@ let validate_bench path =
     (List.length cells) !n_arms
 
 (* A search profile from [volcano-cli optimize --profile-out]: a
-   positive total task count, track 0 present, a non-empty entries
+   positive total task count, a non-empty entries
    array whose rows each carry a known kind, a name, and non-negative
    counters — and the attribution-parity invariant: the per-entry task
    counts sum exactly to total_tasks. *)
@@ -316,16 +318,6 @@ let validate_profile path =
     | Some t when t >= 1 -> t
     | _ -> fail "%s: total_tasks missing or < 1" path
   in
-  let tracks =
-    match Option.bind (Obs.Json.member "tracks" j) Obs.Json.to_list with
-    | Some [] -> fail "%s: tracks is empty" path
-    | Some l -> List.map (fun t ->
-        match Obs.Json.to_int t with
-        | Some v -> v
-        | None -> fail "%s: non-integer track" path) l
-    | None -> fail "%s: tracks missing or not an array" path
-  in
-  if not (List.mem 0 tracks) then fail "%s: track 0 (sequential engine) missing" path;
   let entries =
     match Option.bind (Obs.Json.member "entries" j) Obs.Json.to_list with
     | Some [] -> fail "%s: entries is empty" path
@@ -355,13 +347,14 @@ let validate_profile path =
   if !task_sum <> total then
     fail "%s: attribution parity broken: entry tasks sum to %d, total_tasks is %d"
       path !task_sum total;
-  Printf.printf "OK %s: %d entries, %d tasks attributed, %d tracks\n" path
-    (List.length entries) total (List.length tracks)
+  Printf.printf "OK %s: %d entries, %d tasks attributed\n" path (List.length entries)
+    total
 
 (* A flight-recorder dump from [--flightrec-out] (or a post-mortem
-   trigger): a non-empty reason, a positive capacity, consistent
+   trigger): a non-empty reason, a positive capacity, a ring count, at
+   most capacity x rings surviving events, consistent
    recorded/dropped/event counts, and events with known kinds,
-   non-negative timestamps, and non-descending time order. The ring may
+   non-negative timestamps, and non-descending time order. The rings may
    be empty: a budget that runs out before the first task records
    nothing. *)
 let validate_flightrec path =
@@ -384,20 +377,19 @@ let validate_flightrec path =
     | Some d when d >= 0 -> d
     | _ -> fail "%s: dropped missing or negative" path
   in
-  let tracks =
-    match Option.bind (Obs.Json.member "tracks" j) Obs.Json.to_list with
-    | Some [] -> fail "%s: tracks is empty" path
-    | Some l -> l
-    | None -> fail "%s: tracks missing or not an array" path
+  let rings =
+    match Option.bind (Obs.Json.member "rings" j) Obs.Json.to_int with
+    | Some r when r >= 0 -> r
+    | _ -> fail "%s: rings missing or negative" path
   in
   let events =
     match Option.bind (Obs.Json.member "events" j) Obs.Json.to_list with
     | Some l -> l
     | None -> fail "%s: events missing or not an array" path
   in
-  if List.length events > capacity * List.length tracks then
-    fail "%s: %d events exceed capacity %d over %d tracks" path
-      (List.length events) capacity (List.length tracks);
+  if List.length events > capacity * rings then
+    fail "%s: %d events exceed capacity %d over %d rings" path (List.length events)
+      capacity rings;
   if recorded <> List.length events + dropped then
     fail "%s: recorded (%d) <> surviving events (%d) + dropped (%d)" path recorded
       (List.length events) dropped;
@@ -409,9 +401,6 @@ let validate_flightrec path =
          if ns < !prev_ns then fail "%s: event %d out of time order" path i;
          prev_ns := ns
        | _ -> fail "%s: event %d has a bad ns" path i);
-      (match Option.bind (Obs.Json.member "track" ev) Obs.Json.to_int with
-       | Some t when t >= 0 -> ()
-       | _ -> fail "%s: event %d has a bad track" path i);
       (match str_field "kind" ev with
        | Some
            ( "task_begin" | "task_end" | "publish" | "prune"
@@ -423,8 +412,8 @@ let validate_flightrec path =
             fail "%s: event %d has no integer %s" path i f)
         [ "group"; "detail" ])
     events;
-  Printf.printf "OK %s: %d events (%d recorded, %d dropped), %d tracks, reason %s\n"
-    path (List.length events) recorded dropped (List.length tracks)
+  Printf.printf "OK %s: %d events (%d recorded, %d dropped), %d rings, reason %s\n"
+    path (List.length events) recorded dropped rings
     (Option.value (str_field "reason" j) ~default:"")
 
 let () =
