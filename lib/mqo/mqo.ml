@@ -577,14 +577,9 @@ let finish ~strategy ~inds ~final_plans ~final_costs ~reused ~shared ~shared_gro
     stats;
   }
 
-let session_stats (results : Optimizer.result list) =
-  match List.rev results with
-  | last :: _ -> last.Optimizer.stats
-  | [] -> Volcano.Search_stats.create ()
-
 let batch_with ~strategy ~(request : Optimizer.request) ~session
     (queries : (Logical.expr * Phys_prop.t) list)
-    (inds : Optimizer.result array) ~extra_stats =
+    (inds : Optimizer.result array) =
   let catalog = request.Optimizer.catalog and params = request.Optimizer.params in
   match strategy with
   | Off ->
@@ -594,7 +589,7 @@ let batch_with ~strategy ~(request : Optimizer.request) ~session
     finish ~strategy ~inds ~final_plans ~final_costs
       ~reused:(Array.map (fun _ -> []) inds)
       ~shared:[] ~shared_groups:0 ~materialize_chosen:0 ~reuse_hits:0 ~batch_total
-      ~stats:(extra_stats ())
+      ~stats:(Optimizer.session_stats session)
   | Volcano_sh ->
     let plans = Array.map (fun (r : Optimizer.result) -> r.Optimizer.plan) inds in
     let final_plans, shared, shared_groups, chosen, reuse_hits =
@@ -612,7 +607,7 @@ let batch_with ~strategy ~(request : Optimizer.request) ~session
     finish ~strategy ~inds ~final_plans ~final_costs
       ~reused:(Array.map reused_of final_plans)
       ~shared ~shared_groups ~materialize_chosen:chosen ~reuse_hits ~batch_total
-      ~stats:(extra_stats ())
+      ~stats:(Optimizer.session_stats session)
   | Volcano_ru ->
     let queries = Array.of_list queries in
     let finals, shared, shared_groups, chosen, reuse_hits, net_total =
@@ -631,7 +626,7 @@ let batch_with ~strategy ~(request : Optimizer.request) ~session
     finish ~strategy ~inds ~final_plans ~final_costs
       ~reused:(Array.map (fun (_, reused) -> reused) finals)
       ~shared ~shared_groups ~materialize_chosen:chosen ~reuse_hits ~batch_total
-      ~stats:(extra_stats ())
+      ~stats:(Optimizer.session_stats session)
 
 let optimize_batch ?(strategy = Off) (request : Optimizer.request) queries =
   let session = Optimizer.session request in
@@ -641,12 +636,9 @@ let optimize_batch ?(strategy = Off) (request : Optimizer.request) queries =
       queries
   in
   let inds = Array.of_list results in
-  (* Cumulative session effort: the independent pass plus whatever
-     re-optimizations the strategy ran afterwards. The session's stats
-     record is shared across its results, so reading the last result
-     after the batch pass reflects everything. *)
-  batch_with ~strategy ~request ~session queries inds ~extra_stats:(fun () ->
-      session_stats results)
+  (* The report's stats are the session's cumulative effort: the
+     independent pass plus whatever re-optimizations the strategy ran. *)
+  batch_with ~strategy ~request ~session queries inds
 
 let serve_batch ?(strategy = Off) srv worker queries =
   let request = Plansrv.service_request srv in
@@ -670,12 +662,13 @@ let serve_batch ?(strategy = Off) srv worker queries =
            })
          responses)
   in
+  (* The strategy's own optimizations (Volcano-RU's materializations and
+     rewritten queries) run in a session of their own. Its effort is the
+     report's stats, and it is search done for the service, so it joins
+     the service's counters. *)
   let session = Optimizer.session request in
-  let local_stats = Volcano.Search_stats.create () in
-  let report =
-    batch_with ~strategy ~request ~session queries inds ~extra_stats:(fun () ->
-        local_stats)
-  in
+  let report = batch_with ~strategy ~request ~session queries inds in
+  Plansrv.note_search srv report.stats;
   (report, responses)
 
 (* The report's sharing counters, by metric-name suffix. *)

@@ -107,7 +107,12 @@ val serve_batch :
   report * Plansrv.response list
 (** Like {!optimize_batch}, but the per-query independent results are
     served through the plan service's sharded cache ({!Plansrv.serve_one}
-    per query — warm batches skip the independent optimizations). *)
+    per query — warm batches skip the independent optimizations). The
+    report's [stats] hold only the strategy's own optimizations
+    (Volcano-RU's materializations and rewritten queries; zero for the
+    other strategies), which run in a session of their own; they are
+    also folded into the service's counters ({!Plansrv.note_search}),
+    where the independent optimizations already count. *)
 
 val register : ?report:report -> Obs.Metrics.registry -> unit
 (** Surface [report]'s sharing counters ([shared_groups],

@@ -223,7 +223,7 @@ let sanitize name =
    merges one report, indexed by kind and name, before any gauge reads
    it; so the gauges track a live search, and a scrape costs one report,
    not one per gauge. *)
-let register ?(prefix = "rule_") t reg =
+let register t reg =
   let index = ref (Hashtbl.create 0) in
   Metrics.before_export reg (fun () ->
       let tbl = Hashtbl.create 64 in
@@ -233,8 +233,8 @@ let register ?(prefix = "rule_") t reg =
   let publish e =
     let base =
       match e.kind with
-      | Rule -> prefix ^ sanitize e.name
-      | Enforcer -> prefix ^ "enforcer_" ^ sanitize e.name
+      | Rule -> "rule_" ^ sanitize e.name
+      | Enforcer -> "rule_enforcer_" ^ sanitize e.name
       | Operator | Engine -> ""
     in
     if base <> "" && not (Hashtbl.mem seen base) then begin

@@ -102,7 +102,7 @@ val to_json : t -> Json.t
 val pp_table : ?top:int -> Format.formatter -> t -> unit
 (** Human-readable top-N table, time-ordered. *)
 
-val register : ?prefix:string -> t -> Metrics.registry -> unit
+val register : t -> Metrics.registry -> unit
 (** Export rule and enforcer entries as [rule_*] gauges (tasks, mexprs,
     plans_won, wasted, time_ms per entry). Gauges read live state at
     scrape time: each export merges one report, which all of them

@@ -169,7 +169,8 @@ val service_request : t -> Relmodel.Optimizer.request
 val note_search : t -> Volcano.Search_stats.t -> unit
 (** Fold a search-effort delta performed on behalf of the service but
     outside {!serve_one} — e.g. a feedback loop's re-optimizations of
-    served plans — into the merged view {!metrics} and {!registry}
+    served plans, or a multi-query batch's re-optimizations against
+    shared results — into the merged view {!metrics} and {!registry}
     export. *)
 
 val registry : t -> Obs.Metrics.registry

@@ -37,23 +37,20 @@ let ( ||% ) a b = Or (a, b)
 
 let true_ = Const (Value.Bool true)
 
-let columns expr =
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  let rec go = function
-    | Col c ->
-      if not (Hashtbl.mem seen c) then begin
-        Hashtbl.add seen c ();
-        out := c :: !out
-      end
-    | Const _ -> ()
-    | Not e -> go e
-    | Cmp (_, a, b) | And (a, b) | Or (a, b) | Arith (_, a, b) ->
-      go a;
-      go b
-  in
-  go expr;
-  List.rev !out
+let rec mem_column c = function
+  | [] -> false
+  | x :: rest -> String.equal x c || mem_column c rest
+
+(* Predicates name a handful of columns, so a list scan finds repeats
+   with no per-call table. *)
+let rec add_columns acc = function
+  | Col c -> if mem_column c acc then acc else c :: acc
+  | Const _ -> acc
+  | Not e -> add_columns acc e
+  | Cmp (_, a, b) | And (a, b) | Or (a, b) | Arith (_, a, b) ->
+    add_columns (add_columns acc a) b
+
+let columns expr = List.rev (add_columns [] expr)
 
 let rec conjuncts = function
   | And (a, b) -> conjuncts a @ conjuncts b
@@ -68,22 +65,34 @@ let conjoin conjs =
   | [] -> true_
   | e :: rest -> List.fold_left (fun acc c -> And (acc, c)) e rest
 
-let refers_only_to schema expr =
-  List.for_all (fun c -> Schema.mem schema c) (columns expr)
+let rec refers_only_to schema = function
+  | Col c -> Schema.mem schema c
+  | Const _ -> true
+  | Not e -> refers_only_to schema e
+  | Cmp (_, a, b) | And (a, b) | Or (a, b) | Arith (_, a, b) ->
+    refers_only_to schema a && refers_only_to schema b
 
-let equijoin_keys expr ~left ~right =
-  let keys conj =
-    match conj with
-    | Cmp (Eq, Col a, Col b) ->
-      let in_left c = Schema.mem left c and in_right c = Schema.mem right c in
-      if in_left a && in_right b && not (in_right a) && not (in_left b) then
-        Some (Schema.resolve left a, Schema.resolve right b)
-      else if in_left b && in_right a && not (in_right b) && not (in_left a) then
-        Some (Schema.resolve left b, Schema.resolve right a)
-      else None
-    | _ -> None
-  in
-  List.filter_map keys (conjuncts expr)
+(* The key pair of conjunct [a = b] when one column resolves on each
+   side only; each column is resolved once against each side. *)
+let key_pair ~left ~right a b =
+  let la = Schema.find_index left a and ra = Schema.find_index right a in
+  let lb = Schema.find_index left b and rb = Schema.find_index right b in
+  if la >= 0 && rb >= 0 && ra < 0 && lb < 0 then
+    Some (left.(la).Schema.name, right.(rb).Schema.name)
+  else if lb >= 0 && ra >= 0 && rb < 0 && la < 0 then
+    Some (left.(lb).Schema.name, right.(ra).Schema.name)
+  else None
+
+let rec add_keys ~left ~right acc = function
+  | And (a, b) -> add_keys ~left ~right (add_keys ~left ~right acc a) b
+  | Cmp (Eq, Col a, Col b) -> begin
+    match key_pair ~left ~right a b with
+    | Some k -> k :: acc
+    | None -> acc
+  end
+  | _ -> acc
+
+let equijoin_keys expr ~left ~right = List.rev (add_keys ~left ~right [] expr)
 
 (* The comparison as a test on [Value.compare]'s result, chosen once
    when a predicate is compiled. *)

@@ -19,18 +19,11 @@ let make ~schema ~card ~distincts ?(ranges = []) ?(relations = []) ?(grouped = f
     grouped;
   }
 
-let range_of t column =
-  let canonical =
-    match Schema.resolve t.schema column with
-    | name -> name
-    | exception Not_found -> column
-  in
-  List.assoc_opt canonical t.ranges
-
 let canonical_name t column =
-  match Schema.resolve t.schema column with
-  | name -> name
-  | exception Not_found -> column
+  let i = Schema.find_index t.schema column in
+  if i >= 0 then t.schema.(i).Schema.name else column
+
+let range_of t column = List.assoc_opt (canonical_name t column) t.ranges
 
 let distinct_of t column =
   match List.assoc_opt (canonical_name t column) t.distincts with

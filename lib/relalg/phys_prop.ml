@@ -42,7 +42,24 @@ let equal a b =
   && Bool.equal a.distinct b.distinct
   && partitioning_equal a.partitioning b.partitioning
 
-let hash t = Hashtbl.hash (t.order, t.distinct, t.partitioning)
+(* Folded field by field: hashing a tuple of the fields would allocate
+   the tuple on every goal-key intern. *)
+let rec hash_order h = function
+  | [] -> h
+  | (c, d) :: rest ->
+    let dir = match d with Sort_order.Asc -> 0 | Desc -> 1 in
+    hash_order ((h * 31) + Hashtbl.hash c + dir) rest
+
+let rec hash_columns h = function
+  | [] -> h
+  | c :: rest -> hash_columns ((h * 31) + Hashtbl.hash c) rest
+
+let hash t =
+  let h = (hash_order 17 t.order * 2) + Bool.to_int t.distinct in
+  match t.partitioning with
+  | Any_part -> h * 31
+  | Singleton -> (h * 31) + 1
+  | Hashed cols -> hash_columns ((h * 31) + 2) cols
 
 let partitioning_to_string = function
   (* Singleton is the unremarkable serial case; only real distribution

@@ -29,21 +29,42 @@ let base_name name =
   | None -> name
   | Some i -> String.sub name (i + 1) (String.length name - i - 1)
 
-let index_of schema name =
-  let n = Array.length schema in
-  let rec exact i =
-    if i >= n then unqualified 0 (-1)
-    else if String.equal schema.(i).name name then i
-    else exact (i + 1)
-  and unqualified i found =
-    if i >= n then (if found >= 0 then found else raise Not_found)
-    else if String.equal (base_name schema.(i).name) name then
-      if found >= 0 then raise Not_found (* ambiguous *) else unqualified (i + 1) i
-    else unqualified (i + 1) found
-  in
-  exact 0
+(* [full] holds [name] from offset [off], compared from [name]'s [k]th byte. *)
+let rec same_from full off name k =
+  k >= String.length name
+  || (Char.equal full.[off + k] name.[k] && same_from full off name (k + 1))
 
-let mem schema name = match index_of schema name with _ -> true | exception Not_found -> false
+(* [base_name full = name] for a [name] with no dot, compared in place:
+   [name] is a suffix of [full] that is all of [full] or follows a dot. *)
+let has_base full name =
+  let m = String.length full and n = String.length name in
+  m >= n && (m = n || Char.equal full.[m - n - 1] '.') && same_from full (m - n) name 0
+
+let rec exact_index schema name i =
+  if i >= Array.length schema then -1
+  else if String.equal schema.(i).name name then i
+  else exact_index schema name (i + 1)
+
+let rec unqualified_index schema name i found =
+  if i >= Array.length schema then found
+  else if has_base schema.(i).name name then
+    if found >= 0 then -1 (* ambiguous *) else unqualified_index schema name (i + 1) i
+  else unqualified_index schema name (i + 1) found
+
+let rec has_dot name i =
+  i < String.length name && (Char.equal name.[i] '.' || has_dot name (i + 1))
+
+(* A base name has no dot, so a dotted [name] that misses the exact
+   scan cannot match any attribute's base name either. *)
+let find_index schema name =
+  let i = exact_index schema name 0 in
+  if i >= 0 || has_dot name 0 then i else unqualified_index schema name 0 (-1)
+
+let index_of schema name =
+  let i = find_index schema name in
+  if i < 0 then raise Not_found else i
+
+let mem schema name = find_index schema name >= 0
 
 let find schema name = schema.(index_of schema name)
 

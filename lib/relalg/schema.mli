@@ -28,14 +28,22 @@ val qualify : string -> string -> string
 val base_name : string -> string
 (** Unqualified part of a column name: [base_name "emp.salary" = "salary"]. *)
 
+val find_index : t -> string -> int
+(** Position of a column, or [-1] if it is absent or ambiguous. Accepts
+    a qualified name, or an unqualified name when it is unambiguous in
+    the schema. Neither raises nor allocates: the unqualified match
+    compares name suffixes in place, and a name with a dot, which no
+    attribute's base name can equal, skips it. *)
+
 val index_of : t -> string -> int
-(** Position of a column. Accepts a qualified name, or an unqualified
-    name when it is unambiguous in the schema.
+(** {!find_index} for a column that must be present.
     @raise Not_found if absent or ambiguous. *)
 
 val mem : t -> string -> bool
+(** [find_index schema name >= 0]: neither raises nor allocates. *)
 
 val find : t -> string -> attribute
+(** @raise Not_found like {!index_of}. *)
 
 val resolve : t -> string -> string
 (** Canonical (qualified) name for a possibly-unqualified reference.

@@ -117,10 +117,10 @@ let make_searcher req =
       explain;
     }
   in
-  run
+  (run, S.stats opt)
 
 let optimize req (query : Relalg.Logical.expr) ~required : result =
-  (make_searcher req) query required
+  (fst (make_searcher req)) query required
 
 (* ---------------------------------------------------------------- *)
 (* Anytime ladder: one search, observed at a ladder of task budgets  *)
@@ -226,11 +226,16 @@ let explain p = Format.asprintf "%a" pp_plan p
 
 type session = {
   run : Relalg.Logical.expr -> Relalg.Phys_prop.t -> result;
+  stats : Volcano.Search_stats.t;
   req : request;
 }
 
-let session req = { run = make_searcher req; req }
+let session req =
+  let run, stats = make_searcher req in
+  { run; stats; req }
 
 let optimize_in s query ~required = s.run query required
+
+let session_stats s = s.stats
 
 let session_request s = s.req

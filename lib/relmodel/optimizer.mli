@@ -141,6 +141,11 @@ val optimize_in :
     recovers per-query deltas). Sessions honor the request's
     [restore_columns] exactly as {!optimize} does. *)
 
+val session_stats : session -> Volcano.Search_stats.t
+(** The session's cumulative search effort: the live record every
+    {!optimize_in} result's [stats] shares. Zero until the first
+    optimization. *)
+
 val session_request : session -> request
 (** The request the session was created from (used by the plan service
     to renew sessions when the catalog changes). *)

@@ -377,9 +377,8 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
             | None -> 0.
             | Some tbl ->
               let canon c =
-                match Schema.resolve tbl.schema c with
-                | resolved -> resolved
-                | exception Not_found -> c
+                let i = Schema.find_index tbl.schema c in
+                if i >= 0 then tbl.schema.(i).Schema.name else c
               in
               let lead = canon (Logical_props.canonical_name props lead) in
               let leads c = String.equal (canon c) lead in
@@ -515,11 +514,9 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
       let bounds_column col conj =
         match conj with
         | Expr.Cmp (_, Expr.Col c, Expr.Const _) | Expr.Cmp (_, Expr.Const _, Expr.Col c)
-          -> begin
-          match Schema.resolve table.schema c with
-          | resolved -> String.equal resolved col
-          | exception Not_found -> false
-        end
+          ->
+          let i = Schema.find_index table.schema c in
+          i >= 0 && String.equal table.schema.(i).Schema.name col
         | _ -> false
       in
       List.filter

@@ -308,31 +308,38 @@ module Make (M : Signatures.MODEL) = struct
 
   let promise_of = function Impl m -> m.promise | Enforce m -> m.promise
 
-  (* Implementation moves of rule [rule] rooted at multi-expression [m]. *)
+  (* Implementation moves of rule [rule] rooted at multi-expression [m].
+     Most rules' root operators do not match most multi-expressions, so
+     that test comes before any closure or list is allocated. *)
   let impl_moves_at t ~ridx
       (rule : (M.op, M.alg, M.logical_props, M.phys_props) Rule.implement)
       (m : Memo.mexpr) ~required : move list =
-    bindings_at t rule.i_pattern m
-    |> List.concat_map (fun b ->
-           rule.i_apply ~lookup:(lookup t) ~required b
-           |> List.concat_map (fun (c : _ Rule.impl_choice) ->
-                  List.map
-                    (fun vector ->
-                      if List.length vector <> List.length c.c_inputs then
-                        invalid_arg
-                          (Printf.sprintf
-                             "rule %s: alternative vector arity mismatch for %s"
-                             rule.i_name (M.alg_name c.c_alg));
-                      Impl
-                        {
-                          alg = c.c_alg;
-                          input_groups = List.map (Memo.find_root t.memo) c.c_inputs;
-                          input_reqs = vector;
-                          promise = rule.i_promise;
-                          rule = rule.i_name;
-                          ridx;
-                        })
-                    c.c_alternatives))
+    match rule.i_pattern with
+    | Rule.Op (matches, subs)
+      when (not (matches m.op)) || List.length subs <> List.length m.inputs ->
+      []
+    | Rule.Any | Rule.Op _ ->
+      bindings_at t rule.i_pattern m
+      |> List.concat_map (fun b ->
+             rule.i_apply ~lookup:(lookup t) ~required b
+             |> List.concat_map (fun (c : _ Rule.impl_choice) ->
+                    List.map
+                      (fun vector ->
+                        if List.length vector <> List.length c.c_inputs then
+                          invalid_arg
+                            (Printf.sprintf
+                               "rule %s: alternative vector arity mismatch for %s"
+                               rule.i_name (M.alg_name c.c_alg));
+                        Impl
+                          {
+                            alg = c.c_alg;
+                            input_groups = List.map (Memo.find_root t.memo) c.c_inputs;
+                            input_reqs = vector;
+                            promise = rule.i_promise;
+                            rule = rule.i_name;
+                            ridx;
+                          })
+                      c.c_alternatives))
 
   let enforcer_moves ~props ~required =
     List.map
@@ -372,7 +379,8 @@ module Make (M : Signatures.MODEL) = struct
     gs_limit : M.cost;  (** the caller's limit *)
     mutable gs_bound : M.cost;  (** running branch-and-bound bound *)
     mutable gs_best : Memo.plan option;
-    gs_impl : move list array;  (** per-implementation-rule collection buckets *)
+    gs_impl : move list array;
+        (** per-implementation-rule collection buckets, newest move first *)
     mutable gs_moves : move list;  (** pending moves in pursuit order *)
     mutable gs_phase : goal_phase;
     gs_slot : slot;
@@ -932,10 +940,12 @@ module Make (M : Signatures.MODEL) = struct
      model's rule promise (§4.2) with the move's cost floor as
      tie-break, optionally truncated to the k most promising. *)
   let assemble_moves t gs =
-    let impl = List.concat (Array.to_list gs.gs_impl) in
     let enf = enforcer_moves ~props:(lookup t gs.gs_group) ~required:gs.gs_required in
+    (* Each bucket holds its moves newest first: reversing it onto the
+       moves of the later rules restores memo order, rule-major. *)
+    let moves = Array.fold_right List.rev_append gs.gs_impl enf in
     let ordered =
-      List.map (fun mv -> (mv, move_floor t gs mv)) (impl @ enf)
+      List.map (fun mv -> (mv, move_floor t gs mv)) moves
       |> List.stable_sort (fun (a, fa) (b, fb) ->
              let c = compare (promise_of b) (promise_of a) in
              if c <> 0 then c else M.cost_compare fa fb)
@@ -969,7 +979,7 @@ module Make (M : Signatures.MODEL) = struct
         List.iter
           (fun (i, rule) ->
             let moves = impl_moves_at t ~ridx:i rule m ~required:gs.gs_required in
-            gs.gs_impl.(i) <- gs.gs_impl.(i) @ moves)
+            gs.gs_impl.(i) <- List.rev_append moves gs.gs_impl.(i))
           implementation_index
     end
 

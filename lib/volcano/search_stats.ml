@@ -167,7 +167,8 @@ let pp_tasks ppf t =
 
 let metric_names prefix = List.map (fun c -> prefix ^ c.suffix) table
 
-let register ?(prefix = "volcano_search_") reg t =
+let register reg t =
   List.iter
-    (fun c -> Obs.Metrics.gauge reg (prefix ^ c.suffix) (fun () -> float_of_int (c.get t)))
+    (fun c ->
+      Obs.Metrics.gauge reg ("volcano_search_" ^ c.suffix) (fun () -> float_of_int (c.get t)))
     table

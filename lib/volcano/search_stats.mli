@@ -93,11 +93,11 @@ val pp : Format.formatter -> t -> unit
 val pp_tasks : Format.formatter -> t -> unit
 (** Render the per-kind task counters and the stack high-water mark. *)
 
-val register : ?prefix:string -> Obs.Metrics.registry -> t -> unit
+val register : Obs.Metrics.registry -> t -> unit
 (** Surface every counter (including the per-kind task counters) as a
-    gauge in [reg], named [prefix ^ field] (default prefix
-    ["volcano_search_"]). Gauges read the live record, so registering
-    once before (or after) a run is enough. *)
+    gauge in [reg], named ["volcano_search_" ^ field]. Gauges read the
+    live record, so registering once before (or after) a run is
+    enough. *)
 
 val metric_names : string -> string list
 (** [metric_names prefix] — the metric names {!register} would create,

@@ -300,6 +300,28 @@ let test_serve_batch_counters_exported () =
     (Some (Plansrv.metrics srv).Plansrv.search.Volcano.Search_stats.tasks)
     (gauge reg "volcano_search_tasks_total")
 
+(* Volcano-RU's re-optimizations are search the service did: the report
+   carries their effort and the service's exported task counter
+   includes it, above what the same batch costs with sharing off. *)
+let test_serve_batch_ru_effort_counted () =
+  let serve strategy =
+    let b = overlapping ~count:6 ~n_relations:6 ~core_relations:3 ~sharing:0.7 () in
+    let request = Optimizer.request b.batch_catalog in
+    let srv = Plansrv.create (Plansrv.config ~capacity:64 ~shards:2 request) in
+    let report, _ = Mqo.serve_batch ~strategy srv (Plansrv.worker srv) (pairs_of b) in
+    (report, Option.get (gauge (Plansrv.registry srv) "volcano_search_tasks_total"))
+  in
+  let off, off_tasks = serve Mqo.Off in
+  let ru, ru_tasks = serve Mqo.Volcano_ru in
+  Alcotest.(check int) "off re-optimizes nothing" 0 off.stats.Volcano.Search_stats.tasks;
+  Alcotest.(check bool) "ru chose a materialization" true (ru.materialize_chosen > 0);
+  let ru_own = ru.stats.Volcano.Search_stats.tasks in
+  Alcotest.(check bool)
+    (Printf.sprintf "ru reports its effort (%d tasks)" ru_own)
+    true (ru_own > 0);
+  Alcotest.(check int) "service counts the independent pass and ru's effort"
+    (off_tasks + ru_own) ru_tasks
+
 (* ---------- overlapping-batch generator ---------- *)
 
 let test_overlapping_validation () =
@@ -371,6 +393,8 @@ let suite =
       test_serve_batch_off_matches_cache;
     Alcotest.test_case "serve_batch counters exported" `Quick
       test_serve_batch_counters_exported;
+    Alcotest.test_case "serve_batch ru effort counted" `Quick
+      test_serve_batch_ru_effort_counted;
     Alcotest.test_case "generator validation" `Quick test_overlapping_validation;
     Alcotest.test_case "generator sharing levels" `Quick test_overlapping_sharing_levels;
     Alcotest.test_case "generator reproducible" `Quick test_overlapping_reproducible;

@@ -878,6 +878,23 @@ let test_profiler_allocation () =
   if per_task > 4. then
     Alcotest.failf "profiler allocates %.2f words per task (bound 4)" per_task
 
+(* Machine-neutral cost gate on the search itself, unprofiled: minor
+   words per executed task on the same clique. Column resolution that
+   builds substrings, and moves allocated for rules whose root does not
+   match, read 314 words per task here; the search reads about 207. *)
+let test_search_allocation () =
+  let q = workload ~shape:Workload.Clique ~n:5 ~seed:1705 in
+  let words () =
+    let w0 = Gc.minor_words () in
+    let result = optimize q in
+    (Gc.minor_words () -. w0, result.stats.Volcano.Search_stats.tasks)
+  in
+  ignore (words ());
+  let w, tasks = words () in
+  let per_task = w /. float_of_int tasks in
+  if per_task > 240. then
+    Alcotest.failf "search allocates %.1f words per task (bound 240)" per_task
+
 (* ------------------------------------------------------------------ *)
 (* Plansrv slow-query log and status                                   *)
 (* ------------------------------------------------------------------ *)
@@ -960,6 +977,7 @@ let suite =
     Alcotest.test_case "profile buffers fold on session renewal" `Quick
       test_profile_buffers_fold;
     Alcotest.test_case "profiler allocation per task" `Quick test_profiler_allocation;
+    Alcotest.test_case "search allocation per task" `Quick test_search_allocation;
     Alcotest.test_case "plansrv slow log and status" `Quick
       test_plansrv_slow_log_and_status;
   ]
