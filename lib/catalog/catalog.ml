@@ -7,6 +7,7 @@ type table = {
   schema : Relalg.Schema.t;
   tuples : Relalg.Tuple.t array;
   mutable stats : Stats.t;
+  mutable base_props : Relalg.Logical_props.t;
   mutable stats_version : int;
   stored_order : Relalg.Sort_order.t;
   stored_partitioning : Relalg.Phys_prop.partitioning;
@@ -32,6 +33,27 @@ let qualify_schema name schema =
       else { a with name = Relalg.Schema.qualify name a.name })
     schema
 
+(* The leaf case of property derivation, built from the statistics
+   whenever they change: every [Get], every lower bound's leaf floor
+   and every cost recomputation reads the stored value. *)
+let props_of_stats ~name ~schema (stats : Stats.t) =
+  let distincts =
+    List.map (fun (col, (s : Stats.column_stats)) -> (col, s.n_distinct)) stats.columns
+  in
+  let ranges =
+    List.filter_map
+      (fun (col, (s : Stats.column_stats)) ->
+        match s.min_value, s.max_value with
+        | Some mn, Some mx ->
+          (match Relalg.Value.to_float mn, Relalg.Value.to_float mx with
+           | Some lo, Some hi -> Some (col, (lo, hi))
+           | _, _ -> None)
+        | _, _ -> None)
+      stats.columns
+  in
+  Relalg.Logical_props.make ~schema ~card:stats.row_count ~distincts ~ranges
+    ~relations:[ name ] ()
+
 let add registry ~name ~schema ?(stored_order = [])
     ?(stored_partitioning = Relalg.Phys_prop.Singleton) tuples =
   if Hashtbl.mem registry.tables name then
@@ -44,6 +66,7 @@ let add registry ~name ~schema ?(stored_order = [])
       schema;
       tuples;
       stats;
+      base_props = props_of_stats ~name ~schema stats;
       stats_version = 0;
       stored_order;
       stored_partitioning;
@@ -93,12 +116,14 @@ let add_materialized registry ~name ~(props : Relalg.Logical_props.t)
                histogram = None;
              } ))
   in
+  let stats = { Stats.row_count = props.card; columns } in
   let table =
     {
       name;
       schema = props.schema;
       tuples = [||];
-      stats = { Stats.row_count = props.card; columns };
+      stats;
+      base_props = props_of_stats ~name ~schema:props.schema stats;
       stats_version = 0;
       stored_order;
       stored_partitioning = Relalg.Phys_prop.Singleton;
@@ -130,7 +155,9 @@ let stats_version registry name = (find registry name).stats_version
 
 let update_stats registry ~table ?stats () =
   let t = find registry table in
-  t.stats <- (match stats with Some s -> s | None -> Stats.of_tuples t.schema t.tuples);
+  let stats = match stats with Some s -> s | None -> Stats.of_tuples t.schema t.tuples in
+  t.stats <- stats;
+  t.base_props <- props_of_stats ~name:t.name ~schema:t.schema stats;
   t.stats_version <- t.stats_version + 1;
   bump registry
 
@@ -142,23 +169,7 @@ let tables registry =
   Hashtbl.fold (fun _ t acc -> t :: acc) registry.tables []
   |> List.sort (fun a b -> String.compare a.name b.name)
 
-let base_props table =
-  let distincts =
-    List.map (fun (col, (s : Stats.column_stats)) -> (col, s.n_distinct)) table.stats.columns
-  in
-  let ranges =
-    List.filter_map
-      (fun (col, (s : Stats.column_stats)) ->
-        match s.min_value, s.max_value with
-        | Some mn, Some mx ->
-          (match Relalg.Value.to_float mn, Relalg.Value.to_float mx with
-           | Some lo, Some hi -> Some (col, (lo, hi))
-           | _, _ -> None)
-        | _, _ -> None)
-      table.stats.columns
-  in
-  Relalg.Logical_props.make ~schema:table.schema ~card:table.stats.row_count ~distincts
-    ~ranges ~relations:[ table.name ] ()
+let base_props table = table.base_props
 
 type column_spec =
   | Serial
@@ -173,13 +184,15 @@ let spec_type = function
 
 let add_synthetic registry ~name ~columns ?(widths = []) ~rows ~seed () =
   let rng = Random.State.make [| seed; Hashtbl.hash name |] in
-  let gen_value row = function
-    | Serial -> Relalg.Value.Int row
-    | Uniform_int (lo, hi) -> Relalg.Value.Int (lo + Random.State.int rng (hi - lo + 1))
+  let generator = function
+    | Serial -> fun row -> Relalg.Value.Int row
+    | Uniform_int (lo, hi) ->
+      fun _ -> Relalg.Value.Int (lo + Random.State.int rng (hi - lo + 1))
     | Uniform_float (lo, hi) ->
-      Relalg.Value.Float (lo +. Random.State.float rng (hi -. lo))
+      fun _ -> Relalg.Value.Float (lo +. Random.State.float rng (hi -. lo))
     | Choice options ->
-      Relalg.Value.Str (List.nth options (Random.State.int rng (List.length options)))
+      let options = Array.of_list options in
+      fun _ -> Relalg.Value.Str options.(Random.State.int rng (Array.length options))
   in
   let schema =
     Array.of_list
@@ -188,10 +201,10 @@ let add_synthetic registry ~name ~columns ?(widths = []) ~rows ~seed () =
            Relalg.Schema.attribute ?width:(List.assoc_opt col widths) col (spec_type spec))
          columns)
   in
-  let tuples =
-    Array.init rows (fun row ->
-        Array.of_list (List.map (fun (_, spec) -> gen_value row spec) columns))
-  in
+  (* One array per row; the generators draw from [rng] row by row, left
+     to right, so a seed always yields the same table. *)
+  let generators = Array.of_list (List.map (fun (_, spec) -> generator spec) columns) in
+  let tuples = Array.init rows (fun row -> Array.map (fun gen -> gen row) generators) in
   add registry ~name ~schema tuples
 
 (** Output schema of a physical plan against this catalog. *)

@@ -6,11 +6,15 @@ module Stats = Stats
 module Selectivity = Selectivity
 module Plan_schema = Plan_schema
 
-type table = {
+type table = private {
   name : string;
   schema : Relalg.Schema.t;  (** columns carry qualified names ["table.col"] *)
   tuples : Relalg.Tuple.t array;
   mutable stats : Stats.t;  (** refreshed through {!update_stats} *)
+  mutable base_props : Relalg.Logical_props.t;
+      (** logical properties of the stored relation, built from [stats]
+          by {!add}, {!add_materialized} and every {!update_stats};
+          read through {!base_props} *)
   mutable stats_version : int;
       (** bumped on every {!update_stats}; plan caches stamp their
           entries with it and invalidate on mismatch *)
@@ -92,8 +96,9 @@ val stats_version : t -> string -> int
 
 val update_stats : t -> table:string -> ?stats:Stats.t -> unit -> unit
 (** Install new statistics for a table — recomputed from the stored
-    tuples when [stats] is omitted — and bump both the table's stats
-    version and the catalog version.
+    tuples when [stats] is omitted — rebuild its {!base_props} from
+    them, and bump both the table's stats version and the catalog
+    version.
     @raise Not_found if the table is absent. *)
 
 val find_opt : t -> string -> table option
@@ -104,7 +109,8 @@ val tables : t -> table list
 
 val base_props : table -> Relalg.Logical_props.t
 (** Logical properties of the stored relation (the leaf case of
-    property derivation). *)
+    property derivation): the value stored with the table, rebuilt only
+    when its statistics change, so a call allocates nothing. *)
 
 (** {1 Synthetic data}
 

@@ -19,60 +19,91 @@ type t = {
 
 let bucket_count = 16
 
-let build_histogram values =
-  match values with
-  | [] -> None
-  | v0 :: _ ->
-    let lo = List.fold_left Float.min v0 values in
-    let hi = List.fold_left Float.max v0 values in
-    if hi <= lo then None
+module Value = Relalg.Value
+
+module Value_set = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+let[@inline] number : Value.t -> float = function
+  | Int k -> float_of_int k
+  | Float f -> f
+  | Null | Bool _ | Str _ -> Float.nan
+
+(* Column [i] in one pass over the rows, then a bucket pass when the
+   column is numeric. [distinct] is a scratch set shared by the columns
+   of one table. The results equal those of sorting the non-null values
+   with [Value.compare] (stable): the minimum is the first of the least
+   values in input order, the maximum the last of the greatest. The
+   histogram bounds fold [Float.min]/[Float.max] in input order, so
+   they are the same bits too. *)
+let column_stats distinct tuples i =
+  Value_set.clear distinct;
+  let n = Array.length tuples in
+  let nulls = ref 0 in
+  (* [Null] stands for "no value yet": nulls never reach the min/max. *)
+  let min_value = ref Value.Null in
+  let max_value = ref Value.Null in
+  let numeric = ref true in
+  let lo = ref 0. in
+  let hi = ref 0. in
+  for r = 0 to n - 1 do
+    match tuples.(r).(i) with
+    | Value.Null -> incr nulls
+    | v ->
+      let first = Value.is_null !min_value in
+      Value_set.replace distinct v ();
+      if first || Value.compare v !min_value < 0 then min_value := v;
+      if first || Value.compare v !max_value >= 0 then max_value := v;
+      (match v with
+       | Value.Int _ | Value.Float _ ->
+         let x = number v in
+         if first then begin
+           lo := x;
+           hi := x
+         end
+         else begin
+           lo := Float.min !lo x;
+           hi := Float.max !hi x
+         end
+       | Value.(Null | Bool _ | Str _) -> numeric := false)
+  done;
+  let histogram =
+    if (not !numeric) || !hi <= !lo then None
     else begin
+      let lo = !lo and hi = !hi in
       let buckets = Array.make bucket_count 0. in
       let width = (hi -. lo) /. Float.of_int bucket_count in
-      let place v =
-        let i = int_of_float ((v -. lo) /. width) in
-        let i = if i >= bucket_count then bucket_count - 1 else i in
-        buckets.(i) <- buckets.(i) +. 1.
-      in
-      List.iter place values;
+      for r = 0 to n - 1 do
+        match tuples.(r).(i) with
+        | Value.Null -> ()
+        | v ->
+          let b = int_of_float ((number v -. lo) /. width) in
+          let b = if b >= bucket_count then bucket_count - 1 else b in
+          buckets.(b) <- buckets.(b) +. 1.
+      done;
       Some { lo; hi; buckets }
     end
-
-let column_stats_of_values values =
-  let module VS = Set.Make (struct
-    type t = Relalg.Value.t
-
-    let compare = Relalg.Value.compare
-  end) in
-  let non_null = List.filter (fun v -> not (Relalg.Value.is_null v)) values in
-  let nulls = List.length values - List.length non_null in
-  let distinct = VS.cardinal (VS.of_list non_null) in
-  let sorted = List.sort Relalg.Value.compare non_null in
-  let min_value = match sorted with [] -> None | v :: _ -> Some v in
-  let max_value =
-    match List.rev sorted with [] -> None | v :: _ -> Some v
   in
-  let numeric = List.filter_map Relalg.Value.to_float non_null in
-  let histogram =
-    if List.length numeric = List.length non_null then build_histogram numeric else None
-  in
+  let bound v = if Value.is_null v then None else Some v in
   {
-    n_distinct = Float.of_int distinct;
-    null_count = Float.of_int nulls;
-    min_value;
-    max_value;
+    n_distinct = Float.of_int (Value_set.length distinct);
+    null_count = Float.of_int !nulls;
+    min_value = bound !min_value;
+    max_value = bound !max_value;
     histogram;
   }
 
 let of_tuples schema tuples =
-  let n = Array.length tuples in
+  let distinct = Value_set.create (Array.length tuples) in
   let columns =
-    Array.to_list schema
-    |> List.mapi (fun i (attr : Relalg.Schema.attribute) ->
-           let values = Array.to_list (Array.map (fun t -> t.(i)) tuples) in
-           (attr.name, column_stats_of_values values))
+    List.init (Array.length schema) (fun i ->
+        (schema.(i).Relalg.Schema.name, column_stats distinct tuples i))
   in
-  { row_count = Float.of_int n; columns }
+  { row_count = Float.of_int (Array.length tuples); columns }
 
 let column t name = List.assoc_opt name t.columns
 

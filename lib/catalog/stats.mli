@@ -21,7 +21,20 @@ type t = {
 }
 
 val of_tuples : Relalg.Schema.t -> Relalg.Tuple.t array -> t
-(** Scan the data once and build full statistics. *)
+(** Scan the data once per column and build full statistics; a column
+    whose non-null values are all numeric ([Int] or [Float]) is read a
+    second time to fill its histogram buckets. The scan builds no lists
+    and sorts nothing. For each column:
+    - [null_count] counts [Null]s, and every other field ignores them;
+    - [n_distinct] counts values distinct under {!Relalg.Value.equal}, so
+      [Int 1] and [Float 1.] are one value;
+    - [min_value] is the first least value in row order ({!Relalg.Value.compare}),
+      and [max_value] the last greatest: of [Int 1] and a later
+      [Float 1.], the minimum is [Int 1] and the maximum [Float 1.].
+      These are the ends of the values sorted stably;
+    - the histogram's [lo]/[hi] fold [Float.min]/[Float.max] over the
+      values in row order; there is none when the column holds a
+      non-numeric value, no value, or one number only ([hi <= lo]). *)
 
 val column : t -> string -> column_stats option
 
