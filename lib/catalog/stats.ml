@@ -71,8 +71,11 @@ let column_stats distinct tuples i =
          end
        | Value.(Null | Bool _ | Str _) -> numeric := false)
   done;
+  (* A NaN or an infinity leaves bounds that cover nothing: such a
+     column gets no histogram. *)
   let histogram =
-    if (not !numeric) || !hi <= !lo then None
+    if (not !numeric) || (not (Float.is_finite !lo && Float.is_finite !hi)) || !hi <= !lo
+    then None
     else begin
       let lo = !lo and hi = !hi in
       let buckets = Array.make bucket_count 0. in

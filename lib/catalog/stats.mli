@@ -34,7 +34,8 @@ val of_tuples : Relalg.Schema.t -> Relalg.Tuple.t array -> t
       These are the ends of the values sorted stably;
     - the histogram's [lo]/[hi] fold [Float.min]/[Float.max] over the
       values in row order; there is none when the column holds a
-      non-numeric value, no value, or one number only ([hi <= lo]). *)
+      non-numeric value, no value, one number only ([hi <= lo]), or a
+      NaN or an infinity (bounds that cover nothing). *)
 
 val column : t -> string -> column_stats option
 

@@ -20,22 +20,21 @@ type config = {
   escape_factor : float option;
   correct : bool;
   max_replans : int;
-  recorder : Obs.Flight_recorder.t option;
 }
 
-let config ?(drift_threshold = 2.) ?escape_factor ?(correct = true) ?(max_replans = 1)
-    ?recorder () =
+let config ?(drift_threshold = 2.) ?escape_factor ?(correct = true) ?(max_replans = 1) () =
   if drift_threshold < 1. then
     invalid_arg "Feedback.config: drift_threshold must be >= 1";
   (match escape_factor with
    | Some k when k < 1. -> invalid_arg "Feedback.config: escape_factor must be >= 1"
    | _ -> ());
-  { drift_threshold; escape_factor; correct; max_replans = max 0 max_replans; recorder }
+  { drift_threshold; escape_factor; correct; max_replans = max 0 max_replans }
 
 (* The escape hatch firing is exactly the abnormal end the flight
-   recorder exists for: dump whatever the engine rings still hold. *)
-let escape_trigger config =
-  match config.recorder with
+   recorder exists for: dump whatever the rings of the request's
+   recorder, which its searches write to, still hold. *)
+let escape_trigger (request : Opt.request) =
+  match request.recorder with
   | None -> ()
   | Some fr -> Obs.Flight_recorder.trigger fr ~reason:"feedback-escape"
 
@@ -609,7 +608,7 @@ let run_plan ?(config = default_config) (request : Opt.request) query ~required
     | Aborted { at; nodes; io = _ } -> begin
       escaped := true;
       c.fb_escapes <- c.fb_escapes + 1;
-      escape_trigger config;
+      escape_trigger request;
       (* Correct only the node that blew its budget: its count already
          proves the estimate wrong by the escape factor, while every
          other count is still a partial lower bound. *)
@@ -673,7 +672,7 @@ let run_dynamic ?(config = default_config) (request : Opt.request) (dyn : Dynpla
     (* Abort into the dynplan bucket covering the actual parameter: the
        start-up-time choose-plan re-run as a run-time fallback. *)
     c.fb_escapes <- c.fb_escapes + 1;
-    escape_trigger config;
+    escape_trigger request;
     let bucket = Dynplan.choose dyn param in
     let bucket_node =
       Dynplan.instantiate_node bucket.Dynplan.plan ~witness:bucket.Dynplan.witness

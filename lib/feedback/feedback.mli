@@ -24,7 +24,9 @@
     observed cardinality exceeds [k x] its estimate: the run re-enters
     the optimizer with the correction proven so far, or — for dynamic
     plans — switches to the {!Dynplan} bucket covering the actual
-    parameter ({!run_dynamic}). *)
+    parameter ({!run_dynamic}). Each abort triggers the request's flight
+    recorder, when it has one, with reason ["feedback-escape"]: the dump
+    holds the engine events its searches recorded. *)
 
 (** {1 Configuration} *)
 
@@ -43,11 +45,6 @@ type config = {
   max_replans : int;
       (** escape-hatch re-optimization budget per {!run} (the final
           attempt always executes to completion) *)
-  recorder : Obs.Flight_recorder.t option;
-      (** flight recorder to {!Obs.Flight_recorder.trigger} (reason
-          ["feedback-escape"]) whenever the escape hatch aborts a run:
-          the post-mortem dump captures the engine events leading up to
-          the misestimate *)
 }
 
 val config :
@@ -55,7 +52,6 @@ val config :
   ?escape_factor:float ->
   ?correct:bool ->
   ?max_replans:int ->
-  ?recorder:Obs.Flight_recorder.t ->
   unit ->
   config
 (** Defaults: threshold 2, hatch disarmed, corrections on, 1 replan.

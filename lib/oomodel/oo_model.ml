@@ -232,35 +232,21 @@ type plan_node = {
 
 type result = {
   plan : plan_node option;
-  complete : bool;
   stats : Volcano.Search_stats.t;
   memo_groups : int;
   memo_mexprs : int;
 }
 
-let optimize ~store ?params ?max_tasks ?max_millis ?profiler ?recorder
-    (query : Oo_algebra.op Volcano.Tree.t) ~required : result =
+let optimize ~store ?params (query : Oo_algebra.op Volcano.Tree.t) ~required : result =
   let (module M : OO_MODEL) = make ~store ?params () in
   let module S = Volcano.Search.Make (M) in
-  (* The OO model's rule names flow to the profiler through the same
-     generic engine attribution as the relational model's — per-model
-     rule sets need no profiler-specific code. *)
-  let config =
-    {
-      S.default_config with
-      budget = S.budget ?max_tasks ?max_millis ();
-      profiler;
-      recorder;
-    }
-  in
-  let opt = S.create ~config () in
+  let opt = S.create () in
   let outcome = S.optimize opt query ~required in
   let rec convert (p : S.plan_tree) : plan_node =
     { alg = p.alg; children = List.map convert p.children; props = p.props; cost = p.cost }
   in
   {
     plan = Option.map convert outcome.plan;
-    complete = (outcome.status = S.Complete);
     stats = outcome.search_stats;
     memo_groups = outcome.memo_groups;
     memo_mexprs = outcome.memo_mexprs;

@@ -38,9 +38,6 @@ type plan_node = {
 
 type result = {
   plan : plan_node option;
-  complete : bool;
-      (** [false]: the task/time budget ran out; [plan] is the best
-          found so far *)
   stats : Volcano.Search_stats.t;
   memo_groups : int;
   memo_mexprs : int;
@@ -49,16 +46,10 @@ type result = {
 val optimize :
   store:Oo_algebra.store ->
   ?params:params ->
-  ?max_tasks:int ->
-  ?max_millis:float ->
-  ?profiler:Obs.Profile.t ->
-  ?recorder:Obs.Flight_recorder.t ->
   Oo_algebra.op Volcano.Tree.t ->
   required:Oo_algebra.phys ->
   result
-(** [profiler]/[recorder] attach the generic engine observability to
-    the OO optimizer: rule names from this model's transform and
-    implementation rules surface in the profile report unchanged, and
-    both are plan-inert. *)
+(** Optimize with the engine's default configuration: the paper's
+    exhaustive search with branch-and-bound pruning. *)
 
 val explain : plan_node -> string

@@ -6,16 +6,18 @@ type config = {
   capacity : int;
   shards : int;
   parameterize : bool;
-  dyn_buckets : int;
   slow_ms : float;
 }
 
-let config ?(capacity = 512) ?(shards = 8) ?(parameterize = false) ?(dyn_buckets = 8)
-    ?(slow_ms = 50.) request =
+(* Dynplan buckets per parameterized entry. *)
+let dyn_buckets = 8
+
+let config ?(capacity = 512) ?(shards = 8) ?(parameterize = false) ?(slow_ms = 50.)
+    request =
   if capacity < 1 then invalid_arg "Plansrv.config: capacity must be >= 1";
   if shards < 1 then invalid_arg "Plansrv.config: shards must be >= 1";
   if slow_ms < 0. then invalid_arg "Plansrv.config: slow_ms must be >= 0";
-  { request; capacity; shards; parameterize; dyn_buckets; slow_ms }
+  { request; capacity; shards; parameterize; slow_ms }
 
 type cached = {
   plan : Relmodel.Optimizer.plan_node;
@@ -285,7 +287,7 @@ let optimize_payload t w (fp : Fingerprint.t) canonical required =
       let template v = Fingerprint.with_parameter canonical v in
       match
         Dynplan.prepare ~request:t.cfg.request template ~range
-          ~buckets:t.cfg.dyn_buckets ~required ()
+          ~buckets:dyn_buckets ~required ()
       with
       | dyn -> Some (Dynamic dyn)
       | exception Invalid_argument _ -> optimize_static t w canonical required

@@ -31,8 +31,7 @@ type config = {
   shards : int;  (** independently locked cache shards *)
   parameterize : bool;
       (** erase the single numeric literal from fingerprints and back
-          the entry with {!Dynplan} buckets *)
-  dyn_buckets : int;  (** buckets per parameterized entry *)
+          the entry with 8 {!Dynplan} buckets *)
   slow_ms : float;
       (** responses at or above this latency land in the slow-query log
           ({!slow_log}) with their captured EXPLAIN provenance *)
@@ -42,12 +41,11 @@ val config :
   ?capacity:int ->
   ?shards:int ->
   ?parameterize:bool ->
-  ?dyn_buckets:int ->
   ?slow_ms:float ->
   Relmodel.Optimizer.request ->
   config
-(** Defaults: capacity 512, 8 shards, parameterization off, 8 buckets,
-    slow threshold 50ms. *)
+(** Defaults: capacity 512, 8 shards, parameterization off, slow
+    threshold 50ms. *)
 
 type t
 (** A running service: the shard array plus its observability

@@ -70,54 +70,70 @@ let restore_column_order req query (p : plan_node) : plan_node =
       cost = p.cost;
     }
 
-let make_searcher req =
-  let (module M : Rel_model.REL_MODEL) =
-    Rel_model.make ~catalog:req.catalog ~params:req.params ~flags:req.flags ()
-  in
-  let module S = Volcano.Search.Make (M) in
-  let config =
-    {
-      S.pruning = req.pruning;
-      guided = req.guided_pruning;
-      max_moves = req.max_moves;
-      budget = S.budget ?max_tasks:req.max_tasks ?max_millis:req.max_millis ();
-      tracer = req.tracer;
-      explain = req.explain;
-      profiler = req.profiler;
-      recorder = req.recorder;
-    }
-  in
-  let opt = S.create ~config () in
-  let run (query : Relalg.Logical.expr) required : result =
-    let limit = Option.value req.limit ~default:Relalg.Cost.infinite in
-    let outcome = S.optimize ~limit opt (Rel_model.to_tree query) ~required in
-    let rec convert (p : S.plan_tree) : plan_node =
-      { alg = p.alg; children = List.map convert p.children; props = p.props; cost = p.cost }
+(* The search a request configures, written once for sessions and
+   anytime ladders: the searcher, a run of one query on it, and the
+   run's result. *)
+module Searcher (M : Rel_model.REL_MODEL) = struct
+  module S = Volcano.Search.Make (M)
+
+  let create req =
+    let config =
+      {
+        S.pruning = req.pruning;
+        guided = req.guided_pruning;
+        max_moves = req.max_moves;
+        budget = S.budget ?max_tasks:req.max_tasks ?max_millis:req.max_millis ();
+        tracer = req.tracer;
+        explain = req.explain;
+        profiler = req.profiler;
+        recorder = req.recorder;
+      }
     in
+    S.create ~config ()
+
+  let start req opt (query : Relalg.Logical.expr) required =
+    let limit = Option.value req.limit ~default:Relalg.Cost.infinite in
+    S.start ~limit opt (Rel_model.to_tree query) ~required
+
+  let rec convert (p : S.plan_tree) : plan_node =
+    { alg = p.alg; children = List.map convert p.children; props = p.props; cost = p.cost }
+
+  (* [explain]: render the winner's provenance, straight from the memo
+     (so it reflects the plan the search chose, before any
+     column-restoring projection). *)
+  let result req query required ~explain (run : S.run) : result =
+    let out = S.outcome_of run in
     let finish p =
       if req.restore_columns then restore_column_order req query (convert p)
       else convert p
     in
-    let explain =
-      (* Winner provenance, straight from the memo (so it reflects the
-         plan the search chose, before any column-restoring projection). *)
-      if req.explain && outcome.plan <> None then
-        Option.map
-          (fun x -> Format.asprintf "%a" S.pp_explain x)
-          (S.explain opt outcome.root_group ~required)
-      else None
-    in
     {
-      plan = Option.map finish outcome.plan;
-      complete = (outcome.status = S.Complete);
-      tasks_run = outcome.tasks_run;
-      stats = outcome.search_stats;
-      memo_groups = outcome.memo_groups;
-      memo_mexprs = outcome.memo_mexprs;
-      explain;
+      plan = Option.map finish out.plan;
+      complete = (out.status = S.Complete);
+      tasks_run = out.tasks_run;
+      stats = out.search_stats;
+      memo_groups = out.memo_groups;
+      memo_mexprs = out.memo_mexprs;
+      explain =
+        (if explain && out.plan <> None then
+           Option.map
+             (fun x -> Format.asprintf "%a" S.pp_explain x)
+             (S.explain run.rt out.root_group ~required)
+         else None);
     }
+end
+
+let model req = Rel_model.make ~catalog:req.catalog ~params:req.params ~flags:req.flags ()
+
+let make_searcher req =
+  let module X = Searcher ((val model req)) in
+  let opt = X.create req in
+  let run query required =
+    let r = X.start req opt query required in
+    ignore (X.S.resume r : X.S.status);
+    X.result req query required ~explain:req.explain r
   in
-  (run, S.stats opt)
+  (run, X.S.stats opt)
 
 let optimize req (query : Relalg.Logical.expr) ~required : result =
   (fst (make_searcher req)) query required
@@ -144,64 +160,27 @@ type anytime = {
 (* Run ONE sequential search, pausing it at each cumulative task budget
    of [budgets] to record the best-so-far cost — the plan-cost-vs-budget
    curve of the run. Budgets are cumulative (the engine's resume
-   semantics), so the whole ladder costs only the largest budget. *)
+   semantics), so the whole ladder costs only the largest budget. Every
+   rung passes its budget, so the request's own budget is never read. *)
 let optimize_anytime req ~budgets (query : Relalg.Logical.expr) ~required : anytime =
-  let (module M : Rel_model.REL_MODEL) =
-    Rel_model.make ~catalog:req.catalog ~params:req.params ~flags:req.flags ()
-  in
-  let module S = Volcano.Search.Make (M) in
-  let config =
-    {
-      S.pruning = req.pruning;
-      guided = req.guided_pruning;
-      max_moves = req.max_moves;
-      budget = S.unlimited;
-      tracer = req.tracer;
-      explain = req.explain;
-      profiler = req.profiler;
-      recorder = req.recorder;
-    }
-  in
-  let opt = S.create ~config () in
-  let limit = Option.value req.limit ~default:Relalg.Cost.infinite in
-  let run = S.start ~limit opt (Rel_model.to_tree query) ~required in
+  let module X = Searcher ((val model req)) in
+  let opt = X.create req in
+  let run = X.start req opt query required in
   let rung b =
-    let status = S.resume ~budget:(S.budget ~max_tasks:b ()) run in
-    let cost =
-      Option.map (fun (p : S.plan_tree) -> p.S.cost) (S.best_so_far run)
-    in
+    let status = X.S.resume ~budget:(X.S.budget ~max_tasks:b ()) run in
     {
       at_budget = b;
-      at_tasks = run.S.r_tasks;
-      at_cost = cost;
-      at_complete = (status = S.Complete);
+      at_tasks = run.X.S.r_tasks;
+      at_cost = Option.map (fun (p : X.S.plan_tree) -> p.cost) (X.S.best_so_far run);
+      at_complete = (status = X.S.Complete);
     }
   in
   let points = List.map rung (List.sort_uniq compare budgets) in
-  let rec convert (p : S.plan_tree) : plan_node =
-    { alg = p.alg; children = List.map convert p.children; props = p.props; cost = p.cost }
-  in
-  let finish p =
-    if req.restore_columns then restore_column_order req query (convert p)
-    else convert p
-  in
-  let out = S.outcome_of run in
-  let an_result =
-    {
-      plan = Option.map finish out.S.plan;
-      complete = (out.S.status = S.Complete);
-      tasks_run = out.S.tasks_run;
-      stats = out.S.search_stats;
-      memo_groups = out.S.memo_groups;
-      memo_mexprs = out.S.memo_mexprs;
-      explain = None;
-    }
-  in
   {
     an_points = points;
-    an_incumbents = S.incumbents run;
-    an_result;
-    an_goal_footprint = S.Memo.goal_footprint opt.S.memo;
+    an_incumbents = X.S.incumbents run;
+    an_result = X.result req query required ~explain:false run;
+    an_goal_footprint = X.S.Memo.goal_footprint opt.X.S.memo;
   }
 
 let to_physical = to_physical_raw

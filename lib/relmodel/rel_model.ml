@@ -12,12 +12,9 @@ module type REL_MODEL =
 type flags = {
   alternatives : bool;
   left_deep_only : bool;
-  order_enforcer : bool;
-  cartesian : bool;
 }
 
-let default_flags =
-  { alternatives = true; left_deep_only = false; order_enforcer = true; cartesian = true }
+let default_flags = { alternatives = true; left_deep_only = false }
 
 let rec to_tree (e : Logical.expr) = Volcano.Tree.node e.op (List.map to_tree e.inputs)
 
@@ -62,7 +59,7 @@ let join_commute : (Logical.op, Logical_props.t) Rule.transform =
    p1 AND p2 by the schemas they reference. The inner JOIN(bottom,B,C)
    is expression "C" of Figure 3: it requires a new equivalence
    class. *)
-let join_assoc ~cartesian : (Logical.op, Logical_props.t) Rule.transform =
+let join_assoc : (Logical.op, Logical_props.t) Rule.transform =
   {
     t_name = "join-assoc";
     t_promise = 1;
@@ -82,15 +79,7 @@ let join_assoc ~cartesian : (Logical.op, Logical_props.t) Rule.transform =
           let sb = (lookup (group_of b)).Logical_props.schema in
           let sc = (lookup gc).Logical_props.schema in
           let top, bottom = Rewrites.assoc_split ~p1 ~p2 ~schema_b:sb ~schema_c:sc in
-          if
-            (not cartesian)
-            && not (List.exists (Rewrites.links_schemas sb sc) (Expr.conjuncts bottom))
-          then []
-          else
-            [
-              Rule.Node
-                (Logical.Join top, [ a; Rule.Node (Logical.Join bottom, [ b; c ]) ]);
-            ]
+          [ Rule.Node (Logical.Join top, [ a; Rule.Node (Logical.Join bottom, [ b; c ]) ]) ]
         | _ -> []);
   }
 
@@ -404,7 +393,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
     let transforms =
       [
         join_commute;
-        join_assoc ~cartesian:flags.cartesian;
+        join_assoc;
         select_merge;
         select_push_join;
       ]
@@ -853,7 +842,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
          the distribution and destroy order (except the order-merging
          gather). *)
       let sort_moves =
-        if order <> [] && order_valid && flags.order_enforcer then
+        if order <> [] && order_valid then
           [
             ( Physical.Sort order,
               { required with Phys_prop.order = [] },

@@ -23,12 +23,6 @@ type flags = {
   left_deep_only : bool;
       (** implementation-rule condition restricting join plans to
           left-deep shape (composite inners rejected) *)
-  order_enforcer : bool;
-      (** make the sort enforcer available; when [false], sort order
-          cannot be established, emulating the EXODUS treatment where
-          sorting hides inside cost functions *)
-  cartesian : bool;
-      (** let associativity derive predicate-less (Cartesian) joins *)
 }
 
 val default_flags : flags

@@ -1,10 +1,5 @@
 open Relalg
 
-let links_schemas sa sb conj =
-  let cols = Expr.columns conj in
-  List.exists (fun col -> Schema.mem sa col) cols
-  && List.exists (fun col -> Schema.mem sb col) cols
-
 let assoc_split ~p1 ~p2 ~schema_b ~schema_c =
   let sbc = Schema.concat schema_b schema_c in
   let all = Expr.conjuncts p1 @ Expr.conjuncts p2 in

@@ -13,8 +13,3 @@ val assoc_split :
     B's and C's columns ([bottom]) and the rest ([top]); returns
     [(top, bottom)]. *)
 
-val links_schemas :
-  Relalg.Schema.t -> Relalg.Schema.t -> Relalg.Expr.t -> bool
-(** A conjunct "links" two schemas when it references columns of both —
-    the condition under which a derived join is not a Cartesian
-    product. *)

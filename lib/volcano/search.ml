@@ -59,8 +59,9 @@ module Make (M : Signatures.MODEL) = struct
         (** hierarchical span collector: one [goal] span per (group,
             property, limit) optimization goal with its outcome, and one
             [task] span per executed engine task nested under its goal.
-            [None] (the default) records nothing and costs one pattern
-            match per task. *)
+            [None] (the default) records nothing. With no tracer,
+            profiler or recorder and [explain] off, each engine event
+            costs one branch. *)
     explain : bool;
         (** record losing alternatives (and their losing reasons) in
             the memo as the search abandons or completes each move, for
@@ -123,14 +124,27 @@ module Make (M : Signatures.MODEL) = struct
             name is a function of the value) *)
   }
 
+  (* Everything that watches one searcher, built once by {!create}.
+     Only the observation section below reads it. *)
+  type observers = {
+    o_trace : Obs.Trace.buf option;  (** the searcher's span buffer (label 0) *)
+    o_prof : prof option;
+    o_recorder : Obs.Flight_recorder.t option;
+    mutable o_ring : Obs.Flight_recorder.ring option;  (** held while it runs *)
+    o_explain : bool;  (** record losing alternatives in the memo *)
+    o_timed : bool;  (** a profiler or recorder: the task bracket reads the clock *)
+    mutable o_ns0 : int;  (** the clock when the running task began *)
+    mutable o_span : Obs.Trace.span option;  (** the running task's span *)
+    mutable o_closing : (Obs.Trace.span * string) list;
+        (** goal spans the running task concluded, with their outcomes:
+            they close after its span, so the bracketing is proper *)
+  }
+
   type t = {
     memo : Memo.t;
     config : config;
     stats : Search_stats.t;
-    tr_buf : Obs.Trace.buf option;  (** the searcher's span buffer (label 0) *)
-    prof : prof option;  (** the searcher's profiler buffer and cells *)
-    mutable fr_ring : Obs.Flight_recorder.ring option;
-        (** the flight-recorder ring the searcher holds while it runs *)
+    obs : observers option;  (** [None]: nothing watches this searcher *)
   }
 
   (** A fully extracted plan: the optimizer's output. *)
@@ -140,56 +154,6 @@ module Make (M : Signatures.MODEL) = struct
     props : M.phys_props;
     cost : M.cost;  (** total cost of this subtree *)
   }
-
-  let make_prof pr =
-    let pb = Obs.Profile.buf pr in
-    let rule name = Obs.Profile.cell pb Obs.Profile.Rule name in
-    {
-      pf_buf = pb;
-      pf_transforms = Array.of_list (List.map (fun r -> rule r.Rule.t_name) M.transforms);
-      pf_impls = Array.of_list (List.map (fun r -> rule r.Rule.i_name) M.implementations);
-      pf_optimize_group = Obs.Profile.cell pb Obs.Profile.Engine "optimize_group";
-      pf_explore_group = Obs.Profile.cell pb Obs.Profile.Engine "explore_group";
-      pf_ops = [||];
-      pf_op_cells = Op_tbl.create 64;
-      pf_enforcers = Hashtbl.create 16;
-    }
-
-  (* Run [f] as the writer of the searcher's profiler buffer: the
-     buffer's counts fold into the collector when [f] ends. *)
-  let profiling t f =
-    match t.prof with None -> f () | Some pf -> Obs.Profile.writing pf.pf_buf f
-
-  (* Run [f] holding a flight-recorder ring, handed back when [f] ends
-     so the next run records on over it. *)
-  let recording t f =
-    match t.config.recorder with
-    | None -> f ()
-    | Some fr ->
-      Obs.Flight_recorder.recording fr (fun ring ->
-          t.fr_ring <- Some ring;
-          Fun.protect ~finally:(fun () -> t.fr_ring <- None) f)
-
-  let create ?(config = default_config) () =
-    let stats = Search_stats.create () in
-    {
-      memo = Memo.create stats;
-      config;
-      stats;
-      tr_buf = Option.map (fun tr -> Obs.Trace.buf tr ~track:0) config.tracer;
-      prof = Option.map make_prof config.profiler;
-      fr_ring = None;
-    }
-
-  (* Goal state lives in the memo, addressed by the goal's interned key
-     id (the memo's hash-consing fast path). *)
-
-  let record_winner t g id plan bound =
-    (match t.fr_ring with
-     | None -> ()
-     | Some ring ->
-       Obs.Flight_recorder.record ring Obs.Flight_recorder.Publish ~group:g ~detail:id);
-    Memo.set_winner_id t.memo g id plan bound
 
   let stats t = t.stats
 
@@ -272,19 +236,12 @@ module Make (M : Signatures.MODEL) = struct
   (* Insert the expression a rule produced. Nested nodes become (new or
      existing) classes of their own — Figure 3: expression C "requires a
      new equivalence class"; the root joins the class being explored. *)
-  let rec insert_binding t ~target (b : M.op Rule.binding) : Memo.group =
+  let rec insert_binding t ?target (b : M.op Rule.binding) : Memo.group =
     match b with
     | Rule.Group g -> g
     | Rule.Node (op, subs) ->
-      let inputs = List.map (insert_binding_input t) subs in
-      Memo.insert t.memo ~target op inputs
-
-  and insert_binding_input t (b : M.op Rule.binding) : Memo.group =
-    match b with
-    | Rule.Group g -> g
-    | Rule.Node (op, subs) ->
-      let inputs = List.map (insert_binding_input t) subs in
-      Memo.insert t.memo op inputs
+      let inputs = List.map (fun b -> insert_binding t b) subs in
+      Memo.insert t.memo ?target op inputs
 
   (* ------------------------------------------------------------------ *)
   (* Moves                                                               *)
@@ -454,9 +411,51 @@ module Make (M : Signatures.MODEL) = struct
     | T_apply_enforcer st -> st.en_goal.gs_group
 
   (* ------------------------------------------------------------------ *)
-  (* Profiler / flight-recorder attribution                              *)
+  (* Runs: one resumable optimization                                    *)
   (* ------------------------------------------------------------------ *)
 
+  type stop_reason =
+    | Task_budget  (** the deterministic step budget was exhausted *)
+    | Time_budget  (** the wall-clock budget was exhausted *)
+
+  type status =
+    | Complete
+    | Paused of stop_reason
+
+  type run = {
+    rt : t;
+    r_root : Memo.group;
+    r_goal : goal_state;  (** the root goal; its best-so-far is the anytime plan *)
+    mutable r_stack : task list;
+    mutable r_depth : int;
+    mutable r_tasks : int;  (** tasks executed in this run (not the searcher) *)
+    mutable r_incumbents : (int * M.cost) list;
+        (** root-goal incumbent history, newest first: [(r_tasks, cost)]
+            at every strict improvement of the root goal's best-so-far
+            plan — the anytime cost-vs-effort curve of the run *)
+    mutable r_millis : float;  (** active wall-clock milliseconds, across resumes *)
+    mutable r_status : status option;  (** [Some Complete] once the stack drains *)
+    mutable r_open_goals : Obs.Trace.span list;
+        (** open goal spans, innermost first — the parent chain for the
+            next task span; empty when tracing is off *)
+  }
+
+  let push run task =
+    run.r_stack <- task :: run.r_stack;
+    run.r_depth <- run.r_depth + 1;
+    Search_stats.note_stack_depth run.rt.stats run.r_depth
+
+  (* ------------------------------------------------------------------ *)
+  (* Observation: one function per engine event                          *)
+  (* ------------------------------------------------------------------ *)
+
+  (* The span tracer, the profiler, the flight recorder and EXPLAIN's
+     losing alternatives are reached from here and nowhere else. Task
+     bodies make one call per event, which costs one branch when
+     nothing watches; nothing here feeds back into the search. *)
+
+  (* A mexpr's operator cell, resolved once per mexpr and named once
+     per distinct operator. *)
   let op_cell pf (m : Memo.mexpr) =
     let n = Array.length pf.pf_ops in
     if m.mid >= n then begin
@@ -479,9 +478,7 @@ module Make (M : Signatures.MODEL) = struct
       c
     end
 
-  (* An enforcer move's cell, looked up by its algorithm value: a
-     pursued move runs one [T_apply_enforcer] task, so this resolves
-     once per move and builds the name once per distinct enforcer. *)
+  (* An enforcer's cell, named once per distinct enforcer. *)
   let enforcer_cell pf alg =
     match Hashtbl.find pf.pf_enforcers alg with
     | c -> c
@@ -513,103 +510,57 @@ module Make (M : Signatures.MODEL) = struct
     | T_optimize_inputs _ -> 5
     | T_apply_enforcer _ -> 6
 
-  (* Side-channel charges. Each is one branch, and builds no name,
-     unless the searcher profiles. *)
-  let impl_pruned t ridx =
-    match t.prof with None -> () | Some pf -> Obs.Profile.pruned pf.pf_impls.(ridx)
+  let make_prof pr =
+    let pb = Obs.Profile.buf pr in
+    let rule name = Obs.Profile.cell pb Obs.Profile.Rule name in
+    {
+      pf_buf = pb;
+      pf_transforms = Array.of_list (List.map (fun r -> rule r.Rule.t_name) M.transforms);
+      pf_impls = Array.of_list (List.map (fun r -> rule r.Rule.i_name) M.implementations);
+      pf_optimize_group = Obs.Profile.cell pb Obs.Profile.Engine "optimize_group";
+      pf_explore_group = Obs.Profile.cell pb Obs.Profile.Engine "explore_group";
+      pf_ops = [||];
+      pf_op_cells = Op_tbl.create 64;
+      pf_enforcers = Hashtbl.create 16;
+    }
 
-  let impl_wasted t ridx n =
-    match t.prof with None -> () | Some pf -> Obs.Profile.wasted pf.pf_impls.(ridx) n
+  (* [None] when [c] attaches no observer. *)
+  let observers (c : config) =
+    if c.tracer = None && c.profiler = None && c.recorder = None && not c.explain then None
+    else
+      Some
+        {
+          o_trace = Option.map (fun tr -> Obs.Trace.buf tr ~track:0) c.tracer;
+          o_prof = Option.map make_prof c.profiler;
+          o_recorder = c.recorder;
+          o_ring = None;
+          o_explain = c.explain;
+          o_timed = c.profiler <> None || c.recorder <> None;
+          o_ns0 = 0;
+          o_span = None;
+          o_closing = [];
+        }
 
-  let enforcer_pruned t alg =
-    match t.prof with None -> () | Some pf -> Obs.Profile.pruned (enforcer_cell pf alg)
+  let create ?(config = default_config) () =
+    let stats = Search_stats.create () in
+    { memo = Memo.create stats; config; stats; obs = observers config }
 
-  (* A no-op unless a flight recorder is configured. *)
-  let fr_event t kind ~group ~detail =
-    match t.fr_ring with
+  (* A ring event about group [group]. *)
+  let ring_event t o kind ~group ~detail =
+    match o.o_ring with
     | None -> ()
-    | Some ring -> Obs.Flight_recorder.record ring kind ~group ~detail
+    | Some ring ->
+      Obs.Flight_recorder.record ring kind ~group:(Memo.find_root t.memo group) ~detail
 
-  (* ------------------------------------------------------------------ *)
-  (* Runs: one resumable optimization                                    *)
-  (* ------------------------------------------------------------------ *)
-
-  type stop_reason =
-    | Task_budget  (** the deterministic step budget was exhausted *)
-    | Time_budget  (** the wall-clock budget was exhausted *)
-
-  type status =
-    | Complete
-    | Paused of stop_reason
-
-  type run = {
-    rt : t;
-    r_root : Memo.group;
-    r_goal : goal_state;  (** the root goal; its best-so-far is the anytime plan *)
-    mutable r_stack : task list;
-    mutable r_depth : int;
-    mutable r_tasks : int;  (** tasks executed in this run (not the searcher) *)
-    mutable r_incumbents : (int * M.cost) list;
-        (** root-goal incumbent history, newest first: [(r_tasks, cost)]
-            at every strict improvement of the root goal's best-so-far
-            plan — the anytime cost-vs-effort curve of the run *)
-    mutable r_millis : float;  (** active wall-clock milliseconds, across resumes *)
-    mutable r_status : status option;  (** [Some Complete] once the stack drains *)
-    mutable r_open_goals : Obs.Trace.span list;
-        (** open goal spans, innermost first — the parent chain for the
-            next task span; empty when tracing is off *)
-    mutable r_closing : (Obs.Trace.span * string) list;
-        (** goal spans concluded mid-task, with their outcomes; closed
-            after the current task's span so the bracketing is proper *)
-  }
-
-  let push run task =
-    run.r_stack <- task :: run.r_stack;
-    run.r_depth <- run.r_depth + 1;
-    Search_stats.note_stack_depth run.rt.stats run.r_depth
-
-  (* ------------------------------------------------------------------ *)
-  (* Tracing spans (all no-ops unless [config.tracer] is set)            *)
-  (* ------------------------------------------------------------------ *)
-
-  (* Open the goal's span, nested under the innermost open goal of this
-     run — the span tree mirrors Figure 2's recursion. *)
-  let goal_open run buf gs =
-    let parent = match run.r_open_goals with sp :: _ -> Some sp | [] -> None in
-    let sp =
-      Obs.Trace.open_span buf ?parent ~cat:"goal"
-        ~group:(Memo.find_root run.rt.memo gs.gs_group)
-        ~args:
-          [
-            ("required", M.pp_to_string gs.gs_required);
-            ("limit", M.cost_to_string gs.gs_limit);
-          ]
-        "goal"
-    in
-    gs.gs_span <- Some sp;
-    run.r_open_goals <- sp :: run.r_open_goals
-
-  (* Conclude a goal's span. The actual close is deferred to the end of
-     the current task ([r_closing]), so the task span — the last work
-     done inside the goal — closes before (inside) its goal span. *)
-  let goal_conclude run gs outcome =
-    match gs.gs_span with
+  (* A task's ring event, stamped with a clock read it shares with the
+     profiler. *)
+  let ring_task t o kind ~ns task =
+    match o.o_ring with
     | None -> ()
-    | Some sp ->
-      gs.gs_span <- None;
-      (match run.r_open_goals with
-       | top :: rest when top == sp -> run.r_open_goals <- rest
-       | l -> run.r_open_goals <- List.filter (fun s -> s != sp) l);
-      run.r_closing <- (sp, outcome) :: run.r_closing
-
-  let flush_goal_closes run =
-    match run.r_closing with
-    | [] -> ()
-    | closing ->
-      run.r_closing <- [];
-      List.iter
-        (fun (sp, outcome) -> Obs.Trace.close ~outcome sp)
-        (List.rev closing)
+    | Some ring ->
+      Obs.Flight_recorder.record_at ring kind ~ns
+        ~group:(Memo.find_root t.memo (task_group task))
+        ~detail:(task_code task)
 
   (* The parent span of a task: its goal's span if the task carries a
      goal, the innermost open goal of the run otherwise. *)
@@ -625,9 +576,200 @@ module Make (M : Signatures.MODEL) = struct
     | Some _ -> own
     | None -> ( match run.r_open_goals with sp :: _ -> Some sp | [] -> None)
 
+  (* Event: a task begins. A goal's first task begins the goal: its span
+     opens first, nested under the innermost open goal (so the span tree
+     mirrors Figure 2's recursion), and the goal's whole task subtree
+     nests inside it. *)
+  let task_begin run task =
+    match run.rt.obs with
+    | None -> ()
+    | Some o -> (
+      let t = run.rt in
+      if o.o_timed then begin
+        o.o_ns0 <- Obs.Clock.now_int ();
+        ring_task t o Obs.Flight_recorder.Task_begin ~ns:o.o_ns0 task
+      end;
+      match o.o_trace with
+      | None -> ()
+      | Some buf ->
+        (match task with
+         | T_optimize_group gs when gs.gs_phase = G_init && gs.gs_span = None ->
+           let parent = match run.r_open_goals with sp :: _ -> Some sp | [] -> None in
+           let sp =
+             Obs.Trace.open_span buf ?parent ~cat:"goal"
+               ~group:(Memo.find_root t.memo gs.gs_group)
+               ~args:
+                 [
+                   ("required", M.pp_to_string gs.gs_required);
+                   ("limit", M.cost_to_string gs.gs_limit);
+                 ]
+               "goal"
+           in
+           gs.gs_span <- Some sp;
+           run.r_open_goals <- sp :: run.r_open_goals
+         | _ -> ());
+        o.o_span <-
+          Some
+            (Obs.Trace.open_span buf ?parent:(task_parent run task) ~cat:"task"
+               ~group:(Memo.find_root t.memo (task_group task))
+               (Search_stats.task_kind_name (task_kind task))))
+
+  (* Event: a task ended, [outcome] "abandoned" if it raised. Its span
+     closes, then the spans of the goals it concluded: the task span is
+     its goal's last child. The profiler and the recorder share one
+     clock read, and a task that raised is charged too, as the task
+     counters count it (attribution parity). *)
+  let task_end ?outcome run task =
+    match run.rt.obs with
+    | None -> ()
+    | Some o ->
+      (match o.o_span with
+       | None -> ()
+       | Some sp ->
+         o.o_span <- None;
+         Obs.Trace.close ?outcome sp;
+         let closing = List.rev o.o_closing in
+         o.o_closing <- [];
+         List.iter (fun (sp, outcome) -> Obs.Trace.close ~outcome sp) closing);
+      if o.o_timed then begin
+        let ns = Obs.Clock.now_int () in
+        (match o.o_prof with
+         | None -> ()
+         | Some pf -> Obs.Profile.task (task_cell pf task) ~ns:(ns - o.o_ns0));
+        ring_task run.rt o Obs.Flight_recorder.Task_end ~ns task
+      end
+
+  (* Event: goal [gs] concluded with [outcome] ("won", "failed", "hit",
+     "pruned-lb" or "cycle"); its best plan, if any, is credited to the
+     rule or enforcer that produced it. *)
+  let goal_concluded run gs outcome =
+    match run.rt.obs with
+    | None -> ()
+    | Some o -> (
+      (match (gs.gs_best, o.o_prof) with
+       | Some p, Some pf ->
+         Obs.Profile.plan_won
+           (if p.Memo.p_rule = "enforcer" then enforcer_cell pf p.Memo.p_alg
+            else Obs.Profile.cell pf.pf_buf Obs.Profile.Rule p.Memo.p_rule)
+       | _ -> ());
+      match gs.gs_span with
+      | None -> ()
+      | Some sp ->
+        gs.gs_span <- None;
+        (match run.r_open_goals with
+         | top :: rest when top == sp -> run.r_open_goals <- rest
+         | l -> run.r_open_goals <- List.filter (fun s -> s != sp) l);
+        o.o_closing <- (sp, outcome) :: o.o_closing)
+
+  (* Event: group [g]'s goal failed on its cost lower bound alone. *)
+  let group_pruned run g =
+    match run.rt.obs with
+    | None -> ()
+    | Some o ->
+      (match o.o_prof with None -> () | Some pf -> Obs.Profile.pruned pf.pf_optimize_group);
+      ring_event run.rt o Obs.Flight_recorder.Prune ~group:g ~detail:2
+
+  (* Event: goal [id] of group [g] published its winner or failure. *)
+  let winner_published t g id =
+    match t.obs with
+    | None -> ()
+    | Some o -> ring_event t o Obs.Flight_recorder.Publish ~group:g ~detail:id
+
+  (* The [ridx] {!move_lost} takes for an enforcer move. *)
+  let enforcer_ridx = -1
+
+  let implementation_names =
+    Array.of_list (List.map (fun r -> r.Rule.i_name) M.implementations)
+
+  (* EXPLAIN provenance: why a move of [gs] lost, or that it completed. *)
+  let record_alt t gs ~alg ~rule ~cost ~reason =
+    Memo.record_alt t.memo (Memo.find_root t.memo gs.gs_group) gs.gs_key_id
+      { Memo.a_alg = alg; a_rule = rule; a_cost = cost; a_reason = reason }
+
+  (* Event: a move of [gs] — implementation rule [ridx], or an enforcer
+     — lost after [spent] tasks: pruned over the bound (at partial cost
+     [cost]) or by its lower bound, or its input goal failed. *)
+  let move_lost run gs ~ridx ~alg ~cost ~reason ~spent =
+    match run.rt.obs with
+    | None -> ()
+    | Some o ->
+      let pruned = reason <> Memo.Alt_input_failed in
+      let enforcer = ridx = enforcer_ridx in
+      (match o.o_prof with
+       | None -> ()
+       | Some pf ->
+         let cell = if enforcer then enforcer_cell pf alg else pf.pf_impls.(ridx) in
+         if pruned then Obs.Profile.pruned cell;
+         Obs.Profile.wasted cell spent);
+      if pruned then
+        ring_event run.rt o Obs.Flight_recorder.Prune ~group:gs.gs_group
+          ~detail:(if enforcer then 1 else 0);
+      if o.o_explain then
+        record_alt run.rt gs ~alg
+          ~rule:(if enforcer then "enforcer" else implementation_names.(ridx))
+          ~cost ~reason
+
+  (* Event: a candidate plan of [gs] completed. *)
+  let candidate_completed run gs (p : Memo.plan) =
+    match run.rt.obs with
+    | Some { o_explain = true; _ } ->
+      record_alt run.rt gs ~alg:p.p_alg ~rule:p.p_rule ~cost:(Some p.p_cost)
+        ~reason:Memo.Alt_completed
+    | Some { o_explain = false; _ } | None -> ()
+
+  (* Event: the root goal found a better plan. *)
+  let root_incumbent run gs =
+    match run.rt.obs with
+    | None -> ()
+    | Some o ->
+      ring_event run.rt o Obs.Flight_recorder.Incumbent ~group:gs.gs_group
+        ~detail:run.r_tasks
+
+  (* Event: transformation rule [i] fired and the memo kept [n] new
+     mexprs (it dedups the rest). *)
+  let mexprs_generated t i n =
+    match t.obs with
+    | Some { o_prof = Some pf; _ } -> Obs.Profile.mexprs pf.pf_transforms.(i) n
+    | Some { o_prof = None; _ } | None -> ()
+
+  (* The run bracket: [f] runs with the profiler buffer live (its counts
+     fold into the collector when [f] ends) and a recorder ring held
+     (handed back when [f] ends, so the next run records on over it). *)
+  let watched t f =
+    match t.obs with
+    | None -> f ()
+    | Some o -> (
+      let recording () =
+        match o.o_recorder with
+        | None -> f ()
+        | Some fr ->
+          Obs.Flight_recorder.recording fr (fun ring ->
+              o.o_ring <- Some ring;
+              Fun.protect ~finally:(fun () -> o.o_ring <- None) f)
+      in
+      match o.o_prof with
+      | None -> recording ()
+      | Some pf -> Obs.Profile.writing pf.pf_buf recording)
+
+  (* Event: the budget paused the run. That is an abnormal end, so the
+     flight recorder dumps what the engine was doing. *)
+  let run_paused t reason =
+    match t.obs with
+    | Some { o_recorder = Some fr; _ } ->
+      Obs.Flight_recorder.trigger fr
+        ~reason:
+          (match reason with Task_budget -> "task-budget" | Time_budget -> "time-budget")
+    | Some { o_recorder = None; _ } | None -> ()
+
   (* ------------------------------------------------------------------ *)
   (* Task bodies                                                         *)
   (* ------------------------------------------------------------------ *)
+
+  (* Goal state lives in the memo, addressed by the goal's interned key
+     id (the memo's hash-consing fast path). *)
+  let record_winner t g id plan bound =
+    winner_published t g id;
+    Memo.set_winner_id t.memo g id plan bound
 
   let new_goal t ~group ~required ~excluded ~limit slot =
     {
@@ -645,24 +787,13 @@ module Make (M : Signatures.MODEL) = struct
       gs_span = None;
     }
 
-  (* EXPLAIN provenance: remember why a move of [gs] lost (or that it
-     completed). Gated on [config.explain]; recording never feeds back
-     into the search. *)
-  let note_alt t gs ~alg ~rule ~cost ~reason =
-    if t.config.explain then begin
-      let g = Memo.find_root t.memo gs.gs_group in
-      Memo.record_alt t.memo g gs.gs_key_id
-        { Memo.a_alg = alg; a_rule = rule; a_cost = cost; a_reason = reason }
-    end
-
   (* Record a completed candidate plan against the goal, tightening the
      branch-and-bound bound (Figure 2's Limit update). Moves are pursued
      one at a time in promise order, so on an exact cost tie the
      candidate found first — the more promising move — is kept. *)
   let consider run gs (candidate : Memo.plan) =
     let t = run.rt in
-    note_alt t gs ~alg:candidate.p_alg ~rule:candidate.p_rule
-      ~cost:(Some candidate.p_cost) ~reason:Memo.Alt_completed;
+    candidate_completed run gs candidate;
     let improved =
       match gs.gs_best with
       | None -> (not t.config.pruning) || cost_le candidate.p_cost gs.gs_limit
@@ -674,9 +805,7 @@ module Make (M : Signatures.MODEL) = struct
         if gs.gs_best <> None then
           t.stats.Search_stats.anytime_improvements <-
             t.stats.Search_stats.anytime_improvements + 1;
-        fr_event t Obs.Flight_recorder.Incumbent
-          ~group:(Memo.find_root t.memo gs.gs_group)
-          ~detail:run.r_tasks;
+        root_incumbent run gs;
         run.r_incumbents <- (run.r_tasks, candidate.p_cost) :: run.r_incumbents
       end;
       gs.gs_best <- Some candidate;
@@ -696,15 +825,7 @@ module Make (M : Signatures.MODEL) = struct
      | None ->
        t.stats.failures <- t.stats.failures + 1;
        record_winner t g gs.gs_key_id None gs.gs_limit);
-    (* Credit the winner to the rule (or enforcer algorithm) that
-       produced it. *)
-    (match (gs.gs_best, t.prof) with
-     | Some p, Some pf ->
-       Obs.Profile.plan_won
-         (if p.Memo.p_rule = "enforcer" then enforcer_cell pf p.Memo.p_alg
-          else Obs.Profile.cell pf.pf_buf Obs.Profile.Rule p.Memo.p_rule)
-     | _ -> ());
-    goal_conclude run gs (match gs.gs_best with Some _ -> "won" | None -> "failed");
+    goal_concluded run gs (match gs.gs_best with Some _ -> "won" | None -> "failed");
     gs.gs_slot.answer <- gs.gs_best
 
   (* Schedule the child goal of a pursued move: push the waiter, then
@@ -774,10 +895,7 @@ module Make (M : Signatures.MODEL) = struct
            in
            if doomed then begin
              t.stats.goals_pruned_lb <- t.stats.goals_pruned_lb + 1;
-             impl_pruned t ridx;
-             fr_event t Obs.Flight_recorder.Prune
-               ~group:(Memo.find_root t.memo gs.gs_group) ~detail:0;
-             note_alt t gs ~alg ~rule ~cost:None ~reason:Memo.Alt_pruned_lb;
+             move_lost run gs ~ridx ~alg ~cost:None ~reason:Memo.Alt_pruned_lb ~spent:0;
              next_move run gs
            end
            else
@@ -814,11 +932,8 @@ module Make (M : Signatures.MODEL) = struct
            let sub_limit = M.cost_sub gs.gs_bound local in
            if t.config.pruning && M.cost_compare sub_limit M.cost_zero <= 0 then begin
              t.stats.pruned <- t.stats.pruned + 1;
-             enforcer_pruned t alg;
-             fr_event t Obs.Flight_recorder.Prune
-               ~group:(Memo.find_root t.memo gs.gs_group) ~detail:1;
-             note_alt t gs ~alg ~rule:"enforcer" ~cost:(Some local)
-               ~reason:Memo.Alt_over_bound;
+             move_lost run gs ~ridx:enforcer_ridx ~alg ~cost:(Some local)
+               ~reason:Memo.Alt_over_bound ~spent:0;
              next_move run gs
            end
            else if
@@ -830,10 +945,8 @@ module Make (M : Signatures.MODEL) = struct
              && cost_lt sub_limit (Memo.lower_bound t.memo gs.gs_group relaxed)
            then begin
              t.stats.goals_pruned_lb <- t.stats.goals_pruned_lb + 1;
-             enforcer_pruned t alg;
-             fr_event t Obs.Flight_recorder.Prune
-               ~group:(Memo.find_root t.memo gs.gs_group) ~detail:1;
-             note_alt t gs ~alg ~rule:"enforcer" ~cost:None ~reason:Memo.Alt_pruned_lb;
+             move_lost run gs ~ridx:enforcer_ridx ~alg ~cost:None
+               ~reason:Memo.Alt_pruned_lb ~spent:0;
              next_move run gs
            end
            else begin
@@ -879,12 +992,9 @@ module Make (M : Signatures.MODEL) = struct
       then begin
         t.stats.goals_pruned_lb <- t.stats.goals_pruned_lb + 1;
         t.stats.failures <- t.stats.failures + 1;
-        (match t.prof with
-         | None -> ()
-         | Some pf -> Obs.Profile.pruned pf.pf_optimize_group);
-        fr_event t Obs.Flight_recorder.Prune ~group:g ~detail:2;
+        group_pruned run g;
         record_winner t g kid None gs.gs_limit;
-        goal_conclude run gs "pruned-lb";
+        goal_concluded run gs "pruned-lb";
         gs.gs_slot.answer <- None
       end
       else begin
@@ -898,13 +1008,13 @@ module Make (M : Signatures.MODEL) = struct
     match Memo.winner_id t.memo g kid with
     | Some { w_plan = Some p; _ } ->
       t.stats.goal_hits <- t.stats.goal_hits + 1;
-      goal_conclude run gs "hit";
+      goal_concluded run gs "hit";
       gs.gs_slot.answer <-
         (if (not t.config.pruning) || cost_le p.p_cost gs.gs_limit then Some p else None)
     | Some { w_plan = None; w_bound } ->
       if cost_le gs.gs_limit w_bound then begin
         t.stats.goal_hits <- t.stats.goal_hits + 1;
-        goal_conclude run gs "hit";
+        goal_concluded run gs "hit";
         gs.gs_slot.answer <- None
       end
       else begin
@@ -916,7 +1026,7 @@ module Make (M : Signatures.MODEL) = struct
       end
     | None ->
       if Memo.in_progress t.memo g kid then begin
-        goal_conclude run gs "cycle";
+        goal_concluded run gs "cycle";
         gs.gs_slot.answer <- None
       end
       else start_optimization ()
@@ -1049,12 +1159,7 @@ module Make (M : Signatures.MODEL) = struct
                   results
               end)
             bindings;
-          (* Credit the genuinely new mexprs (the memo dedups the rest)
-             to the rule that generated them. *)
-          match t.prof with
-          | None -> ()
-          | Some pf ->
-            Obs.Profile.mexprs pf.pf_transforms.(i) (t.stats.mexprs_created - mexprs_before)
+          mexprs_generated t i (t.stats.mexprs_created - mexprs_before)
         end
       end
     end
@@ -1079,9 +1184,8 @@ module Make (M : Signatures.MODEL) = struct
            false)
     in
     if failed then begin
-      impl_wasted t st.im_ridx (run.r_tasks - st.im_start);
-      note_alt t gs ~alg:st.im_alg ~rule:st.im_rule ~cost:None
-        ~reason:Memo.Alt_input_failed;
+      move_lost run gs ~ridx:st.im_ridx ~alg:st.im_alg ~cost:None
+        ~reason:Memo.Alt_input_failed ~spent:(run.r_tasks - st.im_start);
       next_move run gs
     end
     else
@@ -1117,13 +1221,10 @@ module Make (M : Signatures.MODEL) = struct
         in
         if over_bound then begin
           t.stats.pruned <- t.stats.pruned + 1;
-          impl_pruned t st.im_ridx;
-          impl_wasted t st.im_ridx (run.r_tasks - st.im_start);
-          fr_event t Obs.Flight_recorder.Prune
-            ~group:(Memo.find_root t.memo gs.gs_group) ~detail:0;
-          note_alt t gs ~alg:st.im_alg ~rule:st.im_rule
+          move_lost run gs ~ridx:st.im_ridx ~alg:st.im_alg
             ~cost:(if over_acc then Some st.im_acc_cost else None)
-            ~reason:(if over_acc then Memo.Alt_over_bound else Memo.Alt_pruned_lb);
+            ~reason:(if over_acc then Memo.Alt_over_bound else Memo.Alt_pruned_lb)
+            ~spent:(run.r_tasks - st.im_start);
           next_move run gs
         end
         else begin
@@ -1153,16 +1254,11 @@ module Make (M : Signatures.MODEL) = struct
         end
 
   let apply_enforcer run (st : enf_state) =
-    let t = run.rt in
     let gs = st.en_goal in
     (match st.en_slot.answer with
      | None ->
-       (match t.prof with
-        | None -> ()
-        | Some pf ->
-          Obs.Profile.wasted (enforcer_cell pf st.en_alg) (run.r_tasks - st.en_start));
-       note_alt t gs ~alg:st.en_alg ~rule:"enforcer" ~cost:None
-         ~reason:Memo.Alt_input_failed
+       move_lost run gs ~ridx:enforcer_ridx ~alg:st.en_alg ~cost:None
+         ~reason:Memo.Alt_input_failed ~spent:(run.r_tasks - st.en_start)
      | Some sub ->
        consider run gs
          {
@@ -1193,50 +1289,6 @@ module Make (M : Signatures.MODEL) = struct
     | T_optimize_inputs st -> optimize_inputs run st
     | T_apply_enforcer st -> apply_enforcer run st
 
-  (* Dispatch one task, under a trace span when tracing is on. *)
-  let exec_with_trace run task =
-    let t = run.rt in
-    match t.tr_buf with
-    | None -> exec_task run task
-    | Some buf ->
-      (* A goal consultation begins the goal: open its span first so
-         this task — and the goal's whole task subtree — nests inside
-         it. *)
-      (match task with
-       | T_optimize_group gs when gs.gs_phase = G_init && gs.gs_span = None ->
-         goal_open run buf gs
-       | _ -> ());
-      let parent = task_parent run task in
-      let sp =
-        Obs.Trace.open_span buf ?parent ~cat:"task"
-          ~group:(Memo.find_root t.memo (task_group task))
-          (Search_stats.task_kind_name (task_kind task))
-      in
-      (match exec_task run task with
-       | () -> Obs.Trace.close sp
-       | exception e ->
-         Obs.Trace.close ~outcome:"abandoned" sp;
-         flush_goal_closes run;
-         raise e);
-      (* Goals concluded during the task close after it, keeping the
-         bracketing proper: the task span is the goal's last child. *)
-      flush_goal_closes run
-
-  (* Close the profiler / flight-recorder bracket of a task begun at
-     [ns0]: one clock read serves both, so a task reads the clock twice
-     whichever of them are attached. *)
-  let end_task t task ~ns0 =
-    let ns = Obs.Clock.now_int () in
-    (match t.prof with
-     | None -> ()
-     | Some pf -> Obs.Profile.task (task_cell pf task) ~ns:(ns - ns0));
-    match t.fr_ring with
-    | None -> ()
-    | Some ring ->
-      Obs.Flight_recorder.record_at ring Obs.Flight_recorder.Task_end ~ns
-        ~group:(Memo.find_root t.memo (task_group task))
-        ~detail:(task_code task)
-
   (* Execute one task. Returns [false] when the stack is empty. *)
   let step run =
     match run.r_stack with
@@ -1245,27 +1297,13 @@ module Make (M : Signatures.MODEL) = struct
       run.r_stack <- rest;
       run.r_depth <- run.r_depth - 1;
       run.r_tasks <- run.r_tasks + 1;
-      let t = run.rt in
-      Search_stats.count_task t.stats (task_kind task);
-      (match (t.prof, t.fr_ring) with
-       | None, None -> exec_with_trace run task
-       | _ ->
-         let ns0 = Obs.Clock.now_int () in
-         (match t.fr_ring with
-          | None -> ()
-          | Some ring ->
-            Obs.Flight_recorder.record_at ring Obs.Flight_recorder.Task_begin ~ns:ns0
-              ~group:(Memo.find_root t.memo (task_group task))
-              ~detail:(task_code task));
-         (* Exactly one profile charge per executed task — including
-            a task that raises, which the task counters also include:
-            the attribution-parity invariant (sum of per-entry tasks =
-            total tasks). *)
-         (match exec_with_trace run task with
-          | () -> end_task t task ~ns0
-          | exception e ->
-            end_task t task ~ns0;
-            raise e));
+      Search_stats.count_task run.rt.stats (task_kind task);
+      task_begin run task;
+      (match exec_task run task with
+       | () -> task_end run task
+       | exception e ->
+         task_end ~outcome:"abandoned" run task;
+         raise e);
       true
 
   (** Begin a resumable optimization: capture the query in the memo and
@@ -1286,7 +1324,6 @@ module Make (M : Signatures.MODEL) = struct
         r_millis = 0.;
         r_status = None;
         r_open_goals = [];
-        r_closing = [];
       }
     in
     push run (T_optimize_group goal);
@@ -1322,20 +1359,10 @@ module Make (M : Signatures.MODEL) = struct
             ignore (step run : bool);
             loop ()
       in
-      let status = profiling run.rt (fun () -> recording run.rt loop) in
+      let status = watched run.rt loop in
       run.r_millis <- run.r_millis +. ((Unix.gettimeofday () -. t0) *. 1000.);
       run.r_status <- Some status;
-      (* A budget pause is an abnormal end: dump the flight recorder so
-         the post-mortem shows what the engine was doing when the
-         budget ran out. *)
-      (match (status, run.rt.config.recorder) with
-       | Paused reason, Some fr ->
-         Obs.Flight_recorder.trigger fr
-           ~reason:
-             (match reason with
-              | Task_budget -> "task-budget"
-              | Time_budget -> "time-budget")
-       | _ -> ());
+      (match status with Paused reason -> run_paused run.rt reason | Complete -> ());
       status
 
   (* ------------------------------------------------------------------ *)
@@ -1378,16 +1405,6 @@ module Make (M : Signatures.MODEL) = struct
   (* EXPLAIN: winner provenance from the memo                            *)
   (* ------------------------------------------------------------------ *)
 
-  (** A losing alternative of an optimization goal, with the reason the
-      search let it go (see {!Memo.alt_reason}). Recorded only when
-      [config.explain] is on. *)
-  type explain_alt = {
-    xa_alg : string;
-    xa_rule : string;
-    xa_cost : M.cost option;  (** completed or partial cost, if one was known *)
-    xa_reason : Memo.alt_reason;
-  }
-
   (** One node of the winning physical expression, re-read from the
       winner tables: the chosen algorithm, the implementation rule that
       produced it, its total and local costs, and the alternatives the
@@ -1401,7 +1418,9 @@ module Make (M : Signatures.MODEL) = struct
     x_cost : M.cost;  (** total cost of this subtree *)
     x_local : M.cost;  (** this node's own cost (total minus inputs) *)
     x_inputs : explain_node list;
-    x_alts : explain_alt list;  (** losing alternatives of this goal *)
+    x_alts : Memo.alt list;
+        (** losing alternatives of this goal, with the reasons the search
+            let them go; recorded only when [config.explain] is on *)
   }
 
   let rec explain_goal t g ~required ~excluded : explain_node option =
@@ -1434,17 +1453,7 @@ module Make (M : Signatures.MODEL) = struct
         | [] -> []
         | a :: rest -> if is_winner a then rest else a :: drop_winner rest
       in
-      let alts =
-        List.map
-          (fun (a : Memo.alt) ->
-            {
-              xa_alg = M.alg_name a.Memo.a_alg;
-              xa_rule = a.Memo.a_rule;
-              xa_cost = a.Memo.a_cost;
-              xa_reason = a.Memo.a_reason;
-            })
-          (drop_winner (Memo.alts t.memo g id))
-      in
+      let alts = drop_winner (Memo.alts t.memo g id) in
       Some
         {
           x_group = g;
@@ -1464,10 +1473,10 @@ module Make (M : Signatures.MODEL) = struct
       alternatives). *)
   let explain t g ~required = explain_goal t g ~required ~excluded:None
 
-  let reason_label ~winner_cost (a : explain_alt) =
-    match a.xa_reason with
+  let reason_label ~winner_cost (a : Memo.alt) =
+    match a.a_reason with
     | Memo.Alt_completed -> (
-      match a.xa_cost with
+      match a.a_cost with
       | Some c when M.cost_compare c winner_cost = 0 ->
         Printf.sprintf "completed at cost %s, tied with winner (pursued later)"
           (M.cost_to_string c)
@@ -1476,7 +1485,7 @@ module Make (M : Signatures.MODEL) = struct
           (M.cost_to_string winner_cost)
       | None -> "completed, costlier than winner")
     | Memo.Alt_over_bound -> (
-      match a.xa_cost with
+      match a.a_cost with
       | Some c ->
         Printf.sprintf "abandoned at partial cost %s: bound exceeded"
           (M.cost_to_string c)
@@ -1494,8 +1503,8 @@ module Make (M : Signatures.MODEL) = struct
         (M.alg_name n.x_alg) (M.pp_to_string n.x_provided)
         (M.cost_to_string n.x_cost) (M.cost_to_string n.x_local) n.x_rule n.x_group;
       List.iter
-        (fun (a : explain_alt) ->
-          Format.fprintf ppf "%s  ~ %s via %s: %s@\n" pad a.xa_alg a.xa_rule
+        (fun (a : Memo.alt) ->
+          Format.fprintf ppf "%s  ~ %s via %s: %s@\n" pad (M.alg_name a.a_alg) a.a_rule
             (reason_label ~winner_cost:n.x_cost a))
         n.x_alts;
       List.iter (fun c -> go (depth + 2) c) n.x_inputs
@@ -1559,24 +1568,6 @@ module Make (M : Signatures.MODEL) = struct
     let run = start ~limit t query ~required in
     ignore (resume ?budget run : status);
     outcome_of run
-
-  (* Render the memo: every equivalence class with its logical
-     multi-expressions and the winners recorded per optimization goal —
-     the paper's "hash table of expressions and equivalence classes"
-     made visible for debugging and teaching. *)
-  let pp_memo ppf t =
-    List.iter
-      (fun g ->
-        let mexprs = Memo.mexprs t.memo g in
-        if mexprs <> [] then begin
-          Format.fprintf ppf "group %d:@\n" g;
-          List.iter
-            (fun (m : Memo.mexpr) ->
-              Format.fprintf ppf "  %s(%s)@\n" (M.op_name m.op)
-                (String.concat ", " (List.map string_of_int m.inputs)))
-            mexprs
-        end)
-      (Memo.roots t.memo)
 
   let pp_plan ppf (p : plan_tree) =
     let rec go depth node =

@@ -309,6 +309,30 @@ let test_escape_replans_and_recovers () =
   Alcotest.(check (float 1e-6)) "row count corrected" 60.
     tbl.Catalog.stats.Catalog.Stats.row_count
 
+(* An escape is an abnormal end: the request's own flight recorder, the
+   one its searches write to, dumps with the escape's reason. *)
+let test_escape_dumps_request_recorder () =
+  let catalog = Helpers.small_catalog () in
+  skew_rows catalog "r" (1. /. 30.);
+  let recorder = Obs.Flight_recorder.create () in
+  let request = { (Relmodel.Optimizer.request catalog) with recorder = Some recorder } in
+  let query =
+    Logical.select
+      Expr.(col "r.a" <=% int 3)
+      (Logical.join Expr.(col "r.a" =% col "s.a") (Logical.get "r") (Logical.get "s"))
+  in
+  let outcome =
+    Feedback.run
+      ~config:(Feedback.config ~escape_factor:2. ())
+      request query ~required:Phys_prop.any
+  in
+  Alcotest.(check bool) "escaped" true outcome.Feedback.report.Feedback.escaped;
+  Alcotest.(check string) "dump reason" "feedback-escape"
+    (Obs.Flight_recorder.last_reason recorder);
+  Alcotest.(check bool) "dumped" true (Obs.Flight_recorder.dumps recorder >= 1);
+  Alcotest.(check bool) "the dump holds the search's events" true
+    (Obs.Flight_recorder.recorded recorder > 0)
+
 (* ---------- counters ---------- *)
 
 let test_feedback_counters () =
@@ -399,6 +423,8 @@ let suite =
     Alcotest.test_case "escape never fires on exact estimates" `Quick
       test_escape_never_fires_on_exact_estimates;
     Alcotest.test_case "escape replans and recovers" `Quick test_escape_replans_and_recovers;
+    Alcotest.test_case "escape dumps the request's recorder" `Quick
+      test_escape_dumps_request_recorder;
     Alcotest.test_case "feedback counters" `Quick test_feedback_counters;
     prop_observed_run_bit_identical;
   ]

@@ -795,6 +795,47 @@ let prop_profile_plan_inert =
       plain = render result
       && Obs.Profile.total_tasks profiler = result.stats.Volcano.Search_stats.tasks)
 
+(* Every observer on one run: each engine event reaches every
+   consumer. The plan is the unobserved one; the task spans, the
+   profile's task charges, the task counter and the recorder's
+   task-begin events all count the same tasks; the recorder's prune
+   events match the profile's pruned charges; and EXPLAIN reads as it
+   does alone. *)
+let test_every_observer_one_run () =
+  List.iter
+    (fun (shape, name, n, seed) ->
+      let q = workload ~shape ~n ~seed in
+      let tracer = Obs.Trace.create () in
+      let profiler = Obs.Profile.create () in
+      let recorder = Obs.Flight_recorder.create ~capacity:200_000 () in
+      let all = optimize ~tracer ~profiler ~recorder ~explain:true q in
+      let explain_only = optimize ~explain:true q in
+      Alcotest.(check string) (name ^ ": plan unchanged") (render (optimize q)) (render all);
+      Alcotest.(check int) (name ^ ": nothing dropped") 0 (Obs.Flight_recorder.dropped recorder);
+      let tasks = all.stats.Volcano.Search_stats.tasks in
+      let events = Obs.Flight_recorder.events recorder in
+      let count kind =
+        List.length (List.filter (fun (e : Obs.Flight_recorder.event) -> e.kind = kind) events)
+      in
+      let task_spans =
+        List.filter (fun (sp : Obs.Trace.span) -> sp.sp_cat = "task") (Obs.Trace.spans tracer)
+      in
+      Alcotest.(check int) (name ^ ": task spans") tasks (List.length task_spans);
+      Alcotest.(check int) (name ^ ": profiled tasks") tasks (Obs.Profile.total_tasks profiler);
+      Alcotest.(check int) (name ^ ": task-begin events") tasks
+        (count Obs.Flight_recorder.Task_begin);
+      Alcotest.(check int) (name ^ ": prune events = pruned charges")
+        (List.fold_left
+           (fun acc (e : Obs.Profile.entry) -> acc + e.pruned)
+           0 (Obs.Profile.report profiler))
+        (count Obs.Flight_recorder.Prune);
+      Alcotest.(check (option string)) (name ^ ": explain unchanged") explain_only.explain
+        all.explain)
+    [
+      (Workload.Chain, "chain n=4", 4, 23);
+      (Workload.Star, "star n=5", 5, 105);
+    ]
+
 (* Every count column of the profile report on fixed queries matches
    the golden listing ({!Golden_profile}): attribution is a function of
    the search alone, whatever the recording mechanism. *)
@@ -974,6 +1015,7 @@ let suite =
       test_profiling_bit_identity;
     prop_profile_plan_inert;
     Alcotest.test_case "profile attribution golden" `Quick test_profile_golden;
+    Alcotest.test_case "every observer on one run" `Quick test_every_observer_one_run;
     Alcotest.test_case "profile buffers fold on session renewal" `Quick
       test_profile_buffers_fold;
     Alcotest.test_case "profiler allocation per task" `Quick test_profiler_allocation;

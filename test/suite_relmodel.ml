@@ -63,15 +63,6 @@ let test_assoc_split () =
   Alcotest.(check int) "one conjunct below" 1 (List.length (Expr.conjuncts bottom));
   Alcotest.(check int) "two conjuncts above" 2 (List.length (Expr.conjuncts top))
 
-let test_links_schemas () =
-  let sb = (Catalog.find catalog "s").Catalog.schema in
-  let sc = (Catalog.find catalog "t").Catalog.schema in
-  let open Expr in
-  Alcotest.(check bool) "linking predicate" true
-    (Relmodel.Rewrites.links_schemas sb sc (col "s.c" =% col "t.c"));
-  Alcotest.(check bool) "one-sided predicate" false
-    (Relmodel.Rewrites.links_schemas sb sc (col "s.c" >% int 0))
-
 (* Model-level checks through a first-class instance. *)
 module M = (val Relmodel.Rel_model.make ~catalog ())
 
@@ -171,7 +162,6 @@ let suite =
     Alcotest.test_case "derive group by" `Quick test_derive_group_by;
     Alcotest.test_case "commuted join same card" `Quick test_commuted_join_same_card;
     Alcotest.test_case "assoc predicate split" `Quick test_assoc_split;
-    Alcotest.test_case "links_schemas" `Quick test_links_schemas;
     Alcotest.test_case "deliver functions" `Quick test_deliver_functions;
     Alcotest.test_case "enforcers check columns" `Quick test_enforcers_valid_columns_only;
     Alcotest.test_case "no enforcers for any" `Quick test_enforcers_trivial_requirement;

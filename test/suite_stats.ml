@@ -55,7 +55,7 @@ let reference_of_tuples (schema : Schema.t) (tuples : Tuple.t array) : Catalog.S
     | v0 :: _ ->
       let lo = List.fold_left Float.min v0 values in
       let hi = List.fold_left Float.max v0 values in
-      if hi <= lo then None
+      if (not (Float.is_finite lo && Float.is_finite hi)) || hi <= lo then None
       else begin
         let buckets = Array.make bucket_count 0. in
         let width = (hi -. lo) /. Float.of_int bucket_count in
@@ -122,7 +122,7 @@ let same_stats (a : Catalog.Stats.t) (b : Catalog.Stats.t) =
 (* Columns of a few kinds: all NULL, one value (with NULLs), numbers
    only, and anything. Values come from small pools, so numbers tie
    across types ([Int 1], [Float 1.], [Float (-0.)] and [Int 0]) and
-   strings and booleans repeat. *)
+   strings and booleans repeat; NaN and the infinities appear too. *)
 let gen_table =
   let open QCheck.Gen in
   let number =
@@ -131,6 +131,7 @@ let gen_table =
         map (fun i -> Value.Int i) (int_range (-3) 3);
         map (fun i -> Value.Float (float_of_int i)) (int_range (-3) 3);
         oneofl [ Value.Float 0.5; Value.Float (-0.); Value.Float 2.5 ];
+        oneofl [ Value.Float Float.nan; Value.Float Float.infinity; Value.Float Float.neg_infinity ];
       ]
   in
   let any =
@@ -172,6 +173,19 @@ let prop_stats_match_reference =
     (fun (arity, tuples) ->
       let schema = Array.init arity (fun i -> Schema.attribute (Printf.sprintf "t.c%d" i) Schema.TInt) in
       same_stats (Catalog.Stats.of_tuples schema tuples) (reference_of_tuples schema tuples))
+
+(* A NaN or an infinity among a column's numbers leaves histogram
+   bounds that cover nothing, so the column gets no histogram; its
+   other statistics are still built. *)
+let test_non_finite_no_histogram () =
+  let schema = [| Schema.attribute "t.x" Schema.TInt |] in
+  List.iter
+    (fun (label, xs) ->
+      let tuples = Array.of_list (List.map (fun x -> [| Value.Float x |]) xs) in
+      let cs = Option.get (Catalog.Stats.column (Catalog.Stats.of_tuples schema tuples) "t.x") in
+      Alcotest.(check bool) (label ^ ": no histogram") true (cs.histogram = None);
+      Alcotest.(check (float 0.)) (label ^ ": distinct values") 2. cs.n_distinct)
+    [ ("[nan; 1.]", [ Float.nan; 1. ]); ("[0.; infinity]", [ 0.; Float.infinity ]) ]
 
 (* Machine-neutral gate: building statistics allocates a few words per
    value, minor and major heap together. The list/[Set] build took
@@ -360,6 +374,8 @@ let suite =
     Alcotest.test_case "null accounting" `Quick test_nulls;
     Alcotest.test_case "histogram fractions" `Quick test_histogram_fraction;
     prop_stats_match_reference;
+    Alcotest.test_case "non-finite numbers get no histogram" `Quick
+      test_non_finite_no_histogram;
     Alcotest.test_case "of_tuples allocation" `Quick test_of_tuples_allocation;
     Alcotest.test_case "synthetic rows match the reference" `Quick
       test_synthetic_matches_reference;
