@@ -38,10 +38,11 @@ struct
       a
     | [] -> Array.make (1 lsl c) E.fill
 
-  (* Hand back an array from [take]; the caller must not use it again. *)
+  (* Hand back an array from [take]; the caller must not use it again.
+     An empty array comes from no [take] and is not kept. *)
   let give a =
     let free = Domain.DLS.get free and c = log2 (Array.length a) in
-    if List.compare_length_with free.(c) keep < 0 then begin
+    if Array.length a > 0 && List.compare_length_with free.(c) keep < 0 then begin
       Array.fill a 0 (Array.length a) E.fill;
       free.(c) <- a :: free.(c)
     end
@@ -59,6 +60,22 @@ module Rows = Make (struct
   let fill = [||]
 end)
 
+(* Store [t] after the first [n] rows of [buf], an array from [Rows]
+   or empty, moving the rows to one twice as long when [buf] is full;
+   the array that holds them now. *)
+let push buf n t =
+  let buf =
+    if n < Array.length buf then buf
+    else begin
+      let bigger = Rows.take (2 * max 8 n) in
+      Array.blit buf 0 bigger 0 n;
+      Rows.give buf;
+      bigger
+    end
+  in
+  buf.(n) <- t;
+  buf
+
 (* Pull rows from [next] until it reports the end, into a buffer from
    [Rows]: the buffer and the number of rows in it. The caller gives
    the buffer back. *)
@@ -68,13 +85,7 @@ let drain next =
     match next () with
     | None -> ()
     | Some t ->
-      if !n = Array.length !buf then begin
-        let bigger = Rows.take (2 * !n) in
-        Array.blit !buf 0 bigger 0 !n;
-        Rows.give !buf;
-        buf := bigger
-      end;
-      !buf.(!n) <- t;
+      buf := push !buf !n t;
       incr n;
       go ()
   in

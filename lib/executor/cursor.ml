@@ -21,10 +21,14 @@ let of_array schema tuples =
     close = ignore;
   }
 
-let to_array c =
+let drain c =
   c.open_ ();
-  let buf, n = Array_pool.drain c.next in
+  let rows = Array_pool.drain c.next in
   c.close ();
+  rows
+
+let to_array c =
+  let buf, n = drain c in
   let out = Array.sub buf 0 n in
   Array_pool.Rows.give buf;
   out
@@ -67,6 +71,6 @@ let filter_stream keep input =
   let rec next () =
     match input.next () with
     | None -> None
-    | Some t -> if keep t then Some t else next ()
+    | Some t as r -> if keep t then r else next ()
   in
   { schema = input.schema; open_ = input.open_; next; close = input.close }

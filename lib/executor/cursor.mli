@@ -17,6 +17,11 @@ val of_array : Relalg.Schema.t -> Relalg.Tuple.t array -> t
 (** A cursor delivering the array's tuples in order; [open_] rewinds to
     the first tuple. *)
 
+val drain : t -> Relalg.Tuple.t array * int
+(** Drive a cursor to exhaustion (open, drain, close) into a buffer
+    from [Array_pool.Rows]: the buffer and the number of rows at its
+    start. The caller gives the buffer back. *)
+
 val to_array : t -> Relalg.Tuple.t array
 (** Drive a cursor to exhaustion: open, drain, close. *)
 

@@ -110,9 +110,7 @@ module Index = struct
      index is sized once. *)
   let build ?(keep = fun _ -> true) t (input : Cursor.t) =
     release t;
-    input.Cursor.open_ ();
-    let rows, n = Array_pool.drain input.Cursor.next in
-    input.Cursor.close ();
+    let rows, n = Cursor.drain input in
     alloc t rows;
     t.size <- n;
     for p = 0 to n - 1 do
@@ -181,30 +179,47 @@ let key_positions schema cols = Array.of_list (List.map (Schema.index_of schema)
 
 let all_columns (schema : Schema.t) = Array.init (Array.length schema) Fun.id
 
-(* A cursor over the first [n] rows of the array [fill ()] returns as
-   [(rows, n)] each time the cursor opens. *)
+(* Rows held by an operator: the first [size] rows of [rows], an array
+   from [Array_pool.Rows] or empty. *)
+type buffer = {
+  mutable rows : Tuple.t array;
+  mutable size : int;
+}
+
+let buffer () = { rows = [||]; size = 0 }
+
+(* Hold the rows [(rows, size)], as [Cursor.drain] returns them. *)
+let hold b (rows, size) =
+  b.rows <- rows;
+  b.size <- size
+
+(* Give the held array back to the pool and hold nothing. *)
+let release b =
+  Array_pool.Rows.give b.rows;
+  b.rows <- [||];
+  b.size <- 0
+
+(* A cursor over the rows [fill ()] returns, in a buffer from
+   [Array_pool.Rows], each time the cursor opens. The buffer goes back
+   to the pool on close or re-open. *)
 let array_cursor schema fill : Cursor.t =
-  let rows = ref [||] and n = ref 0 and pos = ref 0 in
+  let held = buffer () and pos = ref 0 in
   {
     Cursor.schema;
     open_ =
       (fun () ->
-        let r, k = fill () in
-        rows := r;
-        n := k;
+        release held;
+        hold held (fill ());
         pos := 0);
     next =
       (fun () ->
-        if !pos >= !n then None
+        if !pos >= held.size then None
         else begin
-          let t = !rows.(!pos) in
+          let t = held.rows.(!pos) in
           incr pos;
           Some t
         end);
-    close =
-      (fun () ->
-        rows := [||];
-        n := 0);
+    close = (fun () -> release held);
   }
 
 (* ---------------------------------------------------------------------- *)
@@ -361,32 +376,33 @@ let table_scan ctx name : Cursor.t =
    qualifying fraction occupies (plus one for the index descent). *)
 let index_scan ctx name cols pred : Cursor.t =
   let table = Catalog.find ctx.catalog name in
-  let keep = Expr.eval_pred table.schema pred in
+  let keep = Expr.test table.schema pred in
   let cmp = Sort_order.compare_tuples table.schema (Sort_order.asc cols) in
   array_cursor table.schema (fun () ->
-      let qualifying =
-        Cursor.to_array (Cursor.filter_stream keep (Cursor.of_array table.schema table.tuples))
+      let rows, n =
+        Cursor.drain (Cursor.filter_stream keep (Cursor.of_array table.schema table.tuples))
       in
-      sort_rows cmp qualifying (Array.length qualifying);
-      Io_stats.read ctx.io (1 + pages_of ctx table.schema (Array.length qualifying));
-      (qualifying, Array.length qualifying))
+      sort_rows cmp rows n;
+      Io_stats.read ctx.io (1 + pages_of ctx table.schema n);
+      (rows, n))
 
-(* Materialize an input, counting spill I/O when it exceeds the sort
-   workspace (single-level merge: write runs, read them back). *)
+(* Materialize an input into a buffer from [Array_pool.Rows], counting
+   spill I/O when it exceeds the sort workspace (single-level merge:
+   write runs, read them back); the buffer and its row count. *)
 let materialize_for_sort ctx (input : Cursor.t) =
-  let tuples = Cursor.to_array input in
-  let pages = pages_of ctx input.Cursor.schema (Array.length tuples) in
+  let rows, n = Cursor.drain input in
+  let pages = pages_of ctx input.Cursor.schema n in
   if pages > ctx.memory_pages then begin
     Io_stats.write ctx.io pages;
     Io_stats.read ctx.io pages
   end;
-  tuples
+  (rows, n)
 
-(* Keep the first of every run of equal tuples in a sorted array, in
-   place; the number kept. *)
-let dedup_sorted (tuples : Tuple.t array) =
-  let kept = ref (min 1 (Array.length tuples)) in
-  for i = 1 to Array.length tuples - 1 do
+(* Keep the first of every run of equal tuples among the first [n] of a
+   sorted array, in place; the number kept. *)
+let dedup_sorted (tuples : Tuple.t array) n =
+  let kept = ref (min 1 n) in
+  for i = 1 to n - 1 do
     if not (Tuple.equal tuples.(!kept - 1) tuples.(i)) then begin
       tuples.(!kept) <- tuples.(i);
       incr kept
@@ -398,9 +414,9 @@ let sort_op ctx order ~dedup (input : Cursor.t) : Cursor.t =
   let schema = input.Cursor.schema in
   let cmp = Sort_order.compare_tuples schema order in
   array_cursor schema (fun () ->
-      let tuples = materialize_for_sort ctx input in
-      sort_rows cmp tuples (Array.length tuples);
-      (tuples, if dedup then dedup_sorted tuples else Array.length tuples))
+      let rows, n = materialize_for_sort ctx input in
+      sort_rows cmp rows n;
+      (rows, if dedup then dedup_sorted rows n else n))
 
 let hash_dedup_op (input : Cursor.t) : Cursor.t =
   let seen = Index.create (all_columns input.Cursor.schema) in
@@ -422,10 +438,17 @@ let hash_dedup_op (input : Cursor.t) : Cursor.t =
         input.Cursor.close ());
   }
 
+(* The first position from [p] on whose row of [inner] passes [keep]
+   with the outer row [l], or [inner.size]. *)
+let rec scan_inner keep l inner p =
+  if p >= inner.size || keep l inner.rows.(p) then p else scan_inner keep l inner (p + 1)
+
+(* The inner input is drained into a pooled buffer on open; only the
+   pairs that pass the predicate are concatenated. *)
 let nested_loop_join pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
   let schema = Schema.concat left.Cursor.schema right.Cursor.schema in
-  let keep = Expr.eval_pred schema pred in
-  let inner = ref [||] in
+  let keep = Expr.test_pair ~left:left.Cursor.schema ~right:right.Cursor.schema pred in
+  let inner = buffer () in
   let outer_cur = ref None in
   let inner_pos = ref 0 in
   let rec next () =
@@ -433,35 +456,35 @@ let nested_loop_join pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
     | None -> begin
       match left.Cursor.next () with
       | None -> None
-      | Some l ->
-        outer_cur := Some l;
+      | Some _ as o ->
+        outer_cur := o;
         inner_pos := 0;
         next ()
     end
     | Some l ->
-      if !inner_pos >= Array.length !inner then begin
+      let p = scan_inner keep l inner !inner_pos in
+      if p >= inner.size then begin
         outer_cur := None;
         next ()
       end
       else begin
-        let r = !inner.(!inner_pos) in
-        incr inner_pos;
-        let joined = Tuple.concat l r in
-        if keep joined then Some joined else next ()
+        inner_pos := p + 1;
+        Some (Tuple.concat l inner.rows.(p))
       end
   in
   {
     Cursor.schema;
     open_ =
       (fun () ->
-        inner := Cursor.to_array right;
+        release inner;
+        hold inner (Cursor.drain right);
         outer_cur := None;
         inner_pos := 0;
         left.Cursor.open_ ());
     next;
     close =
       (fun () ->
-        inner := [||];
+        release inner;
         left.Cursor.close ());
   }
 
@@ -470,7 +493,7 @@ let nested_loop_join pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
    chains run. Keys containing NULL never match. *)
 let hash_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
   let schema = Schema.concat left.Cursor.schema right.Cursor.schema in
-  let keep = Expr.eval_pred schema pred in
+  let keep = Expr.test_pair ~left:left.Cursor.schema ~right:right.Cursor.schema pred in
   let lidx = key_positions left.Cursor.schema (List.map fst keys) in
   let ridx = key_positions right.Cursor.schema (List.map snd keys) in
   let table = Index.create ridx in
@@ -479,8 +502,7 @@ let hash_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
     if !pos >= 0 then begin
       let r = Index.row table !pos in
       pos := Index.find_next table !probe_hash lidx !probe !pos;
-      let joined = Tuple.concat !probe r in
-      if keep joined then Some joined else next ()
+      if keep !probe r then Some (Tuple.concat !probe r) else next ()
     end
     else begin
       match left.Cursor.next () with
@@ -510,25 +532,14 @@ let hash_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
         left.Cursor.close ());
   }
 
-(* One side's current group of equal-key rows in a merge join: the
-   first [size] rows of [rows], an array reused from group to group. *)
-type group = {
-  mutable rows : Tuple.t array;
-  mutable size : int;
-}
-
-(* Refill [g] with the consecutive rows from [!cur] on whose key at
+(* Refill [g], one side's current group of equal-key rows in a merge
+   join, with the consecutive rows from [!cur] on whose key at
    [idx] equals [first]'s, pulling them from [input]; leaves [cur] at
    the first row that differs. *)
 let rec collect_group g (input : Cursor.t) cur idx first =
   match !cur with
   | Some t when compare_keys idx t idx first 0 = 0 ->
-    if g.size = Array.length g.rows then begin
-      let bigger = Array.make (max 8 (2 * g.size)) [||] in
-      Array.blit g.rows 0 bigger 0 g.size;
-      g.rows <- bigger
-    end;
-    g.rows.(g.size) <- t;
+    g.rows <- Array_pool.push g.rows g.size t;
     g.size <- g.size + 1;
     cur := input.Cursor.next ();
     collect_group g input cur idx first
@@ -540,7 +551,7 @@ let rec collect_group g (input : Cursor.t) cur idx first =
    whose key contains NULL are skipped: they never match. *)
 let merge_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
   let schema = Schema.concat left.Cursor.schema right.Cursor.schema in
-  let keep = Expr.eval_pred schema pred in
+  let keep = Expr.test_pair ~left:left.Cursor.schema ~right:right.Cursor.schema pred in
   let lidx = key_positions left.Cursor.schema (List.map fst keys) in
   let ridx = key_positions right.Cursor.schema (List.map snd keys) in
   let lcur = ref None and rcur = ref None in
@@ -548,25 +559,21 @@ let merge_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
   let advance_r () = rcur := right.Cursor.next () in
   (* The current cross product: left group, right group, and the next
      pair to emit. *)
-  let lgroup = { rows = [||]; size = 0 } and rgroup = { rows = [||]; size = 0 } in
+  let lgroup = buffer () and rgroup = buffer () in
   let li = ref 0 and ri = ref 0 in
   let start_group g cur input idx first =
     g.size <- 0;
     collect_group g input cur idx first
   in
-  let clear g =
-    g.rows <- [||];
-    g.size <- 0
-  in
   let rec next () =
     if !li < lgroup.size then begin
-      let t = Tuple.concat lgroup.rows.(!li) rgroup.rows.(!ri) in
+      let l = lgroup.rows.(!li) and r = rgroup.rows.(!ri) in
       incr ri;
       if !ri >= rgroup.size then begin
         ri := 0;
         incr li
       end;
-      if keep t then Some t else next ()
+      if keep l r then Some (Tuple.concat l r) else next ()
     end
     else begin
       match !lcur, !rcur with
@@ -604,13 +611,13 @@ let merge_join keys pred (left : Cursor.t) (right : Cursor.t) : Cursor.t =
         right.Cursor.open_ ();
         advance_l ();
         advance_r ();
-        clear lgroup;
-        clear rgroup);
+        release lgroup;
+        release rgroup);
     next;
     close =
       (fun () ->
-        clear lgroup;
-        clear rgroup;
+        release lgroup;
+        release rgroup;
         left.Cursor.close ();
         right.Cursor.close ());
   }
@@ -778,11 +785,13 @@ let hash_aggregate keys aggs (input : Cursor.t) : Cursor.t =
           in
           update !states.(g) t)
         input;
-      let out =
-        Array.init (Index.length groups) (fun g -> finalize (Index.row groups g) !states.(g))
-      in
+      let n = Index.length groups in
+      let out = Array_pool.Rows.take n in
+      for g = 0 to n - 1 do
+        out.(g) <- finalize (Index.row groups g) !states.(g)
+      done;
       Index.release groups;
-      (out, Array.length out))
+      (out, n))
 
 let stream_aggregate keys aggs (input : Cursor.t) : Cursor.t =
   let in_schema = input.Cursor.schema in
@@ -843,7 +852,7 @@ let compile_node ctx ~child (p : Physical.plan) : Cursor.t =
   | Physical.Index_scan (name, cols, pred) -> index_scan ctx name cols pred
   | Physical.Filter pred ->
     let input = child 0 in
-    Cursor.filter_stream (Expr.eval_pred input.Cursor.schema pred) input
+    Cursor.filter_stream (Expr.test input.Cursor.schema pred) input
   | Physical.Project_cols cols ->
     let input = child 0 in
     Cursor.map_stream

@@ -490,6 +490,43 @@ let test_exception_mid_drain () =
   Alcotest.(check (list string)) "next run" before (rows ());
   Alcotest.(check (list string)) "run after" before (rows ())
 
+(* Machine-neutral gate: a nested-loop join tests each pair in place
+   and concatenates only the pairs that pass, so a predicate that
+   rejects all 60 x 50 pairs builds no joined tuple. Concatenating
+   every pair first cost 5 words a pair, 15,000 here; what is left is
+   the input cursors' options and the join's closures. *)
+let rejecting_join_words_ceiling = 800.
+
+let test_rejecting_join_allocation () =
+  let left = rows (List.init 60 (fun i -> (i, i))) in
+  let right = rows (List.init 50 (fun i -> (1000 + i, i))) in
+  let drain () =
+    let join =
+      Executor.Engine.nested_loop_join
+        Expr.(col "r.k" =% col "s.k")
+        (Executor.Cursor.of_array schema_rk left)
+        (Executor.Cursor.of_array schema_sk right)
+    in
+    let n = ref 0 in
+    Executor.Cursor.iter (fun _ -> incr n) join;
+    !n
+  in
+  (* [Gc.counters] leaves out the words allocated since the last minor
+     collection, so minor words are read with [Gc.minor_words]. *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  Alcotest.(check int) "no pair passes" 0 (drain ());
+  let w0 = words () in
+  let n = drain () in
+  let used = words () -. w0 in
+  Alcotest.(check int) "no pair passes again" 0 n;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= %.0f" used rejecting_join_words_ceiling)
+    true
+    (used <= rejecting_join_words_ceiling)
+
 let suite =
   [
     Alcotest.test_case "hash join duplicate keys" `Quick test_hash_join_duplicates;
@@ -512,6 +549,8 @@ let suite =
     Alcotest.test_case "NULL and mixed-type join keys" `Quick test_null_and_mixed_keys;
     Alcotest.test_case "two hash operators alive at once" `Quick test_two_hash_operators_alive;
     Alcotest.test_case "exception mid-drain" `Quick test_exception_mid_drain;
+    Alcotest.test_case "rejecting nested-loop join allocation" `Quick
+      test_rejecting_join_allocation;
     prop_joins_agree;
     prop_setops_agree;
     prop_sort_stable;
