@@ -65,7 +65,7 @@ module Make (M : Signatures.MODEL) = struct
     explain : bool;
         (** record losing alternatives (and their losing reasons) in
             the memo as the search abandons or completes each move, for
-            {!explain}. Recording never changes pursuit order, pruning,
+            {!explain_run}. Recording never changes pursuit order, pruning,
             or winners — only what the memo remembers about them. *)
     profiler : Obs.Profile.t option;
         (** per-rule / per-enforcer / per-operator effort attribution:
@@ -1428,50 +1428,47 @@ module Make (M : Signatures.MODEL) = struct
     let id = Memo.intern t.memo (required, excluded) in
     match Memo.winner_id t.memo g id with
     | None | Some { Memo.w_plan = None; _ } -> None
-    | Some { Memo.w_plan = Some p; _ } ->
-      let inputs =
-        List.filter_map
-          (fun (gi, ri, ei) -> explain_goal t gi ~required:ri ~excluded:ei)
-          p.Memo.p_inputs
-      in
-      let local =
-        List.fold_left (fun acc (c : explain_node) -> M.cost_sub acc c.x_cost)
-          p.Memo.p_cost inputs
-      in
-      (* The goal's recorded alternatives minus one entry for the winner
-         itself: a completed candidate with the winner's algorithm, rule,
-         and cost. Everything left lost. *)
-      let is_winner (a : Memo.alt) =
-        a.Memo.a_reason = Memo.Alt_completed
-        && M.alg_name a.Memo.a_alg = M.alg_name p.Memo.p_alg
-        && a.Memo.a_rule = p.Memo.p_rule
-        && (match a.Memo.a_cost with
-            | Some c -> M.cost_compare c p.Memo.p_cost = 0
-            | None -> false)
-      in
-      let rec drop_winner = function
-        | [] -> []
-        | a :: rest -> if is_winner a then rest else a :: drop_winner rest
-      in
-      let alts = drop_winner (Memo.alts t.memo g id) in
-      Some
-        {
-          x_group = g;
-          x_alg = p.Memo.p_alg;
-          x_rule = p.Memo.p_rule;
-          x_required = required;
-          x_provided = p.Memo.p_props;
-          x_cost = p.Memo.p_cost;
-          x_local = local;
-          x_inputs = inputs;
-          x_alts = alts;
-        }
+    | Some { Memo.w_plan = Some p; _ } -> Some (explain_plan t g id ~required p)
 
-  (** Reconstruct the winning physical expression for [(g, required)]
-      with per-node provenance. [None] if no winner is recorded (run the
-      optimization first, with [config.explain] on to see losing
-      alternatives). *)
-  let explain t g ~required = explain_goal t g ~required ~excluded:None
+  (* The node for plan [p] chosen for goal [id] of root class [g]; its
+     inputs are re-read from the winner tables. *)
+  and explain_plan t g id ~required (p : Memo.plan) : explain_node =
+    let inputs =
+      List.filter_map
+        (fun (gi, ri, ei) -> explain_goal t gi ~required:ri ~excluded:ei)
+        p.Memo.p_inputs
+    in
+    let local =
+      List.fold_left (fun acc (c : explain_node) -> M.cost_sub acc c.x_cost)
+        p.Memo.p_cost inputs
+    in
+    (* The goal's recorded alternatives minus one entry for the winner
+       itself: a completed candidate with the winner's algorithm, rule,
+       and cost. Everything left lost. *)
+    let is_winner (a : Memo.alt) =
+      a.Memo.a_reason = Memo.Alt_completed
+      && M.alg_name a.Memo.a_alg = M.alg_name p.Memo.p_alg
+      && a.Memo.a_rule = p.Memo.p_rule
+      && (match a.Memo.a_cost with
+          | Some c -> M.cost_compare c p.Memo.p_cost = 0
+          | None -> false)
+    in
+    let rec drop_winner = function
+      | [] -> []
+      | a :: rest -> if is_winner a then rest else a :: drop_winner rest
+    in
+    let alts = drop_winner (Memo.alts t.memo g id) in
+    {
+      x_group = g;
+      x_alg = p.Memo.p_alg;
+      x_rule = p.Memo.p_rule;
+      x_required = required;
+      x_provided = p.Memo.p_props;
+      x_cost = p.Memo.p_cost;
+      x_local = local;
+      x_inputs = inputs;
+      x_alts = alts;
+    }
 
   let reason_label ~winner_cost (a : Memo.alt) =
     match a.a_reason with
@@ -1493,7 +1490,7 @@ module Make (M : Signatures.MODEL) = struct
     | Memo.Alt_pruned_lb -> "pruned: cost lower bound above the limit"
     | Memo.Alt_input_failed -> "input goal failed within its limit (failure table)"
 
-  (** Render an {!explain} tree: one line per winning node (algorithm,
+  (** Render an {!explain_run} tree: one line per winning node (algorithm,
       delivered properties, total and local cost, producing rule, memo
       group), each followed by its goal's losing alternatives. *)
   let pp_explain ppf (root : explain_node) =
@@ -1517,21 +1514,36 @@ module Make (M : Signatures.MODEL) = struct
       recorded — the x-axis of an anytime cost-vs-effort curve. *)
   let incumbents (run : run) : (int * M.cost) list = List.rev run.r_incumbents
 
+  (* The root goal's plan node behind {!best_so_far}. *)
+  let best_plan (run : run) : Memo.plan option =
+    match run.r_status with
+    | Some Complete -> run.r_goal.gs_slot.answer
+    | _ -> (
+      match run.r_goal.gs_slot.answer with
+      | Some p -> Some p
+      | None -> run.r_goal.gs_best)
+
   (** The best complete plan the run has found so far — the anytime
       answer. For a finished run this is the winner; for a paused run it
       is the root goal's best candidate, whose input goals all finished
       (and were memoized) before the candidate was recorded, so it
       extracts to a valid, executable plan. *)
   let best_so_far (run : run) : plan_tree option =
-    let best =
-      match run.r_status with
-      | Some Complete -> run.r_goal.gs_slot.answer
-      | _ -> (
-        match run.r_goal.gs_slot.answer with
-        | Some p -> Some p
-        | None -> run.r_goal.gs_best)
-    in
-    Option.map (fun p -> extract_node run.rt p) best
+    Option.map (fun p -> extract_node run.rt p) (best_plan run)
+
+  (** The plan {!best_so_far} extracts, with per-node provenance: the
+      root goal's winner once the run completes, its best candidate
+      while the run is paused. A candidate's inputs are finished goals
+      with winners, and the root's alternatives are those recorded so
+      far (all of them only with [config.explain] on). [None] when the
+      run has no plan. *)
+  let explain_run (run : run) : explain_node option =
+    let gs = run.r_goal in
+    Option.map
+      (fun p ->
+        explain_plan run.rt (Memo.find_root run.rt.memo gs.gs_group) gs.gs_key_id
+          ~required:gs.gs_required p)
+      (best_plan run)
 
   type outcome = {
     plan : plan_tree option;
