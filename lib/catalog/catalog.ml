@@ -16,15 +16,35 @@ type table = {
 }
 
 type t = {
+  uid : int;
   tables : (string, table) Hashtbl.t;
   mutable catalog_version : int;
+  mutable schema_version : int;
 }
 
-let create () = { tables = Hashtbl.create 16; catalog_version = 0 }
+let next_uid = Atomic.make 0
+
+let create () =
+  {
+    uid = Atomic.fetch_and_add next_uid 1;
+    tables = Hashtbl.create 16;
+    catalog_version = 0;
+    schema_version = 0;
+  }
+
+let uid registry = registry.uid
 
 let version registry = registry.catalog_version
 
+let schema_version registry = registry.schema_version
+
 let bump registry = registry.catalog_version <- registry.catalog_version + 1
+
+(* A change to the set of tables or their schemas: also a catalog
+   change. *)
+let bump_schema registry =
+  registry.schema_version <- registry.schema_version + 1;
+  bump registry
 
 let qualify_schema name schema =
   Array.map
@@ -75,7 +95,7 @@ let add registry ~name ~schema ?(stored_order = [])
     }
   in
   Hashtbl.add registry.tables name table;
-  bump registry;
+  bump_schema registry;
   table
 
 (* A derived relation backing a shared materialized intermediate: no
@@ -132,13 +152,13 @@ let add_materialized registry ~name ~(props : Relalg.Logical_props.t)
     }
   in
   Hashtbl.add registry.tables name table;
-  bump registry;
+  bump_schema registry;
   table
 
 let remove registry name =
   if Hashtbl.mem registry.tables name then begin
     Hashtbl.remove registry.tables name;
-    bump registry
+    bump_schema registry
   end
 
 let find registry name = Hashtbl.find registry.tables name

@@ -37,6 +37,10 @@ type t
 
 val create : unit -> t
 
+val uid : t -> int
+(** The catalog's identity: distinct for every catalog {!create} made
+    in this process. Caches shared between catalogs key by it. *)
+
 val add :
   t ->
   name:string ->
@@ -62,12 +66,13 @@ val add_materialized :
     the subexpression it caches — so cardinality and selectivity
     estimates over it match the original subexpression. Column names
     keep their original qualification, so predicates written against
-    the replaced subtree still resolve. Bumps the catalog version.
+    the replaced subtree still resolve. Bumps the catalog and schema
+    versions.
     @raise Invalid_argument if the name is already taken. *)
 
 val remove : t -> string -> unit
-(** Drop a relation (no-op when absent); bumps the catalog version when
-    something was removed. Used to retract materialized intermediates
+(** Drop a relation (no-op when absent); bumps the catalog and schema
+    versions when something was removed. Used to retract materialized intermediates
     that did not pay off. *)
 
 val find : t -> string -> table
@@ -87,8 +92,15 @@ val add_index : t -> table:string -> string list -> unit
     stamps they optimized under and treat a mismatch as staleness. *)
 
 val version : t -> int
-(** Global catalog version: bumped by {!add}, {!add_index}, and
-    {!update_stats}. *)
+(** Global catalog version: bumped by {!add}, {!add_materialized},
+    {!remove}, {!add_index}, and {!update_stats}. *)
+
+val schema_version : t -> int
+(** Schema version: bumped by {!add}, {!add_materialized} and
+    {!remove} only, the changes to which tables exist and what their
+    schemas are. Statistics and indexes do not move it, so a statement
+    translated against the catalog ([Sqlfront.parse]) stays valid
+    while it is unchanged. *)
 
 val stats_version : t -> string -> int
 (** Per-table statistics version.

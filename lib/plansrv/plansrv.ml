@@ -206,11 +206,34 @@ type response = {
 
 (* ---------- workers ---------- *)
 
+(* A worker's fingerprints, keyed by the request. A fingerprint is a
+   pure function of the query, the required properties and the
+   service's fixed [parameterize], so an entry never goes stale. The
+   key test is physical identity first: a statement handed back by the
+   SQL front end's memo costs a hash and a pointer comparison, and an
+   equal query built anew still finds its entry. Only requests the
+   cache answered are kept: they have been seen before, while a miss
+   pays for an optimization anyway and may never come again. *)
+module Fp_memo = Hashtbl.Make (struct
+  type t = Relalg.Logical.expr * Relalg.Phys_prop.t
+
+  let equal ((q1, r1) : t) (q2, r2) =
+    (q1 == q2 || Relalg.Logical.equal q1 q2) && (r1 == r2 || Relalg.Phys_prop.equal r1 r2)
+
+  let hash ((q, _) : t) = Hashtbl.hash q
+end)
+
+(* Emptied when full, like the SQL front end's statement memo. *)
+let fp_memo_capacity = 256
+
 type worker = {
   mutable session : Relmodel.Optimizer.session;
   mutable epoch : int;  (** catalog version the session was created under *)
   mutable stats_mark : Volcano.Search_stats.t;
       (** snapshot of the session's cumulative stats, for per-query deltas *)
+  fingerprints : (Fingerprint.t * Relalg.Logical.expr) Fp_memo.t;
+      (** {!Fingerprint.of_query}'s results for the requests answered
+          from the cache *)
 }
 
 let worker t =
@@ -218,6 +241,7 @@ let worker t =
     session = Relmodel.Optimizer.session t.cfg.request;
     epoch = Catalog.version t.cfg.request.catalog;
     stats_mark = Volcano.Search_stats.create ();
+    fingerprints = Fp_memo.create 64;
   }
 
 (* A session's memo holds winners computed under the statistics current
@@ -367,8 +391,12 @@ let serve_one t w query ~required =
   (* Monotonic, not wall-clock: an NTP step mid-request must not mint a
      negative (or wildly wrong) latency sample. *)
   let t0 = Obs.Clock.now_ns () in
-  let fp, canonical =
-    Fingerprint.of_query ~parameterize:t.cfg.parameterize query ~required
+  let key = (query, required) in
+  let memoized = Fp_memo.find_opt w.fingerprints key in
+  let ((fp, canonical) as found) =
+    match memoized with
+    | Some found -> found
+    | None -> Fingerprint.of_query ~parameterize:t.cfg.parameterize query ~required
   in
   let shard = shard_of t fp.Fingerprint.hash in
   (* Warm probe against the immutable snapshot: no lock, no LRU
@@ -410,7 +438,12 @@ let serve_one t w query ~required =
     }
   in
   match lookup with
-  | `Fresh entry -> finish Hit entry.bytes (Some entry.payload)
+  | `Fresh entry ->
+    if Option.is_none memoized then begin
+      if Fp_memo.length w.fingerprints >= fp_memo_capacity then Fp_memo.reset w.fingerprints;
+      Fp_memo.replace w.fingerprints key found
+    end;
+    finish Hit entry.bytes (Some entry.payload)
   | (`Empty | `Stale) as miss ->
     (* Optimize outside the shard lock: concurrent workers missing on
        the same key duplicate work but — optimization being

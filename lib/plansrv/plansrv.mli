@@ -13,7 +13,9 @@
     versions they were optimized under and invalidated lazily when the
     statistics change. Parameterized entries delegate to {!Dynplan}
     buckets, so one cached template serves a whole range of literal
-    values.
+    values. A worker fingerprints a repeated query once: it keeps the
+    fingerprints of the requests the cache answered, and finds them
+    again by the query's physical identity or structural equality.
 
     Serving is deterministic: every response carries the plan the
     sequential optimizer would produce for the canonical form of the
@@ -81,9 +83,10 @@ type response = {
 (** {1 Serving} *)
 
 type worker
-(** A serving worker: an optimizer session plus the catalog epoch it
-    was created under. Workers are single-threaded; create one per
-    domain. *)
+(** A serving worker: an optimizer session, the catalog epoch it was
+    created under, and a bounded memo of the fingerprints of the
+    requests it answered from the cache. Workers are single-threaded;
+    create one per domain. *)
 
 val worker : t -> worker
 (** A fresh worker for this service, with its own optimizer session. *)

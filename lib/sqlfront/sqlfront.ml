@@ -369,7 +369,21 @@ let translate catalog (c : select_clause) : Logical.expr * Phys_prop.t =
     | Expr.And (a, b) -> Expr.And (resolve_expr a, resolve_expr b)
     | Expr.Or (a, b) -> Expr.Or (resolve_expr a, resolve_expr b)
     | Expr.Not a -> Expr.Not (resolve_expr a)
-    | Expr.Arith (op, a, b) -> Expr.Arith (op, resolve_expr a, resolve_expr b)
+    | Expr.Arith (op, a, b) -> Expr.Arith (op, numeric a, numeric b)
+  (* An arithmetic operand must be a number: the evaluator raises on
+     anything else, so the statement is rejected here instead. *)
+  and numeric e =
+    let e = resolve_expr e in
+    (match e with
+     | Expr.Col c -> begin
+       match (Schema.find full_schema c).Schema.ty with
+       | Schema.TInt | Schema.TFloat -> ()
+       | Schema.TStr | Schema.TBool -> fail "arithmetic over non-numeric column %S" c
+     end
+     | Expr.Const (Value.Int _ | Value.Float _) | Expr.Arith _ -> ()
+     | Expr.Const _ | Expr.Cmp _ | Expr.And _ | Expr.Or _ | Expr.Not _ ->
+       fail "arithmetic over non-numeric operand %s" (Expr.to_string e));
+    e
   in
   (* FROM: left-deep Cartesian spine; the optimizer pushes the WHERE
      conjuncts into join predicates and selections. *)
@@ -473,7 +487,7 @@ let translate catalog (c : select_clause) : Logical.expr * Phys_prop.t =
   let required = { Phys_prop.any with order; distinct = c.distinct } in
   (projected, required)
 
-let parse catalog (input : string) : statement =
+let parse_text catalog (input : string) : statement =
   let st = { tokens = tokenize input } in
   let first = parse_select_clause st in
   let combined =
@@ -502,3 +516,48 @@ let parse catalog (input : string) : statement =
    | t -> fail "unexpected trailing %s" (token_to_string t));
   let logical, required = combined in
   { logical; required }
+
+(* ---------------------------------------------------------------------- *)
+(* Statement memo                                                          *)
+(* ---------------------------------------------------------------------- *)
+
+(* A repeated text under an unchanged schema translates to the same
+   statement: translation reads only which tables exist and their
+   schemas. Each domain keeps the statements it parsed, keyed by the
+   catalog's identity and the exact text, with the schema version they
+   were translated under; a per-domain table needs no lock. Statements
+   are immutable, so a hit hands back the stored one. Failures are not
+   stored: a failing text re-parses, and raises, on every call.
+
+   A text's first parse leaves only its key ([None]); the statement is
+   kept from its second parse on. So a text parsed once, such as each
+   statement a set-up serves against a fresh catalog, or each distinct
+   statement of a search-heavy session, leaves no statement for the
+   minor collector to promote. *)
+module Memo = Hashtbl.Make (struct
+  type t = int * string
+
+  let equal ((u1, s1) : t) (u2, s2) = Int.equal u1 u2 && String.equal s1 s2
+
+  let hash (k : t) = Hashtbl.hash k
+end)
+
+(* Reset when full: the entries that repeat come back after two misses
+   each, and a stream of distinct texts holds a bounded heap. *)
+let memo_capacity = 256
+
+let memo : (int * statement option) Memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Memo.create 64)
+
+let parse catalog input =
+  let table = Domain.DLS.get memo in
+  let key = (Catalog.uid catalog, input) in
+  let version = Catalog.schema_version catalog in
+  match Memo.find_opt table key with
+  | Some (v, Some st) when v = version -> st
+  | seen ->
+    let st = parse_text catalog input in
+    if Memo.length table >= memo_capacity then Memo.reset table;
+    let kept = match seen with None -> None | Some _ -> Some st in
+    Memo.replace table key (version, kept);
+    st

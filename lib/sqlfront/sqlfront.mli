@@ -27,5 +27,16 @@ type statement = {
 
 val parse : Catalog.t -> string -> statement
 (** Parse and translate one SQL statement against a catalog (used to
-    resolve unqualified column names and validate table names).
-    @raise Parse_error on any syntactic or naming problem. *)
+    resolve unqualified column names, validate table names and check
+    that arithmetic operands are numeric).
+
+    From its third parse on, a text returns the statement its second
+    parse returned, the same immutable value, for as long as the
+    catalog's {!Catalog.schema_version} is unchanged: a first parse
+    keeps only the text's key, so a text parsed once leaves no
+    statement behind. Each domain memoizes the statements it parsed,
+    keyed by {!Catalog.uid} and the exact text, in a table of fixed
+    capacity that is emptied when full. Statistics refreshes and new
+    indexes keep the entries; adding or removing a table drops them. A
+    text that fails is not memoized.
+    @raise Parse_error on any syntactic, naming or typing problem. *)

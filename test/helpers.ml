@@ -49,3 +49,25 @@ let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
+
+(* Words allocated by [f ()], minor and major heap together: minor words
+   plus major words less the promoted ones, which both count.
+   [Gc.minor_words] includes the current minor heap, which
+   [Gc.counters]'s minor count leaves out. The words the measurement
+   itself allocates are measured once around a call that allocates
+   nothing and taken off, so a function that allocates nothing reads
+   0. *)
+let[@inline never] total_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let[@inline never] measure_words f =
+  let w0 = total_words () in
+  let r = f () in
+  (r, total_words () -. w0)
+
+let measurement_words = snd (measure_words (fun () -> ()))
+
+let alloc_words f =
+  let r, words = measure_words f in
+  (r, words -. measurement_words)

@@ -511,16 +511,8 @@ let test_rejecting_join_allocation () =
     Executor.Cursor.iter (fun _ -> incr n) join;
     !n
   in
-  (* [Gc.counters] leaves out the words allocated since the last minor
-     collection, so minor words are read with [Gc.minor_words]. *)
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
   Alcotest.(check int) "no pair passes" 0 (drain ());
-  let w0 = words () in
-  let n = drain () in
-  let used = words () -. w0 in
+  let n, used = Helpers.alloc_words drain in
   Alcotest.(check int) "no pair passes again" 0 n;
   Alcotest.(check bool)
     (Printf.sprintf "%.0f words <= %.0f" used rejecting_join_words_ceiling)

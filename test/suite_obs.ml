@@ -900,16 +900,15 @@ let test_profile_buffers_fold () =
     (Plansrv.metrics srv).search.Volcano.Search_stats.tasks
     (Obs.Profile.total_tasks profiler)
 
-(* Machine-neutral cost gate: the minor-heap words the profiler adds to
+(* Machine-neutral cost gate: the words the profiler adds to
    one fixed optimization, per executed task. Charging a task must not
    allocate; what remains is building each distinct name once. *)
 let test_profiler_allocation () =
   let q = workload ~shape:Workload.Clique ~n:5 ~seed:1705 in
   let words profiled =
     let profiler = if profiled then Some (Obs.Profile.create ()) else None in
-    let w0 = Gc.minor_words () in
-    let result = optimize ?profiler q in
-    (Gc.minor_words () -. w0, result.stats.Volcano.Search_stats.tasks)
+    let result, words = Helpers.alloc_words (fun () -> optimize ?profiler q) in
+    (words, result.stats.Volcano.Search_stats.tasks)
   in
   ignore (words false);
   ignore (words true);
@@ -919,16 +918,15 @@ let test_profiler_allocation () =
   if per_task > 4. then
     Alcotest.failf "profiler allocates %.2f words per task (bound 4)" per_task
 
-(* Machine-neutral cost gate on the search itself, unprofiled: minor
-   words per executed task on the same clique. Column resolution that
-   builds substrings, and moves allocated for rules whose root does not
-   match, read 314 words per task here; the search reads about 207. *)
+(* Machine-neutral cost gate on the search itself, unprofiled: words
+   per executed task on the same clique. Column resolution that builds
+   substrings, and moves allocated for rules whose root does not match,
+   read 314 words per task here; the search reads about 199. *)
 let test_search_allocation () =
   let q = workload ~shape:Workload.Clique ~n:5 ~seed:1705 in
   let words () =
-    let w0 = Gc.minor_words () in
-    let result = optimize q in
-    (Gc.minor_words () -. w0, result.stats.Volcano.Search_stats.tasks)
+    let result, words = Helpers.alloc_words (fun () -> optimize q) in
+    (words, result.stats.Volcano.Search_stats.tasks)
   in
   ignore (words ());
   let w, tasks = words () in

@@ -337,6 +337,125 @@ let test_serve_sequential_equals_concurrent_metrics () =
   in
   Alcotest.(check (array string)) "1 worker = 4 workers" (run 1) (run 4)
 
+(* ---------- the fingerprint memo ---------- *)
+
+(* A query equal to one the cache answered, but built anew, finds the
+   worker's memoized fingerprint: a hit under the same key. *)
+let test_equal_query_hits () =
+  let catalog = Helpers.small_catalog () in
+  let srv = service catalog in
+  let w = Plansrv.worker srv in
+  let build () =
+    Expr.(Logical.join (col "r.a" =% col "s.a") (Logical.get "r") (Logical.get "s"))
+  in
+  let q1 = build () and q2 = build () in
+  Alcotest.(check bool) "distinct values" true (q1 != q2);
+  let first = Plansrv.serve_one srv w q1 ~required:Phys_prop.any in
+  Alcotest.(check bool) "a hit is memoized" true
+    ((Plansrv.serve_one srv w q1 ~required:Phys_prop.any).outcome = Plansrv.Hit);
+  let second = Plansrv.serve_one srv w q2 ~required:Phys_prop.any in
+  Alcotest.(check bool) "the equal query is a hit" true (second.outcome = Plansrv.Hit);
+  Alcotest.(check string) "same fingerprint" first.fingerprint second.fingerprint;
+  let sorted =
+    Plansrv.serve_one srv w q2 ~required:(Phys_prop.sorted (Sort_order.asc [ "r.a" ]))
+  in
+  Alcotest.(check bool) "other required properties miss" true (sorted.outcome = Plansrv.Miss);
+  Alcotest.(check bool) "under another key" true (sorted.fingerprint <> first.fingerprint)
+
+(* Parameterized serving: one template entry, and every request's plan
+   instantiated with its own literal, however the requests repeat. *)
+let test_parameterized_literals () =
+  let catalog = Catalog.create () in
+  ignore
+    (Catalog.add_synthetic catalog ~name:"fact"
+       ~columns:[ ("k", Catalog.Uniform_int (0, 99)); ("v", Catalog.Uniform_int (0, 999)) ]
+       ~rows:800 ~seed:41 ());
+  ignore
+    (Catalog.add_synthetic catalog ~name:"dim"
+       ~columns:[ ("k", Catalog.Uniform_int (0, 99)); ("w", Catalog.Uniform_int (0, 9)) ]
+       ~rows:100 ~seed:42 ());
+  let query c =
+    Expr.(
+      Logical.join
+        (col "fact.k" =% col "dim.k")
+        (Logical.get "fact")
+        (Logical.select (Expr.Cmp (Expr.Le, col "dim.w", Expr.int c)) (Logical.get "dim")))
+  in
+  let srv = service ~parameterize:true catalog in
+  let w = Plansrv.worker srv in
+  let counts =
+    List.map
+      (fun c ->
+        let r = Plansrv.serve_one srv w (query c) ~required:Phys_prop.any in
+        Alcotest.(check bool) (Printf.sprintf "literal %d parameterized" c) true r.parameterized;
+        match r.plan with
+        | None -> Alcotest.fail "no plan"
+        | Some plan ->
+          let rows, schema, _ = Executor.run catalog (Relmodel.Optimizer.to_physical plan) in
+          let expected, expected_schema = Executor.naive catalog (query c) in
+          (* columns by name: the served plan may order them otherwise *)
+          let by_name schema rows =
+            let order = List.sort compare (Schema.names schema) in
+            let idx = List.map (Schema.index_of schema) order in
+            Array.map (fun row -> Array.of_list (List.map (Array.get row) idx)) rows
+          in
+          Helpers.check_same_bag (Printf.sprintf "literal %d" c)
+            (by_name expected_schema expected) (by_name schema rows);
+          Array.length rows)
+      [ 5; 7; 5 ]
+  in
+  Alcotest.(check bool) "the literals select different rows" true
+    (List.nth counts 0 <> List.nth counts 1);
+  let m = Plansrv.metrics srv in
+  Alcotest.(check int) "one template entry" 1 m.entries;
+  Alcotest.(check int) "two hits" 2 m.hits
+
+(* The statement memo survives a statistics refresh, which translation
+   does not read; the plan cache still finds the stale plan. *)
+let test_stats_refresh_keeps_statement () =
+  let catalog = Helpers.small_catalog () in
+  let srv = service catalog in
+  let w = Plansrv.worker srv in
+  let sql = "SELECT r.a, s.c FROM r, s WHERE r.a = s.a AND r.b < 3" in
+  let serve () =
+    let st = Sqlfront.parse catalog sql in
+    (st, Plansrv.serve_one srv w st.logical ~required:st.required)
+  in
+  let _, r1 = serve () in
+  let st2, r2 = serve () in
+  Alcotest.(check bool) "miss then hit" true
+    (r1.outcome = Plansrv.Miss && r2.outcome = Plansrv.Hit);
+  Catalog.update_stats catalog ~table:"r" ();
+  let st3, r3 = serve () in
+  Alcotest.(check bool) "the statement is kept" true (st3 == st2);
+  Alcotest.(check bool) "the stale plan is invalidated" true (r3.outcome = Plansrv.Invalidated);
+  Alcotest.(check string) "under the same key" r1.fingerprint r3.fingerprint;
+  let _, r4 = serve () in
+  Alcotest.(check bool) "and warm again" true (r4.outcome = Plansrv.Hit)
+
+(* Machine-neutral gate: a repeated statement's parse and cache hit
+   allocate at most this many words. Re-parsing the text and
+   re-serializing its canonical form read 1,362 here. *)
+let repeated_statement_words_ceiling = 100.
+
+let test_repeated_statement_allocation () =
+  let catalog = Helpers.small_catalog () in
+  let srv = service catalog in
+  let w = Plansrv.worker srv in
+  let sql = "SELECT r.a, s.c FROM r, s WHERE r.a = s.a AND r.b < 3 ORDER BY r.a" in
+  let serve () =
+    let st = Sqlfront.parse catalog sql in
+    (Plansrv.serve_one srv w st.logical ~required:st.required).outcome
+  in
+  Alcotest.(check bool) "first is a miss" true (serve () = Plansrv.Miss);
+  ignore (serve ());
+  let outcome, words = Helpers.alloc_words serve in
+  Alcotest.(check bool) "a hit" true (outcome = Plansrv.Hit);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words, ceiling %.0f" words repeated_statement_words_ceiling)
+    true
+    (words <= repeated_statement_words_ceiling)
+
 let suite =
   [
     Alcotest.test_case "lru basics" `Quick test_lru_basics;
@@ -353,4 +472,8 @@ let suite =
     Alcotest.test_case "parameterized entries" `Quick test_parameterized_entry;
     Alcotest.test_case "concurrent = sequential" `Quick test_concurrent_matches_sequential;
     Alcotest.test_case "worker counts agree" `Quick test_serve_sequential_equals_concurrent_metrics;
+    Alcotest.test_case "equal query hits" `Quick test_equal_query_hits;
+    Alcotest.test_case "literals 5, 7, 5" `Quick test_parameterized_literals;
+    Alcotest.test_case "stats refresh keeps statement" `Quick test_stats_refresh_keeps_statement;
+    Alcotest.test_case "repeated statement allocation" `Quick test_repeated_statement_allocation;
   ]

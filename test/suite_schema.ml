@@ -88,16 +88,17 @@ let test_mem_allocates_nothing () =
   let name = Sys.opaque_identity "dept.budget" in
   let probe () =
     let found = ref false in
-    let w0 = Gc.minor_words () in
-    for _ = 1 to 1000 do
-      found := !found || Schema.mem schema name
-    done;
-    let words = Gc.minor_words () -. w0 in
+    let (), words =
+      Helpers.alloc_words (fun () ->
+          for _ = 1 to 1000 do
+            found := !found || Schema.mem schema name
+          done)
+    in
     Alcotest.(check bool) "absent" false !found;
     words
   in
   ignore (probe ());
-  Alcotest.(check (float 0.)) "minor words over 1000 calls" 0. (probe ())
+  Alcotest.(check (float 0.)) "words over 1000 calls" 0. (probe ())
 
 let test_project_and_concat () =
   let p = Schema.project schema [ "dept.id"; "emp.id" ] in

@@ -205,13 +205,8 @@ let test_of_tuples_allocation () =
         |])
   in
   let schema = Array.init 4 (fun i -> Schema.attribute (Printf.sprintf "t.c%d" i) Schema.TInt) in
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let w0 = words () in
-  let stats = Catalog.Stats.of_tuples schema tuples in
-  let per_value = (words () -. w0) /. Float.of_int (rows * 4) in
+  let stats, words = Helpers.alloc_words (fun () -> Catalog.Stats.of_tuples schema tuples) in
+  let per_value = words /. Float.of_int (rows * 4) in
   Alcotest.(check (float 0.)) "rows" (Float.of_int rows) stats.row_count;
   Alcotest.(check bool)
     (Printf.sprintf "%.2f words per value, ceiling %.1f" per_value words_per_value_ceiling)
