@@ -542,8 +542,7 @@ let print_response line (r : Plansrv.response) =
     (if r.Plansrv.parameterized then "param " else "")
     line fp
 
-let run_serve file workers capacity shards parameterize feedback skews metrics_port
-    slow_ms =
+let run_serve file workers capacity parameterize feedback skews metrics_port slow_ms =
   let catalog = demo_catalog () in
   apply_skews catalog skews;
   (* Every cache-miss optimization feeds the service-wide profiler, so
@@ -552,7 +551,7 @@ let run_serve file workers capacity shards parameterize feedback skews metrics_p
   let profiler = Obs.Profile.create () in
   let srv =
     Plansrv.create
-      (Plansrv.config ~capacity ~shards ~parameterize ~slow_ms
+      (Plansrv.config ~capacity ~parameterize ~slow_ms
          { (Relmodel.Optimizer.request catalog) with profiler = Some profiler })
   in
   let fb_counters = Feedback.counters () in
@@ -620,11 +619,11 @@ let run_serve file workers capacity shards parameterize feedback skews metrics_p
   end
 
 (* Multi-query optimization over a SQL file: every statement goes into
-   one shared memo (through the plan service's sharded cache), common
+   one shared memo (through the plan service's cache), common
    subexpressions are detected by per-subtree fingerprints, and the
    selected strategy decides which shared results to materialize once
    and rescan instead of recomputing per consumer. *)
-let run_batch file strategy capacity shards metrics_out =
+let run_batch file strategy capacity metrics_out =
   let catalog = demo_catalog () in
   let lines = In_channel.with_open_text file In_channel.input_lines in
   let parsed = parse_statements catalog (statements_of_lines lines) in
@@ -635,7 +634,7 @@ let run_batch file strategy capacity shards metrics_out =
   else begin
     let srv =
       Plansrv.create
-        (Plansrv.config ~capacity ~shards (Relmodel.Optimizer.request catalog))
+        (Plansrv.config ~capacity (Relmodel.Optimizer.request catalog))
     in
     let w = Plansrv.worker srv in
     let queries = List.map (fun (_, logical, required) -> (logical, required)) parsed in
@@ -993,12 +992,8 @@ let serve_cmd =
   let capacity =
     Arg.(
       value & opt pos_int 512
-      & info [ "capacity" ] ~docv:"N" ~doc:"Total plan-cache entries across all shards.")
-  in
-  let shards =
-    Arg.(
-      value & opt pos_int 8
-      & info [ "shards" ] ~docv:"N" ~doc:"Independently locked cache shards.")
+      & info [ "capacity" ] ~docv:"N"
+          ~doc:"Plan-cache entries; an insertion past $(docv) evicts the oldest.")
   in
   let parameterize =
     Arg.(
@@ -1043,7 +1038,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Optimization service: fingerprinted plan cache over a batch of statements")
     Term.(
-      const run_serve $ file $ workers $ capacity $ shards $ parameterize $ feedback
+      const run_serve $ file $ workers $ capacity $ parameterize $ feedback
       $ skew_arg $ metrics_port $ slow_ms)
 
 let batch_cmd =
@@ -1081,12 +1076,8 @@ let batch_cmd =
   let capacity =
     Arg.(
       value & opt pos_int 512
-      & info [ "capacity" ] ~docv:"N" ~doc:"Total plan-cache entries across all shards.")
-  in
-  let shards =
-    Arg.(
-      value & opt pos_int 8
-      & info [ "shards" ] ~docv:"N" ~doc:"Independently locked cache shards.")
+      & info [ "capacity" ] ~docv:"N"
+          ~doc:"Plan-cache entries; an insertion past $(docv) evicts the oldest.")
   in
   let metrics_out =
     Arg.(
@@ -1104,7 +1095,7 @@ let batch_cmd =
           common subexpressions, and materialize/reuse shared results when that \
           lowers the batch cost")
     Term.(
-      const run_batch $ file $ strategy $ capacity $ shards $ metrics_out)
+      const run_batch $ file $ strategy $ capacity $ metrics_out)
 
 let workload_cmd =
   let n =

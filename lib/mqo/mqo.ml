@@ -645,7 +645,7 @@ let serve_batch ?(strategy = Off) srv worker queries =
   let responses =
     List.map (fun (q, required) -> Plansrv.serve_one srv worker q ~required) queries
   in
-  (* Independent results come from the sharded cache; wrap them in the
+  (* Independent results come from the plan cache; wrap them in the
      result shape the batch pass consumes. *)
   let inds =
     Array.of_list

@@ -106,7 +106,7 @@ val serve_batch :
   (Relalg.Logical.expr * Relalg.Phys_prop.t) list ->
   report * Plansrv.response list
 (** Like {!optimize_batch}, but the per-query independent results are
-    served through the plan service's sharded cache ({!Plansrv.serve_one}
+    served through the plan service's cache ({!Plansrv.serve_one}
     per query — warm batches skip the independent optimizations). The
     report's [stats] hold only the strategy's own optimizations
     (Volcano-RU's materializations and rewritten queries; zero for the

@@ -2,7 +2,6 @@ open Relalg
 
 type t = {
   key : string;
-  hash : int;
   tables : string list;
   param : (string * Value.t) option;
 }
@@ -169,11 +168,6 @@ let with_parameter e value =
 
 (* ---------- keys ---------- *)
 
-(* FNV-1a over the whole key: [Hashtbl.hash] only samples a prefix,
-   which would collapse shard selection for long similar queries. *)
-let fnv1a s =
-  String.fold_left (fun h c -> (h lxor Char.code c) * 16777619 land max_int) 2166136261 s
-
 let of_query ?(parameterize = false) query ~required =
   let canonical = canonicalize query in
   let param, keyed =
@@ -186,4 +180,4 @@ let of_query ?(parameterize = false) query ~required =
   in
   let key = encode keyed ^ " | " ^ Phys_prop.to_string required in
   let tables = List.sort_uniq String.compare (Logical.relations canonical) in
-  ({ key; hash = fnv1a key; tables; param }, canonical)
+  ({ key; tables; param }, canonical)

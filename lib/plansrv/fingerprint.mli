@@ -16,7 +16,6 @@ type t = {
   key : string;
       (** full canonical serialization (query + required properties);
           collision-free by construction *)
-  hash : int;  (** stable hash of [key]; selects the cache shard *)
   tables : string list;  (** referenced relations, sorted, distinct *)
   param : (string * Relalg.Value.t) option;
       (** [(column, literal)] when the query was parameterized: the

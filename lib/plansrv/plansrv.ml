@@ -1,10 +1,8 @@
-module Lru = Lru
 module Fingerprint = Fingerprint
 
 type config = {
   request : Relmodel.Optimizer.request;
   capacity : int;
-  shards : int;
   parameterize : bool;
   slow_ms : float;
 }
@@ -12,48 +10,25 @@ type config = {
 (* Dynplan buckets per parameterized entry. *)
 let dyn_buckets = 8
 
-let config ?(capacity = 512) ?(shards = 8) ?(parameterize = false) ?(slow_ms = 50.)
-    request =
+let config ?(capacity = 512) ?(parameterize = false) ?(slow_ms = 50.) request =
   if capacity < 1 then invalid_arg "Plansrv.config: capacity must be >= 1";
-  if shards < 1 then invalid_arg "Plansrv.config: shards must be >= 1";
   if slow_ms < 0. then invalid_arg "Plansrv.config: slow_ms must be >= 0";
-  { request; capacity; shards; parameterize; slow_ms }
-
-type cached = {
-  plan : Relmodel.Optimizer.plan_node;
-  search : Volcano.Search_stats.t;  (** per-query delta that produced the plan *)
-  tasks_run : int;
-}
+  { request; capacity; parameterize; slow_ms }
 
 type payload =
-  | Static of cached
+  | Static of Relmodel.Optimizer.plan_node
   | Dynamic of Dynplan.t
 
 type entry = {
   stamps : (string * int) list;  (** table -> stats_version at optimization *)
-  tables : string list;
   payload : payload;
   bytes : string option;
       (** preformatted plan text, rendered once at insertion for static
           entries, so warm hits serve bytes without formatting work *)
-  serve_count : int Atomic.t;
+  seq : int;  (** insertion number: past capacity, the lowest is evicted *)
 }
 
 module Smap = Map.Make (String)
-
-(* A shard keeps two views of the same bindings: the mutex-guarded LRU
-   (authoritative — recency, capacity, eviction) and an immutable map
-   snapshot published through an atomic. Writers update both under the
-   shard lock; warm readers consult only the snapshot, so a cache hit
-   never takes a lock or mutates shared state (the epoch-style read
-   path). The price is approximate recency: lock-free hits do not
-   promote the entry, so eviction order degrades toward insertion
-   order under pure-hit traffic. *)
-type shard = {
-  lock : Mutex.t;
-  cache : entry Lru.t;
-  snapshot : entry Smap.t Atomic.t;
-}
 
 (* Hot-path counters are atomics, not a mutex: every request records an
    outcome, and a single shared lock here serializes the whole service
@@ -64,9 +39,6 @@ type shard = {
 type counters = {
   requests : int Atomic.t;
   hits : int Atomic.t;
-  lockfree_hits : int Atomic.t;
-      (** hits answered entirely from the shard snapshot: no lock, no
-          LRU mutation (every warm hit in the current implementation) *)
   rejected : int Atomic.t;
       (** misses whose optimization produced no plan: the service had
           nothing to answer with *)
@@ -102,9 +74,16 @@ type slow_log = {
   mutable sl_count : int;  (** total slow responses ever logged *)
 }
 
+(* The cache is one immutable map published through an atomic. A hit
+   reads it with [Atomic.get] and a pure probe: no lock, no write to
+   shared state. Misses, stale drops and invalidation sweeps build the
+   next map under [lock], so writers never lose each other's updates.
+   Hits do not reorder entries; eviction takes the oldest insertion. *)
 type t = {
   cfg : config;
-  shard_tbl : shard array;
+  cache : entry Smap.t Atomic.t;
+  lock : Mutex.t;
+  mutable inserted : int;  (** insertions so far, under [lock]; the next [seq] *)
   stats_lock : Mutex.t;
   counters : counters;
   slow : slow_log;
@@ -112,21 +91,12 @@ type t = {
 }
 
 let create cfg =
-  let shard_capacity = max 1 ((cfg.capacity + cfg.shards - 1) / cfg.shards) in
   let registry = Obs.Metrics.create () in
-  let shard_tbl =
-    Array.init cfg.shards (fun _ ->
-        {
-          lock = Mutex.create ();
-          cache = Lru.create ~capacity:shard_capacity;
-          snapshot = Atomic.make Smap.empty;
-        })
-  in
+  let cache = Atomic.make Smap.empty in
   let counters =
     {
       requests = Atomic.make 0;
       hits = Atomic.make 0;
-      lockfree_hits = Atomic.make 0;
       rejected = Atomic.make 0;
       misses = Atomic.make 0;
       invalidations = Atomic.make 0;
@@ -149,21 +119,14 @@ let create cfg =
   in
   atomic "requests" "requests served" counters.requests;
   atomic "hits" "requests answered from the cache" counters.hits;
-  atomic "lockfree_hits" "hits served from the shard snapshot without locking"
-    counters.lockfree_hits;
   atomic "misses" "requests that ran an optimization" counters.misses;
   atomic "rejected" "misses whose optimization produced no plan" counters.rejected;
   atomic "invalidations" "stale entries dropped" counters.invalidations;
   atomic "evictions" "capacity evictions" counters.evictions;
   atomic "param_served" "requests answered via parameterized entries"
     counters.param_served;
-  Obs.Metrics.gauge registry ~help:"cached entries across shards" "plansrv_entries"
-    (fun () ->
-      float_of_int
-        (Array.fold_left
-           (fun acc shard ->
-             acc + Mutex.protect shard.lock (fun () -> Lru.length shard.cache))
-           0 shard_tbl));
+  Obs.Metrics.gauge registry ~help:"cached entries" "plansrv_entries" (fun () ->
+      float_of_int (Smap.cardinal (Atomic.get cache)));
   Volcano.Search_stats.register registry counters.search;
   let slow =
     {
@@ -172,7 +135,16 @@ let create cfg =
       sl_count = 0;
     }
   in
-  { cfg; shard_tbl; stats_lock = Mutex.create (); counters; slow; registry }
+  {
+    cfg;
+    cache;
+    lock = Mutex.create ();
+    inserted = 0;
+    stats_lock = Mutex.create ();
+    counters;
+    slow;
+    registry;
+  }
 
 let registry t = t.registry
 
@@ -184,8 +156,6 @@ let service_request t = t.cfg.request
 let note_search t delta =
   Mutex.protect t.stats_lock (fun () ->
       Volcano.Search_stats.merge ~into:t.counters.search delta)
-
-let shard_of t hash = t.shard_tbl.(hash mod Array.length t.shard_tbl)
 
 type outcome =
   | Hit
@@ -295,9 +265,7 @@ let optimize_static t w canonical required =
   w.stats_mark <- Volcano.Search_stats.copy result.stats;
   Mutex.protect t.stats_lock (fun () ->
       Volcano.Search_stats.merge ~into:t.counters.search delta);
-  Option.map
-    (fun plan -> Static { plan; search = delta; tasks_run = result.tasks_run })
-    result.plan
+  Option.map (fun plan -> Static plan) result.plan
 
 (* Parameterized miss: optimize the literal-erased template once per
    bucket. Any failure (no statistics range, a bucket without a plan)
@@ -321,7 +289,7 @@ let optimize_payload t w (fp : Fingerprint.t) canonical required =
 
 let plan_of_payload payload (fp : Fingerprint.t) =
   match payload, fp.param with
-  | Static c, _ -> (Some c.plan, false)
+  | Static plan, _ -> (Some plan, false)
   | Dynamic dyn, Some (_, value) ->
     let b = Dynplan.choose dyn value in
     (Some (Dynplan.instantiate_node b.Dynplan.plan ~witness:b.Dynplan.witness ~actual:value), true)
@@ -377,15 +345,28 @@ let note_reject t =
   | None -> ()
   | Some fr -> Obs.Flight_recorder.trigger fr ~reason:"plansrv-reject"
 
-(* Snapshot writes happen under the shard lock, so the functional update
-   below has no competing writer; the atomic is for the release fence
-   that makes the new map (and the entries it points to) safe to read
-   lock-free on other domains. *)
-let snap_update shard f = Atomic.set shard.snapshot (f (Atomic.get shard.snapshot))
+(* Every write runs [f] under [t.lock], so the map it transforms has
+   no competing writer; the atomic is for the release fence that makes
+   the new map (and the entries it points to) safe to read lock-free on
+   other domains. [f] returns the next map and a result for the
+   caller. *)
+let publish t f =
+  Mutex.protect t.lock (fun () ->
+      let map, result = f (Atomic.get t.cache) in
+      Atomic.set t.cache map;
+      result)
 
 let bytes_of_payload = function
-  | Static c -> Some (Relmodel.Optimizer.explain c.plan)
+  | Static plan -> Some (Relmodel.Optimizer.explain plan)
   | Dynamic _ -> None
+
+(* The key inserted first. Only an insertion that takes the cache past
+   capacity scans for it. *)
+let oldest map =
+  fst
+    (Smap.fold
+       (fun key e ((_, seq) as acc) -> if e.seq < seq then (key, e.seq) else acc)
+       map ("", max_int))
 
 let serve_one t w query ~required =
   (* Monotonic, not wall-clock: an NTP step mid-request must not mint a
@@ -398,22 +379,21 @@ let serve_one t w query ~required =
     | Some found -> found
     | None -> Fingerprint.of_query ~parameterize:t.cfg.parameterize query ~required
   in
-  let shard = shard_of t fp.Fingerprint.hash in
-  (* Warm probe against the immutable snapshot: no lock, no LRU
-     mutation, no allocation beyond the response record. *)
+  (* Warm probe against the immutable map: no lock, no write, no
+     allocation beyond the response record. *)
   let lookup =
-    match Smap.find_opt fp.Fingerprint.key (Atomic.get shard.snapshot) with
-    | Some entry when stamps_fresh t entry.stamps ->
-      ignore (Atomic.fetch_and_add entry.serve_count 1);
-      ignore (Atomic.fetch_and_add t.counters.lockfree_hits 1);
-      `Fresh entry
-    | Some _ ->
-      (* Stale under the snapshot; drop it from both views under the
-         lock. Concurrent workers may race here — the second remove is
-         a no-op. *)
-      Mutex.protect shard.lock (fun () ->
-          ignore (Lru.remove shard.cache fp.Fingerprint.key);
-          snap_update shard (Smap.remove fp.Fingerprint.key));
+    match Smap.find_opt fp.Fingerprint.key (Atomic.get t.cache) with
+    | Some entry when stamps_fresh t entry.stamps -> `Fresh entry
+    | Some stale ->
+      (* Drop the binding only if it is still the entry found stale.
+         The probe above ran without the lock, so with two workers the
+         other one may have dropped this entry, re-optimized and put a
+         fresh one back in the meantime; removing by key would throw
+         that fresh entry away. *)
+      publish t (fun map ->
+          match Smap.find_opt fp.Fingerprint.key map with
+          | Some e when e == stale -> (Smap.remove fp.Fingerprint.key map, ())
+          | Some _ | None -> (map, ()));
       `Stale
     | None -> `Empty
   in
@@ -445,35 +425,24 @@ let serve_one t w query ~required =
     end;
     finish Hit entry.bytes (Some entry.payload)
   | (`Empty | `Stale) as miss ->
-    (* Optimize outside the shard lock: concurrent workers missing on
-       the same key duplicate work but — optimization being
-       deterministic — insert identical entries. *)
+    (* Optimize outside the lock: concurrent workers missing on the
+       same key duplicate work but — optimization being deterministic —
+       insert identical entries. *)
     let stamps = stamps_of t fp in
     let payload = optimize_payload t w fp canonical required in
     let bytes = Option.fold ~none:None ~some:bytes_of_payload payload in
     (match payload with
      | None -> note_reject t
      | Some payload ->
-       let entry =
-         {
-           stamps;
-           tables = fp.Fingerprint.tables;
-           payload;
-           bytes;
-           serve_count = Atomic.make 0;
-         }
-       in
        let evicted =
-         Mutex.protect shard.lock (fun () ->
-             let evicted = Lru.add shard.cache fp.Fingerprint.key entry in
-             snap_update shard (fun snap ->
-                 let snap = Smap.add fp.Fingerprint.key entry snap in
-                 match evicted with
-                 | Some (victim, _) -> Smap.remove victim snap
-                 | None -> snap);
-             evicted)
+         publish t (fun map ->
+             let entry = { stamps; payload; bytes; seq = t.inserted } in
+             t.inserted <- t.inserted + 1;
+             let map = Smap.add fp.Fingerprint.key entry map in
+             if Smap.cardinal map <= t.cfg.capacity then (map, false)
+             else (Smap.remove (oldest map) map, true))
        in
-       if Option.is_some evicted then count_eviction t);
+       if evicted then count_eviction t);
     finish (match miss with `Empty -> Miss | `Stale -> Invalidated) bytes payload
 
 let serve ?(workers = 1) t requests =
@@ -500,18 +469,9 @@ let serve ?(workers = 1) t requests =
 
 let invalidate_table t table =
   let dropped =
-    Array.fold_left
-      (fun acc shard ->
-        acc
-        + Mutex.protect shard.lock (fun () ->
-              let removed =
-                Lru.remove_if shard.cache (fun _ entry ->
-                    List.mem table entry.tables)
-              in
-              snap_update shard (fun snap ->
-                  List.fold_left (fun s (k, _) -> Smap.remove k s) snap removed);
-              List.length removed))
-      0 t.shard_tbl
+    publish t (fun map ->
+        let kept = Smap.filter (fun _ e -> not (List.mem_assoc table e.stamps)) map in
+        (kept, Smap.cardinal map - Smap.cardinal kept))
   in
   if dropped > 0 then ignore (Atomic.fetch_and_add t.counters.invalidations dropped);
   dropped
@@ -530,7 +490,6 @@ type latency = {
 type metrics = {
   requests : int;
   hits : int;
-  lockfree_hits : int;
   misses : int;
   rejected : int;
   invalidations : int;
@@ -543,11 +502,7 @@ type metrics = {
 }
 
 let metrics t =
-  let entries =
-    Array.fold_left
-      (fun acc shard -> acc + Mutex.protect shard.lock (fun () -> Lru.length shard.cache))
-      0 t.shard_tbl
-  in
+  let entries = Smap.cardinal (Atomic.get t.cache) in
   let c = t.counters in
   (* Count, sum and max come from the same histogram as the quantiles,
      so [max_ms] can never fall below [p99_ms]. *)
@@ -568,7 +523,6 @@ let metrics t =
   {
     requests = Atomic.get c.requests;
     hits = Atomic.get c.hits;
-    lockfree_hits = Atomic.get c.lockfree_hits;
     misses = Atomic.get c.misses;
     rejected = Atomic.get c.rejected;
     invalidations = Atomic.get c.invalidations;
@@ -582,12 +536,12 @@ let metrics t =
 
 let pp_metrics ppf m =
   Format.fprintf ppf
-    "@[<v>requests=%d hits=%d (lock-free %d) misses=%d (hit rate %.1f%%)@,\
+    "@[<v>requests=%d hits=%d misses=%d (hit rate %.1f%%)@,\
      rejected=%d invalidations=%d evictions=%d parameterized=%d entries=%d@,\
      warm: n=%d mean=%.3fms p50<=%.3fms p95<=%.3fms p99<=%.3fms max=%.3fms@,\
      cold: n=%d mean=%.3fms p50<=%.3fms p95<=%.3fms p99<=%.3fms max=%.3fms@,\
      search effort (misses): %a@]"
-    m.requests m.hits m.lockfree_hits m.misses
+    m.requests m.hits m.misses
     (if m.requests = 0 then 0. else 100. *. float_of_int m.hits /. float_of_int m.requests)
     m.rejected m.invalidations m.evictions m.param_served m.entries m.warm.count
     m.warm.mean_ms
@@ -649,7 +603,6 @@ let status_json t =
     [
       ("requests", J.int m.requests);
       ("hits", J.int m.hits);
-      ("lockfree_hits", J.int m.lockfree_hits);
       ("misses", J.int m.misses);
       ("rejected", J.int m.rejected);
       ("invalidations", J.int m.invalidations);

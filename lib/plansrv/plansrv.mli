@@ -1,17 +1,18 @@
-(** The optimization service: a sharded, bounded plan cache in front of
+(** The optimization service: a bounded plan cache in front of
     {!Relmodel.Optimizer}, served concurrently by OCaml domains.
 
     In a system serving heavy repeated traffic, plan caching — not plan
     search — absorbs most query arrivals. A request is fingerprinted
-    ({!Fingerprint}), routed to a cache shard by key hash, and answered
-    from the cache when a fresh entry exists; otherwise the worker's
-    own optimizer session optimizes the canonical form, populates the
-    cache, and answers. Warm hits are served off an immutable per-shard
-    snapshot without taking the shard lock (see
-    {!type-metrics.lockfree_hits}), so warm throughput scales with
-    serving domains instead of serializing on the shard mutexes. Entries are stamped with the catalog statistics
-    versions they were optimized under and invalidated lazily when the
-    statistics change. Parameterized entries delegate to {!Dynplan}
+    ({!Fingerprint}), looked up by its key in the cache, and answered
+    from it when a fresh entry exists; otherwise the worker's own
+    optimizer session optimizes the canonical form, populates the
+    cache, and answers. The cache is one immutable map published
+    through an atomic. Every hit reads it without taking a lock, so
+    warm throughput scales with serving domains; misses, stale drops
+    and invalidation sweeps publish a new map under one mutex. Past
+    capacity, the oldest insertion is evicted. Entries are stamped
+    with the catalog statistics versions they were optimized under and
+    invalidated lazily when the statistics change. Parameterized entries delegate to {!Dynplan}
     buckets, so one cached template serves a whole range of literal
     values. A worker fingerprints a repeated query once: it keeps the
     fingerprints of the requests the cache answered, and finds them
@@ -21,7 +22,6 @@
     sequential optimizer would produce for the canonical form of the
     query, regardless of worker count, scheduling, or cache state. *)
 
-module Lru = Lru
 module Fingerprint = Fingerprint
 
 type config = {
@@ -29,8 +29,9 @@ type config = {
       (** optimizer configuration used by every worker session and
           cache-miss optimization. Each optimization is sequential; the
           service parallelises across queries with its workers. *)
-  capacity : int;  (** total cached entries, divided across shards *)
-  shards : int;  (** independently locked cache shards *)
+  capacity : int;
+      (** most cached entries; an insertion past it evicts the oldest
+          insertion *)
   parameterize : bool;
       (** erase the single numeric literal from fingerprints and back
           the entry with 8 {!Dynplan} buckets *)
@@ -41,21 +42,19 @@ type config = {
 
 val config :
   ?capacity:int ->
-  ?shards:int ->
   ?parameterize:bool ->
   ?slow_ms:float ->
   Relmodel.Optimizer.request ->
   config
-(** Defaults: capacity 512, 8 shards, parameterization off, slow
-    threshold 50ms. *)
+(** Defaults: capacity 512, parameterization off, slow threshold
+    50ms. *)
 
 type t
-(** A running service: the shard array plus its observability
-    counters. Safe to share across domains. *)
+(** A running service: the cache map plus its observability counters.
+    Safe to share across domains. *)
 
 val create : config -> t
-(** Create an empty service; capacity is divided evenly across the
-    shards. *)
+(** Create an empty service. *)
 
 (** How a request was answered. *)
 type outcome =
@@ -128,13 +127,8 @@ type latency = {
 type metrics = {
   requests : int;
   hits : int;
-  lockfree_hits : int;
-      (** hits served entirely from a shard's immutable map snapshot —
-          no mutex, no LRU mutation. The warm read path is lock-free:
-          writers (misses, invalidations, evictions) publish a new
-          snapshot under the shard lock; readers only [Atomic.get] it.
-          Every warm hit takes this path, so at quiescence
-          [lockfree_hits = hits]. *)
+      (** requests answered from the cache; each read the published map
+          without a lock *)
   misses : int;
   rejected : int;
       (** misses whose optimization produced no plan (nothing to cache
@@ -142,9 +136,9 @@ type metrics = {
           request's flight recorder, when present, with reason
           ["plansrv-reject"] *)
   invalidations : int;  (** stale-stamp evictions plus proactive sweeps *)
-  evictions : int;  (** capacity evictions *)
+  evictions : int;  (** capacity evictions, oldest insertion first *)
   param_served : int;  (** requests answered through parameterized entries *)
-  entries : int;  (** current cache population across shards *)
+  entries : int;  (** current cache population *)
   cold : latency;  (** misses and invalidations: full optimization *)
   warm : latency;  (** hits: cache lookup *)
   search : Volcano.Search_stats.t;

@@ -261,7 +261,7 @@ let test_counters_owned_by_mqo () =
 let test_serve_batch_off_matches_cache () =
   let b = overlapping ~count:4 ~sharing:0.5 () in
   let request = Optimizer.request b.batch_catalog in
-  let srv = Plansrv.create (Plansrv.config ~capacity:64 ~shards:2 request) in
+  let srv = Plansrv.create (Plansrv.config ~capacity:64 request) in
   let w = Plansrv.worker srv in
   let report, responses = Mqo.serve_batch ~strategy:Mqo.Off srv w (pairs_of b) in
   Alcotest.(check int) "one response per query" (List.length b.queries)
@@ -289,7 +289,7 @@ let test_serve_batch_off_matches_cache () =
 let test_serve_batch_counters_exported () =
   let b = overlapping ~count:6 ~n_relations:6 ~core_relations:3 ~sharing:0.7 () in
   let request = Optimizer.request b.batch_catalog in
-  let srv = Plansrv.create (Plansrv.config ~capacity:64 ~shards:2 request) in
+  let srv = Plansrv.create (Plansrv.config ~capacity:64 request) in
   let w = Plansrv.worker srv in
   let report, _ = Mqo.serve_batch ~strategy:Mqo.Volcano_sh srv w (pairs_of b) in
   Alcotest.(check bool) "strategy found sharing" true (report.shared_groups > 0);
@@ -307,7 +307,7 @@ let test_serve_batch_ru_effort_counted () =
   let serve strategy =
     let b = overlapping ~count:6 ~n_relations:6 ~core_relations:3 ~sharing:0.7 () in
     let request = Optimizer.request b.batch_catalog in
-    let srv = Plansrv.create (Plansrv.config ~capacity:64 ~shards:2 request) in
+    let srv = Plansrv.create (Plansrv.config ~capacity:64 request) in
     let report, _ = Mqo.serve_batch ~strategy srv (Plansrv.worker srv) (pairs_of b) in
     (report, Option.get (gauge (Plansrv.registry srv) "volcano_search_tasks_total"))
   in

@@ -402,7 +402,7 @@ let test_plansrv_latency_and_registry () =
   let request =
     { (Relmodel.Optimizer.request catalog) with restore_columns = false }
   in
-  let srv = Plansrv.create (Plansrv.config ~capacity:16 ~shards:2 request) in
+  let srv = Plansrv.create (Plansrv.config ~capacity:16 request) in
   let w = Plansrv.worker srv in
   let q = Expr.(Logical.join (col "r.a" =% col "s.a") (Logical.get "r") (Logical.get "s")) in
   ignore (Plansrv.serve_one srv w q ~required:Phys_prop.any);
@@ -459,7 +459,7 @@ let search_gauges =
 let plansrv_gauges =
   List.map (( ^ ) "plansrv_")
     [
-      "entries"; "evictions"; "hits"; "invalidations"; "lockfree_hits"; "misses";
+      "entries"; "evictions"; "hits"; "invalidations"; "misses";
       "param_served"; "rejected"; "requests";
     ]
   @ search_gauges
@@ -479,7 +479,7 @@ let test_gauge_names_pinned () =
   Feedback.register reg (Feedback.counters ());
   Alcotest.(check (list string)) "optimize" search_gauges (gauge_names reg);
   let request = Relmodel.Optimizer.request (Helpers.small_catalog ()) in
-  let reg = Plansrv.registry (Plansrv.create (Plansrv.config ~capacity:4 ~shards:1 request)) in
+  let reg = Plansrv.registry (Plansrv.create (Plansrv.config ~capacity:4 request)) in
   Mqo.register reg;
   Feedback.register reg (Feedback.counters ());
   Alcotest.(check (list string)) "plan service" plansrv_gauges (gauge_names reg)
@@ -881,7 +881,7 @@ let test_profile_buffers_fold () =
       restore_columns = false;
       profiler = Some profiler }
   in
-  let srv = Plansrv.create (Plansrv.config ~capacity:16 ~shards:2 request) in
+  let srv = Plansrv.create (Plansrv.config ~capacity:16 request) in
   let w = Plansrv.worker srv in
   let q =
     Expr.(
@@ -944,7 +944,7 @@ let test_plansrv_slow_log_and_status () =
     { (Relmodel.Optimizer.request catalog) with restore_columns = false }
   in
   (* Threshold 0: every response is "slow", so the log fills. *)
-  let srv = Plansrv.create (Plansrv.config ~capacity:16 ~shards:2 ~slow_ms:0. request) in
+  let srv = Plansrv.create (Plansrv.config ~capacity:16 ~slow_ms:0. request) in
   let w = Plansrv.worker srv in
   let q = Expr.(Logical.join (col "r.a" =% col "s.a") (Logical.get "r") (Logical.get "s")) in
   ignore (Plansrv.serve_one srv w q ~required:Phys_prop.any);
@@ -973,7 +973,7 @@ let test_plansrv_slow_log_and_status () =
   Alcotest.(check (option int)) "status slow occupancy" (Some 2) (field "slow_logged");
   (* A raised threshold leaves fast responses out of the log. *)
   let srv2 =
-    Plansrv.create (Plansrv.config ~capacity:16 ~shards:2 ~slow_ms:60_000. request)
+    Plansrv.create (Plansrv.config ~capacity:16 ~slow_ms:60_000. request)
   in
   let w2 = Plansrv.worker srv2 in
   ignore (Plansrv.serve_one srv2 w2 q ~required:Phys_prop.any);

@@ -1,36 +1,9 @@
-(* Tests of the plan-cache and optimization service: LRU mechanics,
-   fingerprint soundness, hit/miss/invalidation behavior, parameterized
-   (Dynplan-backed) entries, and concurrent serving equivalence. *)
+(* Tests of the plan-cache and optimization service: fingerprint
+   soundness, capacity and eviction, hit/miss/invalidation behavior,
+   parameterized (Dynplan-backed) entries, and concurrent serving
+   equivalence. *)
 
 open Relalg
-
-(* ---------- Lru ---------- *)
-
-let test_lru_basics () =
-  let l = Plansrv.Lru.create ~capacity:2 in
-  Alcotest.(check (option (pair string string))) "no eviction yet" None
-    (Plansrv.Lru.add l "a" "1");
-  Alcotest.(check (option (pair string string))) "no eviction yet" None
-    (Plansrv.Lru.add l "b" "2");
-  (* Touch "a" so "b" is the LRU when "c" arrives. *)
-  Alcotest.(check (option string)) "find promotes" (Some "1") (Plansrv.Lru.find l "a");
-  (match Plansrv.Lru.add l "c" "3" with
-   | Some ("b", "2") -> ()
-   | Some (k, _) -> Alcotest.failf "evicted %s, expected b" k
-   | None -> Alcotest.fail "expected an eviction");
-  Alcotest.(check int) "length at capacity" 2 (Plansrv.Lru.length l);
-  Alcotest.(check (option string)) "b gone" None (Plansrv.Lru.find l "b");
-  Alcotest.(check (option string)) "a kept" (Some "1") (Plansrv.Lru.peek l "a");
-  let removed = Plansrv.Lru.remove_if l (fun k _ -> k = "c") in
-  Alcotest.(check int) "remove_if removes one" 1 (List.length removed);
-  Alcotest.(check int) "one left" 1 (Plansrv.Lru.length l)
-
-let test_lru_replace () =
-  let l = Plansrv.Lru.create ~capacity:2 in
-  ignore (Plansrv.Lru.add l "a" 1);
-  ignore (Plansrv.Lru.add l "a" 2);
-  Alcotest.(check int) "replace keeps one binding" 1 (Plansrv.Lru.length l);
-  Alcotest.(check (option int)) "latest value" (Some 2) (Plansrv.Lru.find l "a")
 
 (* ---------- fingerprints ---------- *)
 
@@ -103,9 +76,9 @@ let prop_fingerprint_sound =
 
 (* ---------- the service ---------- *)
 
-let service ?(capacity = 64) ?(shards = 4) ?parameterize catalog =
+let service ?(capacity = 64) ?parameterize catalog =
   let request = { (Relmodel.Optimizer.request catalog) with restore_columns = false } in
-  Plansrv.create (Plansrv.config ~capacity ~shards ?parameterize request)
+  Plansrv.create (Plansrv.config ~capacity ?parameterize request)
 
 let explain_of (r : Plansrv.response) =
   match r.plan with
@@ -158,7 +131,7 @@ let test_warm_hit_identical () =
 
 let test_eviction () =
   let catalog = Helpers.small_catalog () in
-  let srv = service ~capacity:2 ~shards:1 catalog in
+  let srv = service ~capacity:2 catalog in
   let w = Plansrv.worker srv in
   let q name = Logical.get name in
   List.iter
@@ -167,9 +140,32 @@ let test_eviction () =
   let m = Plansrv.metrics srv in
   Alcotest.(check int) "one eviction" 1 m.evictions;
   Alcotest.(check int) "population at capacity" 2 m.entries;
-  (* The LRU victim was "r"; it misses again. *)
+  (* The oldest insertion, "r", was evicted; it misses again. *)
   let again = Plansrv.serve_one srv w (q "r") ~required:Phys_prop.any in
   Alcotest.(check bool) "evicted entry misses" true (again.outcome = Plansrv.Miss)
+
+(* Capacity bounds the whole cache: 8 distinct queries fit a capacity-8
+   service, and the 9th evicts exactly one entry, the first inserted. *)
+let test_capacity_exact () =
+  let catalog = Helpers.small_catalog () in
+  let srv = service ~capacity:8 catalog in
+  let w = Plansrv.worker srv in
+  let q c = Logical.select Expr.(col "t.c" <% int c) (Logical.get "t") in
+  let serve c = (Plansrv.serve_one srv w (q c) ~required:Phys_prop.any).outcome in
+  List.iter (fun c -> ignore (serve c)) [ 0; 8; 16; 24; 32; 40; 48; 56 ];
+  let m = Plansrv.metrics srv in
+  Alcotest.(check int) "no eviction at capacity" 0 m.evictions;
+  Alcotest.(check int) "8 entries" 8 m.entries;
+  Alcotest.(check bool) "a 9th query misses" true (serve 64 = Plansrv.Miss);
+  let m = Plansrv.metrics srv in
+  Alcotest.(check int) "one eviction" 1 m.evictions;
+  Alcotest.(check int) "still 8 entries" 8 m.entries;
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (Printf.sprintf "query %d kept" c) true (serve c = Plansrv.Hit))
+    [ 8; 16; 24; 32; 40; 48; 56; 64 ];
+  Alcotest.(check bool) "the oldest insertion misses" true (serve 0 = Plansrv.Miss);
+  Alcotest.(check int) "two evictions" 2 (Plansrv.metrics srv).evictions
 
 let test_stats_invalidation () =
   let catalog = Helpers.small_catalog () in
@@ -294,7 +290,7 @@ let test_concurrent_matches_sequential () =
           (Relmodel.Optimizer.explain p, Cost.total p.cost)
       | None -> Alcotest.fail "baseline optimization failed")
     uniques;
-  let srv = Plansrv.create (Plansrv.config ~capacity:64 ~shards:4 request) in
+  let srv = Plansrv.create (Plansrv.config ~capacity:64 request) in
   let responses = Plansrv.serve ~workers:4 srv requests in
   Array.iteri
     (fun i (r : Plansrv.response) ->
@@ -316,6 +312,77 @@ let test_concurrent_matches_sequential () =
     (Printf.sprintf "every unique query misses at least once (misses=%d)" m.misses)
     true (m.misses >= 20);
   Alcotest.(check int) "no invalidations" 0 m.invalidations
+
+(* Proactive sweeps racing two serving domains never lose a request or
+   a plan, and the cache stays within capacity. Statistics refreshes are
+   not raced: the catalog's statistics are shared mutable state. *)
+let test_invalidate_while_serving () =
+  let catalog = Helpers.small_catalog () in
+  let join_st =
+    Logical.join Expr.(col "s.c" =% col "t.c") (Logical.get "s") (Logical.get "t")
+  in
+  let uniques =
+    List.concat_map
+      (fun c ->
+        [
+          Logical.select Expr.(col "r.b" <% int c) join_rs;
+          Logical.select Expr.(col "t.c" <% int c) (Logical.get "t");
+          Logical.select Expr.(col "s.a" <% int c) join_st;
+        ])
+      [ 1; 3; 5; 7 ]
+  in
+  let rng = Random.State.make [| 7 |] in
+  let requests =
+    List.concat_map (fun q -> List.init 10 (fun _ -> q)) uniques
+    |> List.map (fun q -> (Random.State.bits rng, q))
+    |> List.sort compare
+    |> List.map (fun (_, q) -> (q, Phys_prop.any))
+    |> Array.of_list
+  in
+  let n = Array.length requests in
+  (* Capacity below the 12 distinct queries: evictions race the sweeps. *)
+  let srv = service ~capacity:8 catalog in
+  let stop = Atomic.make false in
+  let sweeper =
+    Domain.spawn (fun () ->
+        let sweeps = ref 0 in
+        while !sweeps = 0 || not (Atomic.get stop) do
+          ignore (Plansrv.invalidate_table srv (List.nth [ "r"; "s"; "t" ] (!sweeps mod 3)));
+          incr sweeps;
+          Domain.cpu_relax ()
+        done;
+        !sweeps)
+  in
+  let responses = Plansrv.serve ~workers:2 srv requests in
+  Atomic.set stop true;
+  let sweeps = Domain.join sweeper in
+  Alcotest.(check bool) (Printf.sprintf "%d sweeps ran" sweeps) true (sweeps > 0);
+  Array.iteri
+    (fun i (r : Plansrv.response) ->
+      Alcotest.(check bool) (Printf.sprintf "request %d has a plan" i) true
+        (Option.is_some r.plan))
+    responses;
+  let m = Plansrv.metrics srv in
+  Alcotest.(check int) "requests" n m.requests;
+  Alcotest.(check int) "hits + misses = requests" n (m.hits + m.misses);
+  Alcotest.(check bool) (Printf.sprintf "%d entries within capacity" m.entries) true
+    (m.entries <= 8);
+  (* A sequential pass serves what sequential optimization produces. *)
+  let request = { (Relmodel.Optimizer.request catalog) with restore_columns = false } in
+  let session = Relmodel.Optimizer.session request in
+  let sequential =
+    Plansrv.serve srv (Array.of_list (List.map (fun q -> (q, Phys_prop.any)) uniques))
+  in
+  List.iteri
+    (fun i q ->
+      let canonical = Plansrv.Fingerprint.canonicalize q in
+      match (Relmodel.Optimizer.optimize_in session canonical ~required:Phys_prop.any).plan with
+      | Some p ->
+        Alcotest.(check string)
+          (Printf.sprintf "query %d: plan identical to sequential" i)
+          (Relmodel.Optimizer.explain p) (explain_of sequential.(i))
+      | None -> Alcotest.fail "sequential optimization failed")
+    uniques
 
 let test_serve_sequential_equals_concurrent_metrics () =
   (* The same batch served by 1 worker and by 4 workers yields the same
@@ -458,8 +525,6 @@ let test_repeated_statement_allocation () =
 
 let suite =
   [
-    Alcotest.test_case "lru basics" `Quick test_lru_basics;
-    Alcotest.test_case "lru replace" `Quick test_lru_replace;
     Alcotest.test_case "fingerprint: join commutes" `Quick test_fingerprint_commutative_join;
     Alcotest.test_case "fingerprint: set ops" `Quick test_fingerprint_commutative_setops;
     Alcotest.test_case "fingerprint: predicate NF" `Quick test_fingerprint_predicate_normal_form;
@@ -467,11 +532,13 @@ let suite =
     prop_fingerprint_sound;
     Alcotest.test_case "warm hit identical" `Quick test_warm_hit_identical;
     Alcotest.test_case "bounded cache evicts" `Quick test_eviction;
+    Alcotest.test_case "capacity is exact" `Quick test_capacity_exact;
     Alcotest.test_case "stats bump invalidates" `Quick test_stats_invalidation;
     Alcotest.test_case "proactive sweep" `Quick test_proactive_invalidation;
     Alcotest.test_case "parameterized entries" `Quick test_parameterized_entry;
     Alcotest.test_case "concurrent = sequential" `Quick test_concurrent_matches_sequential;
     Alcotest.test_case "worker counts agree" `Quick test_serve_sequential_equals_concurrent_metrics;
+    Alcotest.test_case "invalidate while serving" `Quick test_invalidate_while_serving;
     Alcotest.test_case "equal query hits" `Quick test_equal_query_hits;
     Alcotest.test_case "literals 5, 7, 5" `Quick test_parameterized_literals;
     Alcotest.test_case "stats refresh keeps statement" `Quick test_stats_refresh_keeps_statement;
