@@ -1,9 +1,9 @@
-(* Benchmark harness regenerating the paper's evaluation (Figure 4),
-   the ablations A1-A10 of DESIGN.md, and the BENCH_*.json reports.
+(* Benchmark harness: the paper's evaluation (Figure 4 and the ablations
+   A1-A10 of DESIGN.md) and the subsystem reports, each written as one
+   BENCH_*.json in the report schema below.
 
      dune exec bench/main.exe              -- every target
-     dune exec bench/main.exe -- f4        -- just Figure 4
-     dune exec bench/main.exe -- a1..a10   -- one ablation (printed only)
+     dune exec bench/main.exe -- paper     -- Figure 4 and A1-A10     (BENCH_paper.json)
      dune exec bench/main.exe -- plansrv   -- plan-cache service      (BENCH_plansrv.json)
      dune exec bench/main.exe -- pruning   -- guided-pruning ablation (BENCH_pruning.json)
      dune exec bench/main.exe -- obs       -- observability overhead  (BENCH_obs.json)
@@ -36,586 +36,6 @@ let mean = function
 let geomean = function
   | [] -> nan
   | xs -> exp (mean (List.map log xs))
-
-let header title =
-  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-let volcano_optimize ?(flags = Relmodel.Rel_model.default_flags) ?(pruning = true)
-    ?max_moves (q : Workload.query) ~required =
-  let request =
-    {
-      (Relmodel.Optimizer.request q.catalog) with
-      flags;
-      pruning;
-      max_moves;
-      (* Plans are compared bare: no cosmetic column-restoring projection. *)
-      restore_columns = false;
-    }
-  in
-  Relmodel.Optimizer.optimize request q.logical ~required
-
-(* ------------------------------------------------------------------ *)
-(* F4: Figure 4 — exhaustive optimization performance, Volcano vs      *)
-(* EXODUS, 1-7 joins (2-8 input relations).                            *)
-(* ------------------------------------------------------------------ *)
-
-let f4 ~full () =
-  header "F4  Figure 4: exhaustive optimization, Volcano vs EXODUS";
-  Printf.printf
-    "Per size: average optimization time and average estimated plan execution\n\
-     time (both optimizers' plans re-costed by one neutral estimator).\n";
-  let volcano_queries = if full then 50 else 30 in
-  let exodus_queries n = if n <= 5 then volcano_queries else if n = 6 then 5 else 3 in
-  let exodus_budget = 40_000 in
-  Printf.printf
-    "Volcano: %d queries/size. EXODUS: %d queries for <=5 relations, fewer after\n\
-     (node budget %d; the paper's EXODUS likewise aborted on complex queries).\n\n"
-    volcano_queries (exodus_queries 2) exodus_budget;
-  Printf.printf
-    "  n | volcano opt (ms) | exodus opt (ms) | time ratio | volcano exec (s) | exodus exec (s) | exec ratio | exodus ok\n";
-  Printf.printf
-    "  --+------------------+-----------------+------------+------------------+-----------------+------------+----------\n";
-  List.iter
-    (fun n ->
-      let queries =
-        Workload.generate_batch
-          (Workload.spec ~shape:Workload.Chain ~n_relations:n ~seed:(seed_base + n) ())
-          ~count:volcano_queries
-      in
-      let v_times = ref [] and v_costs = ref [] in
-      List.iter
-        (fun (q : Workload.query) ->
-          let dt, result = time_it (fun () -> volcano_optimize q ~required:Phys_prop.any) in
-          match result.plan with
-          | None -> ()
-          | Some plan ->
-            v_times := dt :: !v_times;
-            v_costs :=
-              Cost.total
-                (Relmodel.Plan_cost.estimate q.catalog
-                   (Relmodel.Optimizer.to_physical plan))
-              :: !v_costs)
-        queries;
-      let e_times = ref [] and e_costs = ref [] and e_ok = ref 0 in
-      let e_abort_ratios = ref [] in
-      let e_queries = List.filteri (fun i _ -> i < exodus_queries n) queries in
-      List.iteri
-        (fun i (q : Workload.query) ->
-          let dt, result =
-            time_it (fun () ->
-                Exodus.optimize ~catalog:q.catalog ~max_nodes:exodus_budget q.logical
-                  ~required:Phys_prop.any)
-          in
-          match result.plan with
-          | Some plan when not result.aborted ->
-            incr e_ok;
-            e_times := dt :: !e_times;
-            e_costs := Cost.total (Relmodel.Plan_cost.estimate q.catalog plan) :: !e_costs
-          | Some plan ->
-            (* Aborted search: compare its best-so-far plan against the
-               Volcano optimum for the same query. *)
-            let ec = Cost.total (Relmodel.Plan_cost.estimate q.catalog plan) in
-            let vc = List.nth (List.rev !v_costs) i in
-            e_abort_ratios := (ec /. vc) :: !e_abort_ratios
-          | None -> ())
-        e_queries;
-      let v_t = mean !v_times *. 1000. and e_t = mean !e_times *. 1000. in
-      let v_c = mean !v_costs and e_c = mean !e_costs in
-      Printf.printf
-        "  %d | %16.2f | %15.2f | %10.1f | %16.4f | %15.4f | %10.3f | %d/%d%s\n%!" n v_t e_t
-        (e_t /. v_t) v_c e_c (e_c /. v_c) !e_ok (List.length e_queries)
-        (if !e_abort_ratios = [] then ""
-         else Printf.sprintf "  (aborted best-so-far %.2fx optimum)" (geomean !e_abort_ratios)))
-    [ 2; 3; 4; 5; 6; 7; 8 ]
-
-(* ------------------------------------------------------------------ *)
-(* A1: memo deduplication — redundant derivations detected via the     *)
-(* expression hash table and the winner table.                         *)
-(* ------------------------------------------------------------------ *)
-
-let a1 ~full () =
-  header "A1  Memo deduplication (the hash table of expressions and classes)";
-  Printf.printf
-    "  n | groups | mexprs | rule firings | class merges | goals | winner hits | hit rate | tasks | stack hwm\n";
-  Printf.printf
-    "  --+--------+--------+--------------+--------------+-------+-------------+----------+-------+----------\n";
-  let count = if full then 20 else 10 in
-  List.iter
-    (fun n ->
-      let queries =
-        Workload.generate_batch
-          (Workload.spec ~n_relations:n ~seed:(seed_base + (100 * n)) ())
-          ~count
-      in
-      let acc = Array.make 8 0. in
-      List.iter
-        (fun (q : Workload.query) ->
-          let r = volcano_optimize q ~required:Phys_prop.any in
-          let s = r.stats in
-          acc.(0) <- acc.(0) +. Float.of_int r.memo_groups;
-          acc.(1) <- acc.(1) +. Float.of_int r.memo_mexprs;
-          acc.(2) <- acc.(2) +. Float.of_int s.rule_firings;
-          acc.(3) <- acc.(3) +. Float.of_int s.merges;
-          acc.(4) <- acc.(4) +. Float.of_int s.goals;
-          acc.(5) <- acc.(5) +. Float.of_int s.goal_hits;
-          acc.(6) <- acc.(6) +. Float.of_int s.tasks;
-          acc.(7) <- acc.(7) +. Float.of_int s.stack_hwm)
-        queries;
-      let c = Float.of_int count in
-      Printf.printf
-        "  %d | %6.0f | %6.0f | %12.0f | %12.0f | %5.0f | %11.0f | %8.2f | %5.0f | %9.0f\n%!"
-        n (acc.(0) /. c) (acc.(1) /. c) (acc.(2) /. c) (acc.(3) /. c) (acc.(4) /. c)
-        (acc.(5) /. c)
-        (acc.(5) /. (acc.(4) +. acc.(5)))
-        (acc.(6) /. c) (acc.(7) /. c))
-    [ 3; 4; 5; 6; 7; 8 ]
-
-(* ------------------------------------------------------------------ *)
-(* A2: branch-and-bound pruning — same optima, less work.              *)
-(* ------------------------------------------------------------------ *)
-
-let a2 ~full () =
-  header "A2  Branch-and-bound pruning (cost limits of Figure 2)";
-  Printf.printf
-    "  n | time on (ms) | time off (ms) | plans on | plans off | pruned | optima equal\n";
-  Printf.printf
-    "  --+--------------+---------------+----------+-----------+--------+-------------\n";
-  let count = if full then 20 else 10 in
-  List.iter
-    (fun n ->
-      let queries =
-        Workload.generate_batch
-          (Workload.spec ~n_relations:n ~seed:(seed_base + (200 * n)) ())
-          ~count
-      in
-      let t_on = ref [] and t_off = ref [] in
-      let p_on = ref 0 and p_off = ref 0 and pruned = ref 0 in
-      let equal = ref true in
-      List.iter
-        (fun (q : Workload.query) ->
-          let dt1, r1 =
-            time_it (fun () -> volcano_optimize ~pruning:true q ~required:Phys_prop.any)
-          in
-          let dt2, r2 =
-            time_it (fun () -> volcano_optimize ~pruning:false q ~required:Phys_prop.any)
-          in
-          t_on := dt1 :: !t_on;
-          t_off := dt2 :: !t_off;
-          p_on := !p_on + r1.stats.plans_costed;
-          p_off := !p_off + r2.stats.plans_costed;
-          pruned := !pruned + r1.stats.pruned;
-          match r1.plan, r2.plan with
-          | Some a, Some b ->
-            if Float.abs (Cost.total a.cost -. Cost.total b.cost) > 1e-9 then equal := false
-          | _, _ -> equal := false)
-        queries;
-      Printf.printf "  %d | %12.3f | %13.3f | %8d | %9d | %6d | %b\n%!" n
-        (mean !t_on *. 1000.) (mean !t_off *. 1000.) (!p_on / count) (!p_off / count)
-        (!pruned / count) !equal)
-    (if full then [ 3; 4; 5; 6; 7; 8 ] else [ 3; 4; 5; 6; 7 ])
-
-(* ------------------------------------------------------------------ *)
-(* A3: property-driven search vs after-the-fact glue sorting.          *)
-(* ------------------------------------------------------------------ *)
-
-let a3 ~full () =
-  header "A3  Physical properties drive the search (ORDER BY queries)";
-  Printf.printf
-    "Volcano passes the sort requirement into the search (enforcers, excluding\n\
-     vectors); the baseline optimizes ignoring order and glues a final sort on\n\
-     top (the EXODUS/Starburst treatment the paper criticizes).\n\n";
-  Printf.printf "  n | volcano cost | glue cost | glue/volcano (geomean)\n";
-  Printf.printf "  --+--------------+-----------+-----------------------\n";
-  let count = if full then 30 else 15 in
-  List.iter
-    (fun n ->
-      let queries =
-        Workload.generate_batch
-          (Workload.spec ~n_relations:n ~seed:(seed_base + (300 * n)) ())
-          ~count
-      in
-      let ratios = ref [] and v_costs = ref [] and g_costs = ref [] in
-      List.iter
-        (fun (q : Workload.query) ->
-          (* Ask for the output sorted on the first relation's first join
-             key — an order a merge join along the spine can produce. *)
-          let order_col = List.hd q.relations ^ ".jk1" in
-          let required = Phys_prop.sorted (Sort_order.asc [ order_col ]) in
-          let v = volcano_optimize q ~required in
-          let g = volcano_optimize q ~required:Phys_prop.any in
-          match v.plan, g.plan with
-          | Some vp, Some gp ->
-            let vc =
-              Cost.total
-                (Relmodel.Plan_cost.estimate q.catalog (Relmodel.Optimizer.to_physical vp))
-            in
-            let gplan =
-              Physical.mk (Physical.Sort required.Phys_prop.order)
-                [ Relmodel.Optimizer.to_physical gp ]
-            in
-            let gc = Cost.total (Relmodel.Plan_cost.estimate q.catalog gplan) in
-            v_costs := vc :: !v_costs;
-            g_costs := gc :: !g_costs;
-            ratios := (gc /. vc) :: !ratios
-          | _, _ -> ())
-        queries;
-      Printf.printf "  %d | %12.4f | %9.4f | %21.4f\n%!" n (mean !v_costs) (mean !g_costs)
-        (geomean !ratios))
-    [ 2; 3; 4; 5; 6 ]
-
-(* ------------------------------------------------------------------ *)
-(* A4: heuristic guidance — the implementor's search knobs.            *)
-(* ------------------------------------------------------------------ *)
-
-let a4 ~full () =
-  header "A4  Heuristic guidance: exhaustive vs left-deep vs top-k moves";
-  Printf.printf "  n | exhaustive ms/cost | left-deep ms/cost | top-8 moves ms/cost\n";
-  Printf.printf "  --+--------------------+-------------------+--------------------\n";
-  let count = if full then 20 else 10 in
-  let run_variant queries ~flags ~max_moves =
-    let times = ref [] and costs = ref [] in
-    List.iter
-      (fun (q : Workload.query) ->
-        let dt, r =
-          time_it (fun () -> volcano_optimize ~flags ?max_moves q ~required:Phys_prop.any)
-        in
-        match r.plan with
-        | Some p ->
-          times := dt :: !times;
-          costs :=
-            Cost.total
-              (Relmodel.Plan_cost.estimate q.catalog (Relmodel.Optimizer.to_physical p))
-            :: !costs
-        | None -> ())
-      queries;
-    (mean !times *. 1000., mean !costs)
-  in
-  List.iter
-    (fun n ->
-      let queries =
-        Workload.generate_batch
-          (Workload.spec ~n_relations:n ~seed:(seed_base + (400 * n)) ())
-          ~count
-      in
-      let open Relmodel.Rel_model in
-      let ex_t, ex_c = run_variant queries ~flags:default_flags ~max_moves:None in
-      let ld_t, ld_c =
-        run_variant queries ~flags:{ default_flags with left_deep_only = true } ~max_moves:None
-      in
-      let tk_t, tk_c = run_variant queries ~flags:default_flags ~max_moves:(Some 8) in
-      Printf.printf "  %d | %9.2f / %-8.3f | %8.2f / %-8.3f | %9.2f / %-8.3f\n%!" n ex_t ex_c
-        ld_t ld_c tk_t tk_c)
-    [ 4; 5; 6; 7 ]
-
-(* ------------------------------------------------------------------ *)
-(* A5: multiple alternative input property vectors (merge set ops).    *)
-(* ------------------------------------------------------------------ *)
-
-let a5 ~full () =
-  header "A5  Alternative input property vectors (the intersection example)";
-  ignore full;
-  Printf.printf
-    "INTERSECT of two relations both stored sorted on (y, x) — the rotated\n\
-     column order. With alternative vectors enabled the merge intersection\n\
-     exploits the stored order directly (the paper's R sorted on (A,B,C),\n\
-     S sorted on (B,A,C) example); without them only the (x, y) vector is\n\
-     tried and the stored order is wasted.\n\n";
-  let catalog = Catalog.create () in
-  let make_table name seed =
-    let rng = Random.State.make [| seed |] in
-    let tuples =
-      Array.init 4_000 (fun _ ->
-          [| Value.Int (Random.State.int rng 40); Value.Int (Random.State.int rng 40) |])
-    in
-    let rotated = Sort_order.asc [ name ^ ".y"; name ^ ".x" ] in
-    let schema =
-      [| Schema.attribute (name ^ ".x") Schema.TInt; Schema.attribute (name ^ ".y") Schema.TInt |]
-    in
-    Array.sort (Sort_order.compare_tuples schema rotated) tuples;
-    ignore (Catalog.add catalog ~name ~schema ~stored_order:rotated tuples)
-  in
-  make_table "a" 51;
-  make_table "b" 52;
-  let query = Logical.intersect (Logical.get "a") (Logical.get "b") in
-  (* Require the output in the rotated order. *)
-  let required =
-    { Phys_prop.any with order = Sort_order.asc [ "a.y"; "a.x" ]; distinct = true }
-  in
-  let run ~alternatives =
-    let flags = { Relmodel.Rel_model.default_flags with alternatives } in
-    let request = { (Relmodel.Optimizer.request catalog) with flags } in
-    let dt, result =
-      time_it (fun () -> Relmodel.Optimizer.optimize request query ~required)
-    in
-    match result.plan with
-    | None -> (dt, nan, "no plan")
-    | Some p -> (dt, Cost.total p.cost, Physical.alg_name p.alg)
-  in
-  let t_on, c_on, root_on = run ~alternatives:true in
-  let t_off, c_off, root_off = run ~alternatives:false in
-  Printf.printf "  alternatives on : cost %.4f  root %-24s (%.2f ms)\n" c_on root_on
-    (t_on *. 1000.);
-  Printf.printf "  alternatives off: cost %.4f  root %-24s (%.2f ms)\n" c_off root_off
-    (t_off *. 1000.);
-  Printf.printf "  saving: %.1f%%\n%!" (100. *. (1. -. (c_on /. c_off)))
-
-(* ------------------------------------------------------------------ *)
-(* A6: search-space growth — optimization effort tracks the number of  *)
-(* equivalent logical expressions (Ono-Lohman).                        *)
-(* ------------------------------------------------------------------ *)
-
-let a6 ~full () =
-  header "A6  Growth of the logical search space (cf. Ono & Lohman)";
-  Printf.printf
-    "For a chain query with Cartesian products admitted, the number of join\n\
-     multi-expressions in the memo is sum over subsets S (|S|>=2) of\n\
-     (2^|S| - 2) = 3^n - 2^(n+1) + n + 1; optimization time should track it.\n\n";
-  Printf.printf "  n | mexprs (measured) | join mexprs (theory) | time (ms)\n";
-  Printf.printf "  --+-------------------+----------------------+----------\n";
-  let count = if full then 10 else 5 in
-  List.iter
-    (fun n ->
-      let queries =
-        Workload.generate_batch
-          (Workload.spec ~n_relations:n ~seed:(seed_base + (600 * n)) ())
-          ~count
-      in
-      let times = ref [] and mexprs = ref [] in
-      List.iter
-        (fun (q : Workload.query) ->
-          let dt, r = time_it (fun () -> volcano_optimize q ~required:Phys_prop.any) in
-          times := dt :: !times;
-          mexprs := Float.of_int r.memo_mexprs :: !mexprs)
-        queries;
-      let theory =
-        (3. ** Float.of_int n) -. (2. ** Float.of_int (n + 1)) +. Float.of_int n +. 1.
-      in
-      Printf.printf "  %d | %17.0f | %20.0f | %8.2f\n%!" n (mean !mexprs) theory
-        (mean !times *. 1000.))
-    [ 3; 4; 5; 6; 7; 8 ]
-
-(* ------------------------------------------------------------------ *)
-(* A7: partitioning as a physical property — exchange enforcers and    *)
-(* co-partitioned parallel joins (paper §4.1/§6).                      *)
-(* ------------------------------------------------------------------ *)
-
-let a7 ~full () =
-  header "A7  Partitioning property: exchanges and parallel joins";
-  ignore full;
-  let make_catalog () =
-    let c = Catalog.create () in
-    let add name rows seed part =
-      let rng = Random.State.make [| seed |] in
-      let tuples =
-        Array.init rows (fun i ->
-            [| Value.Int i; Value.Int (Random.State.int rng 500);
-               Value.Int (Random.State.int rng 100) |])
-      in
-      let schema =
-        [|
-          Schema.attribute (name ^ ".id") Schema.TInt;
-          Schema.attribute (name ^ ".k") Schema.TInt;
-          Schema.attribute (name ^ ".v") Schema.TInt;
-        |]
-      in
-      ignore (Catalog.add c ~name ~schema ?stored_partitioning:part tuples)
-    in
-    add "f1" 6_000 91 (Some (Phys_prop.Hashed [ "f1.k" ]));
-    add "f2" 6_000 92 (Some (Phys_prop.Hashed [ "f2.k" ]));
-    c
-  in
-  let catalog = make_catalog () in
-  let query =
-    Expr.(Logical.join (col "f1.k" =% col "f2.k") (Logical.get "f1") (Logical.get "f2"))
-  in
-  Printf.printf
-    "Join of two relations pre-partitioned on the join key, result gathered at\n\
-     one site; the co-partitioned parallel join divides the work across the\n\
-     workers, paying one exchange.\n\n";
-  Printf.printf "  workers | est. cost | plan root\n";
-  Printf.printf "  --------+-----------+----------\n";
-  List.iter
-    (fun workers ->
-      let request =
-        {
-          (Relmodel.Optimizer.request catalog) with
-          params = { Cost_model.default with workers };
-          restore_columns = false;
-        }
-      in
-      let result = Relmodel.Optimizer.optimize request query ~required:Phys_prop.gathered in
-      match result.plan with
-      | None -> Printf.printf "  %7d | no plan\n%!" workers
-      | Some p ->
-        Printf.printf "  %7d | %9.4f | %s\n%!" workers (Cost.total p.cost)
-          (Physical.alg_name p.alg))
-    [ 1; 2; 4; 8; 16 ]
-
-(* ------------------------------------------------------------------ *)
-(* A8: dynamic plans for incompletely specified queries (paper §1,     *)
-(* requirement 5).                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let a8 ~full () =
-  header "A8  Dynamic plans (parameterized query, unknown selectivity)";
-  ignore full;
-  let catalog = Catalog.create () in
-  ignore
-    (Catalog.add_synthetic catalog ~name:"fact"
-       ~columns:[ ("k", Catalog.Uniform_int (0, 499)); ("v", Catalog.Uniform_int (0, 9_999)) ]
-       ~rows:6_000 ~seed:31 ());
-  ignore
-    (Catalog.add_synthetic catalog ~name:"dim"
-       ~columns:[ ("k", Catalog.Uniform_int (0, 499)); ("w", Catalog.Uniform_int (0, 99)) ]
-       ~rows:3_000 ~seed:32 ());
-  let template param =
-    let open Expr in
-    Logical.join
-      (col "fact.k" =% col "dim.k")
-      (Logical.select (Expr.Cmp (Expr.Le, col "fact.v", Expr.Const param)) (Logical.get "fact"))
-      (Logical.get "dim")
-  in
-  let request =
-    { (Relmodel.Optimizer.request catalog) with restore_columns = false }
-  in
-  let prepared =
-    Dynplan.prepare ~request template ~range:(0., 400.) ~buckets:16 ~required:Phys_prop.any ()
-  in
-  Printf.printf
-    "The parameter bounds fact.v; selectivity is unknown until run time. The\n\
-     dynamic plan keeps %d distinct plans; the static plan is optimized at the\n\
-     range midpoint. Costs below are the neutral estimate of the instantiated\n\
-     plans; 'oracle' re-optimizes for the actual value.\n\n"
-    (Dynplan.n_distinct_plans prepared);
-  Printf.printf "  param | dynamic | static | oracle | static/dynamic\n";
-  Printf.printf "  ------+---------+--------+--------+---------------\n";
-  List.iter
-    (fun v ->
-      let param = Value.Int v in
-      let b = Dynplan.choose prepared param in
-      let dynamic =
-        Cost.total
-          (Relmodel.Plan_cost.estimate catalog
-             (Dynplan.instantiate b.Dynplan.plan ~witness:b.Dynplan.witness ~actual:param))
-      in
-      let static_ =
-        Cost.total
-          (Relmodel.Plan_cost.estimate catalog
-             (Dynplan.instantiate prepared.Dynplan.static_plan ~witness:200. ~actual:param))
-      in
-      let oracle =
-        match (Relmodel.Optimizer.optimize request (template param) ~required:Phys_prop.any).plan with
-        | Some p -> Cost.total p.cost
-        | None -> nan
-      in
-      Printf.printf "  %5d | %7.4f | %6.4f | %6.4f | %14.2f\n%!" v dynamic static_ oracle
-        (static_ /. dynamic))
-    [ 2; 10; 25; 50; 100; 200; 400 ]
-
-(* ------------------------------------------------------------------ *)
-(* A9: longer-lived partial results — one memo across queries (§3).    *)
-(* ------------------------------------------------------------------ *)
-
-let a9 ~full () =
-  header "A9  Memo reuse across queries (longer-lived partial results)";
-  let n = 6 in
-  let count = if full then 30 else 15 in
-  (* Queries over one catalog sharing subexpressions: prefixes of a
-     chain with varying selections. *)
-  let base = Workload.generate (Workload.spec ~n_relations:n ~seed:(seed_base + 999) ()) in
-  let queries =
-    (* Re-optimize the same query repeatedly plus its join prefixes:
-       the session should answer later requests mostly from the memo. *)
-    List.concat
-      (List.init count (fun _ ->
-           let rec prefixes (e : Logical.expr) acc =
-             match e.Logical.op, e.Logical.inputs with
-             | Logical.Join _, [ l; _ ] -> prefixes l (e :: acc)
-             | _, _ -> acc
-           in
-           prefixes base.logical []))
-  in
-  let request =
-    { (Relmodel.Optimizer.request base.catalog) with restore_columns = false }
-  in
-  let t_fresh, _ =
-    time_it (fun () ->
-        List.iter
-          (fun q -> ignore (Relmodel.Optimizer.optimize request q ~required:Phys_prop.any))
-          queries)
-  in
-  let t_session, _ =
-    time_it (fun () ->
-        let s = Relmodel.Optimizer.session request in
-        List.iter
-          (fun q -> ignore (Relmodel.Optimizer.optimize_in s q ~required:Phys_prop.any))
-          queries)
-  in
-  Printf.printf
-    "%d optimizations of overlapping queries (%d-relation chain and its prefixes):\n"
-    (List.length queries) n;
-  Printf.printf "  fresh memo per query : %8.2f ms\n" (t_fresh *. 1000.);
-  Printf.printf "  one session memo     : %8.2f ms   (%.1fx faster)\n%!"
-    (t_session *. 1000.) (t_fresh /. t_session)
-
-(* ------------------------------------------------------------------ *)
-(* A10: anytime optimization — plan quality under a task budget.       *)
-(* ------------------------------------------------------------------ *)
-
-let a10 ~full () =
-  header "A10  Anytime optimization (task budgets on the stepper loop)";
-  Printf.printf
-    "The task engine stops cleanly when its step budget runs out and returns\n\
-     the best complete plan found so far. Plan quality vs budget, as a\n\
-     geomean ratio over the exhaustive optimum ('-' = no plan yet).\n\n";
-  let n = 6 in
-  let count = if full then 20 else 10 in
-  let queries =
-    Workload.generate_batch
-      (Workload.spec ~shape:Workload.Chain ~n_relations:n ~seed:(seed_base + 1000) ())
-      ~count
-  in
-  let optimum =
-    List.map
-      (fun (q : Workload.query) ->
-        match (volcano_optimize q ~required:Phys_prop.any).plan with
-        | Some p -> Cost.total p.cost
-        | None -> nan)
-      queries
-  in
-  let exhaustive_tasks =
-    List.map
-      (fun (q : Workload.query) ->
-        (volcano_optimize q ~required:Phys_prop.any).tasks_run)
-      queries
-  in
-  Printf.printf "  exhaustive search: %.0f tasks on average (%d-relation chain)\n\n"
-    (mean (List.map Float.of_int exhaustive_tasks))
-    n;
-  Printf.printf "  budget (tasks) | plans found | cost / optimum (geomean)\n";
-  Printf.printf "  ---------------+-------------+-------------------------\n";
-  List.iter
-    (fun budget ->
-      let found = ref 0 and ratios = ref [] in
-      List.iter2
-        (fun (q : Workload.query) opt ->
-          let request =
-            {
-              (Relmodel.Optimizer.request q.catalog) with
-              max_tasks = Some budget;
-              restore_columns = false;
-            }
-          in
-          let r = Relmodel.Optimizer.optimize request q.logical ~required:Phys_prop.any in
-          match r.plan with
-          | Some p ->
-            incr found;
-            ratios := (Cost.total p.cost /. opt) :: !ratios
-          | None -> ())
-        queries optimum;
-      Printf.printf "  %14d | %8d/%-2d | %s\n%!" budget !found count
-        (if !ratios = [] then "-" else Printf.sprintf "%.4f" (geomean !ratios)))
-    [ 50; 200; 500; 1_000; 2_000; 5_000; 20_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Reports: the one schema every BENCH_*.json is written in.           *)
@@ -741,7 +161,6 @@ let median xs =
 (* ------------------------------------------------------------------ *)
 
 let plansrv_bench mode =
-  header "PLANSRV  Plan-cache service: repeated workload, warm vs cold";
   let replays = if mode = Full then 100 else 50 in
   (* 20 distinct queries over one catalog: the same 5-relation chain
      under 20 different selection constants — the shape of a
@@ -868,7 +287,6 @@ let plansrv_bench mode =
    be bit-identical across every arm; total engine tasks are the
    machine-independent work measure. *)
 let pruning_bench mode =
-  header "PRUNING  Guided pruning ablation (group cost lower bounds)";
   let reps = if mode = Smoke then 1 else 3 in
   let sizes =
     match mode with Smoke -> [ 4; 5 ] | Default -> [ 5; 6; 7 ] | Full -> [ 5; 6; 7; 8 ]
@@ -977,7 +395,6 @@ let pruning_bench mode =
    account of the work). The overhead gates are generous (4x tracing,
    2x profiled) because CI machines are noisy and smoke sizes tiny. *)
 let obs_bench mode =
-  header "OBS  Observability overhead (tracing, EXPLAIN, profiler, recorder)";
   let sizes = match mode with Smoke -> [ 4; 5 ] | Default -> [ 5; 6 ] | Full -> [ 5; 6; 7 ] in
   let reps = if mode = Smoke then 3 else 7 in
   let workloads =
@@ -1121,7 +538,6 @@ let obs_bench mode =
    the batch cost above the independent baseline. Outside smoke mode
    both strategies must also strictly improve every sharing arm. *)
 let mqo_bench mode =
-  header "MQO  Multi-query optimization (shared memo, materialize/reuse)";
   let count = if mode = Full then 16 else 10 in
   let n_relations = 6 in
   let core_relations = 3 in
@@ -1219,7 +635,6 @@ let mqo_bench mode =
    cost-model gap the report documents rather than hides. Every mode
    runs the same arms. *)
 let feedback_bench mode =
-  header "FEEDBACK  Runtime cardinality feedback (drift, correction, recovery)";
   let gates = new_gates () in
   let make_catalog () =
     let catalog = Catalog.create () in
@@ -1456,7 +871,6 @@ let feedback_bench mode =
    carries its last rung, so a reference cell is the same cell under
    any ladder and its counters match across modes. *)
 let scaleup_bench mode =
-  header "SCALEUP  Anytime search on large join graphs";
   let cells =
     (* (shape, name, relations, reference). Reference cells are sized so
        the exhaustive search finishes in seconds; ladder cells are the
@@ -1604,24 +1018,554 @@ let scaleup_bench mode =
   in
   finish mode { bench = "scaleup"; gates; headlines = []; cells }
 
+
+(* ------------------------------------------------------------------ *)
+(* PAPER  Figure 4 (Volcano vs EXODUS) and the ablations A1-A10         *)
 (* ------------------------------------------------------------------ *)
 
-let targets =
+(* One cell per experiment and size. A cell's key carries its query
+   count, so a smoke cell (default counts, sizes up to 5 relations) is a
+   default cell, and full mode (paper-sized counts) has cells of its
+   own. Counters sum over a cell's queries. Plans are re-costed by the
+   one neutral estimator both optimizers' plans are judged by, except
+   in A5 and A7 (see [own_cost]). The gates are the shape claims
+   EXPERIMENTS.md marks held. *)
+
+let sizes mode ns = if mode = Smoke then List.filter (fun n -> n <= 5) ns else ns
+
+let per_mode mode ~default ~full = if mode = Full then full else default
+
+let batch n ~seed ~count =
+  Workload.generate_batch (Workload.spec ~n_relations:n ~seed ()) ~count
+
+let paper_key experiment n count =
+  [ ("experiment", str experiment); ("relations", int n); ("queries", int count) ]
+
+let recost catalog plan = Cost.total (Relmodel.Plan_cost.estimate catalog plan)
+
+(* Two plans of equal cost can re-cost a few ulps apart, their operator
+   costs summed in another order, so "never cheaper" allows 1e-9
+   relative. *)
+let not_cheaper c ~than = c >= than *. (1. -. 1e-9)
+
+let show_cost = Option.fold ~none:"none" ~some:string_of_float
+
+(* One timed Volcano optimization of a workload query. *)
+type run = { q : Workload.query; ms : float; r : Relmodel.Optimizer.result }
+
+let volcano_run ?(flags = Relmodel.Rel_model.default_flags) ?(pruning = true) ?max_moves
+    ?(required = Phys_prop.any) (q : Workload.query) =
+  let request =
+    {
+      (Relmodel.Optimizer.request q.catalog) with
+      flags;
+      pruning;
+      max_moves;
+      (* Plans are compared bare: no cosmetic column-restoring projection. *)
+      restore_columns = false;
+    }
+  in
+  let dt, r = time_it (fun () -> Relmodel.Optimizer.optimize request q.logical ~required) in
+  { q; ms = dt *. 1000.; r }
+
+let volcano_cost run =
+  Option.map (fun p -> recost run.q.catalog (Relmodel.Optimizer.to_physical p)) run.r.plan
+
+(* Search effort summed over the runs, the mean re-costed plan cost, and
+   the mean optimization time. *)
+let volcano_arm name runs =
+  let sum f = int (List.fold_left (fun acc run -> acc + f run.r) 0 runs) in
+  let stat (f : Volcano.Search_stats.t -> int) = sum (fun r -> f r.stats) in
+  let costs = List.filter_map volcano_cost runs in
+  arm name
+    [ ("found", int (List.length costs)); ("tasks", stat (fun s -> s.tasks));
+      ("goals", stat (fun s -> s.goals)); ("goal_hits", stat (fun s -> s.goal_hits));
+      ("groups", sum (fun r -> r.memo_groups)); ("mexprs", sum (fun r -> r.memo_mexprs));
+      ("rule_firings", stat (fun s -> s.rule_firings)); ("merges", stat (fun s -> s.merges));
+      ("plans_costed", stat (fun s -> s.plans_costed)); ("pruned", stat (fun s -> s.pruned));
+      ("plan_cost_mean", num (mean costs)) ]
+    ~timings:[ ("opt_ms_mean", mean (List.map (fun run -> run.ms) runs)) ]
+
+(* A one-plan arm: the plan's cost and its root algorithm. *)
+let plan_arm ?(counters = []) ?(timings = []) name (plan : (float * Physical.alg) option) =
+  let cost, root =
+    match plan with
+    | None -> (Obs.Json.Null, Obs.Json.Null)
+    | Some (cost, alg) -> (num cost, str (Physical.alg_name alg))
+  in
+  arm name ([ ("plan_cost", cost); ("root", root) ] @ counters) ~timings
+
+(* The cost the optimizer itself put on its plan. The neutral estimator
+   does not scale partitioned operators by the worker count, so A7
+   reads this one. *)
+let own_cost (plan : Relmodel.Optimizer.plan_node option) =
+  Option.map (fun (p : Relmodel.Optimizer.plan_node) -> (Cost.total p.cost, p.alg)) plan
+
+(* F4: exhaustive optimization of 2-8-relation chains. EXODUS runs the
+   first queries of each size under a MESH node budget; at 6+ relations
+   each of them exhausts it, as the paper's EXODUS runs aborted. *)
+type exodus_run = {
+  e_ms : float;
+  e : Exodus.result;
+  e_cost : float option;
+  optimum : float option;  (** the Volcano plan's cost on the same query *)
+}
+
+let f4_cells mode gates =
+  let count = per_mode mode ~default:30 ~full:50 in
+  let budget = 40_000 in
+  List.map
+    (fun n ->
+      let runs = List.map volcano_run (batch n ~seed:(seed_base + n) ~count) in
+      let e_count = if n <= 5 then count else if n = 6 then 5 else 3 in
+      let exodus =
+        List.filteri (fun i _ -> i < e_count) runs
+        |> List.map (fun run ->
+               let dt, e =
+                 time_it (fun () ->
+                     Exodus.optimize ~catalog:run.q.catalog ~max_nodes:budget run.q.logical
+                       ~required:Phys_prop.any)
+               in
+               {
+                 e_ms = dt *. 1000.;
+                 e;
+                 e_cost = Option.map (recost run.q.catalog) e.plan;
+                 optimum = volcano_cost run;
+               })
+      in
+      let completed, aborted = List.partition (fun x -> not x.e.aborted) exodus in
+      List.iter
+        (fun x ->
+          check gates "exodus_never_cheaper"
+            (match (x.e_cost, x.optimum) with
+             | Some ec, Some vc -> not_cheaper ec ~than:vc
+             | _ -> false)
+            "f4 n=%d: EXODUS completed at cost %s, Volcano optimum %s" n (show_cost x.e_cost)
+            (show_cost x.optimum))
+        completed;
+      if n >= 6 then
+        check gates "exodus_none_complete_from_6" (completed = [])
+          "f4 n=%d: EXODUS completed %d of %d queries within %d nodes" n
+          (List.length completed) e_count budget;
+      let ms xs = mean (List.map (fun x -> x.e_ms) xs) in
+      let abort_ratios =
+        List.filter_map
+          (fun x ->
+            match (x.e_cost, x.optimum) with Some ec, Some vc -> Some (ec /. vc) | _ -> None)
+          aborted
+      in
+      {
+        key = paper_key "f4" n count;
+        arms =
+          [
+            volcano_arm "volcano" runs;
+            arm "exodus"
+              [ ("queries", int e_count); ("completed", int (List.length completed));
+                ("aborted", int (List.length aborted));
+                ("mesh_nodes",
+                  int (List.fold_left (fun acc x -> acc + x.e.stats.nodes) 0 exodus));
+                ("plan_cost_mean", num (mean (List.filter_map (fun x -> x.e_cost) completed)));
+                ("abort_ratio", num (geomean abort_ratios)) ]
+              ~timings:[ ("opt_ms_mean", ms completed); ("abort_ms_mean", ms aborted) ];
+          ];
+      })
+    (sizes mode [ 2; 3; 4; 5; 6; 7; 8 ])
+
+(* A1: memo deduplication — rule firings against distinct mexprs and
+   classes, goals answered from the winner table. *)
+let a1_cells mode _gates =
+  let count = per_mode mode ~default:10 ~full:20 in
+  List.map
+    (fun n ->
+      let runs = List.map volcano_run (batch n ~seed:(seed_base + (100 * n)) ~count) in
+      { key = paper_key "a1" n count; arms = [ volcano_arm "volcano" runs ] })
+    (sizes mode [ 3; 4; 5; 6; 7; 8 ])
+
+(* A2: branch-and-bound pruning saves work without changing an optimum. *)
+let a2_cells mode gates =
+  let count = per_mode mode ~default:10 ~full:20 in
+  List.map
+    (fun n ->
+      let queries = batch n ~seed:(seed_base + (200 * n)) ~count in
+      let on = List.map (volcano_run ~pruning:true) queries in
+      let off = List.map (volcano_run ~pruning:false) queries in
+      let cost run =
+        Option.map (fun p -> Cost.total (Relmodel.Optimizer.plan_cost p)) run.r.plan
+      in
+      List.iter2
+        (fun a b ->
+          check gates "a2_optima_equal" (cost a <> None && cost a = cost b)
+            "a2 n=%d: the optimum changes with pruning off" n)
+        on off;
+      {
+        key = paper_key "a2" n count;
+        arms = [ volcano_arm "pruning_on" on; volcano_arm "pruning_off" off ];
+      })
+    (sizes mode (per_mode mode ~default:[ 3; 4; 5; 6; 7 ] ~full:[ 3; 4; 5; 6; 7; 8 ]))
+
+(* A3: the required order passed into the search against the EXODUS and
+   Starburst treatment, a sort glued onto the plan optimized without it. *)
+let a3_cells mode gates =
+  let count = per_mode mode ~default:15 ~full:30 in
+  List.map
+    (fun n ->
+      let queries = batch n ~seed:(seed_base + (300 * n)) ~count in
+      (* The first relation's first join key: an order a merge join along
+         the spine can produce. *)
+      let order (q : Workload.query) = Sort_order.asc [ List.hd q.relations ^ ".jk1" ] in
+      let driven =
+        List.map (fun q -> volcano_run ~required:(Phys_prop.sorted (order q)) q) queries
+      in
+      let unordered = List.map volcano_run queries in
+      let pairs =
+        List.filter_map
+          (fun (d, u) ->
+            match (volcano_cost d, u.r.plan) with
+            | Some vc, Some p ->
+              let glued =
+                Physical.mk (Physical.Sort (order u.q)) [ Relmodel.Optimizer.to_physical p ]
+              in
+              Some (vc, recost u.q.catalog glued)
+            | _ -> None)
+          (List.combine driven unordered)
+      in
+      List.iter
+        (fun (vc, gc) ->
+          check gates "a3_glued_never_cheaper" (not_cheaper gc ~than:vc)
+            "a3 n=%d: glued sort %.6f below the property-driven plan %.6f" n gc vc)
+        pairs;
+      {
+        key = paper_key "a3" n count;
+        arms =
+          [
+            volcano_arm "property_driven" driven;
+            arm "glued_sort"
+              [ ("found", int (List.length pairs));
+                ("plan_cost_mean", num (mean (List.map snd pairs)));
+                ("cost_ratio", num (geomean (List.map (fun (vc, gc) -> gc /. vc) pairs))) ]
+              ~timings:[ ("opt_ms_mean", mean (List.map (fun u -> u.ms) unordered)) ];
+          ];
+      })
+    (sizes mode [ 2; 3; 4; 5; 6 ])
+
+(* A4: the implementor's search knobs. Left-deep and top-8 moves search
+   subsets of the exhaustive space, so neither may beat its optimum. *)
+let a4_cells mode gates =
+  let count = per_mode mode ~default:10 ~full:20 in
+  List.map
+    (fun n ->
+      let queries = batch n ~seed:(seed_base + (400 * n)) ~count in
+      let exhaustive = List.map volcano_run queries in
+      let left_deep =
+        List.map
+          (volcano_run ~flags:{ Relmodel.Rel_model.default_flags with left_deep_only = true })
+          queries
+      in
+      let top8 = List.map (volcano_run ~max_moves:8) queries in
+      List.iter
+        (fun (name, runs) ->
+          List.iter2
+            (fun ex h ->
+              match (volcano_cost ex, volcano_cost h) with
+              | Some opt, Some c ->
+                check gates "a4_heuristics_never_cheaper" (not_cheaper c ~than:opt)
+                  "a4 n=%d: %s plan %.6f below the exhaustive optimum %.6f" n name c opt
+              | _ -> ())
+            exhaustive runs)
+        [ ("left_deep", left_deep); ("top8_moves", top8) ];
+      {
+        key = paper_key "a4" n count;
+        arms =
+          [ volcano_arm "exhaustive" exhaustive; volcano_arm "left_deep" left_deep;
+            volcano_arm "top8_moves" top8 ];
+      })
+    (sizes mode [ 4; 5; 6; 7 ])
+
+(* A5: INTERSECT of two relations stored sorted on (y, x), the output
+   required in that order — the paper's R sorted on (A,B,C), S on
+   (B,A,C) example. The default configuration offers the merge
+   intersection the rotated input vector; the off arm withdraws it, so
+   only (x, y) is tried and the stored order is wasted. *)
+let a5_cells _mode gates =
+  let rows = 4_000 in
+  let catalog = Catalog.create () in
+  let make_table name seed =
+    let rng = Random.State.make [| seed |] in
+    let tuples =
+      Array.init rows (fun _ ->
+          [| Value.Int (Random.State.int rng 40); Value.Int (Random.State.int rng 40) |])
+    in
+    let rotated = Sort_order.asc [ name ^ ".y"; name ^ ".x" ] in
+    let schema =
+      [| Schema.attribute (name ^ ".x") Schema.TInt; Schema.attribute (name ^ ".y") Schema.TInt |]
+    in
+    Array.sort (Sort_order.compare_tuples schema rotated) tuples;
+    ignore (Catalog.add catalog ~name ~schema ~stored_order:rotated tuples)
+  in
+  make_table "a" 51;
+  make_table "b" 52;
+  let query = Logical.intersect (Logical.get "a") (Logical.get "b") in
+  let required =
+    { Phys_prop.any with order = Sort_order.asc [ "a.y"; "a.x" ]; distinct = true }
+  in
+  let run flags =
+    let request = { (Relmodel.Optimizer.request catalog) with flags } in
+    let dt, r = time_it (fun () -> Relmodel.Optimizer.optimize request query ~required) in
+    (dt *. 1000., own_cost r.plan)
+  in
+  let on_ms, on = run Relmodel.Rel_model.default_flags in
+  let off_ms, off = run { Relmodel.Rel_model.default_flags with alternatives = false } in
+  check gates "a5_alternatives_cheaper"
+    (match (on, off) with Some (c_on, _), Some (c_off, _) -> c_on < c_off | _ -> false)
+    "a5: alternative vectors on cost %s, off %s"
+    (show_cost (Option.map fst on))
+    (show_cost (Option.map fst off));
   [
-    ("f4", f4); ("a1", a1); ("a2", a2); ("a3", a3); ("a4", a4); ("a5", a5); ("a6", a6);
-    ("a7", a7); ("a8", a8); ("a9", a9); ("a10", a10);
+    {
+      key = [ ("experiment", str "a5"); ("rows", int rows) ];
+      arms =
+        [ plan_arm "alternatives_on" on ~timings:[ ("opt_ms", on_ms) ];
+          plan_arm "alternatives_off" off ~timings:[ ("opt_ms", off_ms) ] ];
+    };
   ]
+
+(* A6: the memo's multi-expressions against the closed-form count of
+   join expressions over all relation subsets of a chain with Cartesian
+   products admitted, sum over |S| >= 2 of (2^|S| - 2) =
+   3^n - 2^(n+1) + n + 1, plus the n selections. *)
+let a6_cells mode gates =
+  let count = per_mode mode ~default:5 ~full:10 in
+  List.map
+    (fun n ->
+      let runs = List.map volcano_run (batch n ~seed:(seed_base + (600 * n)) ~count) in
+      let pow b e = int_of_float (Float.of_int b ** Float.of_int e) in
+      let closed_form = pow 3 n - pow 2 (n + 1) + n + 1 in
+      List.iter
+        (fun run ->
+          check gates "a6_mexprs_closed_form" (run.r.memo_mexprs = closed_form + n)
+            "a6 n=%d: %d mexprs, closed form %d + %d" n run.r.memo_mexprs closed_form n)
+        runs;
+      { key = paper_key "a6" n count; arms = [ volcano_arm "volcano" runs ] })
+    (sizes mode [ 3; 4; 5; 6; 7; 8 ])
+
+(* A7: partitioning as a physical property. A join of two relations
+   pre-partitioned on the join key, result gathered at one site: past
+   one worker the co-partitioned parallel join pays one exchange. *)
+let a7_cells _mode _gates =
+  let rows = 6_000 in
+  let catalog = Catalog.create () in
+  let add name seed =
+    let rng = Random.State.make [| seed |] in
+    let tuples =
+      Array.init rows (fun i ->
+          [| Value.Int i; Value.Int (Random.State.int rng 500);
+             Value.Int (Random.State.int rng 100) |])
+    in
+    let schema =
+      [|
+        Schema.attribute (name ^ ".id") Schema.TInt;
+        Schema.attribute (name ^ ".k") Schema.TInt;
+        Schema.attribute (name ^ ".v") Schema.TInt;
+      |]
+    in
+    let part = Phys_prop.Hashed [ name ^ ".k" ] in
+    ignore (Catalog.add catalog ~name ~schema ~stored_partitioning:part tuples)
+  in
+  add "f1" 91;
+  add "f2" 92;
+  let query =
+    Expr.(Logical.join (col "f1.k" =% col "f2.k") (Logical.get "f1") (Logical.get "f2"))
+  in
+  List.map
+    (fun workers ->
+      let request =
+        {
+          (Relmodel.Optimizer.request catalog) with
+          params = { Cost_model.default with workers };
+          restore_columns = false;
+        }
+      in
+      let r = Relmodel.Optimizer.optimize request query ~required:Phys_prop.gathered in
+      {
+        key = [ ("experiment", str "a7"); ("workers", int workers); ("rows", int rows) ];
+        arms = [ plan_arm "volcano" (own_cost r.plan) ];
+      })
+    [ 1; 2; 4; 8; 16 ]
+
+(* A8: a dynamic plan for a join whose selection bound is a run-time
+   parameter, prepared over 16 buckets, against the static plan
+   optimized at the range midpoint and the oracle that re-optimizes for
+   the actual value. *)
+let a8_cells _mode gates =
+  let buckets = 16 in
+  let catalog = Catalog.create () in
+  ignore
+    (Catalog.add_synthetic catalog ~name:"fact"
+       ~columns:[ ("k", Catalog.Uniform_int (0, 499)); ("v", Catalog.Uniform_int (0, 9_999)) ]
+       ~rows:6_000 ~seed:31 ());
+  ignore
+    (Catalog.add_synthetic catalog ~name:"dim"
+       ~columns:[ ("k", Catalog.Uniform_int (0, 499)); ("w", Catalog.Uniform_int (0, 99)) ]
+       ~rows:3_000 ~seed:32 ());
+  let template param =
+    let open Expr in
+    Logical.join
+      (col "fact.k" =% col "dim.k")
+      (Logical.select (Expr.Cmp (Expr.Le, col "fact.v", Expr.Const param)) (Logical.get "fact"))
+      (Logical.get "dim")
+  in
+  let request = { (Relmodel.Optimizer.request catalog) with restore_columns = false } in
+  let prepared =
+    Dynplan.prepare ~request template ~range:(0., 400.) ~buckets ~required:Phys_prop.any ()
+  in
+  List.map
+    (fun v ->
+      let param = Value.Int v in
+      let b = Dynplan.choose prepared param in
+      let dynamic =
+        Dynplan.instantiate b.Dynplan.plan ~witness:b.Dynplan.witness ~actual:param
+      in
+      let static_ =
+        Dynplan.instantiate prepared.Dynplan.static_plan ~witness:200. ~actual:param
+      in
+      let oracle =
+        Option.map Relmodel.Optimizer.to_physical
+          (Relmodel.Optimizer.optimize request (template param) ~required:Phys_prop.any).plan
+      in
+      (* All three re-costed: an instantiated plan has no cost of its own. *)
+      let costed (p : Physical.plan) = (recost catalog p, p.alg) in
+      let c_dynamic, _ = costed dynamic in
+      check gates "a8_dynamic_equals_oracle"
+        (Option.map (recost catalog) oracle = Some c_dynamic)
+        "a8 param=%d: dynamic plan %.6f differs from the oracle" v c_dynamic;
+      {
+        key = [ ("experiment", str "a8"); ("param", int v); ("buckets", int buckets) ];
+        arms =
+          [ plan_arm "dynamic" (Some (costed dynamic))
+              ~counters:[ ("distinct_plans", int (Dynplan.n_distinct_plans prepared)) ];
+            plan_arm "static" (Some (costed static_));
+            plan_arm "oracle" (Option.map costed oracle) ];
+      })
+    [ 2; 10; 25; 50; 100; 200; 400 ]
+
+(* A9: longer-lived partial results. A 6-relation chain and its join
+   prefixes, re-optimized repeatedly: a fresh memo per query against one
+   session memo. *)
+let a9_cells mode _gates =
+  let n = 6 in
+  let rounds = per_mode mode ~default:15 ~full:30 in
+  let base = Workload.generate (Workload.spec ~n_relations:n ~seed:(seed_base + 999) ()) in
+  let rec prefixes (e : Logical.expr) acc =
+    match (e.op, e.inputs) with
+    | Logical.Join _, [ l; _ ] -> prefixes l (e :: acc)
+    | _, _ -> acc
+  in
+  let queries = List.concat (List.init rounds (fun _ -> prefixes base.logical [])) in
+  let request = { (Relmodel.Optimizer.request base.catalog) with restore_columns = false } in
+  let fresh_ms, fresh_tasks =
+    time_it (fun () ->
+        List.fold_left
+          (fun acc q ->
+            acc + (Relmodel.Optimizer.optimize request q ~required:Phys_prop.any).tasks_run)
+          0 queries)
+  in
+  let session_ms, session =
+    time_it (fun () ->
+        let s = Relmodel.Optimizer.session request in
+        List.iter
+          (fun q -> ignore (Relmodel.Optimizer.optimize_in s q ~required:Phys_prop.any))
+          queries;
+        s)
+  in
+  let session_tasks = (Relmodel.Optimizer.session_stats session).tasks in
+  [
+    {
+      key = paper_key "a9" n (List.length queries);
+      arms =
+        [ arm "fresh" [ ("tasks", int fresh_tasks) ]
+            ~timings:[ ("wall_ms", fresh_ms *. 1000.) ];
+          arm "session" [ ("tasks", int session_tasks) ]
+            ~timings:[ ("wall_ms", session_ms *. 1000.) ] ];
+    };
+  ]
+
+(* A10: anytime optimization. 6-relation chains under task budgets: the
+   plans found and their geomean cost over the exhaustive optimum. *)
+let a10_cells mode gates =
+  let n = 6 in
+  let count = per_mode mode ~default:10 ~full:20 in
+  let exhaustive = List.map volcano_run (batch n ~seed:(seed_base + 1000) ~count) in
+  let budgets = [ 50; 200; 500; 1_000; 2_000; 5_000; 20_000 ] in
+  let largest = List.fold_left max 0 budgets in
+  let budget_cell budget =
+    let results =
+      List.map
+        (fun run ->
+          let request =
+            {
+              (Relmodel.Optimizer.request run.q.catalog) with
+              max_tasks = Some budget;
+              restore_columns = false;
+            }
+          in
+          (run, Relmodel.Optimizer.optimize request run.q.logical ~required:Phys_prop.any))
+        exhaustive
+    in
+    let ratios =
+      List.filter_map
+        (fun (run, (r : Relmodel.Optimizer.result)) ->
+          match (r.plan, run.r.plan) with
+          | Some p, Some opt ->
+            let c = Cost.total p.cost and o = Cost.total opt.cost in
+            check gates "a10_never_below_optimum" (not_cheaper c ~than:o)
+              "a10 budget %d: plan %.6f below the optimum %.6f" budget c o;
+            Some (c /. o)
+          | _ -> None)
+        results
+    in
+    let tasks =
+      List.fold_left (fun acc (_, r) -> acc + r.Relmodel.Optimizer.tasks_run) 0 results
+    in
+    if budget = largest then
+      check gates "a10_all_found_at_largest_budget" (List.length ratios = count)
+        "a10 budget %d: %d of %d queries found a plan" budget (List.length ratios) count;
+    {
+      key = paper_key "a10" n count @ [ ("budget", int budget) ];
+      arms =
+        [
+          arm "anytime"
+            [ ("found", int (List.length ratios));
+              ("tasks", int tasks);
+              ("cost_ratio", num (geomean ratios)) ];
+        ];
+    }
+  in
+  { key = paper_key "a10" n count; arms = [ volcano_arm "exhaustive" exhaustive ] }
+  :: List.map budget_cell budgets
+
+let paper_bench mode =
+  let gates = new_gates () in
+  let cells =
+    List.concat_map
+      (fun experiment -> experiment mode gates)
+      [ f4_cells; a1_cells; a2_cells; a3_cells; a4_cells; a5_cells; a6_cells; a7_cells;
+        a8_cells; a9_cells; a10_cells ]
+  in
+  finish mode { bench = "paper"; gates; headlines = []; cells }
+
+(* ------------------------------------------------------------------ *)
 
 let reports =
   [
-    ("plansrv", plansrv_bench); ("pruning", pruning_bench); ("obs", obs_bench);
-    ("mqo", mqo_bench); ("feedback", feedback_bench); ("scaleup", scaleup_bench);
+    ("paper", paper_bench); ("plansrv", plansrv_bench); ("pruning", pruning_bench);
+    ("obs", obs_bench); ("mqo", mqo_bench); ("feedback", feedback_bench);
+    ("scaleup", scaleup_bench);
   ]
 
 let usage () =
   prerr_endline
     ("usage: main.exe [TARGET...] [smoke | full]\n  targets: all "
-    ^ String.concat " " (List.map fst targets @ List.map fst reports));
+    ^ String.concat " " (List.map fst reports));
   exit 2
 
 let () =
@@ -1634,14 +1578,8 @@ let () =
     | false, false -> Default
   in
   let names = List.filter (fun a -> a <> "full" && a <> "smoke") args in
-  List.iter
-    (fun a ->
-      if a <> "all" && not (List.mem_assoc a targets || List.mem_assoc a reports) then
-        usage ())
-    names;
+  List.iter (fun a -> if a <> "all" && not (List.mem_assoc a reports) then usage ()) names;
   let all = names = [] || names = [ "all" ] in
-  let want name = all || List.mem name names in
   let t0 = Unix.gettimeofday () in
-  List.iter (fun (name, run) -> if want name then run ~full:(mode = Full) ()) targets;
-  List.iter (fun (name, run) -> if want name then run mode) reports;
+  List.iter (fun (name, run) -> if all || List.mem name names then run mode) reports;
   Printf.printf "\nTotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -353,22 +353,14 @@ let run_run sql feedback drift_out escape_k threshold no_correct max_replans ske
 (* EXPLAIN: optimize with alternative recording on and print the winner
    provenance tree — per-node costs, producing rules, and the losing
    alternatives of every goal with the reason each lost. *)
-let run_explain sql no_pruning no_guided left_deep =
+let run_explain sql =
   let catalog = demo_catalog () in
   match Sqlfront.parse catalog sql with
   | exception Sqlfront.Parse_error msg ->
     Format.eprintf "parse error: %s@." msg;
     1
   | { logical; required } ->
-    let request =
-      {
-        (Relmodel.Optimizer.request catalog) with
-        pruning = not no_pruning;
-        guided_pruning = not no_guided;
-        flags = { Relmodel.Rel_model.default_flags with left_deep_only = left_deep };
-        explain = true;
-      }
-    in
+    let request = { (Relmodel.Optimizer.request catalog) with explain = true } in
     let result = Relmodel.Optimizer.optimize request logical ~required in
     (match result.plan, result.explain with
      | None, _ ->
@@ -946,25 +938,13 @@ let run_cmd =
       $ no_correct $ max_replans $ skew_arg)
 
 let explain_cmd =
-  let no_pruning =
-    Arg.(value & flag & info [ "no-pruning" ] ~doc:"Disable branch-and-bound pruning.")
-  in
-  let no_guided =
-    Arg.(
-      value & flag
-      & info [ "no-guided-pruning" ] ~doc:"Disable the guided pruning layer.")
-  in
-  let left_deep =
-    Arg.(value & flag & info [ "left-deep" ] ~doc:"Restrict join plans to left-deep shape.")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
          "Optimize a SQL statement and print winner provenance: per-node costs, the \
           implementation rule that produced each node, and every goal's losing \
           alternatives with the reason each lost")
-    Term.(
-      const run_explain $ sql_arg $ no_pruning $ no_guided $ left_deep)
+    Term.(const run_explain $ sql_arg)
 
 let tables_cmd =
   Cmd.v (Cmd.info "tables" ~doc:"List the demo catalog") Term.(const run_tables $ const ())

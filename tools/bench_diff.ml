@@ -8,8 +8,11 @@
    validate_obs bench): bench, mode, cores, named boolean gates,
    headlines, and cells keyed by their identity, whose arms split their
    numbers into machine-neutral counters and timings. OLD is the
-   reference and must not be a smoke run. Cells are matched by key and
-   arms by name; the run fails when
+   reference and must not be a smoke run. Between directories, every
+   report of OLD must have its counterpart in NEW; a report only in NEW
+   is listed and not compared. Cells are matched by key and arms by
+   name; the run fails when
+   - a report of OLD is missing from NEW;
    - a gate is false on either side;
    - a counter differs on a shared cell, or an arm or counter exists on
      one side only;
@@ -120,25 +123,24 @@ let bench_files dir =
 let () =
   match List.tl (Array.to_list Sys.argv) with
   | [ old_path; new_path ] ->
-    let pairs =
+    let missing, pairs =
       match (Sys.is_directory old_path, Sys.is_directory new_path) with
       | exception Sys_error e -> die "%s" e
       | true, true ->
         let old_files = bench_files old_path and new_files = bench_files new_path in
-        List.iter
-          (fun (dir, files, other) ->
-            List.iter
-              (fun f -> if not (List.mem f other) then Printf.printf "only in %s: %s\n" dir f)
-              files)
-          [ (old_path, old_files, new_files); (new_path, new_files, old_files) ];
+        let only files other = List.filter (fun f -> not (List.mem f other)) files in
+        let missing = only old_files new_files in
+        List.iter (Printf.printf "  ! only in %s: %s\n" old_path) missing;
+        List.iter (Printf.printf "only in %s: %s\n" new_path) (only new_files old_files);
         let common = List.filter (fun f -> List.mem f new_files) old_files in
         if common = [] then die "no common BENCH_*.json files in %s and %s" old_path new_path;
-        List.map (fun f -> (Filename.concat old_path f, Filename.concat new_path f)) common
-      | false, false -> [ (old_path, new_path) ]
+        ( List.length missing,
+          List.map (fun f -> (Filename.concat old_path f, Filename.concat new_path f)) common )
+      | false, false -> (0, [ (old_path, new_path) ])
       | _ -> die "%s and %s must both be files or both be directories" old_path new_path
     in
     let failures =
-      List.fold_left (fun acc (o, n) -> acc + diff_files o n) 0 pairs
+      List.fold_left (fun acc (o, n) -> acc + diff_files o n) missing pairs
     in
     if failures > 0 then begin
       Printf.printf "FAIL: %d difference(s)\n" failures;

@@ -234,7 +234,7 @@ let validate_curve path at curve =
    object of numbers (null where a ratio is undefined); and a non-empty
    cells array. Each cell has a non-empty key of scalars, unique in the
    report, and a non-empty arms array of uniquely named arms, each with
-   a counters object (numbers, booleans, null) and a timings object
+   a counters object (numbers, booleans, strings, null) and a timings object
    (non-negative numbers or null). Deeper checks apply wherever their
    shape appears: an arm's anytime curve (see [validate_curve]);
    goal_slots at most 4 times goal_entries; and in a cell keyed
@@ -279,8 +279,8 @@ let validate_bench path =
           List.iter
             (fun (c, v) ->
               match v with
-              | Num _ | Bool _ | Null -> ()
-              | _ -> fail "%s: %scounter %s is not a number or flag" path at c)
+              | Num _ | Bool _ | Str _ | Null -> ()
+              | _ -> fail "%s: %scounter %s is not a number, flag or name" path at c)
             counters;
           List.iter
             (fun (t, v) ->
