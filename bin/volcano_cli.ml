@@ -2,15 +2,12 @@
 
    Subcommands:
      optimize  parse a SQL statement, print the logical tree, the
-               optimized plan, search statistics; optionally execute it,
-               compare with the EXODUS-style baseline, trace the search
-               (--trace, --trace-out), or export metrics (--metrics-out)
-     run       optimize and execute; --feedback instruments the execution
-               with per-node cardinality counters, reports drift against
-               the optimizer's estimates, and corrects the catalog
-               statistics (--skew injects a known estimation error)
-     explain   optimize and print winner provenance: per-node costs,
-               producing rules, and losing alternatives with reasons
+               optimized plan and search statistics; optionally print
+               winner provenance (--explain), execute the plan (-x), run
+               it under the cardinality feedback loop (--feedback, with
+               --skew to inject a known estimation error), compare with
+               the EXODUS-style baseline, and write trace, metrics,
+               profile and flight-recorder artifacts
      tables    list the demo catalog
      workload  generate and optimize one paper-style random query
      repl      interactive SQL session with a shared optimizer memo
@@ -91,152 +88,6 @@ let register_layers ?report ?(feedback = Feedback.counters ()) reg =
   Mqo.register ?report reg;
   Feedback.register reg feedback
 
-(* Post-run stderr summary of a span trace: the span count and the goal
-   outcomes — bounded output no matter how large the search. *)
-let print_trace_summary tracer =
-  let spans = Obs.Trace.spans tracer in
-  Format.eprintf "trace: %d spans@." (List.length spans);
-  let outcomes = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Obs.Trace.span) ->
-      if s.sp_cat = "goal" then
-        let k = if s.sp_outcome = "" then "(open)" else s.sp_outcome in
-        Hashtbl.replace outcomes k (1 + Option.value (Hashtbl.find_opt outcomes k) ~default:0))
-    spans;
-  Hashtbl.fold (fun k n acc -> (k, n) :: acc) outcomes []
-  |> List.sort compare
-  |> List.iter (fun (k, n) -> Format.eprintf "trace: goals %s: %d@." k n)
-
-let run_optimize sql execute compare_exodus no_pruning no_guided left_deep max_steps
-    timeout_ms trace trace_out metrics_out profile_out flightrec_out show_explain =
-  let catalog = demo_catalog () in
-  match Sqlfront.parse catalog sql with
-  | exception Sqlfront.Parse_error msg ->
-    Format.eprintf "parse error: %s@." msg;
-    1
-  | { logical; required } ->
-    Format.printf "Logical query:@.%a@.@." Logical.pp logical;
-    Format.printf "Required properties: %s@.@." (Phys_prop.to_string required);
-    (* The goal-task histogram in --metrics-out is computed from spans,
-       so a metrics request implies a (silent) tracer; the rule_* gauges
-       likewise imply a (silent) profiler. All of it is plan-inert. *)
-    let tracer =
-      if trace || trace_out <> None || metrics_out <> None then
-        Some (Obs.Trace.create ())
-      else None
-    in
-    let profiler =
-      if profile_out <> None || metrics_out <> None then Some (Obs.Profile.create ())
-      else None
-    in
-    let recorder =
-      Option.map (fun path -> Obs.Flight_recorder.create ~path ()) flightrec_out
-    in
-    let request =
-      {
-        (Relmodel.Optimizer.request catalog) with
-        pruning = not no_pruning;
-        guided_pruning = not no_guided;
-        flags = { Relmodel.Rel_model.default_flags with left_deep_only = left_deep };
-        max_tasks = max_steps;
-        max_millis = timeout_ms;
-        tracer;
-        profiler;
-        recorder;
-        explain = show_explain;
-      }
-    in
-    let result = Relmodel.Optimizer.optimize request logical ~required in
-    Option.iter
-      (fun tr ->
-        if trace then begin
-          print_trace_summary tr;
-          Format.eprintf "trace summary: %a@." Volcano.Search_stats.pp_tasks
-            result.stats
-        end;
-        Option.iter
-          (fun path ->
-            Obs.Chrome_trace.write path tr;
-            Format.eprintf "wrote %s (%d spans)@." path (Obs.Trace.total tr))
-          trace_out;
-        Option.iter
-          (fun path ->
-            let reg = Obs.Metrics.create () in
-            Volcano.Search_stats.register reg result.stats;
-            register_layers reg;
-            goal_task_histogram reg tr;
-            Option.iter (fun pr -> Obs.Profile.register pr reg) profiler;
-            Obs.Json.write_file path (Obs.Metrics.to_json reg);
-            Format.eprintf "wrote %s@." path)
-          metrics_out)
-      tracer;
-    Option.iter
-      (fun path ->
-        Option.iter
-          (fun pr ->
-            Obs.Json.write_file path (Obs.Profile.to_json pr);
-            Format.eprintf "%a@." (Obs.Profile.pp_table ~top:20) pr;
-            Format.eprintf "wrote %s (%d tasks attributed)@." path
-              (Obs.Profile.total_tasks pr))
-          profiler)
-      profile_out;
-    Option.iter
-      (fun fr ->
-        (* An abnormal end (budget pause) already dumped;
-           otherwise dump now so the file always exists for tooling. *)
-        if Obs.Flight_recorder.dumps fr = 0 then
-          Obs.Flight_recorder.trigger fr ~reason:"end-of-run";
-        Option.iter
-          (fun path ->
-            Format.eprintf "wrote %s (%d events recorded, %d dropped, reason %s)@."
-              path
-              (Obs.Flight_recorder.recorded fr)
-              (Obs.Flight_recorder.dropped fr)
-              (Obs.Flight_recorder.last_reason fr))
-          flightrec_out)
-      recorder;
-    if not result.complete then
-      Format.printf
-        "Budget exhausted after %d tasks; showing the best plan found so far.@.@."
-        result.tasks_run;
-    (match result.plan with
-     | None ->
-       Format.printf "No plan found within the cost limit.@.";
-     | Some plan ->
-       Format.printf "Volcano plan (estimated cost %s):@.%s@.@."
-         (Cost.to_string plan.cost)
-         (Relmodel.Optimizer.explain plan);
-       Option.iter
-         (fun e -> Format.printf "Provenance (winners and losing alternatives):@.%s@." e)
-         result.explain;
-       Format.printf "Search: %a@." Volcano.Search_stats.pp result.stats;
-       Format.printf "Tasks: %a@." Volcano.Search_stats.pp_tasks result.stats;
-       Format.printf "Memo: %d groups, %d multi-expressions@.@." result.memo_groups
-         result.memo_mexprs;
-       if compare_exodus then begin
-         let e = Exodus.optimize ~catalog ~max_nodes:200_000 logical ~required in
-         match e.plan with
-         | None -> Format.printf "EXODUS baseline: no plan (aborted=%b)@." e.aborted
-         | Some eplan ->
-           Format.printf "EXODUS baseline plan (estimated cost %s, nodes %d%s):@.%a@.@."
-             (Cost.to_string (Relmodel.Plan_cost.estimate catalog eplan))
-             e.stats.nodes
-             (if e.aborted then ", aborted" else "")
-             Physical.pp eplan
-       end;
-       if execute then begin
-         let tuples, schema, io = Executor.run catalog (Relmodel.Optimizer.to_physical plan) in
-         Format.printf "Result (%d rows; io: %a):@." (Array.length tuples)
-           Executor.Io_stats.pp io;
-         Format.printf "%s@." (String.concat " | " (Schema.names schema));
-         Array.iteri
-           (fun i t -> if i < 20 then Format.printf "%a@." Tuple.pp t)
-           tuples;
-         if Array.length tuples > 20 then
-           Format.printf "... (%d more rows)@." (Array.length tuples - 20)
-       end);
-    0
-
 let print_rows tuples schema io =
   Format.printf "Result (%d rows; io: %a):@." (Array.length tuples)
     Executor.Io_stats.pp io;
@@ -251,7 +102,7 @@ let path_label = function
 
 let print_feedback_report (r : Feedback.report) =
   Format.printf "Feedback: %d nodes observed, %d drifted (threshold %.1fx)%s@."
-    (List.length r.nodes) (List.length r.drifted) r.threshold
+    (List.length r.nodes) (List.length r.drifted) Feedback.drift_threshold
     (if r.escaped then Printf.sprintf "; escaped, %d replan(s)" r.replans else "");
   List.iter
     (fun (n : Feedback.node_obs) ->
@@ -266,14 +117,15 @@ let print_feedback_report (r : Feedback.report) =
 
 (* Doctor a table's claimed row count without touching its data: the
    instrument panel for demonstrating the feedback loop against a known
-   estimation error. *)
+   estimation error. A table the catalog does not hold is an error, and
+   no skew is applied then. *)
 let apply_skews catalog skews =
-  List.iter
-    (fun (table, factor) ->
-      match Catalog.find_opt catalog table with
-      | None -> Format.eprintf "skew: unknown table %s (ignored)@." table
-      | Some tbl ->
-        let s = tbl.Catalog.stats in
+  match List.find_opt (fun (table, _) -> Catalog.find_opt catalog table = None) skews with
+  | Some (table, _) -> Error (Printf.sprintf "skew: unknown table %s" table)
+  | None ->
+    List.iter
+      (fun (table, factor) ->
+        let s = (Catalog.find catalog table).Catalog.stats in
         let rc = Float.max 1. (s.Catalog.Stats.row_count *. factor) in
         let stats =
           {
@@ -291,85 +143,179 @@ let apply_skews catalog skews =
           }
         in
         Catalog.update_stats catalog ~table ~stats ();
-        Format.eprintf "skew: %s claimed row count %.0f -> %.0f (data unchanged)@."
-          table s.Catalog.Stats.row_count rc)
-    skews
+        Format.eprintf "skew: %s claimed row count %.0f -> %.0f (data unchanged)@." table
+          s.Catalog.Stats.row_count rc)
+      skews;
+    Ok ()
 
-(* RUN: optimize and execute. Without --feedback this is the plain
-   optimize-then-execute path, bit-identical to `optimize -x`; with it,
-   execution is instrumented, drift is reported, and the catalog learns. *)
-let run_run sql feedback drift_out escape_k threshold no_correct max_replans skews =
+(* Execute the plan under the feedback loop: per-node cardinality
+   counters, drift against the estimates, catalog corrections, and the
+   escape hatch's re-optimizations, all through [request]. Returns the
+   run's report. *)
+let run_feedback config request logical ~required plan drift_out =
+  let outcome = Feedback.run_plan ~config request logical ~required plan in
+  if outcome.report.replans > 0 then
+    Format.printf "Replanned (estimated cost %s):@.%s@.@."
+      (Cost.to_string outcome.plan.cost)
+      (Relmodel.Optimizer.explain outcome.plan);
+  print_rows outcome.tuples outcome.schema outcome.io;
+  Format.printf "@.";
+  print_feedback_report outcome.report;
+  Format.printf "Measured work: %.0f@."
+    (Feedback.measured_work
+       (Relmodel.Optimizer.to_physical outcome.plan)
+       outcome.report.nodes ~io:outcome.io);
+  Option.iter
+    (fun path ->
+      Obs.Json.write_file path (Feedback.report_to_json outcome.report);
+      Format.eprintf "wrote %s@." path)
+    drift_out;
+  outcome.report
+
+(* Write the artifacts of the observers a request carried, once the
+   search and any execution are done, so the flight recorder's dump
+   reflects a feedback escape and the metrics hold the loop's counters. *)
+let write_observers (request : Relmodel.Optimizer.request) (result : Relmodel.Optimizer.result)
+    ?feedback ~trace_out ~metrics_out ~profile_out ~flightrec_out () =
+  Option.iter
+    (fun tr ->
+      Option.iter
+        (fun path ->
+          Obs.Chrome_trace.write path tr;
+          Format.eprintf "wrote %s (%d spans)@." path (Obs.Trace.total tr))
+        trace_out;
+      Option.iter
+        (fun path ->
+          let reg = Obs.Metrics.create () in
+          Volcano.Search_stats.register reg result.stats;
+          register_layers ?feedback reg;
+          goal_task_histogram reg tr;
+          Option.iter (fun pr -> Obs.Profile.register pr reg) request.profiler;
+          Obs.Json.write_file path (Obs.Metrics.to_json reg);
+          Format.eprintf "wrote %s@." path)
+        metrics_out)
+    request.tracer;
+  Option.iter
+    (fun path ->
+      Option.iter
+        (fun pr ->
+          Obs.Json.write_file path (Obs.Profile.to_json pr);
+          Format.eprintf "%a@." (Obs.Profile.pp_table ~top:20) pr;
+          Format.eprintf "wrote %s (%d tasks attributed)@." path
+            (Obs.Profile.total_tasks pr))
+        request.profiler)
+    profile_out;
+  Option.iter
+    (fun fr ->
+      (* An abnormal end (budget pause, feedback escape) already dumped;
+         otherwise dump now so the file always exists for tooling. *)
+      if Obs.Flight_recorder.dumps fr = 0 then
+        Obs.Flight_recorder.trigger fr ~reason:"end-of-run";
+      Option.iter
+        (fun path ->
+          Format.eprintf "wrote %s (%d events recorded, %d dropped, reason %s)@." path
+            (Obs.Flight_recorder.recorded fr)
+            (Obs.Flight_recorder.dropped fr)
+            (Obs.Flight_recorder.last_reason fr))
+        flightrec_out)
+    request.recorder
+
+(* OPTIMIZE: the one path from a statement to its plan and, on request,
+   to its rows, plain ([-x]) or under the feedback loop. One request
+   carries every observer, so each artifact flag also sees the feedback
+   loop's re-optimizations and escape dumps. *)
+let run_optimize sql execute compare_exodus no_pruning max_steps timeout_ms trace_out
+    metrics_out profile_out flightrec_out show_explain feedback skews drift_out escape_k =
+  let feedback = feedback || drift_out <> None || escape_k <> None in
   let catalog = demo_catalog () in
-  apply_skews catalog skews;
-  match Sqlfront.parse catalog sql with
-  | exception Sqlfront.Parse_error msg ->
-    Format.eprintf "parse error: %s@." msg;
+  let prepared =
+    match Feedback.config ?escape_factor:escape_k () with
+    | exception Invalid_argument msg -> Error msg
+    | config ->
+      Result.bind (apply_skews catalog skews) (fun () ->
+          match Sqlfront.parse catalog sql with
+          | exception Sqlfront.Parse_error msg -> Error ("parse error: " ^ msg)
+          | statement -> Ok (config, statement))
+  in
+  match prepared with
+  | Error msg ->
+    Format.eprintf "%s@." msg;
     1
-  | { logical; required } ->
-    let request = Relmodel.Optimizer.request catalog in
-    if not feedback then begin
-      let result = Relmodel.Optimizer.optimize request logical ~required in
+  | Ok (fb_config, { logical; required }) ->
+    Format.printf "Logical query:@.%a@.@." Logical.pp logical;
+    Format.printf "Required properties: %s@.@." (Phys_prop.to_string required);
+    (* The goal-task histogram in --metrics-out is computed from spans,
+       so a metrics request implies a (silent) tracer; the rule_* gauges
+       likewise imply a (silent) profiler. All of it is plan-inert. *)
+    let request =
+      {
+        (Relmodel.Optimizer.request catalog) with
+        pruning = not no_pruning;
+        max_tasks = max_steps;
+        max_millis = timeout_ms;
+        tracer =
+          (if trace_out <> None || metrics_out <> None then Some (Obs.Trace.create ())
+           else None);
+        profiler =
+          (if profile_out <> None || metrics_out <> None then Some (Obs.Profile.create ())
+           else None);
+        recorder = Option.map (fun path -> Obs.Flight_recorder.create ~path ()) flightrec_out;
+        explain = show_explain;
+      }
+    in
+    let result = Relmodel.Optimizer.optimize request logical ~required in
+    if not result.complete then
+      Format.printf
+        "Budget exhausted after %d tasks; showing the best plan found so far.@.@."
+        result.tasks_run;
+    let feedback_report =
       match result.plan with
       | None ->
         Format.printf "No plan found within the cost limit.@.";
-        1
+        None
       | Some plan ->
-        Format.printf "Plan (estimated cost %s):@.%s@.@." (Cost.to_string plan.cost)
+        Format.printf "Volcano plan (estimated cost %s):@.%s@.@."
+          (Cost.to_string plan.cost)
           (Relmodel.Optimizer.explain plan);
-        let tuples, schema, io =
-          Executor.run catalog (Relmodel.Optimizer.to_physical plan)
-        in
-        print_rows tuples schema io;
-        0
-    end
-    else begin
-      let config =
-        Feedback.config ~drift_threshold:threshold ?escape_factor:escape_k
-          ~correct:(not no_correct) ~max_replans ()
-      in
-      match Feedback.run ~config request logical ~required with
-      | exception Invalid_argument msg ->
-        Format.eprintf "%s@." msg;
-        1
-      | outcome ->
-        Format.printf "Plan (estimated cost %s):@.%s@.@."
-          (Cost.to_string outcome.plan.cost)
-          (Relmodel.Optimizer.explain outcome.plan);
-        print_rows outcome.tuples outcome.schema outcome.io;
-        Format.printf "@.";
-        print_feedback_report outcome.report;
-        Format.printf "Measured work: %.0f@."
-          (Feedback.measured_work
-             (Relmodel.Optimizer.to_physical outcome.plan)
-             outcome.report.nodes ~io:outcome.io);
         Option.iter
-          (fun path ->
-            Obs.Json.write_file path (Feedback.report_to_json outcome.report);
-            Format.eprintf "wrote %s@." path)
-          drift_out;
-        0
-    end
-
-(* EXPLAIN: optimize with alternative recording on and print the winner
-   provenance tree — per-node costs, producing rules, and the losing
-   alternatives of every goal with the reason each lost. *)
-let run_explain sql =
-  let catalog = demo_catalog () in
-  match Sqlfront.parse catalog sql with
-  | exception Sqlfront.Parse_error msg ->
-    Format.eprintf "parse error: %s@." msg;
-    1
-  | { logical; required } ->
-    let request = { (Relmodel.Optimizer.request catalog) with explain = true } in
-    let result = Relmodel.Optimizer.optimize request logical ~required in
-    (match result.plan, result.explain with
-     | None, _ ->
-       Format.printf "No plan found within the cost limit.@.";
-     | Some plan, provenance ->
-       Format.printf "Winning plan (estimated cost %s):@." (Cost.to_string plan.cost);
-       (match provenance with
-        | Some e -> Format.printf "%s" e
-        | None -> Format.printf "%s@." (Relmodel.Optimizer.explain plan)));
+          (fun e -> Format.printf "Provenance (winners and losing alternatives):@.%s@." e)
+          result.explain;
+        Format.printf "Search: %a@." Volcano.Search_stats.pp result.stats;
+        Format.printf "Tasks: %a@." Volcano.Search_stats.pp_tasks result.stats;
+        Format.printf "Memo: %d groups, %d multi-expressions@.@." result.memo_groups
+          result.memo_mexprs;
+        if compare_exodus then begin
+          let e = Exodus.optimize ~catalog ~max_nodes:200_000 logical ~required in
+          match e.plan with
+          | None -> Format.printf "EXODUS baseline: no plan (aborted=%b)@." e.aborted
+          | Some eplan ->
+            Format.printf "EXODUS baseline plan (estimated cost %s, nodes %d%s):@.%a@.@."
+              (Cost.to_string (Relmodel.Plan_cost.estimate catalog eplan))
+              e.stats.nodes
+              (if e.aborted then ", aborted" else "")
+              Physical.pp eplan
+        end;
+        if feedback then
+          Some (run_feedback fb_config request logical ~required plan drift_out)
+        else begin
+          if execute then begin
+            let tuples, schema, io =
+              Executor.run catalog (Relmodel.Optimizer.to_physical plan)
+            in
+            print_rows tuples schema io
+          end;
+          None
+        end
+    in
+    (* The artifacts cover every search the request ran: the profiler
+       and the tracer already saw the re-optimizations, so the search
+       counters take their effort too. *)
+    Option.iter
+      (fun (r : Feedback.report) -> Volcano.Search_stats.merge ~into:result.stats r.stats)
+      feedback_report;
+    write_observers request result
+      ?feedback:(Option.map (fun (r : Feedback.report) -> r.counters) feedback_report)
+      ~trace_out ~metrics_out ~profile_out ~flightrec_out ();
     0
 
 let run_tables () =
@@ -534,81 +480,47 @@ let print_response line (r : Plansrv.response) =
     (if r.Plansrv.parameterized then "param " else "")
     line fp
 
-let run_serve file workers capacity parameterize feedback skews metrics_port slow_ms =
+let run_serve file workers capacity parameterize skews metrics_port slow_ms =
   let catalog = demo_catalog () in
-  apply_skews catalog skews;
-  (* Every cache-miss optimization feeds the service-wide profiler, so
-     /profile attributes the service's cumulative search effort to
-     rules and enforcers. Plan-inert by contract. *)
-  let profiler = Obs.Profile.create () in
-  let srv =
-    Plansrv.create
-      (Plansrv.config ~capacity ~parameterize ~slow_ms
-         { (Relmodel.Optimizer.request catalog) with profiler = Some profiler })
-  in
-  let fb_counters = Feedback.counters () in
-  register_layers ~feedback:fb_counters (Plansrv.registry srv);
-  let lines =
-    match file with
-    | Some path -> In_channel.with_open_text path In_channel.input_lines
-    | None -> In_channel.input_lines stdin
-  in
-  let parsed = parse_statements catalog (statements_of_lines lines) in
-  if parsed = [] then begin
-    Format.eprintf "no statements to serve@.";
+  match apply_skews catalog skews with
+  | Error msg ->
+    Format.eprintf "%s@." msg;
     1
-  end
-  else begin
-    if feedback then begin
-      (* Feedback serving is the closed loop, one statement at a time:
-         serve a plan, execute it instrumented, install corrections —
-         and let the bumped statistics stamps turn the next arrival of
-         an affected query into a STALE re-optimization. *)
-      if workers > 1 then
-        Format.eprintf "feedback serving is sequential; ignoring --workers %d@." workers;
-      let w = Plansrv.worker srv in
-      let fb_config = Feedback.config () in
-      let request = Plansrv.service_request srv in
-      List.iter
-        (fun (line, logical, required) ->
-          let r = Plansrv.serve_one srv w logical ~required in
-          print_response line r;
-          match r.Plansrv.plan with
-          | None -> ()
-          | Some plan ->
-            let outcome = Feedback.run_plan ~config:fb_config request logical ~required plan in
-            let rep = outcome.Feedback.report in
-            Plansrv.note_search srv rep.Feedback.stats;
-            Feedback.add_counters ~into:fb_counters rep.Feedback.counters;
-            if rep.Feedback.drifted <> [] then
-              Format.printf "      FEEDBACK %d/%d nodes drifted (threshold %.1fx)@."
-                (List.length rep.Feedback.drifted)
-                (List.length rep.Feedback.nodes)
-                rep.Feedback.threshold;
-            List.iter
-              (fun (c : Feedback.correction) ->
-                Format.printf "      FEEDBACK corrected %s -> stats v%d (%s)@." c.table
-                  c.stats_version c.detail)
-              rep.Feedback.corrections)
-        parsed
+  | Ok () ->
+    (* Every cache-miss optimization feeds the service-wide profiler, so
+       /profile attributes the service's cumulative search effort to
+       rules and enforcers. Plan-inert by contract. *)
+    let profiler = Obs.Profile.create () in
+    let srv =
+      Plansrv.create
+        (Plansrv.config ~capacity ~parameterize ~slow_ms
+           { (Relmodel.Optimizer.request catalog) with profiler = Some profiler })
+    in
+    register_layers (Plansrv.registry srv);
+    let lines =
+      match file with
+      | Some path -> In_channel.with_open_text path In_channel.input_lines
+      | None -> In_channel.input_lines stdin
+    in
+    let parsed = parse_statements catalog (statements_of_lines lines) in
+    if parsed = [] then begin
+      Format.eprintf "no statements to serve@.";
+      1
     end
     else begin
       let requests =
-        Array.of_list
-          (List.map (fun (_, logical, required) -> (logical, required)) parsed)
+        Array.of_list (List.map (fun (_, logical, required) -> (logical, required)) parsed)
       in
       let responses = Plansrv.serve ~workers srv requests in
-      List.iteri (fun i (line, _, _) -> print_response line responses.(i)) parsed
-    end;
-    Format.printf "@.%a@." Plansrv.pp_metrics (Plansrv.metrics srv);
-    if feedback then Format.printf "feedback: %a@." Feedback.pp_counters fb_counters;
-    match metrics_port with
-    | None -> 0
-    | Some port ->
-      (* Keep the service alive and export its registry over HTTP until
-         the process is killed. *)
-      serve_metrics srv profiler port
-  end
+      List.iteri (fun i (line, _, _) -> print_response line responses.(i)) parsed;
+      Format.printf "@.%a@." Plansrv.pp_metrics (Plansrv.metrics srv);
+      match metrics_port with
+      | None -> 0
+      | Some port ->
+        (* Keep the service alive and export its registry over HTTP until
+           the process is killed. *)
+        serve_metrics srv profiler port
+    end
 
 (* Multi-query optimization over a SQL file: every statement goes into
    one shared memo (through the plan service's cache), common
@@ -724,20 +636,12 @@ let query_file =
   let parse path =
     match In_channel.with_open_text path In_channel.input_lines with
     | exception Sys_error e -> Error (`Msg (Printf.sprintf "unreadable query file: %s" e))
-    | lines ->
-      let statements =
-        List.filter
-          (fun line ->
-            let line = String.trim line in
-            line <> "" && line.[0] <> '#')
-          lines
-      in
-      if statements = [] then
-        Error
-          (`Msg
-            (Printf.sprintf "query file %s is empty (no statements, only blanks/comments)"
-               path))
-      else Ok path
+    | lines when statements_of_lines lines = [] ->
+      Error
+        (`Msg
+          (Printf.sprintf "query file %s is empty (no statements, only blanks/comments)"
+             path))
+    | _ -> Ok path
   in
   Arg.conv ~docv:"FILE" (parse, Format.pp_print_string)
 
@@ -746,107 +650,6 @@ let sql_arg =
     required
     & pos 0 (some string) None
     & info [] ~docv:"SQL" ~doc:"SQL statement to optimize (quote it).")
-
-let optimize_cmd =
-  let execute =
-    Arg.(value & flag & info [ "execute"; "x" ] ~doc:"Execute the plan and print rows.")
-  in
-  let exodus =
-    Arg.(value & flag & info [ "exodus" ] ~doc:"Also optimize with the EXODUS-style baseline.")
-  in
-  let no_pruning =
-    Arg.(value & flag & info [ "no-pruning" ] ~doc:"Disable branch-and-bound pruning.")
-  in
-  let no_guided =
-    Arg.(
-      value & flag
-      & info [ "no-guided-pruning" ]
-          ~doc:
-            "Keep plain Figure-2 branch-and-bound but disable the guided layer: group \
-             cost lower bounds, lower-bound goal kills, and sibling-aware input limits.")
-  in
-  let left_deep =
-    Arg.(value & flag & info [ "left-deep" ] ~doc:"Restrict join plans to left-deep shape.")
-  in
-  let max_steps =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-steps" ] ~docv:"N"
-          ~doc:
-            "Deterministic step budget: stop after N engine tasks and return the best \
-             plan found so far (anytime optimization).")
-  in
-  let timeout_ms =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout-ms" ] ~docv:"MS"
-          ~doc:"Wall-clock budget in milliseconds; same anytime semantics as max-steps.")
-  in
-  let trace =
-    Arg.(
-      value & flag
-      & info [ "trace" ]
-          ~doc:
-            "Collect hierarchical search spans (goals and tasks) and print a \
-             span-count / per-outcome summary to stderr.")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the span trace to $(docv) in the Chrome trace event format \
-             (load in chrome://tracing or Perfetto).")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a JSON metrics snapshot to $(docv): every search counter plus the \
-             per-goal task-count histogram.")
-  in
-  let profile_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "profile-out" ] ~docv:"FILE"
-          ~doc:
-            "Profile the search and write per-rule / per-enforcer / per-operator \
-             effort attribution to $(docv) as JSON (tasks, mexprs generated, plans \
-             won, goals pruned, wasted work, cumulative task time); a top-N table \
-             goes to stderr. Profiling is plan-inert: the found plan is \
-             bit-identical with or without it.")
-  in
-  let flightrec_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flightrec-out" ] ~docv:"FILE"
-          ~doc:
-            "Arm the flight recorder: a fixed-size ring of recent engine events \
-             (task begin/end, publish, prune, incumbent), dumped to $(docv) when \
-             the search pauses on a budget (and at end-of-run otherwise, so the \
-             file always exists).")
-  in
-  let explain =
-    Arg.(
-      value & flag
-      & info [ "explain" ]
-          ~doc:
-            "Record losing alternatives during the search and print the winner \
-             provenance tree (see also the $(b,explain) subcommand).")
-  in
-  Cmd.v
-    (Cmd.info "optimize" ~doc:"Optimize (and optionally run) a SQL statement")
-    Term.(
-      const run_optimize $ sql_arg $ execute $ exodus $ no_pruning $ no_guided
-      $ left_deep $ max_steps $ timeout_ms $ trace $ trace_out $ metrics_out
-      $ profile_out $ flightrec_out $ explain)
 
 let skew_conv =
   let parse s =
@@ -871,19 +674,102 @@ let skew_arg =
         ~doc:
           "Multiply $(b,TABLE)'s claimed row count by $(b,FACTOR) before optimizing \
            (the stored data is untouched), injecting a known estimation error for \
-           the feedback loop to discover. Repeatable.")
+           the feedback loop to discover. Repeatable. A table the demo catalog does \
+           not hold is an error.")
 
-let run_cmd =
+let capacity_arg =
+  Arg.(
+    value & opt pos_int 512
+    & info [ "capacity" ] ~docv:"N"
+        ~doc:"Plan-cache entries; an insertion past $(docv) evicts the oldest.")
+
+let optimize_cmd =
+  let execute =
+    Arg.(value & flag & info [ "execute"; "x" ] ~doc:"Execute the plan and print rows.")
+  in
+  let exodus =
+    Arg.(value & flag & info [ "exodus" ] ~doc:"Also optimize with the EXODUS-style baseline.")
+  in
+  let no_pruning =
+    Arg.(value & flag & info [ "no-pruning" ] ~doc:"Disable branch-and-bound pruning.")
+  in
+  let max_steps =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "max-steps" ] ~docv:"N"
+          ~doc:
+            "Deterministic step budget: stop after N engine tasks and return the best \
+             plan found so far (anytime optimization).")
+  in
+  let timeout_ms =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "timeout-ms" ] ~docv:"MS"
+          ~doc:"Wall-clock budget in milliseconds; same anytime semantics as max-steps.")
+  in
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Collect hierarchical search spans (goals and tasks) and write them to \
+             $(docv) in the Chrome trace event format (load in chrome://tracing or \
+             Perfetto).")
+  in
+  let metrics_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE"
+          ~doc:
+            "Write a JSON metrics snapshot to $(docv): every search counter plus the \
+             per-goal task-count histogram, and with $(b,--feedback) the loop's \
+             counters and the effort of its re-optimizations.")
+  in
+  let profile_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "profile-out" ] ~docv:"FILE"
+          ~doc:
+            "Profile the search and write per-rule / per-enforcer / per-operator \
+             effort attribution to $(docv) as JSON (tasks, mexprs generated, plans \
+             won, goals pruned, wasted work, cumulative task time); a top-N table \
+             goes to stderr. Profiling is plan-inert: the found plan is \
+             bit-identical with or without it.")
+  in
+  let flightrec_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "flightrec-out" ] ~docv:"FILE"
+          ~doc:
+            "Arm the flight recorder: a fixed-size ring of recent engine events \
+             (task begin/end, publish, prune, incumbent), dumped to $(docv) when \
+             the search pauses on a budget or the feedback escape hatch fires (and \
+             at end-of-run otherwise, so the file always exists).")
+  in
+  let explain =
+    Arg.(
+      value & flag
+      & info [ "explain" ]
+          ~doc:
+            "Record losing alternatives during the search and print the winner \
+             provenance tree: per-node costs, the rule that produced each node, and \
+             every goal's losing alternatives with the reason each lost.")
+  in
   let feedback =
     Arg.(
       value & flag
       & info [ "feedback" ]
           ~doc:
-            "Instrument the execution with per-node cardinality counters, report \
-             estimate-vs-actual drift, and correct the catalog statistics the drift \
-             incriminates (bumping their versions, so cached plans invalidate). \
-             Without this flag the command is plain optimize-then-execute with \
-             bit-identical results.")
+            "Execute the plan with per-node cardinality counters, report \
+             estimate-vs-actual drift (q-error of 2 or more), and correct the catalog \
+             statistics the drift incriminates (bumping their versions, so cached \
+             plans invalidate).")
   in
   let drift_out =
     Arg.(
@@ -893,7 +779,8 @@ let run_cmd =
           ~doc:
             "Write the drift report to $(docv) as JSON: per-node estimated vs \
              observed cardinalities, q-errors, corrections installed, and the \
-             $(b,feedback_*) counters (validate with $(b,validate_obs drift)).")
+             $(b,feedback_*) counters (validate with $(b,validate_obs drift)). \
+             Implies $(b,--feedback).")
   in
   let escape_k =
     Arg.(
@@ -903,48 +790,18 @@ let run_cmd =
           ~doc:
             "Arm the mid-query escape hatch: abort as soon as any node's observed \
              cardinality exceeds K times its estimate, correct the offending \
-             statistic, and re-optimize (at most $(b,--max-replans) times). With \
-             exact estimates the hatch never fires. K must be >= 1.")
-  in
-  let threshold =
-    Arg.(
-      value & opt float 2.
-      & info [ "drift-threshold" ] ~docv:"Q"
-          ~doc:
-            "q-error at or above which a node counts as drifted and feeds a \
-             correction; must be >= 1 (1 flags every inexact estimate).")
-  in
-  let no_correct =
-    Arg.(
-      value & flag
-      & info [ "no-correct" ]
-          ~doc:"Observe and report drift only; leave the catalog statistics alone.")
-  in
-  let max_replans =
-    Arg.(
-      value & opt int 1
-      & info [ "max-replans" ] ~docv:"N"
-          ~doc:"Escape-hatch re-optimization budget (the final attempt always runs \
-                to completion).")
+             statistic, and re-optimize once. With exact estimates the hatch never \
+             fires. K must be >= 1. Implies $(b,--feedback).")
   in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info "optimize"
        ~doc:
-         "Optimize and execute a SQL statement; with $(b,--feedback), observe \
-          actual per-node cardinalities, report drift against the optimizer's \
-          estimates, and feed corrections back into the catalog")
+         "Optimize a SQL statement; optionally execute it, plainly or under the \
+          cardinality feedback loop")
     Term.(
-      const run_run $ sql_arg $ feedback $ drift_out $ escape_k $ threshold
-      $ no_correct $ max_replans $ skew_arg)
-
-let explain_cmd =
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:
-         "Optimize a SQL statement and print winner provenance: per-node costs, the \
-          implementation rule that produced each node, and every goal's losing \
-          alternatives with the reason each lost")
-    Term.(const run_explain $ sql_arg)
+      const run_optimize $ sql_arg $ execute $ exodus $ no_pruning $ max_steps
+      $ timeout_ms $ trace_out $ metrics_out $ profile_out $ flightrec_out $ explain
+      $ feedback $ skew_arg $ drift_out $ escape_k)
 
 let tables_cmd =
   Cmd.v (Cmd.info "tables" ~doc:"List the demo catalog") Term.(const run_tables $ const ())
@@ -968,12 +825,6 @@ let serve_cmd =
     Arg.(
       value & opt pos_int 1
       & info [ "workers" ] ~docv:"N" ~doc:"Serving domains pulling from the request queue.")
-  in
-  let capacity =
-    Arg.(
-      value & opt pos_int 512
-      & info [ "capacity" ] ~docv:"N"
-          ~doc:"Plan-cache entries; an insertion past $(docv) evicts the oldest.")
   in
   let parameterize =
     Arg.(
@@ -1003,23 +854,12 @@ let serve_cmd =
             "Slow-query threshold: responses at or above $(docv) milliseconds land \
              in the slow-query log served on $(b,/slow).")
   in
-  let feedback =
-    Arg.(
-      value & flag
-      & info [ "feedback" ]
-          ~doc:
-            "Close the loop: execute every served plan with cardinality \
-             instrumentation, correct drifted catalog statistics, and let the bumped \
-             statistics versions invalidate affected cache entries — a repeated \
-             query goes MISS, then STALE (re-optimized against corrected stats), \
-             then HIT. Forces sequential serving.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Optimization service: fingerprinted plan cache over a batch of statements")
     Term.(
-      const run_serve $ file $ workers $ capacity $ parameterize $ feedback
-      $ skew_arg $ metrics_port $ slow_ms)
+      const run_serve $ file $ workers $ capacity_arg $ parameterize $ skew_arg
+      $ metrics_port $ slow_ms)
 
 let batch_cmd =
   let file =
@@ -1053,12 +893,6 @@ let batch_cmd =
              reuse-aware re-optimization in arrival order), or $(b,off) (independent \
              optimization in the shared memo — bit-identical plans, no sharing).")
   in
-  let capacity =
-    Arg.(
-      value & opt pos_int 512
-      & info [ "capacity" ] ~docv:"N"
-          ~doc:"Plan-cache entries; an insertion past $(docv) evicts the oldest.")
-  in
   let metrics_out =
     Arg.(
       value
@@ -1075,7 +909,7 @@ let batch_cmd =
           common subexpressions, and materialize/reuse shared results when that \
           lowers the batch cost")
     Term.(
-      const run_batch $ file $ strategy $ capacity $ metrics_out)
+      const run_batch $ file $ strategy $ capacity_arg $ metrics_out)
 
 let workload_cmd =
   let n =
@@ -1148,8 +982,6 @@ let () =
        (Cmd.group ~default info
           [
             optimize_cmd;
-            run_cmd;
-            explain_cmd;
             tables_cmd;
             workload_cmd;
             repl_cmd;

@@ -15,20 +15,17 @@ module J = Obs.Json
 (* Configuration                                                           *)
 (* ---------------------------------------------------------------------- *)
 
-type config = {
-  drift_threshold : float;
-  escape_factor : float option;
-  correct : bool;
-  max_replans : int;
-}
+type config = { escape_factor : float option }
 
-let config ?(drift_threshold = 2.) ?escape_factor ?(correct = true) ?(max_replans = 1) () =
-  if drift_threshold < 1. then
-    invalid_arg "Feedback.config: drift_threshold must be >= 1";
+let drift_threshold = 2.
+
+let max_replans = 1
+
+let config ?escape_factor () =
   (match escape_factor with
    | Some k when k < 1. -> invalid_arg "Feedback.config: escape_factor must be >= 1"
    | _ -> ());
-  { drift_threshold; escape_factor; correct; max_replans = max 0 max_replans }
+  { escape_factor }
 
 (* The escape hatch firing is exactly the abnormal end the flight
    recorder exists for: dump whatever the rings of the request's
@@ -102,11 +99,6 @@ let add_counters ~into c =
   into.fb_escapes <- into.fb_escapes + c.fb_escapes;
   into.fb_replans <- into.fb_replans + c.fb_replans
 
-let pp_counters ppf c =
-  Format.pp_print_string ppf
-    (String.concat " "
-       (List.map (fun (name, read) -> Printf.sprintf "%s=%d" name (read c)) counter_table))
-
 let metric_names prefix = List.map (fun (name, _) -> prefix ^ name) counter_table
 
 let register reg c =
@@ -118,7 +110,6 @@ let register reg c =
 type report = {
   nodes : node_obs list;
   drifted : node_obs list;
-  threshold : float;
   corrections : correction list;
   escaped : bool;
   replans : int;
@@ -527,7 +518,7 @@ let node_to_json n =
 let report_to_json r =
   J.Obj
     [
-      ("drift_threshold", J.Num r.threshold);
+      ("drift_threshold", J.Num drift_threshold);
       ("nodes", J.Arr (List.map node_to_json r.nodes));
       ("drifted", J.int (List.length r.drifted));
       ( "corrections",
@@ -560,16 +551,15 @@ type outcome = {
   report : report;
 }
 
-let finish config c stats catalog ~escaped ~replans ~mid_corrections plan_node
+let finish c stats catalog ~escaped ~replans ~mid_corrections plan_node
     (tuples, schema, io, nodes) =
   c.fb_runs <- c.fb_runs + 1;
   c.fb_nodes_observed <- c.fb_nodes_observed + List.length nodes;
-  let drifted = drift_nodes ~threshold:config.drift_threshold nodes in
+  let drifted = drift_nodes ~threshold:drift_threshold nodes in
   c.fb_drift_nodes <- c.fb_drift_nodes + List.length drifted;
   let post =
-    if config.correct && drifted <> [] then
-      apply_corrections catalog ~threshold:config.drift_threshold
-        (Opt.to_physical plan_node) nodes
+    if drifted <> [] then
+      apply_corrections catalog ~threshold:drift_threshold (Opt.to_physical plan_node) nodes
     else []
   in
   c.fb_corrections <- c.fb_corrections + List.length post;
@@ -582,7 +572,6 @@ let finish config c stats catalog ~escaped ~replans ~mid_corrections plan_node
       {
         nodes;
         drifted;
-        threshold = config.drift_threshold;
         corrections = mid_corrections @ post;
         escaped;
         replans;
@@ -613,7 +602,7 @@ let run_plan ?(config = default_config) (request : Opt.request) query ~required
          proves the estimate wrong by the escape factor, while every
          other count is still a partial lower bound. *)
       let cs =
-        apply_corrections ~only:at catalog ~threshold:config.drift_threshold phys nodes
+        apply_corrections ~only:at catalog ~threshold:drift_threshold phys nodes
       in
       match cs with
       | [] ->
@@ -634,8 +623,8 @@ let run_plan ?(config = default_config) (request : Opt.request) query ~required
       end
     end
   in
-  let final_plan, run = attempt config.max_replans plan_node in
-  finish config c stats catalog ~escaped:!escaped ~replans:!replans
+  let final_plan, run = attempt max_replans plan_node in
+  finish c stats catalog ~escaped:!escaped ~replans:!replans
     ~mid_corrections:!mid_corrections final_plan run
 
 let run ?config (request : Opt.request) query ~required =
@@ -665,7 +654,7 @@ let run_dynamic ?(config = default_config) (request : Opt.request) (dyn : Dynpla
       catalog static_actual
   with
   | Complete (tuples, schema, io, nodes) ->
-    finish config c stats catalog ~escaped:false ~replans:0 ~mid_corrections:[]
+    finish c stats catalog ~escaped:false ~replans:0 ~mid_corrections:[]
       static_node
       (tuples, schema, io, nodes)
   | Aborted _ -> begin
@@ -683,7 +672,7 @@ let run_dynamic ?(config = default_config) (request : Opt.request) (dyn : Dynpla
       observed_run ~estimate_plan:believed catalog (Opt.to_physical bucket_node)
     with
     | Complete (tuples, schema, io, nodes) ->
-      finish config c stats catalog ~escaped:true ~replans:0 ~mid_corrections:[]
+      finish c stats catalog ~escaped:true ~replans:0 ~mid_corrections:[]
         bucket_node
         (tuples, schema, io, nodes)
     | Aborted _ -> assert false (* no escape factor on the fallback run *)

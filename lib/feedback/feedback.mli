@@ -31,32 +31,21 @@
 (** {1 Configuration} *)
 
 type config = {
-  drift_threshold : float;
-      (** q-error at or above which a node counts as drifted (and, for
-          single-table nodes, produces a correction); must be >= 1 *)
   escape_factor : float option;
       (** the escape hatch's [k]: abort mid-query when a node's observed
           cardinality exceeds [k x max(1, estimate)]; [None] disarms the
           hatch. With exact estimates and [k >= 1] the hatch never
           fires. *)
-  correct : bool;
-      (** install catalog corrections after a completed run ([false]:
-          observe and report only) *)
-  max_replans : int;
-      (** escape-hatch re-optimization budget per {!run} (the final
-          attempt always executes to completion) *)
 }
 
-val config :
-  ?drift_threshold:float ->
-  ?escape_factor:float ->
-  ?correct:bool ->
-  ?max_replans:int ->
-  unit ->
-  config
-(** Defaults: threshold 2, hatch disarmed, corrections on, 1 replan.
-    @raise Invalid_argument if [drift_threshold < 1.] or
-    [escape_factor < 1.]. *)
+val config : ?escape_factor:float -> unit -> config
+(** Default: hatch disarmed.
+    @raise Invalid_argument if [escape_factor < 1.]. *)
+
+val drift_threshold : float
+(** 2: the q-error at or above which a node counts as drifted and, for
+    single-table nodes, produces a correction. Corrections are always
+    installed after a completed run. *)
 
 (** {1 Drift reports} *)
 
@@ -119,9 +108,6 @@ val counters : unit -> counters
 
 val add_counters : into:counters -> counters -> unit
 
-val pp_counters : Format.formatter -> counters -> unit
-(** One line of [name=value] pairs, named as in {!metric_names} [""]. *)
-
 val register : Obs.Metrics.registry -> counters -> unit
 (** Surface the counters as gauges named
     ["volcano_search_feedback_" ^ counter], read live. *)
@@ -133,8 +119,7 @@ val metric_names : string -> string list
 (** The per-query drift report. *)
 type report = {
   nodes : node_obs list;  (** every observed node, preorder *)
-  drifted : node_obs list;  (** the subset with [ratio >= threshold] *)
-  threshold : float;  (** the configured drift threshold *)
+  drifted : node_obs list;  (** the subset with [ratio >= drift_threshold] *)
   corrections : correction list;  (** catalog corrections installed *)
   escaped : bool;  (** the escape hatch fired at least once *)
   replans : int;  (** optimizer re-entries triggered *)
@@ -228,11 +213,11 @@ val run_plan :
   Relmodel.Optimizer.plan_node ->
   outcome
 (** Execute an already-optimized plan under the feedback loop: observe,
-    escape/replan within [config.max_replans] (re-entering
-    {!Relmodel.Optimizer.optimize} against the corrected catalog), and
-    install post-run corrections when [config.correct]. Used by
-    [volcano-cli serve --feedback] to confront cached plans with
-    reality. *)
+    escape and replan at most once (re-entering
+    {!Relmodel.Optimizer.optimize} against the corrected catalog with
+    [request] and its observers; the final attempt always executes to
+    completion), and install post-run corrections. The
+    [volcano-cli optimize --feedback] path. *)
 
 val run :
   ?config:config ->
@@ -240,7 +225,7 @@ val run :
   Relalg.Logical.expr ->
   required:Relalg.Phys_prop.t ->
   outcome
-(** Optimize then {!run_plan} — the [volcano-cli run --feedback] path.
+(** Optimize then {!run_plan}.
     @raise Invalid_argument when the optimizer finds no plan. *)
 
 val run_dynamic :

@@ -151,7 +151,7 @@ let registry t = t.registry
 let service_request t = t.cfg.request
 
 (* Extra search effort performed on behalf of the service but outside
-   [serve_one] — e.g. a feedback loop's re-optimizations — folded into
+   [serve_one] — e.g. a batch's re-optimizations — folded into
    the same merged view the registry exports. *)
 let note_search t delta =
   Mutex.protect t.stats_lock (fun () ->

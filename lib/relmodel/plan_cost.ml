@@ -31,12 +31,12 @@ let derive_alg catalog (alg : Physical.alg) (inputs : Logical_props.t list) :
 let rec props catalog (p : Physical.plan) : Logical_props.t =
   derive_alg catalog p.alg (List.map (props catalog) p.children)
 
-let estimate catalog ?(params = Cost_model.default) (plan : Physical.plan) : Cost.t =
+let estimate catalog (plan : Physical.plan) : Cost.t =
   let rec go (p : Physical.plan) : Cost.t * Logical_props.t =
     let results = List.map go p.children in
     let input_costs = List.map fst results and input_props = List.map snd results in
     let output = derive_alg catalog p.alg input_props in
-    let local = Cost_model.cost params p.alg ~inputs:input_props ~output in
+    let local = Cost_model.cost Cost_model.default p.alg ~inputs:input_props ~output in
     (List.fold_left Cost.add local input_costs, output)
   in
   fst (go plan)

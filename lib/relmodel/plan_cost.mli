@@ -9,10 +9,10 @@ val props :
   Catalog.t -> Relalg.Physical.plan -> Relalg.Logical_props.t
 (** Logical properties of a plan node's output, derived bottom-up. *)
 
-val estimate :
-  Catalog.t ->
-  ?params:Relalg.Cost_model.params ->
-  Relalg.Physical.plan ->
-  Relalg.Cost.t
+val estimate : Catalog.t -> Relalg.Physical.plan -> Relalg.Cost.t
 (** Total estimated cost of the plan: sum of each operator's local cost
-    under the shared cost model. *)
+    under {!Relalg.Cost_model.default}, the one-worker cost model. A
+    serial plan costs what the optimizer's default request costs it
+    ([suite_relmodel]'s [own == neutral] test pins this). No operator is
+    divided among workers, so a plan optimized with [workers > 1] is
+    judged as if run on one. *)

@@ -51,9 +51,6 @@ let test_q_error () =
   Alcotest.(check (float 1e-9)) "zero observed" 1.0 (Feedback.q_error ~estimated:0.5 ~observed:0)
 
 let test_config_validation () =
-  Alcotest.check_raises "threshold < 1 rejected"
-    (Invalid_argument "Feedback.config: drift_threshold must be >= 1") (fun () ->
-      ignore (Feedback.config ~drift_threshold:0.5 ()));
   Alcotest.check_raises "escape factor < 1 rejected"
     (Invalid_argument "Feedback.config: escape_factor must be >= 1") (fun () ->
       ignore (Feedback.config ~escape_factor:0.9 ()))

@@ -1,13 +1,14 @@
 (* Shape validators for the observability artifacts, used by CI smoke
-   jobs: Chrome traces from [volcano-cli optimize --trace-out], metrics
-   snapshots from [--metrics-out], and the benchmark JSON reports.
+   jobs and the CLI goldens in test/cli: Chrome traces from
+   [volcano-cli optimize --trace-out], metrics snapshots from
+   [--metrics-out], and the benchmark JSON reports.
    Exits 1 with a message on the first violation, so a CI step is just
    [validate_obs trace trace.json].
 
    Usage:
      validate_obs trace FILE       Chrome trace event file
      validate_obs metrics FILE     metrics snapshot (counters/gauges/histograms)
-     validate_obs drift FILE       drift report from [volcano-cli run --feedback]
+     validate_obs drift FILE       drift report from [optimize --drift-out]
      validate_obs bench FILE...    BENCH_*.json reports (the one report schema)
      validate_obs profile FILE     search profile from [optimize --profile-out]
      validate_obs flightrec FILE   flight-recorder dump from [--flightrec-out] *)
@@ -111,7 +112,7 @@ let validate_metrics path =
   Printf.printf "OK %s: %d gauges, %d histograms\n" path (List.length gauges)
     (List.length histograms)
 
-(* A drift report from [volcano-cli run --feedback --drift-out]: a
+(* A drift report from [volcano-cli optimize --feedback --drift-out]: a
    threshold >= 1, a non-empty nodes array whose entries each carry
    path/alg/estimated/observed/ratio/complete with ratio >= 1, exactly
    one observation per distinct path with the root ([]) present,
