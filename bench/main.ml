@@ -792,8 +792,7 @@ let feedback_bench mode =
         let escape_catalog = make_catalog () in
         skew escape_catalog;
         let escape_outcome =
-          Feedback.run
-            ~config:(Feedback.config ~escape_factor ())
+          Feedback.run ~escape_factor
             (Relmodel.Optimizer.request escape_catalog)
             q ~required:Phys_prop.any
         in

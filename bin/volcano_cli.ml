@@ -152,8 +152,8 @@ let apply_skews catalog skews =
    counters, drift against the estimates, catalog corrections, and the
    escape hatch's re-optimizations, all through [request]. Returns the
    run's report. *)
-let run_feedback config request logical ~required plan drift_out =
-  let outcome = Feedback.run_plan ~config request logical ~required plan in
+let run_feedback ?escape_factor request logical ~required plan drift_out =
+  let outcome = Feedback.run_plan ?escape_factor request logical ~required plan in
   if outcome.report.replans > 0 then
     Format.printf "Replanned (estimated cost %s):@.%s@.@."
       (Cost.to_string outcome.plan.cost)
@@ -229,19 +229,16 @@ let run_optimize sql execute compare_exodus no_pruning max_steps timeout_ms trac
   let feedback = feedback || drift_out <> None || escape_k <> None in
   let catalog = demo_catalog () in
   let prepared =
-    match Feedback.config ?escape_factor:escape_k () with
-    | exception Invalid_argument msg -> Error msg
-    | config ->
-      Result.bind (apply_skews catalog skews) (fun () ->
-          match Sqlfront.parse catalog sql with
-          | exception Sqlfront.Parse_error msg -> Error ("parse error: " ^ msg)
-          | statement -> Ok (config, statement))
+    Result.bind (apply_skews catalog skews) (fun () ->
+        match Sqlfront.parse catalog sql with
+        | exception Sqlfront.Parse_error msg -> Error ("parse error: " ^ msg)
+        | statement -> Ok statement)
   in
   match prepared with
   | Error msg ->
     Format.eprintf "%s@." msg;
     1
-  | Ok (fb_config, { logical; required }) ->
+  | Ok { logical; required } ->
     Format.printf "Logical query:@.%a@.@." Logical.pp logical;
     Format.printf "Required properties: %s@.@." (Phys_prop.to_string required);
     (* The goal-task histogram in --metrics-out is computed from spans,
@@ -296,7 +293,9 @@ let run_optimize sql execute compare_exodus no_pruning max_steps timeout_ms trac
               Physical.pp eplan
         end;
         if feedback then
-          Some (run_feedback fb_config request logical ~required plan drift_out)
+          Some
+            (run_feedback ?escape_factor:escape_k request logical ~required plan
+               drift_out)
         else begin
           if execute then begin
             let tuples, schema, io =
@@ -316,7 +315,8 @@ let run_optimize sql execute compare_exodus no_pruning max_steps timeout_ms trac
     write_observers request result
       ?feedback:(Option.map (fun (r : Feedback.report) -> r.counters) feedback_report)
       ~trace_out ~metrics_out ~profile_out ~flightrec_out ();
-    0
+    (* Asked for rows but had no plan to run: a failure, not a result. *)
+    if result.plan = None && (execute || feedback) then 1 else 0
 
 let run_tables () =
   print_tables (demo_catalog ());
@@ -480,47 +480,42 @@ let print_response line (r : Plansrv.response) =
     (if r.Plansrv.parameterized then "param " else "")
     line fp
 
-let run_serve file workers capacity parameterize skews metrics_port slow_ms =
+let run_serve file workers capacity parameterize metrics_port slow_ms =
   let catalog = demo_catalog () in
-  match apply_skews catalog skews with
-  | Error msg ->
-    Format.eprintf "%s@." msg;
+  (* Every cache-miss optimization feeds the service-wide profiler, so
+     /profile attributes the service's cumulative search effort to
+     rules and enforcers. Plan-inert by contract. *)
+  let profiler = Obs.Profile.create () in
+  let srv =
+    Plansrv.create
+      (Plansrv.config ~capacity ~parameterize ~slow_ms
+         { (Relmodel.Optimizer.request catalog) with profiler = Some profiler })
+  in
+  register_layers (Plansrv.registry srv);
+  let lines =
+    match file with
+    | Some path -> In_channel.with_open_text path In_channel.input_lines
+    | None -> In_channel.input_lines stdin
+  in
+  let parsed = parse_statements catalog (statements_of_lines lines) in
+  if parsed = [] then begin
+    Format.eprintf "no statements to serve@.";
     1
-  | Ok () ->
-    (* Every cache-miss optimization feeds the service-wide profiler, so
-       /profile attributes the service's cumulative search effort to
-       rules and enforcers. Plan-inert by contract. *)
-    let profiler = Obs.Profile.create () in
-    let srv =
-      Plansrv.create
-        (Plansrv.config ~capacity ~parameterize ~slow_ms
-           { (Relmodel.Optimizer.request catalog) with profiler = Some profiler })
+  end
+  else begin
+    let requests =
+      Array.of_list (List.map (fun (_, logical, required) -> (logical, required)) parsed)
     in
-    register_layers (Plansrv.registry srv);
-    let lines =
-      match file with
-      | Some path -> In_channel.with_open_text path In_channel.input_lines
-      | None -> In_channel.input_lines stdin
-    in
-    let parsed = parse_statements catalog (statements_of_lines lines) in
-    if parsed = [] then begin
-      Format.eprintf "no statements to serve@.";
-      1
-    end
-    else begin
-      let requests =
-        Array.of_list (List.map (fun (_, logical, required) -> (logical, required)) parsed)
-      in
-      let responses = Plansrv.serve ~workers srv requests in
-      List.iteri (fun i (line, _, _) -> print_response line responses.(i)) parsed;
-      Format.printf "@.%a@." Plansrv.pp_metrics (Plansrv.metrics srv);
-      match metrics_port with
-      | None -> 0
-      | Some port ->
-        (* Keep the service alive and export its registry over HTTP until
-           the process is killed. *)
-        serve_metrics srv profiler port
-    end
+    let responses = Plansrv.serve ~workers srv requests in
+    List.iteri (fun i (line, _, _) -> print_response line responses.(i)) parsed;
+    Format.printf "@.%a@." Plansrv.pp_metrics (Plansrv.metrics srv);
+    match metrics_port with
+    | None -> 0
+    | Some port ->
+      (* Keep the service alive and export its registry over HTTP until
+         the process is killed. *)
+      serve_metrics srv profiler port
+  end
 
 (* Multi-query optimization over a SQL file: every statement goes into
    one shared memo (through the plan service's cache), common
@@ -783,9 +778,18 @@ let optimize_cmd =
              Implies $(b,--feedback).")
   in
   let escape_k =
+    (* K < 1 would abort every run: a usage error caught at parse time. *)
+    let k_conv =
+      let parse s =
+        match float_of_string_opt s with
+        | Some k when k >= 1. -> Ok k
+        | _ -> Error (`Msg (Printf.sprintf "expected K >= 1, got %S" s))
+      in
+      Arg.conv ~docv:"K" (parse, Format.pp_print_float)
+    in
     Arg.(
       value
-      & opt (some float) None
+      & opt (some k_conv) None
       & info [ "escape-k" ] ~docv:"K"
           ~doc:
             "Arm the mid-query escape hatch: abort as soon as any node's observed \
@@ -858,8 +862,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Optimization service: fingerprinted plan cache over a batch of statements")
     Term.(
-      const run_serve $ file $ workers $ capacity_arg $ parameterize $ skew_arg
-      $ metrics_port $ slow_ms)
+      const run_serve $ file $ workers $ capacity_arg $ parameterize $ metrics_port
+      $ slow_ms)
 
 let batch_cmd =
   let file =

@@ -15,17 +15,13 @@ module J = Obs.Json
 (* Configuration                                                           *)
 (* ---------------------------------------------------------------------- *)
 
-type config = { escape_factor : float option }
-
 let drift_threshold = 2.
 
 let max_replans = 1
 
-let config ?escape_factor () =
-  (match escape_factor with
-   | Some k when k < 1. -> invalid_arg "Feedback.config: escape_factor must be >= 1"
-   | _ -> ());
-  { escape_factor }
+let check_escape_factor = function
+  | Some k when k < 1. -> invalid_arg "Feedback: escape_factor must be >= 1"
+  | _ -> ()
 
 (* The escape hatch firing is exactly the abnormal end the flight
    recorder exists for: dump whatever the rings of the request's
@@ -34,8 +30,6 @@ let escape_trigger (request : Opt.request) =
   match request.recorder with
   | None -> ()
   | Some fr -> Obs.Flight_recorder.trigger fr ~reason:"feedback-escape"
-
-let default_config = config ()
 
 (* ---------------------------------------------------------------------- *)
 (* Observations                                                            *)
@@ -90,14 +84,6 @@ let counter_table =
     ("feedback_escapes", fun c -> c.fb_escapes);
     ("feedback_replans", fun c -> c.fb_replans);
   ]
-
-let add_counters ~into c =
-  into.fb_runs <- into.fb_runs + c.fb_runs;
-  into.fb_nodes_observed <- into.fb_nodes_observed + c.fb_nodes_observed;
-  into.fb_drift_nodes <- into.fb_drift_nodes + c.fb_drift_nodes;
-  into.fb_corrections <- into.fb_corrections + c.fb_corrections;
-  into.fb_escapes <- into.fb_escapes + c.fb_escapes;
-  into.fb_replans <- into.fb_replans + c.fb_replans
 
 let metric_names prefix = List.map (fun (name, _) -> prefix ^ name) counter_table
 
@@ -580,8 +566,8 @@ let finish c stats catalog ~escaped ~replans ~mid_corrections plan_node
       };
   }
 
-let run_plan ?(config = default_config) (request : Opt.request) query ~required
-    plan_node =
+let run_plan ?escape_factor (request : Opt.request) query ~required plan_node =
+  check_escape_factor escape_factor;
   let catalog = request.Opt.catalog in
   let c = counters () in
   let stats = S.create () in
@@ -591,7 +577,7 @@ let run_plan ?(config = default_config) (request : Opt.request) query ~required
   let rec attempt budget plan_node =
     let phys = Opt.to_physical plan_node in
     (* The final attempt always runs to completion: no hatch left. *)
-    let escape_factor = if budget > 0 then config.escape_factor else None in
+    let escape_factor = if budget > 0 then escape_factor else None in
     match observed_run ?escape_factor catalog phys with
     | Complete (tuples, schema, io, nodes) -> (plan_node, (tuples, schema, io, nodes))
     | Aborted { at; nodes; io = _ } -> begin
@@ -627,14 +613,15 @@ let run_plan ?(config = default_config) (request : Opt.request) query ~required
   finish c stats catalog ~escaped:!escaped ~replans:!replans
     ~mid_corrections:!mid_corrections final_plan run
 
-let run ?config (request : Opt.request) query ~required =
+let run ?escape_factor (request : Opt.request) query ~required =
+  check_escape_factor escape_factor;
   let result = Opt.optimize request query ~required in
   match result.Opt.plan with
   | None -> invalid_arg "Feedback.run: optimizer found no plan"
-  | Some p -> run_plan ?config request query ~required p
+  | Some p -> run_plan ?escape_factor request query ~required p
 
-let run_dynamic ?(config = default_config) (request : Opt.request) (dyn : Dynplan.t)
-    ~param =
+let run_dynamic ?escape_factor (request : Opt.request) (dyn : Dynplan.t) ~param =
+  check_escape_factor escape_factor;
   let catalog = request.Opt.catalog in
   let c = counters () and stats = S.create () in
   (* The static plan was optimized at the range midpoint (see
@@ -650,7 +637,7 @@ let run_dynamic ?(config = default_config) (request : Opt.request) (dyn : Dynpla
   let static_actual = Opt.to_physical static_node in
   let static_believed = Opt.to_physical dyn.Dynplan.static_plan in
   match
-    observed_run ?escape_factor:config.escape_factor ~estimate_plan:static_believed
+    observed_run ?escape_factor ~estimate_plan:static_believed
       catalog static_actual
   with
   | Complete (tuples, schema, io, nodes) ->

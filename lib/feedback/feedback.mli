@@ -28,19 +28,14 @@
     recorder, when it has one, with reason ["feedback-escape"]: the dump
     holds the engine events its searches recorded. *)
 
-(** {1 Configuration} *)
+(** {1 Configuration}
 
-type config = {
-  escape_factor : float option;
-      (** the escape hatch's [k]: abort mid-query when a node's observed
-          cardinality exceeds [k x max(1, estimate)]; [None] disarms the
-          hatch. With exact estimates and [k >= 1] the hatch never
-          fires. *)
-}
-
-val config : ?escape_factor:float -> unit -> config
-(** Default: hatch disarmed.
-    @raise Invalid_argument if [escape_factor < 1.]. *)
+    The loop's one setting is the escape hatch's [k], the
+    [?escape_factor] of {!run_plan}, {!run} and {!run_dynamic}: abort
+    mid-query when a node's observed cardinality exceeds
+    [k x max(1, estimate)]. Omitted, the hatch is disarmed. With exact
+    estimates and [k >= 1] it never fires; each of the three raises
+    [Invalid_argument] before any work when [k < 1]. *)
 
 val drift_threshold : float
 (** 2: the q-error at or above which a node counts as drifted and, for
@@ -105,8 +100,6 @@ type counters = {
 
 val counters : unit -> counters
 (** All zero. *)
-
-val add_counters : into:counters -> counters -> unit
 
 val register : Obs.Metrics.registry -> counters -> unit
 (** Surface the counters as gauges named
@@ -206,7 +199,7 @@ type outcome = {
 }
 
 val run_plan :
-  ?config:config ->
+  ?escape_factor:float ->
   Relmodel.Optimizer.request ->
   Relalg.Logical.expr ->
   required:Relalg.Phys_prop.t ->
@@ -220,7 +213,7 @@ val run_plan :
     [volcano-cli optimize --feedback] path. *)
 
 val run :
-  ?config:config ->
+  ?escape_factor:float ->
   Relmodel.Optimizer.request ->
   Relalg.Logical.expr ->
   required:Relalg.Phys_prop.t ->
@@ -229,7 +222,7 @@ val run :
     @raise Invalid_argument when the optimizer finds no plan. *)
 
 val run_dynamic :
-  ?config:config ->
+  ?escape_factor:float ->
   Relmodel.Optimizer.request ->
   Dynplan.t ->
   param:Relalg.Value.t ->

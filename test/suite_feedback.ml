@@ -51,9 +51,13 @@ let test_q_error () =
   Alcotest.(check (float 1e-9)) "zero observed" 1.0 (Feedback.q_error ~estimated:0.5 ~observed:0)
 
 let test_config_validation () =
+  let catalog = Helpers.small_catalog () in
+  let query = Logical.get "r" in
   Alcotest.check_raises "escape factor < 1 rejected"
-    (Invalid_argument "Feedback.config: escape_factor must be >= 1") (fun () ->
-      ignore (Feedback.config ~escape_factor:0.9 ()))
+    (Invalid_argument "Feedback: escape_factor must be >= 1") (fun () ->
+      ignore
+        (Feedback.run ~escape_factor:0.9 (Relmodel.Optimizer.request catalog) query
+           ~required:Phys_prop.any))
 
 (* ---------- observed-cardinality exactness ---------- *)
 
@@ -292,9 +296,7 @@ let test_escape_replans_and_recovers () =
       (Logical.join Expr.(col "r.a" =% col "s.a") (Logical.get "r") (Logical.get "s"))
   in
   let outcome =
-    Feedback.run
-      ~config:(Feedback.config ~escape_factor:2. ())
-      request query ~required:Phys_prop.any
+    Feedback.run ~escape_factor:2. request query ~required:Phys_prop.any
   in
   Alcotest.(check bool) "escaped" true outcome.Feedback.report.Feedback.escaped;
   Alcotest.(check bool) "replanned" true (outcome.Feedback.report.Feedback.replans >= 1);
@@ -319,9 +321,7 @@ let test_escape_dumps_request_recorder () =
       (Logical.join Expr.(col "r.a" =% col "s.a") (Logical.get "r") (Logical.get "s"))
   in
   let outcome =
-    Feedback.run
-      ~config:(Feedback.config ~escape_factor:2. ())
-      request query ~required:Phys_prop.any
+    Feedback.run ~escape_factor:2. request query ~required:Phys_prop.any
   in
   Alcotest.(check bool) "escaped" true outcome.Feedback.report.Feedback.escaped;
   Alcotest.(check string) "dump reason" "feedback-escape"
@@ -355,20 +355,18 @@ let test_feedback_counters () =
   Alcotest.(check int) "no re-plan, no re-plan search effort" 0
     report.Feedback.stats.Volcano.Search_stats.tasks;
   (* The counters are the feedback layer's own: none is a search
-     counter, and a live sum of runs is exported under the
-     volcano_search_feedback_ names. *)
+     counter, and they are exported under the volcano_search_feedback_
+     names as gauges read live. *)
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " is not a search counter") false
         (List.mem name (Volcano.Search_stats.metric_names "volcano_search_")))
     (Feedback.metric_names "volcano_search_");
-  let total = Feedback.counters () in
   let reg = Obs.Metrics.create () in
-  Feedback.register reg total;
-  Feedback.add_counters ~into:total c;
-  Feedback.add_counters ~into:total c;
+  Feedback.register reg c;
+  c.Feedback.fb_runs <- c.Feedback.fb_runs + 1;
   let gauges = Obs.Json.member "gauges" (Obs.Metrics.to_json reg) in
-  Alcotest.(check (option (float 0.))) "gauges read the live sum" (Some 2.)
+  Alcotest.(check (option (float 0.))) "gauges read live" (Some 2.)
     (Option.bind (Option.bind gauges (Obs.Json.member "volcano_search_feedback_runs"))
        Obs.Json.to_float)
 
