@@ -62,8 +62,10 @@ let predicate props e =
        (fun acc c -> acc *. conjunct_selectivity props c)
        1. (Expr.conjuncts e))
 
-let join ~left ~right e =
-  let keys = Expr.equijoin_keys e ~left:left.Logical_props.schema ~right:right.Logical_props.schema in
+let join ~left ~right p =
+  let keys =
+    Pred.equijoin_keys p ~left:left.Logical_props.colset ~right:right.Logical_props.colset
+  in
   let key_cols = List.concat_map (fun (l, r) -> [ l; r ]) keys in
   let key_selectivity =
     (* Unclamped distinct counts keep the estimate identical for every
@@ -83,26 +85,21 @@ let join ~left ~right e =
   in
   (* Residual conjuncts (not equi-join keys) estimated locally against
      whichever side they mention, or the generic default. *)
-  let residual =
-    Expr.conjuncts e
-    |> List.filter (fun c ->
-           match c with
-           | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) ->
-             not (List.mem a key_cols && List.mem b key_cols)
-           | _ -> true)
-  in
   let residual_selectivity =
     List.fold_left
       (fun acc c ->
-        let s =
-          if Expr.refers_only_to left.Logical_props.schema c then
-            conjunct_selectivity left c
-          else if Expr.refers_only_to right.Logical_props.schema c then
-            conjunct_selectivity right c
-          else if Expr.equal c Expr.true_ then 1.
-          else default_unknown
-        in
-        acc *. s)
-      1. residual
+        match Pred.conj_expr c with
+        | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b)
+          when List.mem a key_cols && List.mem b key_cols ->
+          acc
+        | e ->
+          let s =
+            if Pred.refers_only_to left.Logical_props.colset c then conjunct_selectivity left e
+            else if Pred.refers_only_to right.Logical_props.colset c then
+              conjunct_selectivity right e
+            else default_unknown
+          in
+          acc *. s)
+      1. (Pred.conjuncts p)
   in
   clamp (key_selectivity *. residual_selectivity)

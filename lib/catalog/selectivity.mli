@@ -10,8 +10,11 @@ val predicate : Relalg.Logical_props.t -> Relalg.Expr.t -> float
     in [0, 1]. *)
 
 val join :
-  left:Relalg.Logical_props.t -> right:Relalg.Logical_props.t -> Relalg.Expr.t -> float
-(** Fraction of the Cartesian product satisfying a join predicate. *)
+  left:Relalg.Logical_props.t -> right:Relalg.Logical_props.t -> Relalg.Pred.t -> float
+(** Fraction of the Cartesian product satisfying a join predicate. The
+    inputs' column sets ({!Relalg.Logical_props.colset}) place each
+    conjunct, so they must come from the table that interned the
+    predicate. *)
 
 val default_unknown : float
 (** Selectivity assumed for conditions the estimator cannot analyze. *)

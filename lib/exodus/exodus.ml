@@ -39,6 +39,7 @@ type cls = {
 
 type mesh = {
   catalog : Catalog.t;
+  preds : Pred.table;  (** the run's interned predicates *)
   params : Cost_model.params;
   mutable classes : cls array;
   mutable n_classes : int;
@@ -90,7 +91,9 @@ let algorithm_options mesh (n : node) (out : Logical_props.t) :
   | Logical.Project cols, [ i ] ->
     [ (Physical.Project_cols cols, local (Physical.Project_cols cols) [ i ]) ]
   | Logical.Join pred, [ l; r ] ->
-    let keys = Expr.equijoin_keys pred ~left:l.schema ~right:r.schema in
+    let keys =
+      Pred.equijoin_keys (Pred.of_expr mesh.preds pred) ~left:l.colset ~right:r.colset
+    in
     let nl =
       [ (Physical.Nested_loop_join pred, local (Physical.Nested_loop_join pred) [ l; r ]) ]
     in
@@ -201,7 +204,7 @@ let add_node mesh ~(target : cls option) (op : Logical.op) (inputs : int list) :
         | Some cid -> cls_of mesh cid
         | None ->
           let props =
-            Relmodel.Derive.op mesh.catalog op
+            Relmodel.Derive.op mesh.catalog mesh.preds op
               (List.map (fun ci -> (cls_of mesh ci).props) inputs)
           in
           new_class mesh props
@@ -292,13 +295,16 @@ let apply_rule mesh (n : node) (c : cls) rule : unit =
         |> List.filter_map (fun (ln : node) ->
                match ln.op, ln.inputs with
                | Logical.Join p2, [ a; b ] ->
-                 let sb = (cls_of mesh b).props.Logical_props.schema in
-                 let sc = (cls_of mesh r).props.Logical_props.schema in
                  let top, bottom =
-                   Relmodel.Rewrites.assoc_split ~p1 ~p2 ~schema_b:sb ~schema_c:sc
+                   Relmodel.Rewrites.assoc_split mesh.preds
+                     ~p1:(Pred.of_expr mesh.preds p1) ~p2:(Pred.of_expr mesh.preds p2)
+                     ~cols_b:(cls_of mesh b).props.Logical_props.colset
+                     ~cols_c:(cls_of mesh r).props.Logical_props.colset
                  in
-                 let inner, _ = add_node mesh ~target:None (Logical.Join bottom) [ b; r ] in
-                 Some (Logical.Join top, [ a; inner.cid ])
+                 let inner, _ =
+                   add_node mesh ~target:None (Logical.Join (Pred.expr bottom)) [ b; r ]
+                 in
+                 Some (Logical.Join (Pred.expr top), [ a; inner.cid ])
                | _ -> None)
       | _ -> []
     end
@@ -310,11 +316,11 @@ let apply_rule mesh (n : node) (c : cls) rule : unit =
         |> List.filter_map (fun (jn : node) ->
                match jn.op, jn.inputs with
                | Logical.Join jp, [ a; b ] ->
-                 let sa = (cls_of mesh a).props.Logical_props.schema in
-                 let sb = (cls_of mesh b).props.Logical_props.schema in
-                 let conj = Expr.conjuncts p in
-                 let on_left, rest = List.partition (Expr.refers_only_to sa) conj in
-                 let on_right, to_join = List.partition (Expr.refers_only_to sb) rest in
+                 let on_left, on_right, to_join =
+                   Relmodel.Rewrites.push_split (Pred.of_expr mesh.preds p)
+                     ~left:(cls_of mesh a).props.Logical_props.colset
+                     ~right:(cls_of mesh b).props.Logical_props.colset
+                 in
                  if on_left = [] && on_right = [] && to_join = [] then None
                  else begin
                    let wrap side preds =
@@ -323,12 +329,16 @@ let apply_rule mesh (n : node) (c : cls) rule : unit =
                      | _ ->
                        let sc, _ =
                          add_node mesh ~target:None
-                           (Logical.Select (Expr.conjoin preds))
+                           (Logical.Select (Pred.expr (Pred.conjoin mesh.preds preds)))
                            [ side ]
                        in
                        sc.cid
                    in
-                   let jp' = Expr.conjoin (Expr.conjuncts jp @ to_join) in
+                   let jp' =
+                     Pred.expr
+                       (Pred.conjoin mesh.preds
+                          (Pred.conjuncts (Pred.of_expr mesh.preds jp) @ to_join))
+                   in
                    Some (Logical.Join jp', [ wrap a on_left; wrap b on_right ])
                  end
                | _ -> None)
@@ -396,6 +406,7 @@ let optimize ~catalog ?(params = Cost_model.default) ?(max_nodes = max_int)
   let mesh =
     {
       catalog;
+      preds = Pred.create ();
       params;
       classes = [||];
       n_classes = 0;

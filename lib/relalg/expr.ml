@@ -65,35 +65,6 @@ let conjoin conjs =
   | [] -> true_
   | e :: rest -> List.fold_left (fun acc c -> And (acc, c)) e rest
 
-let rec refers_only_to schema = function
-  | Col c -> Schema.mem schema c
-  | Const _ -> true
-  | Not e -> refers_only_to schema e
-  | Cmp (_, a, b) | And (a, b) | Or (a, b) | Arith (_, a, b) ->
-    refers_only_to schema a && refers_only_to schema b
-
-(* The key pair of conjunct [a = b] when one column resolves on each
-   side only; each column is resolved once against each side. *)
-let key_pair ~left ~right a b =
-  let la = Schema.find_index left a and ra = Schema.find_index right a in
-  let lb = Schema.find_index left b and rb = Schema.find_index right b in
-  if la >= 0 && rb >= 0 && ra < 0 && lb < 0 then
-    Some (left.(la).Schema.name, right.(rb).Schema.name)
-  else if lb >= 0 && ra >= 0 && rb < 0 && la < 0 then
-    Some (left.(lb).Schema.name, right.(ra).Schema.name)
-  else None
-
-let rec add_keys ~left ~right acc = function
-  | And (a, b) -> add_keys ~left ~right (add_keys ~left ~right acc a) b
-  | Cmp (Eq, Col a, Col b) -> begin
-    match key_pair ~left ~right a b with
-    | Some k -> k :: acc
-    | None -> acc
-  end
-  | _ -> acc
-
-let equijoin_keys expr ~left ~right = List.rev (add_keys ~left ~right [] expr)
-
 (* Whether [Value.compare]'s result [c] satisfies [op]. *)
 let sign_holds op c =
   match op with

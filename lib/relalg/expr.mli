@@ -64,14 +64,6 @@ val conjuncts : t -> t list
 val conjoin : t list -> t
 (** Inverse of {!conjuncts}; [conjoin [] = true_]. *)
 
-val equijoin_keys : t -> left:Schema.t -> right:Schema.t -> (string * string) list
-(** Equality conjuncts of the form [l.col = r.col] with one side in
-    each input schema, returned as (left column, right column) pairs in
-    canonical (qualified) names. *)
-
-val refers_only_to : Schema.t -> t -> bool
-(** All column references resolve in the given schema. *)
-
 val compile : Schema.t -> t -> Tuple.t -> Value.t
 (** Resolve columns to positions and return an evaluator. Predicate
     results are shared [Bool] constants, so a comparison allocates

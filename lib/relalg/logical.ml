@@ -74,8 +74,6 @@ let op_name = function
 
 let op_equal (a : op) (b : op) = a = b
 
-let op_hash (a : op) = Hashtbl.hash_param 100 256 a
-
 let equal (a : expr) (b : expr) = a = b
 
 let rec size e = 1 + List.fold_left (fun acc i -> acc + size i) 0 e.inputs

@@ -55,8 +55,6 @@ val op_name : op -> string
 
 val op_equal : op -> op -> bool
 
-val op_hash : op -> int
-
 val equal : expr -> expr -> bool
 
 val size : expr -> int

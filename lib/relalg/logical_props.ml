@@ -6,9 +6,11 @@ type t = {
   ranges : (string * (float * float)) list;
   relations : string list;
   grouped : bool;
+  colset : Pred.colset;
 }
 
-let make ~schema ~card ~distincts ?(ranges = []) ?(relations = []) ?(grouped = false) () =
+let make ~schema ~card ~distincts ?(ranges = []) ?(relations = []) ?(grouped = false)
+    ?(colset = Pred.no_columns) () =
   {
     schema;
     card = Float.max card 0.;
@@ -17,6 +19,7 @@ let make ~schema ~card ~distincts ?(ranges = []) ?(relations = []) ?(grouped = f
     ranges;
     relations;
     grouped;
+    colset;
   }
 
 let canonical_name t column =

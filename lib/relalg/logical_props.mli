@@ -19,6 +19,10 @@ type t = {
           Cost lower bounds consult this: an aggregate can deliver its
           key order without a sort, so sort-cost floors must not be
           asserted over grouped expressions. *)
+  colset : Pred.colset;
+      (** the schema's columns in the deriving session's {!Pred.table}
+          ({!Pred.no_columns} when no session derived these
+          properties), for name-free predicate placement *)
 }
 
 val make :
@@ -28,6 +32,7 @@ val make :
   ?ranges:(string * (float * float)) list ->
   ?relations:string list ->
   ?grouped:bool ->
+  ?colset:Pred.colset ->
   unit ->
   t
 

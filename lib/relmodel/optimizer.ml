@@ -56,8 +56,8 @@ let rec to_physical_raw (p : plan_node) : Relalg.Physical.plan =
 (* Join commutativity can leave the winning plan's columns in a
    different order than the query's logical schema; restore the
    logical order with a (free at this scale) final projection. *)
-let restore_column_order req query (p : plan_node) : plan_node =
-  let logical_names = Relalg.Schema.names (Derive.expr req.catalog query).schema in
+let restore_column_order req (query : Relalg.Logical_props.t) (p : plan_node) : plan_node =
+  let logical_names = Relalg.Schema.names query.schema in
   let physical_names =
     Relalg.Schema.names (Catalog.plan_schema req.catalog (to_physical_raw p))
   in
@@ -76,6 +76,8 @@ let restore_column_order req query (p : plan_node) : plan_node =
 module Searcher (M : Rel_model.REL_MODEL) = struct
   module S = Volcano.Search.Make (M)
 
+  let to_tree = M.to_tree
+
   let create req =
     let config =
       {
@@ -91,12 +93,16 @@ module Searcher (M : Rel_model.REL_MODEL) = struct
     in
     S.create ~config ()
 
-  let start req opt (query : Relalg.Logical.expr) required =
+  let start req opt query required =
     let limit = Option.value req.limit ~default:Relalg.Cost.infinite in
-    S.start ~limit opt (Rel_model.to_tree query) ~required
+    S.start ~limit opt query ~required
 
   let rec convert (p : S.plan_tree) : plan_node =
     { alg = p.alg; children = List.map convert p.children; props = p.props; cost = p.cost }
+
+  (* The logical properties of the query, an interned tree. *)
+  let rec derive query =
+    M.derive (Volcano.Tree.op query) (List.map derive (Volcano.Tree.inputs query))
 
   (* With the request's [explain] on, render the provenance of the
      returned plan (the winner, or a paused run's best-so-far) straight
@@ -105,7 +111,7 @@ module Searcher (M : Rel_model.REL_MODEL) = struct
   let result req query (run : S.run) : result =
     let out = S.outcome_of run in
     let finish p =
-      if req.restore_columns then restore_column_order req query (convert p)
+      if req.restore_columns then restore_column_order req (derive query) (convert p)
       else convert p
     in
     {
@@ -128,6 +134,7 @@ let make_searcher req =
   let module X = Searcher ((val model req)) in
   let opt = X.create req in
   let run query required =
+    let query = X.to_tree query in
     let r = X.start req opt query required in
     ignore (X.S.resume r : X.S.status);
     X.result req query r
@@ -164,6 +171,7 @@ type anytime = {
 let optimize_anytime req ~budgets (query : Relalg.Logical.expr) ~required : anytime =
   let module X = Searcher ((val model req)) in
   let opt = X.create req in
+  let query = X.to_tree query in
   let run = X.start req opt query required in
   let rung b =
     let status = X.S.resume ~budget:(X.S.budget ~max_tasks:b ()) run in

@@ -1,13 +1,25 @@
 open Relalg
 module Rule = Volcano.Rule
 
-module type REL_MODEL =
-  Volcano.Signatures.MODEL
-    with type op = Logical.op
-     and type alg = Physical.alg
-     and type logical_props = Logical_props.t
-     and type phys_props = Phys_prop.t
-     and type cost = Cost.t
+type op = {
+  op_id : int;
+  logical : Logical.op;
+  pred : Pred.t;
+}
+
+module type REL_MODEL = sig
+  include
+    Volcano.Signatures.MODEL
+      with type op = op
+       and type alg = Physical.alg
+       and type logical_props = Logical_props.t
+       and type phys_props = Phys_prop.t
+       and type cost = Cost.t
+
+  val intern : Logical.op -> op
+
+  val to_tree : Logical.expr -> op Volcano.Tree.t
+end
 
 type flags = {
   alternatives : bool;
@@ -16,119 +28,20 @@ type flags = {
 
 let default_flags = { alternatives = true; left_deep_only = false }
 
-let rec to_tree (e : Logical.expr) = Volcano.Tree.node e.op (List.map to_tree e.inputs)
-
 (* ---------------------------------------------------------------------- *)
 (* Pattern helpers                                                          *)
 (* ---------------------------------------------------------------------- *)
 
-let is_join = function Logical.Join _ -> true | _ -> false
-let is_get = function Logical.Get _ -> true | _ -> false
-let is_select = function Logical.Select _ -> true | _ -> false
-let is_project = function Logical.Project _ -> true | _ -> false
-let is_group_by = function Logical.Group_by _ -> true | _ -> false
-let is_union = function Logical.Union -> true | _ -> false
-let is_intersect = function Logical.Intersect -> true | _ -> false
-let is_difference = function Logical.Difference -> true | _ -> false
+let is_join o = match o.logical with Logical.Join _ -> true | _ -> false
+let is_get o = match o.logical with Logical.Get _ -> true | _ -> false
+let is_select o = match o.logical with Logical.Select _ -> true | _ -> false
+let is_project o = match o.logical with Logical.Project _ -> true | _ -> false
+let is_group_by o = match o.logical with Logical.Group_by _ -> true | _ -> false
+let is_union o = match o.logical with Logical.Union -> true | _ -> false
+let is_intersect o = match o.logical with Logical.Intersect -> true | _ -> false
+let is_difference o = match o.logical with Logical.Difference -> true | _ -> false
 
 let join_pattern = Rule.Op (is_join, [ Rule.Any; Rule.Any ])
-
-(* A conjunct mentions a schema "alone" when every column it references
-   resolves there. *)
-let refers_within schema conj = Expr.refers_only_to schema conj
-
-(* ---------------------------------------------------------------------- *)
-(* Transformation rules                                                     *)
-(* ---------------------------------------------------------------------- *)
-
-(* Join commutativity: JOIN(p, A, B) == JOIN(p, B, A). *)
-let join_commute : (Logical.op, Logical_props.t) Rule.transform =
-  {
-    t_name = "join-commute";
-    t_promise = 1;
-    t_pattern = join_pattern;
-    t_apply =
-      (fun ~lookup:_ binding ->
-        match binding with
-        | Rule.Node (Logical.Join p, [ a; b ]) -> [ Rule.Node (Logical.Join p, [ b; a ]) ]
-        | _ -> []);
-  }
-
-(* Join associativity (Figure 3): JOIN(p1, JOIN(p2, A, B), C) ==
-   JOIN(top, A, JOIN(bottom, B, C)), redistributing the conjuncts of
-   p1 AND p2 by the schemas they reference. The inner JOIN(bottom,B,C)
-   is expression "C" of Figure 3: it requires a new equivalence
-   class. *)
-let join_assoc : (Logical.op, Logical_props.t) Rule.transform =
-  {
-    t_name = "join-assoc";
-    t_promise = 1;
-    t_pattern = Rule.Op (is_join, [ join_pattern; Rule.Any ]);
-    t_apply =
-      (fun ~lookup binding ->
-        match binding with
-        | Rule.Node
-            ( Logical.Join p1,
-              [ Rule.Node (Logical.Join p2, [ a; b ]); (Rule.Group gc as c) ] ) ->
-          let group_of = function
-            | Rule.Group g -> g
-            | Rule.Node _ ->
-              (* Patterns bottom out in Any, so A and B are groups. *)
-              assert false
-          in
-          let sb = (lookup (group_of b)).Logical_props.schema in
-          let sc = (lookup gc).Logical_props.schema in
-          let top, bottom = Rewrites.assoc_split ~p1 ~p2 ~schema_b:sb ~schema_c:sc in
-          [ Rule.Node (Logical.Join top, [ a; Rule.Node (Logical.Join bottom, [ b; c ]) ]) ]
-        | _ -> []);
-  }
-
-(* Selection cascade: SELECT(p1, SELECT(p2, A)) == SELECT(p1 AND p2, A). *)
-let select_merge : (Logical.op, Logical_props.t) Rule.transform =
-  {
-    t_name = "select-merge";
-    t_promise = 1;
-    t_pattern = Rule.Op (is_select, [ Rule.Op (is_select, [ Rule.Any ]) ]);
-    t_apply =
-      (fun ~lookup:_ binding ->
-        match binding with
-        | Rule.Node (Logical.Select p1, [ Rule.Node (Logical.Select p2, [ a ]) ]) ->
-          [ Rule.Node (Logical.Select (Expr.conjoin (Expr.conjuncts p1 @ Expr.conjuncts p2)), [ a ]) ]
-        | _ -> []);
-  }
-
-(* Selection pushdown: SELECT(p, JOIN(jp, A, B)) pushes each conjunct of
-   p to the input whose schema covers it, merging the rest into the join
-   predicate. *)
-let select_push_join : (Logical.op, Logical_props.t) Rule.transform =
-  {
-    t_name = "select-push-join";
-    t_promise = 1;
-    t_pattern = Rule.Op (is_select, [ join_pattern ]);
-    t_apply =
-      (fun ~lookup binding ->
-        match binding with
-        | Rule.Node
-            ( Logical.Select p,
-              [ Rule.Node (Logical.Join jp, [ (Rule.Group gl as a); (Rule.Group gr as b) ]) ] )
-          ->
-          let sl = (lookup gl).Logical_props.schema in
-          let sr = (lookup gr).Logical_props.schema in
-          let conj = Expr.conjuncts p in
-          let on_left, rest = List.partition (refers_within sl) conj in
-          let on_right, to_join = List.partition (refers_within sr) rest in
-          if on_left = [] && on_right = [] && to_join = [] then []
-          else begin
-            let wrap side preds =
-              match preds with
-              | [] -> side
-              | _ -> Rule.Node (Logical.Select (Expr.conjoin preds), [ side ])
-            in
-            let jp' = Expr.conjoin (Expr.conjuncts jp @ to_join) in
-            [ Rule.Node (Logical.Join jp', [ wrap a on_left; wrap b on_right ]) ]
-          end
-        | _ -> []);
-  }
 
 (* Set-operation commutativity is deliberately omitted: our columns are
    resolved by name, and commuting a union/intersection would present
@@ -142,15 +55,63 @@ let select_push_join : (Logical.op, Logical_props.t) Rule.transform =
 
 let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
     (module REL_MODEL) =
+  (* The session's operators, interned: a [Select] or [Join] by its
+     interned predicate, any other operator by value. Equal operators
+     are one value, so the memo hashes an id and compares with [==]. *)
+  let preds = Pred.create () in
+  let true_pred = Pred.of_expr preds Expr.true_ in
+  let n_ops = ref 0 in
+  let fresh logical pred =
+    let o = { op_id = !n_ops; logical; pred } in
+    incr n_ops;
+    o
+  in
+  (* Join and select operators by predicate id, which is dense. *)
+  let by_pred table mk p =
+    let i = Pred.id p in
+    if i >= Array.length !table then begin
+      let bigger = Array.make (max 64 (2 * i)) None in
+      Array.blit !table 0 bigger 0 (Array.length !table);
+      table := bigger
+    end;
+    match !table.(i) with
+    | Some o -> o
+    | None ->
+      let o = fresh (mk (Pred.expr p)) p in
+      !table.(i) <- Some o;
+      o
+  in
+  let joins = ref [||] and selects = ref [||] and others = Hashtbl.create 64 in
+  let join_op p = by_pred joins (fun e -> Logical.Join e) p in
+  let select_op p = by_pred selects (fun e -> Logical.Select e) p in
+  let intern (o : Logical.op) =
+    match o with
+    | Logical.Join p -> join_op (Pred.of_expr preds p)
+    | Logical.Select p -> select_op (Pred.of_expr preds p)
+    | Logical.Get _ | Logical.Project _ | Logical.Union | Logical.Intersect | Logical.Difference
+    | Logical.Group_by _ -> begin
+      match Hashtbl.find_opt others o with
+      | Some x -> x
+      | None ->
+        let x = fresh o true_pred in
+        Hashtbl.add others o x;
+        x
+    end
+  in
   let module M = struct
     let model_name = "relational"
 
-    type op = Logical.op
+    type nonrec op = op
 
-    let op_arity = Logical.arity
-    let op_equal = Logical.op_equal
-    let op_hash = Logical.op_hash
-    let op_name = Logical.op_name
+    let op_arity o = Logical.arity o.logical
+    let op_equal (a : op) b = a == b
+    let op_hash o = Hashtbl.hash o.op_id
+    let op_name o = Logical.op_name o.logical
+
+    let intern = intern
+
+    let rec to_tree (e : Logical.expr) =
+      Volcano.Tree.node (intern e.op) (List.map to_tree e.inputs)
 
     type alg = Physical.alg
 
@@ -159,7 +120,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
 
     type logical_props = Logical_props.t
 
-    let derive o inputs = Derive.op catalog o inputs
+    let derive o inputs = Derive.interned catalog preds o.logical o.pred inputs
 
     type phys_props = Phys_prop.t
 
@@ -390,6 +351,93 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
 
     (* ------------------------------------------------------------------ *)
 
+    let colset lookup g = (lookup g).Logical_props.colset
+
+    let join_keys lookup pred gl gr =
+      Pred.equijoin_keys pred ~left:(colset lookup gl) ~right:(colset lookup gr)
+
+    (* Join commutativity: JOIN(p, A, B) == JOIN(p, B, A). *)
+    let join_commute : (op, Logical_props.t) Rule.transform =
+      {
+        t_name = "join-commute";
+        t_promise = 1;
+        t_pattern = join_pattern;
+        t_apply =
+          (fun ~lookup:_ binding ->
+            match binding with
+            | Rule.Node (o, [ a; b ]) -> [ Rule.Node (o, [ b; a ]) ]
+            | _ -> []);
+      }
+
+    (* Join associativity (Figure 3): JOIN(p1, JOIN(p2, A, B), C) ==
+       JOIN(top, A, JOIN(bottom, B, C)), redistributing the conjuncts of
+       p1 AND p2 by the columns they read. The inner JOIN(bottom,B,C) is
+       expression "C" of Figure 3: it requires a new equivalence
+       class. *)
+    let join_assoc : (op, Logical_props.t) Rule.transform =
+      {
+        t_name = "join-assoc";
+        t_promise = 1;
+        t_pattern = Rule.Op (is_join, [ join_pattern; Rule.Any ]);
+        t_apply =
+          (fun ~lookup binding ->
+            match binding with
+            | Rule.Node (o1, [ Rule.Node (o2, [ a; (Rule.Group gb as b) ]); (Rule.Group gc as c) ])
+              ->
+              let top, bottom =
+                Rewrites.assoc_split preds ~p1:o1.pred ~p2:o2.pred ~cols_b:(colset lookup gb)
+                  ~cols_c:(colset lookup gc)
+              in
+              [ Rule.Node (join_op top, [ a; Rule.Node (join_op bottom, [ b; c ]) ]) ]
+            | _ -> []);
+      }
+
+    (* Selection cascade: SELECT(p1, SELECT(p2, A)) == SELECT(p1 AND p2, A). *)
+    let select_merge : (op, Logical_props.t) Rule.transform =
+      {
+        t_name = "select-merge";
+        t_promise = 1;
+        t_pattern = Rule.Op (is_select, [ Rule.Op (is_select, [ Rule.Any ]) ]);
+        t_apply =
+          (fun ~lookup:_ binding ->
+            match binding with
+            | Rule.Node (o1, [ Rule.Node (o2, [ a ]) ]) ->
+              [
+                Rule.Node
+                  ( select_op (Pred.conjoin preds (Pred.conjuncts o1.pred @ Pred.conjuncts o2.pred)),
+                    [ a ] );
+              ]
+            | _ -> []);
+      }
+
+    (* Selection pushdown: SELECT(p, JOIN(jp, A, B)) pushes each conjunct
+       of p to the input whose columns cover it, merging the rest into
+       the join predicate. *)
+    let select_push_join : (op, Logical_props.t) Rule.transform =
+      {
+        t_name = "select-push-join";
+        t_promise = 1;
+        t_pattern = Rule.Op (is_select, [ join_pattern ]);
+        t_apply =
+          (fun ~lookup binding ->
+            match binding with
+            | Rule.Node (o, [ Rule.Node (j, [ (Rule.Group gl as a); (Rule.Group gr as b) ]) ]) ->
+              let on_left, on_right, to_join =
+                Rewrites.push_split o.pred ~left:(colset lookup gl) ~right:(colset lookup gr)
+              in
+              if on_left = [] && on_right = [] && to_join = [] then []
+              else begin
+                let wrap side conjs =
+                  match conjs with
+                  | [] -> side
+                  | _ -> Rule.Node (select_op (Pred.conjoin preds conjs), [ side ])
+                in
+                let jp' = join_op (Pred.conjoin preds (Pred.conjuncts j.pred @ to_join)) in
+                [ Rule.Node (jp', [ wrap a on_left; wrap b on_right ]) ]
+              end
+            | _ -> []);
+      }
+
     let transforms =
       [
         join_commute;
@@ -434,7 +482,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
           singleton :: partitioned)
         vectors
 
-    let get_to_scan : (Logical.op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
+    let get_to_scan : (op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
       {
         i_name = "get->table_scan";
         i_promise = 5;
@@ -442,7 +490,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
         i_apply =
           (fun ~lookup:_ ~required:_ binding ->
             match binding with
-            | Rule.Node (Logical.Get t, []) ->
+            | Rule.Node ({ logical = Logical.Get t; _ }, []) ->
               let alg =
                 match Catalog.find_opt catalog t with
                 | Some tbl when tbl.materialized -> Physical.Scan_materialized t
@@ -452,7 +500,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
             | _ -> []);
       }
 
-    let select_to_filter : (Logical.op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement
+    let select_to_filter : (op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement
         =
       {
         i_name = "select->filter";
@@ -461,7 +509,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
         i_apply =
           (fun ~lookup:_ ~required binding ->
             match binding with
-            | Rule.Node (Logical.Select p, [ Rule.Group g ]) ->
+            | Rule.Node ({ logical = Logical.Select p; _ }, [ Rule.Group g ]) ->
               (* Filter is property-transparent: pass the requirement
                  through to the input. *)
               [ choice (Physical.Filter p) [ g ] [ [ required ] ] ]
@@ -469,7 +517,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
       }
 
     let project_to_project :
-        (Logical.op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
+        (op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
       {
         i_name = "project->project";
         i_promise = 4;
@@ -477,7 +525,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
         i_apply =
           (fun ~lookup:_ ~required binding ->
             match binding with
-            | Rule.Node (Logical.Project cols, [ Rule.Group g ]) ->
+            | Rule.Node ({ logical = Logical.Project cols; _ }, [ Rule.Group g ]) ->
               if required.Phys_prop.distinct then []
               else if
                 List.for_all (fun (c, _) -> List.mem c cols) required.Phys_prop.order
@@ -516,7 +564,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
         table.indexes
 
     let select_get_to_index_scan :
-        (Logical.op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
+        (op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
       {
         i_name = "select(get)->index_scan";
         i_promise = 5;
@@ -524,7 +572,8 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
         i_apply =
           (fun ~lookup:_ ~required binding ->
             match binding with
-            | Rule.Node (Logical.Select pred, [ Rule.Node (Logical.Get t, []) ]) -> begin
+            | Rule.Node
+                ({ logical = Logical.Select pred; _ }, [ Rule.Node ({ logical = Logical.Get t; _ }, []) ]) -> begin
               if required.Phys_prop.distinct then []
               else
                 match Catalog.find_opt catalog t with
@@ -538,7 +587,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
       }
 
     let get_to_index_scan :
-        (Logical.op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
+        (op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
       {
         i_name = "get->index_scan(order)";
         i_promise = 4;
@@ -546,7 +595,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
         i_apply =
           (fun ~lookup:_ ~required binding ->
             match binding with
-            | Rule.Node (Logical.Get t, []) -> begin
+            | Rule.Node ({ logical = Logical.Get t; _ }, []) -> begin
               (* A full scan in index order: only worth proposing when an
                  order is actually wanted (access-path interesting
                  orders). *)
@@ -566,7 +615,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
     (* Projection fused into the join — the paper's join+projection
        single-procedure example (§2.2). *)
     let project_join_fuse :
-        (Logical.op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
+        (op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
       {
         i_name = "project(join)->hash_join_project";
         i_promise = 4;
@@ -575,11 +624,12 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
           (fun ~lookup ~required binding ->
             match binding with
             | Rule.Node
-                ( Logical.Project cols,
-                  [ Rule.Node (Logical.Join p, [ Rule.Group gl; Rule.Group gr ]) ] ) ->
-              let sl = (lookup gl).Logical_props.schema in
-              let sr = (lookup gr).Logical_props.schema in
-              let keys = Expr.equijoin_keys p ~left:sl ~right:sr in
+                ( { logical = Logical.Project cols; _ },
+                  [
+                    Rule.Node
+                      ({ logical = Logical.Join p; pred; _ }, [ Rule.Group gl; Rule.Group gr ]);
+                  ] ) ->
+              let keys = join_keys lookup pred gl gr in
               if
                 keys = []
                 || required.Phys_prop.order <> []
@@ -598,12 +648,8 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
             | _ -> []);
       }
 
-    let join_sides lookup gl gr =
-      let l = lookup gl and r = lookup gr in
-      (l.Logical_props.schema, r.Logical_props.schema, l, r)
-
     let join_to_nested_loop :
-        (Logical.op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
+        (op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
       {
         i_name = "join->nested_loop";
         i_promise = 1;
@@ -611,7 +657,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
         i_apply =
           (fun ~lookup ~required binding ->
             match binding with
-            | Rule.Node (Logical.Join p, [ Rule.Group gl; Rule.Group gr ]) ->
+            | Rule.Node ({ logical = Logical.Join p; _ }, [ Rule.Group gl; Rule.Group gr ]) ->
               if not (left_deep_ok lookup gr) then []
               else if required.Phys_prop.distinct then []
               else begin
@@ -627,7 +673,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
             | _ -> []);
       }
 
-    let join_to_hash : (Logical.op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
+    let join_to_hash : (op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
       {
         i_name = "join->hybrid_hash";
         i_promise = 3;
@@ -635,9 +681,8 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
         i_apply =
           (fun ~lookup ~required binding ->
             match binding with
-            | Rule.Node (Logical.Join p, [ Rule.Group gl; Rule.Group gr ]) ->
-              let sl, sr, _, _ = join_sides lookup gl gr in
-              let keys = Expr.equijoin_keys p ~left:sl ~right:sr in
+            | Rule.Node ({ logical = Logical.Join p; pred; _ }, [ Rule.Group gl; Rule.Group gr ]) ->
+              let keys = join_keys lookup pred gl gr in
               if keys = [] || not (left_deep_ok lookup gr) then []
               else if required.Phys_prop.order <> [] || required.Phys_prop.distinct then
                 (* Hash join cannot deliver order or uniqueness: fails
@@ -681,7 +726,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
         (fun acc o -> if List.mem o acc then acc else acc @ [ o ])
         [] (aligned @ base @ reversed)
 
-    let join_to_merge : (Logical.op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement
+    let join_to_merge : (op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement
         =
       {
         i_name = "join->merge";
@@ -690,9 +735,8 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
         i_apply =
           (fun ~lookup ~required binding ->
             match binding with
-            | Rule.Node (Logical.Join p, [ Rule.Group gl; Rule.Group gr ]) ->
-              let sl, sr, _, _ = join_sides lookup gl gr in
-              let keys = Expr.equijoin_keys p ~left:sl ~right:sr in
+            | Rule.Node ({ logical = Logical.Join p; pred; _ }, [ Rule.Group gl; Rule.Group gr ]) ->
+              let keys = join_keys lookup pred gl gr in
               if keys = [] || not (left_deep_ok lookup gr) then []
               else if required.Phys_prop.distinct then []
               else begin
@@ -735,7 +779,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
       else [ base ]
 
     let setop_impl name ~promise ~matches ~merge_alg ~hash_alg :
-        (Logical.op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
+        (op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement =
       {
         i_name = name;
         i_promise = promise;
@@ -773,7 +817,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
       setop_impl "difference->merge|hash" ~promise:2 ~matches:is_difference
         ~merge_alg:Physical.Merge_difference ~hash_alg:Physical.Hash_difference
 
-    let group_by_impl : (Logical.op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement
+    let group_by_impl : (op, Physical.alg, Logical_props.t, Phys_prop.t) Rule.implement
         =
       {
         i_name = "group_by->stream|hash";
@@ -782,7 +826,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
         i_apply =
           (fun ~lookup:_ ~required binding ->
             match binding with
-            | Rule.Node (Logical.Group_by (keys, aggs), [ Rule.Group g ]) ->
+            | Rule.Node ({ logical = Logical.Group_by (keys, aggs); _ }, [ Rule.Group g ]) ->
               (* Grouping is correct at one site, or partitioned on the
                  grouping keys (each group lives wholly at one worker). *)
               let unary_vectors base =

@@ -6,13 +6,32 @@
     applying {!Volcano.Search.Make} to the result is the generation
     step. *)
 
-module type REL_MODEL =
-  Volcano.Signatures.MODEL
-    with type op = Relalg.Logical.op
-     and type alg = Relalg.Physical.alg
-     and type logical_props = Relalg.Logical_props.t
-     and type phys_props = Relalg.Phys_prop.t
-     and type cost = Relalg.Cost.t
+(** A logical operator interned in one model instance (one optimizer
+    session): equal operators are the same value, so the memo hashes
+    [op_id] and compares with [==]. *)
+type op = private {
+  op_id : int;  (** dense per model instance *)
+  logical : Relalg.Logical.op;
+  pred : Relalg.Pred.t;
+      (** the [Select] or [Join] predicate, interned in the instance's
+          predicate table; [true_] for the other operators *)
+}
+
+module type REL_MODEL = sig
+  include
+    Volcano.Signatures.MODEL
+      with type op = op
+       and type alg = Relalg.Physical.alg
+       and type logical_props = Relalg.Logical_props.t
+       and type phys_props = Relalg.Phys_prop.t
+       and type cost = Relalg.Cost.t
+
+  val intern : Relalg.Logical.op -> op
+
+  val to_tree : Relalg.Logical.expr -> op Volcano.Tree.t
+  (** Intern a logical expression's operators into the generic
+      operator-tree form the search engine consumes. *)
+end
 
 (** Knobs for the ablation experiments (DESIGN.md A3–A5); the default
     is the paper's full configuration. *)
@@ -33,7 +52,5 @@ val make :
   ?flags:flags ->
   unit ->
   (module REL_MODEL)
-
-val to_tree : Relalg.Logical.expr -> Relalg.Logical.op Volcano.Tree.t
-(** Convert a logical expression into the generic operator-tree form the
-    search engine consumes. *)
+(** A model instance with its own operator and predicate tables: one
+    per optimizer session, never shared between domains. *)

@@ -144,10 +144,7 @@ module Make (M : Signatures.MODEL) = struct
     type t = int * M.op * group list  (* combined structural hash, operator, inputs *)
 
     let equal ((h1, o1, is1) : t) ((h2, o2, is2) : t) =
-      h1 = h2
-      && List.length is1 = List.length is2
-      && List.for_all2 ( = ) is1 is2
-      && M.op_equal o1 o2
+      h1 = h2 && M.op_equal o1 o2 && List.equal Int.equal is1 is2
 
     let hash ((h, _, _) : t) = h
 

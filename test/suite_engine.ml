@@ -194,7 +194,7 @@ module S = Volcano.Search.Make (M)
 let test_resume_equivalence () =
   (* Drive one run in many small budget slices; the final plan must be
      cost-identical to a fresh exhaustive run, with no work redone. *)
-  let tree = Relmodel.Rel_model.to_tree three_way_join in
+  let tree = M.to_tree three_way_join in
   let fresh = S.create () in
   let fresh_outcome = S.optimize fresh tree ~required:Phys_prop.any in
   let optimum =
@@ -233,7 +233,7 @@ let test_resume_equivalence () =
     (S.stats sliced).plans_costed
 
 let test_resume_after_complete_is_noop () =
-  let tree = Relmodel.Rel_model.to_tree join_query in
+  let tree = M.to_tree join_query in
   let t = S.create () in
   let run = S.start t tree ~required:Phys_prop.any in
   Alcotest.(check bool) "completes" true (S.resume run = S.Complete);
@@ -262,7 +262,7 @@ let test_time_budget_pause_and_resume () =
     | None -> "NONE"
     | Some p -> Format.asprintf "%a|%.17g" S.pp_plan p (Cost.total p.cost)
   in
-  let tree = Relmodel.Rel_model.to_tree three_way_join in
+  let tree = M.to_tree three_way_join in
   let recorder = Obs.Flight_recorder.create ~capacity:64 () in
   let t = S.create ~config:{ S.default_config with recorder = Some recorder } () in
   let run = S.start t tree ~required:Phys_prop.any in
@@ -287,7 +287,7 @@ let test_trace_spans_and_counters () =
   let config = { S.default_config with tracer = Some tracer } in
   let t = S.create ~config () in
   let outcome =
-    S.optimize t (Relmodel.Rel_model.to_tree three_way_join) ~required:Phys_prop.any
+    S.optimize t (M.to_tree three_way_join) ~required:Phys_prop.any
   in
   Alcotest.(check bool) "plan found" true (outcome.plan <> None);
   let s = S.stats t in

@@ -58,21 +58,23 @@ let test_conjoin_canonical () =
     (Expr.equal (Expr.conjoin [ a; a; b ]) (Expr.conjoin [ a; b ]))
 
 let test_equijoin_keys () =
-  let left = Schema.project schema [ "r.a"; "r.b" ] in
-  let right = Schema.project schema [ "s.a" ] in
-  let keys = Expr.equijoin_keys (col "r.a" =% col "s.a") ~left ~right in
-  Alcotest.(check (list (pair string string))) "keys" [ ("r.a", "s.a") ] keys;
-  let flipped = Expr.equijoin_keys (col "s.a" =% col "r.b") ~left ~right in
-  Alcotest.(check (list (pair string string))) "flipped sides" [ ("r.b", "s.a") ] flipped;
-  let none = Expr.equijoin_keys (col "r.a" =% col "r.b") ~left ~right in
-  Alcotest.(check int) "same-side equality is not a join key" 0 (List.length none);
-  let range = Expr.equijoin_keys (col "r.a" <% col "s.a") ~left ~right in
-  Alcotest.(check int) "inequality is not a key" 0 (List.length range)
+  let preds = Pred.create () in
+  let left = Pred.colset preds (Schema.project schema [ "r.a"; "r.b" ]) in
+  let right = Pred.colset preds (Schema.project schema [ "s.a" ]) in
+  let keys e = Pred.equijoin_keys (Pred.of_expr preds e) ~left ~right in
+  Alcotest.(check (list (pair string string))) "keys" [ ("r.a", "s.a") ] (keys (col "r.a" =% col "s.a"));
+  Alcotest.(check (list (pair string string)))
+    "flipped sides" [ ("r.b", "s.a") ] (keys (col "s.a" =% col "r.b"));
+  Alcotest.(check int) "same-side equality is not a join key" 0
+    (List.length (keys (col "r.a" =% col "r.b")));
+  Alcotest.(check int) "inequality is not a key" 0 (List.length (keys (col "r.a" <% col "s.a")))
 
 let test_refers_only_to () =
-  let left = Schema.project schema [ "r.a"; "r.b" ] in
-  Alcotest.(check bool) "within" true (Expr.refers_only_to left (col "r.a" >% int 0));
-  Alcotest.(check bool) "outside" false (Expr.refers_only_to left (col "s.a" >% int 0))
+  let preds = Pred.create () in
+  let left = Pred.colset preds (Schema.project schema [ "r.a"; "r.b" ]) in
+  let within e = List.for_all (Pred.refers_only_to left) (Pred.conjuncts (Pred.of_expr preds e)) in
+  Alcotest.(check bool) "within" true (within (col "r.a" >% int 0));
+  Alcotest.(check bool) "outside" false (within (col "s.a" >% int 0))
 
 (* Random predicate generator over the fixed schema, for property tests. *)
 let rec pred_gen depth =

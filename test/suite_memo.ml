@@ -12,9 +12,11 @@ module Memo = S.Memo
 
 let new_memo () = Memo.create (Volcano.Search_stats.create ())
 
-let get t = Logical.Get t
+let get t = M.intern (Logical.Get t)
 
-let join p = Logical.Join p
+let join p = M.intern (Logical.Join p)
+
+let select p = M.intern (Logical.Select p)
 
 let test_insert_dedup () =
   let m = new_memo () in
@@ -77,7 +79,7 @@ let test_lprops_derived_once () =
   let gr = Memo.insert m (get "r") [] in
   let props = Memo.lprops m gr in
   Alcotest.(check (float 0.)) "card from catalog" 60. props.Logical_props.card;
-  let gsel = Memo.insert m (Logical.Select Expr.(col "r.a" =% int 3)) [ gr ] in
+  let gsel = Memo.insert m (select Expr.(col "r.a" =% int 3)) [ gr ] in
   let sprops = Memo.lprops m gsel in
   Alcotest.(check bool) "selection reduces card" true
     (sprops.Logical_props.card < props.Logical_props.card)
@@ -125,7 +127,7 @@ let test_in_progress_marks () =
 let test_extract_any () =
   let m = new_memo () in
   let gr = Memo.insert m (get "r") [] in
-  let gsel = Memo.insert m (Logical.Select Expr.(col "r.a" =% int 3)) [ gr ] in
+  let gsel = Memo.insert m (select Expr.(col "r.a" =% int 3)) [ gr ] in
   let tree = Memo.extract_any m gsel in
   Alcotest.(check int) "tree size" 2 (Volcano.Tree.size tree)
 
@@ -416,7 +418,7 @@ let test_goal_footprint_bound () =
       let module S = Volcano.Search.Make (M) in
       let s = S.create () in
       ignore
-        (S.optimize s (Relmodel.Rel_model.to_tree q.logical) ~required:Phys_prop.any
+        (S.optimize s (M.to_tree q.logical) ~required:Phys_prop.any
           : S.outcome);
       let allocated, occupied = S.Memo.goal_footprint s.S.memo in
       Alcotest.(check bool)

@@ -113,7 +113,7 @@ let test_bound_below_every_winner () =
       List.iter
         (fun (rname, required) ->
           ignore
-            (S.optimize s (Relmodel.Rel_model.to_tree q.logical) ~required : S.outcome);
+            (S.optimize s (M.to_tree q.logical) ~required : S.outcome);
           let checked = ref 0 in
           for g = 0 to S.Memo.n_groups s.S.memo - 1 do
             if S.Memo.find_root s.S.memo g = g then

@@ -49,19 +49,19 @@ let test_commuted_join_same_card () =
   Alcotest.(check (float 1e-9)) "same card" a.Logical_props.card b.Logical_props.card
 
 let test_assoc_split () =
-  let sa = (Catalog.find catalog "r").Catalog.schema in
-  let sb = (Catalog.find catalog "s").Catalog.schema in
-  let sc = (Catalog.find catalog "t").Catalog.schema in
-  ignore sa;
+  let preds = Pred.create () in
+  let cols t = Pred.colset preds (Catalog.find catalog t).Catalog.schema in
   let open Expr in
-  let p1 = col "s.c" =% col "t.c" &&% (col "r.a" >% int 0) in
-  let p2 = col "r.a" =% col "s.a" in
-  let top, bottom = Relmodel.Rewrites.assoc_split ~p1 ~p2 ~schema_b:sb ~schema_c:sc in
+  let p1 = Pred.of_expr preds (col "s.c" =% col "t.c" &&% (col "r.a" >% int 0)) in
+  let p2 = Pred.of_expr preds (col "r.a" =% col "s.a") in
+  let top, bottom =
+    Relmodel.Rewrites.assoc_split preds ~p1 ~p2 ~cols_b:(cols "s") ~cols_c:(cols "t")
+  in
   (* s.c = t.c refers only to B+C: it must sink; the others rise. *)
   Alcotest.(check bool) "bottom gets the s-t predicate" true
-    (List.exists (Expr.equal (col "s.c" =% col "t.c")) (Expr.conjuncts bottom));
-  Alcotest.(check int) "one conjunct below" 1 (List.length (Expr.conjuncts bottom));
-  Alcotest.(check int) "two conjuncts above" 2 (List.length (Expr.conjuncts top))
+    (List.exists (Expr.equal (col "s.c" =% col "t.c")) (Expr.conjuncts (Pred.expr bottom)));
+  Alcotest.(check int) "one conjunct below" 1 (List.length (Pred.conjuncts bottom));
+  Alcotest.(check int) "two conjuncts above" 2 (List.length (Pred.conjuncts top))
 
 (* Model-level checks through a first-class instance. *)
 module M = (val Relmodel.Rel_model.make ~catalog ())
@@ -154,6 +154,255 @@ let test_cost_adt_laws () =
   Alcotest.(check bool) "sub of infinite stays infinite" true
     (Cost.is_infinite (Cost.sub Cost.infinite a))
 
+(* ------------------------------------------------------------------ *)
+(* Interned predicates against the name-resolving code they replaced.  *)
+(* ------------------------------------------------------------------ *)
+
+(* Test-only copies of the name-resolving predicate placement that
+   interning replaced: conjuncts placed by resolving their column
+   names against schemas with [Schema.find_index]. *)
+module By_name = struct
+  let rec refers_only_to schema = function
+    | Expr.Col c -> Schema.mem schema c
+    | Expr.Const _ -> true
+    | Expr.Not e -> refers_only_to schema e
+    | Expr.Cmp (_, a, b) | Expr.And (a, b) | Expr.Or (a, b) | Expr.Arith (_, a, b) ->
+      refers_only_to schema a && refers_only_to schema b
+
+  let key_pair ~left ~right a b =
+    let la = Schema.find_index left a and ra = Schema.find_index right a in
+    let lb = Schema.find_index left b and rb = Schema.find_index right b in
+    if la >= 0 && rb >= 0 && ra < 0 && lb < 0 then
+      Some (left.(la).Schema.name, right.(rb).Schema.name)
+    else if lb >= 0 && ra >= 0 && rb < 0 && la < 0 then
+      Some (left.(lb).Schema.name, right.(ra).Schema.name)
+    else None
+
+  let rec add_keys ~left ~right acc = function
+    | Expr.And (a, b) -> add_keys ~left ~right (add_keys ~left ~right acc a) b
+    | Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b) -> begin
+      match key_pair ~left ~right a b with Some k -> k :: acc | None -> acc
+    end
+    | _ -> acc
+
+  let equijoin_keys expr ~left ~right = List.rev (add_keys ~left ~right [] expr)
+
+  let assoc_split ~p1 ~p2 ~schema_b ~schema_c =
+    let sbc = Schema.concat schema_b schema_c in
+    let all = Expr.conjuncts p1 @ Expr.conjuncts p2 in
+    let bottom, top = List.partition (refers_only_to sbc) all in
+    (Expr.conjoin top, Expr.conjoin bottom)
+
+  let push_split p ~left ~right =
+    let on_left, rest = List.partition (refers_only_to left) (Expr.conjuncts p) in
+    let on_right, to_join = List.partition (refers_only_to right) rest in
+    (on_left, on_right, to_join)
+end
+
+(* Columns of B and C drawn with repeats from a pool with base names
+   shared across tables and one unqualified column ("a", as an
+   aggregate alias is); conjuncts also name unqualified and unknown
+   columns, and constants only. *)
+let column_pool = [| "r.a"; "r.b"; "s.a"; "s.c"; "t.c"; "t.d"; "a" |]
+
+let schema_gen =
+  QCheck.Gen.(
+    map
+      (fun names -> Array.of_list (List.map (fun n -> Schema.attribute n Schema.TInt) names))
+      (list_size (int_range 1 4) (oneofa column_pool)))
+
+let conjunct_gen =
+  QCheck.Gen.(
+    let name = oneof [ oneofa column_pool; oneofl [ "a"; "b"; "c"; "d"; "u.v" ] ] in
+    let rec term depth =
+      if depth = 0 then
+        frequency [ (3, map Expr.col name); (1, map Expr.int (int_range 0 3)) ]
+      else
+        frequency
+          [
+            (4, term 0);
+            (1, map2 (fun x y -> Expr.Arith (Expr.Add, x, y)) (term (depth - 1)) (term (depth - 1)));
+          ]
+    in
+    let cmp =
+      map3
+        (fun op x y -> Expr.Cmp (op, x, y))
+        (oneofl Expr.[ Eq; Eq; Eq; Lt; Ge ])
+        (term 1) (term 1)
+    in
+    frequency
+      [
+        (6, cmp);
+        (1, map2 (fun x y -> Expr.Or (x, y)) cmp cmp);
+        (1, map (fun x -> Expr.Not x) cmp);
+        (1, return Expr.(int 1 <% int 2));
+      ])
+
+(* A predicate as a query or a rule leaves it: any And tree. *)
+let pred_gen =
+  QCheck.Gen.(
+    map
+      (fun cs ->
+        match cs with
+        | [] -> Expr.true_
+        | c :: rest -> List.fold_left (fun acc c -> Expr.And (c, acc)) c rest)
+      (list_size (int_range 0 4) conjunct_gen))
+
+let placement_arb =
+  QCheck.make
+    ~print:(fun (b, c, p1, p2) ->
+      Printf.sprintf "B=(%s) C=(%s) p1=%s p2=%s"
+        (String.concat ", " (Schema.names b)) (String.concat ", " (Schema.names c))
+        (Expr.to_string p1) (Expr.to_string p2))
+    QCheck.Gen.(quad schema_gen schema_gen pred_gen pred_gen)
+
+(* One table for every case, so later cases meet the conjuncts and
+   conjunctions that earlier ones interned. *)
+let shared_preds = Pred.create ()
+
+let prop_interned_placement =
+  Helpers.qcheck_case ~count:500 "interned placement == name resolution" placement_arb
+    (fun (schema_b, schema_c, p1, p2) ->
+      let preds = shared_preds in
+      let cols_b = Pred.colset preds schema_b and cols_c = Pred.colset preds schema_c in
+      let i1 = Pred.of_expr preds p1 and i2 = Pred.of_expr preds p2 in
+      let exprs = List.map Pred.conj_expr in
+      let top, bottom = By_name.assoc_split ~p1 ~p2 ~schema_b ~schema_c in
+      let itop, ibottom = Relmodel.Rewrites.assoc_split preds ~p1:i1 ~p2:i2 ~cols_b ~cols_c in
+      let l, r, j = By_name.push_split p1 ~left:schema_b ~right:schema_c in
+      let il, ir, ij = Relmodel.Rewrites.push_split i1 ~left:cols_b ~right:cols_c in
+      Expr.equal (Pred.expr itop) top
+      && Expr.equal (Pred.expr ibottom) bottom
+      && itop == Pred.of_expr preds top
+      && ibottom == Pred.of_expr preds bottom
+      && exprs il = l && exprs ir = r && exprs ij = j
+      && Expr.equal (Pred.expr (Pred.conjoin preds (Pred.conjuncts i1))) (Expr.conjoin (Expr.conjuncts p1))
+      && By_name.equijoin_keys p1 ~left:schema_b ~right:schema_c
+         = Pred.equijoin_keys i1 ~left:cols_b ~right:cols_c
+      && By_name.equijoin_keys p2 ~left:(Schema.concat schema_b schema_c) ~right:schema_b
+         = Pred.equijoin_keys i2 ~left:(Pred.concat cols_b cols_c) ~right:cols_b)
+
+(* Plans and search counters recorded before predicates were interned:
+   interning must not move any of them. Chain 7 is the workload's
+   (seed 11,900); the cycle has six tables of 12–30 rows, as perfbench's
+   join_search statements do. *)
+let chain7_plan = {|project[rel0.id, rel0.jk1, rel0.jk2, rel0.val, rel1.id, rel1.jk1, rel1.jk2, rel1.val, rel2.id, rel2.jk1, rel2.jk2, rel2.val, rel3.id, rel3.jk1, rel3.jk2, rel3.val, rel4.id, rel4.jk1, rel4.jk2, rel4.val, rel5.id, rel5.jk1, rel5.jk2, rel5.val, rel6.id, rel6.jk1, rel6.jk2, rel6.val]  [{order: rel2.jk1}; cost 114.568284s (io 16.320801, cpu 98.247483)]
+  merge_join[rel2.jk1=rel3.jk1]  [{order: rel2.jk1}; cost 114.568284s (io 16.320801, cpu 98.247483)]
+    merge_join[rel2.jk1=rel1.jk1]  [{order: rel2.jk1}; cost 9.158509s (io 6.369141, cpu 2.789368)]
+      sort[rel2.jk1]  [{order: rel2.jk1}; cost 1.994693s (io 1.805176, cpu 0.189518)]
+        filter[rel2.val > 342]  [{any}; cost 1.935137s (io 1.805176, cpu 0.129961)]
+          table_scan(rel2)  [{any}; cost 1.879116s (io 1.805176, cpu 0.073940)]
+      merge_join[rel1.jk1=rel0.jk1]  [{order: rel1.jk1}; cost 5.426881s (io 4.563965, cpu 0.862916)]
+        sort[rel1.jk1]  [{order: rel1.jk1}; cost 2.825038s (io 2.547363, cpu 0.277675)]
+          filter[rel1.val <= 684]  [{any}; cost 2.733577s (io 2.547363, cpu 0.186214)]
+            table_scan(rel1)  [{any}; cost 2.651703s (io 2.547363, cpu 0.104340)]
+        sort[rel0.jk1]  [{order: rel0.jk1}; cost 2.226031s (io 2.016602, cpu 0.209429)]
+          filter[rel0.val > 358]  [{any}; cost 2.160461s (io 2.016602, cpu 0.143860)]
+            table_scan(rel0)  [{any}; cost 2.099202s (io 2.016602, cpu 0.082600)]
+    merge_join[rel3.jk1=rel4.jk1]  [{order: rel3.jk1}; cost 12.031636s (io 9.951660, cpu 2.079976)]
+      sort[rel3.jk1]  [{order: rel3.jk1}; cost 3.587159s (io 3.373047, cpu 0.214112)]
+        filter[rel3.val <= 209]  [{any}; cost 3.553927s (io 3.373047, cpu 0.180880)]
+          table_scan(rel3)  [{any}; cost 3.511207s (io 3.373047, cpu 0.138160)]
+      merge_join[rel4.jk1=rel5.jk1]  [{order: rel4.jk1}; cost 7.647480s (io 6.578613, cpu 1.068867)]
+        sort[rel4.jk1]  [{order: rel4.jk1}; cost 3.025145s (io 2.681152, cpu 0.343993)]
+          filter[rel4.val <= 874]  [{any}; cost 2.898033s (io 2.681152, cpu 0.216881)]
+            table_scan(rel4)  [{any}; cost 2.790972s (io 2.681152, cpu 0.109820)]
+        merge_join[rel5.jk1=rel6.jk1]  [{order: rel5.jk1}; cost 4.246732s (io 3.897461, cpu 0.349272)]
+          sort[rel5.jk1]  [{order: rel5.jk1}; cost 2.647116s (io 2.516602, cpu 0.130514)]
+            filter[rel5.val <= 84]  [{any}; cost 2.638657s (io 2.516602, cpu 0.122055)]
+              table_scan(rel5)  [{any}; cost 2.619682s (io 2.516602, cpu 0.103080)]
+          sort[rel6.jk1]  [{order: rel6.jk1}; cost 1.552482s (io 1.380859, cpu 0.171622)]
+            filter[rel6.val <= 868]  [{any}; cost 1.492219s (io 1.380859, cpu 0.111359)]
+              table_scan(rel6)  [{any}; cost 1.437419s (io 1.380859, cpu 0.056560)]|}
+
+let cycle6_plan = {|project[rel0.id, rel0.jk1, rel0.jk2, rel0.val, rel1.id, rel1.jk1, rel1.jk2, rel1.val, rel2.id, rel2.jk1, rel2.jk2, rel2.val, rel3.id, rel3.jk1, rel3.jk2, rel3.val, rel4.id, rel4.jk1, rel4.jk2, rel4.val, rel5.id, rel5.jk1, rel5.jk2, rel5.val]  [{order: rel1.jk1, rel5.jk1}; cost 0.128302s (io 0.120000, cpu 0.008302)]
+  merge_join[rel1.jk1=rel0.jk1, rel5.jk1=rel0.jk1]  [{order: rel1.jk1, rel5.jk1}; cost 0.128302s (io 0.120000, cpu 0.008302)]
+    sort[rel1.jk1, rel5.jk1]  [{order: rel1.jk1, rel5.jk1}; cost 0.106947s (io 0.100000, cpu 0.006947)]
+      merge_join[rel1.jk1=rel2.jk1]  [{order: rel1.jk1}; cost 0.106429s (io 0.100000, cpu 0.006429)]
+        sort[rel1.jk1]  [{order: rel1.jk1}; cost 0.021223s (io 0.020000, cpu 0.001223)]
+          filter[rel1.val > 358]  [{any}; cost 0.021021s (io 0.020000, cpu 0.001021)]
+            table_scan(rel1)  [{any}; cost 0.020580s (io 0.020000, cpu 0.000580)]
+        merge_join[rel2.jk1=rel3.jk1]  [{order: rel2.jk1}; cost 0.084310s (io 0.080000, cpu 0.004310)]
+          sort[rel2.jk1]  [{order: rel2.jk1}; cost 0.021124s (io 0.020000, cpu 0.001124)]
+            filter[rel2.val <= 684]  [{any}; cost 0.020927s (io 0.020000, cpu 0.000927)]
+              table_scan(rel2)  [{any}; cost 0.020500s (io 0.020000, cpu 0.000500)]
+          merge_join[rel3.jk1=rel4.jk1]  [{order: rel3.jk1}; cost 0.062703s (io 0.060000, cpu 0.002703)]
+            sort[rel3.jk1]  [{order: rel3.jk1}; cost 0.020919s (io 0.020000, cpu 0.000919)]
+              filter[rel3.val > 342]  [{any}; cost 0.020768s (io 0.020000, cpu 0.000768)]
+                table_scan(rel3)  [{any}; cost 0.020420s (io 0.020000, cpu 0.000420)]
+            nested_loop_join[rel4.jk1 = rel5.jk1]  [{order: rel4.jk1}; cost 0.041537s (io 0.040000, cpu 0.001537)]
+              sort[rel4.jk1]  [{order: rel4.jk1}; cost 0.020739s (io 0.020000, cpu 0.000739)]
+                filter[rel4.val <= 209]  [{any}; cost 0.020702s (io 0.020000, cpu 0.000702)]
+                  table_scan(rel4)  [{any}; cost 0.020540s (io 0.020000, cpu 0.000540)]
+              filter[rel5.val <= 874]  [{any}; cost 0.020533s (io 0.020000, cpu 0.000533)]
+                table_scan(rel5)  [{any}; cost 0.020260s (io 0.020000, cpu 0.000260)]
+    filter[rel0.val > 77]  [{order: rel0.jk1, rel0.jk1}; cost 0.021053s (io 0.020000, cpu 0.001053)]
+      sort[rel0.jk1, rel0.jk1]  [{order: rel0.jk1, rel0.jk1}; cost 0.020613s (io 0.020000, cpu 0.000613)]
+        table_scan(rel0)  [{any}; cost 0.020400s (io 0.020000, cpu 0.000400)]|}
+
+let check_pinned name (q : Workload.query) ~counters ~plan =
+  let r = Relmodel.Optimizer.optimize (Relmodel.Optimizer.request q.catalog) q.logical
+      ~required:Phys_prop.any in
+  let s = r.stats in
+  Alcotest.(check (list int))
+    (name ^ ": tasks, groups_created, merges, mexprs_created, rule_firings")
+    counters
+    [ s.tasks; s.groups_created; s.merges; s.mexprs_created; s.rule_firings ];
+  match r.plan with
+  | Some p -> Alcotest.(check string) (name ^ ": plan") plan (Relmodel.Optimizer.explain p)
+  | None -> Alcotest.fail (name ^ ": no plan")
+
+let chain7 () =
+  Workload.generate (Workload.spec ~shape:Workload.Chain ~n_relations:7 ~seed:11_900 ())
+
+let test_interning_keeps_plans () =
+  check_pinned "chain 7" (chain7 ())
+    ~counters:[ 15_861; 1_522; 1_388; 4_677; 13_006 ]
+    ~plan:chain7_plan;
+  check_pinned "cycle 6"
+    (Workload.generate
+       (Workload.spec ~shape:Workload.Cycle ~min_rows:12 ~max_rows:30 ~n_relations:6
+          ~seed:11_900 ()))
+    ~counters:[ 45_488; 409; 340; 1_239; 2_918 ]
+    ~plan:cycle6_plan
+
+(* One join-assoc firing at the root of chain 7, JOIN(p1, JOIN(p2, A, B),
+   C) with B = rel5 and C = rel6, once its conjunctions are interned.
+   The name-resolving rule allocated 113 words here: a 28-column
+   [Schema.concat] and the conjunct lists. *)
+let assoc_firing_words_ceiling = 60.
+
+let test_assoc_firing_allocation () =
+  let q = chain7 () in
+  let module M = (val Relmodel.Rel_model.make ~catalog:q.catalog ()) in
+  let rule =
+    List.find (fun (r : _ Volcano.Rule.transform) -> r.t_name = "join-assoc") M.transforms
+  in
+  match q.logical with
+  | { op = Logical.Join _ as top; inputs = [ { op = Logical.Join _ as below; inputs = [ a; b ] }; c ] }
+    ->
+    let rec derive t = M.derive (Volcano.Tree.op t) (List.map derive (Volcano.Tree.inputs t)) in
+    let props = Array.map (fun e -> derive (M.to_tree e)) [| a; b; c |] in
+    let lookup g = props.(g) in
+    let binding =
+      Volcano.Rule.(
+        Node (M.intern top, [ Node (M.intern below, [ Group 0; Group 1 ]); Group 2 ]))
+    in
+    let fire () = rule.t_apply ~lookup binding in
+    let ops = function
+      | [ Volcano.Rule.Node (o, [ _; Volcano.Rule.Node (o', _) ]) ] -> [ o; o' ]
+      | _ -> []
+    in
+    let first = ops (fire ()) in
+    let again, used = Helpers.alloc_words fire in
+    Alcotest.(check int) "one rewrite" 2 (List.length first);
+    Alcotest.(check bool) "the same operators" true (List.for_all2 ( == ) first (ops again));
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f words <= %.0f" used assoc_firing_words_ceiling)
+      true
+      (used <= assoc_firing_words_ceiling)
+  | _ -> Alcotest.fail "chain 7 is not a left-deep join"
+
 let suite =
   [
     Alcotest.test_case "derive get" `Quick test_derive_get;
@@ -169,4 +418,7 @@ let suite =
     Alcotest.test_case "plan cost consistency" `Quick test_plan_cost_estimate_consistent;
     Alcotest.test_case "plan cost monotone" `Quick test_plan_cost_monotone_in_children;
     Alcotest.test_case "cost ADT laws" `Quick test_cost_adt_laws;
+    prop_interned_placement;
+    Alcotest.test_case "interning keeps plans and counters" `Quick test_interning_keeps_plans;
+    Alcotest.test_case "join-assoc firing allocation" `Quick test_assoc_firing_allocation;
   ]

@@ -29,7 +29,11 @@ let enumerate_plans catalog (query : Logical.expr) ~(order : Sort_order.t) :
   in
   let l_plans, l_schema = side (List.nth leaves 0) in
   let r_plans, r_schema = side (List.nth leaves 1) in
-  let keys = Expr.equijoin_keys j_pred ~left:l_schema ~right:r_schema in
+  let keys =
+    let preds = Pred.create () in
+    Pred.equijoin_keys (Pred.of_expr preds j_pred) ~left:(Pred.colset preds l_schema)
+      ~right:(Pred.colset preds r_schema)
+  in
   let swap (a, b) = (b, a) in
   let joins =
     List.concat_map

@@ -249,15 +249,18 @@ let test_negation () =
   Alcotest.(check (float 1e-9)) "1 - s" 0.9 s
 
 let test_join_selectivity () =
+  let preds = Pred.create () in
+  let other_schema = [| Schema.attribute "u.v" Schema.TInt |] in
   let other =
-    Logical_props.make
-      ~schema:[| Schema.attribute "u.v" Schema.TInt |]
-      ~card:50. ~distincts:[ ("u.v", 25.) ] ()
+    Logical_props.make ~schema:other_schema ~card:50. ~distincts:[ ("u.v", 25.) ]
+      ~colset:(Pred.colset preds other_schema) ()
   in
+  let left = { props with colset = Pred.colset preds props.schema } in
+  let join e = Catalog.Selectivity.join ~left ~right:other (Pred.of_expr preds e) in
   let open Expr in
-  let s = Catalog.Selectivity.join ~left:props ~right:other (col "t.v" =% col "u.v") in
+  let s = join (col "t.v" =% col "u.v") in
   Alcotest.(check (float 1e-9)) "1/max(d1,d2)" (1. /. 25.) s;
-  let cartesian = Catalog.Selectivity.join ~left:props ~right:other Expr.true_ in
+  let cartesian = join Expr.true_ in
   Alcotest.(check (float 1e-9)) "cartesian" 1. cartesian
 
 let test_selectivity_clamped () =

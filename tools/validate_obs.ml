@@ -81,8 +81,9 @@ let validate_trace path =
     (Hashtbl.length rows)
 
 (* A metrics snapshot: counters/gauges/histograms objects, every search,
-   MQO and feedback counter from the glossary present as a gauge, every
-   histogram with count/sum/max/p50/p95/p99. *)
+   MQO and feedback counter from the glossary present as a gauge, the
+   profiler's rule_*_tasks gauges (when present) summing to the search's
+   rule and enforcer tasks, every histogram with count/sum/max/p50/p95/p99. *)
 let validate_metrics path =
   let j = load path in
   let section name =
@@ -99,6 +100,36 @@ let validate_metrics path =
     (List.concat_map
        (fun names -> names "volcano_search_")
        [ Volcano.Search_stats.metric_names; Mqo.metric_names; Feedback.metric_names ]);
+  (* The profiler's [rule_*_tasks] gauges attribute every rule and
+     enforcer task, so beside the search counters they must add up to
+     the task kinds a rule or an enforcer runs. *)
+  let attributed =
+    List.filter_map
+      (fun (name, v) ->
+        if String.starts_with ~prefix:"rule_" name && String.ends_with ~suffix:"_tasks" name
+        then Some (Option.value (Obs.Json.to_float v) ~default:Float.nan)
+        else None)
+      gauges
+  in
+  if attributed <> [] then begin
+    let gauge name =
+      match Option.bind (List.assoc_opt name gauges) Obs.Json.to_float with
+      | Some v -> v
+      | None -> fail "%s: gauge %s is not a number" path name
+    in
+    let rule_tasks = List.fold_left ( +. ) 0. attributed in
+    let search_tasks =
+      List.fold_left
+        (fun acc kind -> acc +. gauge ("volcano_search_tasks_" ^ kind))
+        0.
+        [ "apply_transform"; "optimize_inputs"; "apply_enforcer" ]
+    in
+    if not (Float.equal rule_tasks search_tasks) then
+      fail
+        "%s: rule_*_tasks gauges sum to %g, but the search ran %g apply_transform, \
+         optimize_inputs and apply_enforcer tasks"
+        path rule_tasks search_tasks
+  end;
   let histograms = section "histograms" in
   List.iter
     (fun (name, h) ->
