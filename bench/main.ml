@@ -654,27 +654,11 @@ let feedback_bench mode =
          ~rows:1_200 ~seed:8 ());
     catalog
   in
-  (* Doctor one table's claimed row count (and proportionally cap its
-     distinct counts) without touching the data. *)
+  (* Doctor one table's claimed row count (and cap its distinct counts)
+     without touching the data. *)
   let skew_rows catalog table factor =
-    let tbl = Catalog.find catalog table in
-    let s = tbl.Catalog.stats in
-    let rc = Float.max 1. (s.Catalog.Stats.row_count *. factor) in
-    let stats =
-      {
-        Catalog.Stats.row_count = rc;
-        columns =
-          List.map
-            (fun (c, (cs : Catalog.Stats.column_stats)) ->
-              ( c,
-                {
-                  cs with
-                  Catalog.Stats.n_distinct =
-                    Float.max 1. (Float.min cs.Catalog.Stats.n_distinct rc);
-                } ))
-            s.Catalog.Stats.columns;
-      }
-    in
+    let s = (Catalog.find catalog table).Catalog.stats in
+    let stats = Catalog.Stats.with_row_count s (s.Catalog.Stats.row_count *. factor) in
     Catalog.update_stats catalog ~table ~stats ()
   in
   let skew_distinct catalog table column factor =

@@ -126,25 +126,10 @@ let apply_skews catalog skews =
     List.iter
       (fun (table, factor) ->
         let s = (Catalog.find catalog table).Catalog.stats in
-        let rc = Float.max 1. (s.Catalog.Stats.row_count *. factor) in
-        let stats =
-          {
-            Catalog.Stats.row_count = rc;
-            columns =
-              List.map
-                (fun (c, (cs : Catalog.Stats.column_stats)) ->
-                  ( c,
-                    {
-                      cs with
-                      Catalog.Stats.n_distinct =
-                        Float.max 1. (Float.min cs.Catalog.Stats.n_distinct rc);
-                    } ))
-                s.Catalog.Stats.columns;
-          }
-        in
+        let stats = Catalog.Stats.with_row_count s (s.Catalog.Stats.row_count *. factor) in
         Catalog.update_stats catalog ~table ~stats ();
         Format.eprintf "skew: %s claimed row count %.0f -> %.0f (data unchanged)@." table
-          s.Catalog.Stats.row_count rc)
+          s.Catalog.Stats.row_count stats.Catalog.Stats.row_count)
       skews;
     Ok ()
 
@@ -397,7 +382,16 @@ let http_write fd status ctype body =
   in
   ignore (Unix.write_substring fd resp 0 (String.length resp))
 
+(* How long a client may take to send its request headers. A client that
+   stalls mid-header is answered (400) after this instead of blocking
+   every later request. *)
+let metrics_read_timeout_s = 2.
+
 let serve_metrics srv profiler port =
+  (* A client that resets its connection makes the response write fail:
+     with SIGPIPE ignored that is an EPIPE error the handler below
+     absorbs, not the death of the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -412,6 +406,7 @@ let serve_metrics srv profiler port =
   let rec loop () =
     let fd, _ = Unix.accept sock in
     (try
+       Unix.setsockopt_float fd Unix.SO_RCVTIMEO metrics_read_timeout_s;
        let request = http_read_request fd in
        let request_line =
          match String.index_opt request '\r' with

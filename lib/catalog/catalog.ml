@@ -127,14 +127,7 @@ let add_materialized registry ~name ~(props : Relalg.Logical_props.t)
                (Some (v lo), Some (v hi))
              | None -> (None, None)
            in
-           ( a.name,
-             {
-               Stats.n_distinct;
-               null_count = 0.;
-               min_value;
-               max_value;
-               histogram = None;
-             } ))
+           (a.name, { Stats.n_distinct; min_value; max_value }))
   in
   let stats = { Stats.row_count = props.card; columns } in
   let table =

@@ -15,6 +15,3 @@ val join :
     inputs' column sets ({!Relalg.Logical_props.colset}) place each
     conjunct, so they must come from the table that interned the
     predicate. *)
-
-val default_unknown : float
-(** Selectivity assumed for conditions the estimator cannot analyze. *)

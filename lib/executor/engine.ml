@@ -20,8 +20,6 @@ let pages_of ctx schema n_tuples =
 
 let aggregate_schema = Catalog.Plan_schema.aggregate_schema
 
-let schema_of ctx (p : Physical.plan) : Schema.t = Catalog.plan_schema ctx.catalog p
-
 (* ---------------------------------------------------------------------- *)
 (* Keys                                                                    *)
 (* ---------------------------------------------------------------------- *)

@@ -132,9 +132,8 @@ type run_result =
 
 exception Escape_hatch of int list
 
-let observed_run ?escape_factor ?estimate_plan catalog (plan : Physical.plan) =
-  let believed = Option.value estimate_plan ~default:plan in
-  let est = estimate_table catalog believed in
+let observed_run ?escape_factor catalog (plan : Physical.plan) =
+  let est = estimate_table catalog plan in
   let card path =
     match Hashtbl.find_opt est path with
     | Some (lp : Logical_props.t) -> Some lp.card
@@ -307,34 +306,7 @@ let value_like old v ~round =
 let apply_table_fix catalog table_name fix =
   let table = Catalog.find catalog table_name in
   let s = table.Catalog.stats in
-  (* Row-count correction: rescale the mass-proportional statistics;
-     distinct counts only clamp downward (growth reveals rows, not new
-     values we could know about). *)
-  let s =
-    match fix.row with
-    | None -> s
-    | Some rc ->
-      let rc = Float.max 1. rc in
-      let f = rc /. Float.max 1. s.Stats.row_count in
-      {
-        Stats.row_count = rc;
-        columns =
-          List.map
-            (fun (c, (cs : Stats.column_stats)) ->
-              ( c,
-                {
-                  cs with
-                  Stats.n_distinct = Float.max 1. (Float.min cs.Stats.n_distinct rc);
-                  null_count = cs.Stats.null_count *. f;
-                  histogram =
-                    Option.map
-                      (fun (h : Stats.histogram) ->
-                        { h with Stats.buckets = Array.map (fun b -> b *. f) h.Stats.buckets })
-                      cs.Stats.histogram;
-                } ))
-            s.Stats.columns;
-      }
-  in
+  let s = match fix.row with None -> s | Some rc -> Stats.with_row_count s rc in
   let update_col s col g =
     {
       s with
@@ -619,48 +591,3 @@ let run ?escape_factor (request : Opt.request) query ~required =
   match result.Opt.plan with
   | None -> invalid_arg "Feedback.run: optimizer found no plan"
   | Some p -> run_plan ?escape_factor request query ~required p
-
-let run_dynamic ?escape_factor (request : Opt.request) (dyn : Dynplan.t) ~param =
-  check_escape_factor escape_factor;
-  let catalog = request.Opt.catalog in
-  let c = counters () and stats = S.create () in
-  (* The static plan was optimized at the range midpoint (see
-     Dynplan.prepare); that witness carries its embedded constants. *)
-  let witness =
-    match dyn.Dynplan.buckets with
-    | [] -> 0.
-    | first :: _ ->
-      let last = List.fold_left (fun _ b -> b) first dyn.Dynplan.buckets in
-      (first.Dynplan.lo +. last.Dynplan.hi) /. 2.
-  in
-  let static_node = Dynplan.instantiate_node dyn.Dynplan.static_plan ~witness ~actual:param in
-  let static_actual = Opt.to_physical static_node in
-  let static_believed = Opt.to_physical dyn.Dynplan.static_plan in
-  match
-    observed_run ?escape_factor ~estimate_plan:static_believed
-      catalog static_actual
-  with
-  | Complete (tuples, schema, io, nodes) ->
-    finish c stats catalog ~escaped:false ~replans:0 ~mid_corrections:[]
-      static_node
-      (tuples, schema, io, nodes)
-  | Aborted _ -> begin
-    (* Abort into the dynplan bucket covering the actual parameter: the
-       start-up-time choose-plan re-run as a run-time fallback. *)
-    c.fb_escapes <- c.fb_escapes + 1;
-    escape_trigger request;
-    let bucket = Dynplan.choose dyn param in
-    let bucket_node =
-      Dynplan.instantiate_node bucket.Dynplan.plan ~witness:bucket.Dynplan.witness
-        ~actual:param
-    in
-    let believed = Opt.to_physical bucket.Dynplan.plan in
-    match
-      observed_run ~estimate_plan:believed catalog (Opt.to_physical bucket_node)
-    with
-    | Complete (tuples, schema, io, nodes) ->
-      finish c stats catalog ~escaped:true ~replans:0 ~mid_corrections:[]
-        bucket_node
-        (tuples, schema, io, nodes)
-    | Aborted _ -> assert false (* no escape factor on the fallback run *)
-  end

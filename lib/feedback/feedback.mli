@@ -22,20 +22,18 @@
 
     A mid-query escape hatch aborts execution as soon as any node's
     observed cardinality exceeds [k x] its estimate: the run re-enters
-    the optimizer with the correction proven so far, or — for dynamic
-    plans — switches to the {!Dynplan} bucket covering the actual
-    parameter ({!run_dynamic}). Each abort triggers the request's flight
-    recorder, when it has one, with reason ["feedback-escape"]: the dump
-    holds the engine events its searches recorded. *)
+    the optimizer with the correction proven so far. Each abort triggers
+    the request's flight recorder, when it has one, with reason
+    ["feedback-escape"]: the dump holds the engine events its searches
+    recorded. *)
 
 (** {1 Configuration}
 
     The loop's one setting is the escape hatch's [k], the
-    [?escape_factor] of {!run_plan}, {!run} and {!run_dynamic}: abort
-    mid-query when a node's observed cardinality exceeds
-    [k x max(1, estimate)]. Omitted, the hatch is disarmed. With exact
-    estimates and [k >= 1] it never fires; each of the three raises
-    [Invalid_argument] before any work when [k < 1]. *)
+    [?escape_factor] of {!run_plan} and {!run}: abort mid-query when a
+    node's observed cardinality exceeds [k x max(1, estimate)]. Omitted,
+    the hatch is disarmed. With exact estimates and [k >= 1] it never
+    fires; both raise [Invalid_argument] before any work when [k < 1]. *)
 
 val drift_threshold : float
 (** 2: the q-error at or above which a node counts as drifted and, for
@@ -145,16 +143,9 @@ type run_result =
     }  (** the escape hatch fired *)
 
 val observed_run :
-  ?escape_factor:float ->
-  ?estimate_plan:Relalg.Physical.plan ->
-  Catalog.t ->
-  Relalg.Physical.plan ->
-  run_result
-(** Execute [plan] with a per-node cardinality observer. Estimates are
-    derived from [estimate_plan] when given (a structurally congruent
-    plan carrying the constants the optimizer actually believed — used
-    by {!run_dynamic} to judge a parameter-instantiated plan against
-    its witness), from [plan] itself otherwise. *)
+  ?escape_factor:float -> Catalog.t -> Relalg.Physical.plan -> run_result
+(** Execute [plan] with a per-node cardinality observer, judging each
+    node against the estimate derived from [plan] itself. *)
 
 val drift_nodes : threshold:float -> node_obs list -> node_obs list
 (** The nodes whose q-error reaches [threshold] and whose drift is
@@ -220,15 +211,3 @@ val run :
   outcome
 (** Optimize then {!run_plan}.
     @raise Invalid_argument when the optimizer finds no plan. *)
-
-val run_dynamic :
-  ?escape_factor:float ->
-  Relmodel.Optimizer.request ->
-  Dynplan.t ->
-  param:Relalg.Value.t ->
-  outcome
-(** Execute a dynamic plan's static choice under the feedback loop,
-    judged against the estimates of its optimization-time witness. When
-    the escape hatch fires, abort into the {!Dynplan} bucket covering
-    the actual parameter (choose-plan as a run-time fallback, no
-    re-optimization) and execute that to completion. *)

@@ -9,8 +9,6 @@ val now_int : unit -> int
 (** {!now_ns} collapsed to an int (63 bits of nanoseconds), read
     without allocating: for timestamps taken on every engine task. *)
 
-val ms_of_ns : int64 -> float
-
 val us_of_ns : int64 -> float
 
 val span_ms : since:int64 -> int64 -> float

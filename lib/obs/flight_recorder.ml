@@ -159,8 +159,6 @@ let to_json ?(reason = "") t =
       ("events", Json.Arr evs);
     ]
 
-let set_path t path = t.fr_path <- Some path
-
 let dumps t = t.fr_dumps
 
 let last_reason t = t.fr_last_reason

@@ -27,10 +27,8 @@ type ring
 
 type t
 
-val default_capacity : int
-
 val create : ?capacity:int -> ?path:string -> unit -> t
-(** [capacity] is per ring (default {!default_capacity}); [path], when
+(** [capacity] is per ring (default 512); [path], when
     given, is where {!trigger} writes the JSON post-mortem. *)
 
 val capacity : t -> int
@@ -76,9 +74,6 @@ val dropped : t -> int
 val to_json : ?reason:string -> t -> Json.t
 (** [{"reason", "capacity", "rings", "recorded", "dropped", "events"}]:
     at most [capacity * rings] surviving events, oldest first. *)
-
-val set_path : t -> string -> unit
-(** Set (or replace) the post-mortem destination. *)
 
 val trigger : t -> reason:string -> unit
 (** Mark an abnormal end: remembers [reason], bumps the dump counter,

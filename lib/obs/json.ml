@@ -70,11 +70,9 @@ let to_string v =
   emit buf v;
   Buffer.contents buf
 
-let to_channel oc v = output_string oc (to_string v)
-
 let write_file path v =
   Out_channel.with_open_text path (fun oc ->
-      to_channel oc v;
+      output_string oc (to_string v);
       output_char oc '\n')
 
 (* ------------------------------------------------------------------ *)

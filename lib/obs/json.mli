@@ -18,8 +18,6 @@ val to_string : t -> string
 (** Compact rendering. Integral numbers print without a fraction;
     everything else prints with enough digits to round-trip. *)
 
-val to_channel : out_channel -> t -> unit
-
 val write_file : string -> t -> unit
 (** Write [t] to [path] with a trailing newline. *)
 

@@ -11,8 +11,6 @@
 
 type path = string list
 
-val path_to_string : path -> string
-
 (** Schema-level description of the object base. *)
 type class_info = {
   cname : string;

@@ -24,8 +24,6 @@ type params = {
   cpu_test : float;  (** seconds per predicate evaluation *)
 }
 
-val default_params : params
-
 val make : store:Oo_algebra.store -> ?params:params -> unit -> (module OO_MODEL)
 
 (** A concrete optimized plan, mirroring {!Relmodel.Optimizer}. *)

@@ -549,8 +549,6 @@ let pp_metrics ppf m =
     m.cold.mean_ms m.cold.p50_ms m.cold.p95_ms m.cold.p99_ms m.cold.max_ms
     Volcano.Search_stats.pp m.search
 
-let slow_threshold_ms t = t.cfg.slow_ms
-
 let slow_log t =
   Mutex.protect t.slow.sl_lock (fun () ->
       let n = Array.length t.slow.sl_slots in

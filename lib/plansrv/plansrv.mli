@@ -189,9 +189,6 @@ type slow_entry = {
           entry was cached (static entries only) *)
 }
 
-val slow_threshold_ms : t -> float
-(** The configured slow-query threshold. *)
-
 val slow_log : t -> slow_entry list
 (** The most recent slow responses (up to a fixed ring capacity),
     oldest first. Empty until some response crosses the threshold. *)

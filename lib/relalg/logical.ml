@@ -84,10 +84,8 @@ let rec relations e =
   | Select _ | Project _ | Join _ | Union | Intersect | Difference | Group_by _ ->
     List.concat_map relations e.inputs
 
-let pp_op ppf op = Format.pp_print_string ppf (op_name op)
-
 let rec pp_indent ppf depth e =
-  Format.fprintf ppf "%s%a" (String.make (2 * depth) ' ') pp_op e.op;
+  Format.fprintf ppf "%s%s" (String.make (2 * depth) ' ') (op_name e.op);
   List.iter (fun i -> Format.fprintf ppf "@\n%a" (fun ppf -> pp_indent ppf (depth + 1)) i) e.inputs
 
 let pp ppf e = pp_indent ppf 0 e

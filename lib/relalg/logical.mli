@@ -65,7 +65,5 @@ val relations : expr -> string list
 
 val agg_result_name : agg -> string
 
-val pp_op : Format.formatter -> op -> unit
-
 val pp : Format.formatter -> expr -> unit
 (** Multi-line indented tree rendering. *)

@@ -37,6 +37,3 @@ let distinct_raw t column = List.assoc_opt (canonical_name t column) t.distincts
 
 let pages ~page_size t =
   Float.max 1. (Float.of_int t.row_bytes *. t.card /. Float.of_int page_size)
-
-let pp ppf t =
-  Format.fprintf ppf "card=%.0f width=%dB %a" t.card t.row_bytes Schema.pp t.schema

@@ -55,5 +55,3 @@ val distinct_raw : t -> string -> float option
 
 val pages : page_size:int -> t -> float
 (** Estimated pages occupied when materialized. *)
-
-val pp : Format.formatter -> t -> unit

@@ -36,8 +36,6 @@ val with_partitioning : partitioning -> t -> t
 val gathered : t
 (** Requirement: everything at one site (a user-facing result). *)
 
-val partitioning_covers : provided:partitioning -> required:partitioning -> bool
-
 val covers : provided:t -> required:t -> bool
 (** Every requirement in [required] is met by [provided]. *)
 

@@ -82,10 +82,8 @@ let alg_name = function
 
 let rec size p = 1 + List.fold_left (fun acc c -> acc + size c) 0 p.children
 
-let pp_alg ppf alg = Format.pp_print_string ppf (alg_name alg)
-
 let rec pp_indent ppf depth p =
-  Format.fprintf ppf "%s%a" (String.make (2 * depth) ' ') pp_alg p.alg;
+  Format.fprintf ppf "%s%s" (String.make (2 * depth) ' ') (alg_name p.alg);
   List.iter
     (fun c -> Format.fprintf ppf "@\n%a" (fun ppf -> pp_indent ppf (depth + 1)) c)
     p.children

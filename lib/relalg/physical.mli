@@ -69,8 +69,6 @@ val alg_name : alg -> string
 
 val size : plan -> int
 
-val pp_alg : Format.formatter -> alg -> unit
-
 val pp : Format.formatter -> plan -> unit
 (** Multi-line indented tree rendering (EXPLAIN-style). *)
 

@@ -223,5 +223,3 @@ let session req =
 let optimize_in s query ~required = s.run query required
 
 let session_stats s = s.stats
-
-let session_request s = s.req

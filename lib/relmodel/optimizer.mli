@@ -114,9 +114,6 @@ val to_physical : plan_node -> Relalg.Physical.plan
 val plan_cost : plan_node -> Relalg.Cost.t
 (** Total cost of the plan (the root node's subtree cost). *)
 
-val pp_plan : Format.formatter -> plan_node -> unit
-(** Indented rendering with per-node properties and costs. *)
-
 val explain : plan_node -> string
 (** Multi-line EXPLAIN rendering with properties and costs. *)
 
@@ -146,7 +143,3 @@ val session_stats : session -> Volcano.Search_stats.t
 (** The session's cumulative search effort: the live record every
     {!optimize_in} result's [stats] shares. Zero until the first
     optimization. *)
-
-val session_request : session -> request
-(** The request the session was created from (used by the plan service
-    to renew sessions when the catalog changes). *)

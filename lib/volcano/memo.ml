@@ -316,10 +316,6 @@ module Make (M : Signatures.MODEL) = struct
 
   let key_of_mexpr (m : mexpr) : Expr_key.t = (m.key_h, m.op, m.inputs)
 
-  let mexpr_of_id t i =
-    assert (i >= 0 && i < t.n_exprs);
-    t.exprs.(i)
-
   (* Append a freshly built mexpr to the arena. *)
   let add_expr t m =
     if t.n_exprs = Array.length t.exprs then begin

@@ -31,15 +31,3 @@ type ('op, 'alg, 'lp, 'pp) implement = {
     'op binding ->
     ('op, 'alg, 'lp, 'pp) impl_choice list;
 }
-
-let rec leaf_groups = function
-  | Group g -> [ g ]
-  | Node (_, subs) -> List.concat_map leaf_groups subs
-
-let binding_op = function
-  | Group _ -> None
-  | Node (op, _) -> Some op
-
-let rec pattern_depth = function
-  | Any -> 0
-  | Op (_, subs) -> 1 + List.fold_left (fun acc p -> max acc (pattern_depth p)) 0 subs

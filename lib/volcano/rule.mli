@@ -64,14 +64,3 @@ type ('op, 'alg, 'lp, 'pp) implement = {
     'op binding ->
     ('op, 'alg, 'lp, 'pp) impl_choice list;
 }
-
-val leaf_groups : 'op binding -> group list
-(** Groups bound by [Any] leaves, left to right. *)
-
-val binding_op : 'op binding -> 'op option
-(** Root operator, when the binding is a [Node]. *)
-
-val pattern_depth : 'op pattern -> int
-(** Longest operator chain the pattern matches ([Any] counts 0): how
-    deep exploration must descend into input classes before the rule
-    can be offered all its bindings. *)

@@ -29,64 +29,26 @@ let test_nulls () =
   in
   let s = Catalog.Stats.of_tuples schema with_nulls in
   let k = Option.get (Catalog.Stats.column s "t.k") in
-  Alcotest.(check (float 0.)) "null count" 2. k.null_count;
-  Alcotest.(check (float 0.)) "distinct excludes nulls" 100. k.n_distinct
-
-let test_histogram_fraction () =
-  let k = Option.get (Catalog.Stats.column stats "t.k") in
-  let h = Option.get k.histogram in
-  let half = Catalog.Stats.histogram_fraction h ~lo:None ~hi:(Some 49.5) in
-  Alcotest.(check bool)
-    (Printf.sprintf "about half below 49.5 (got %.3f)" half)
-    true
-    (half > 0.4 && half < 0.6);
-  let all = Catalog.Stats.histogram_fraction h ~lo:None ~hi:None in
-  Alcotest.(check bool) "full range is everything" true (all > 0.99)
+  Alcotest.(check (float 0.)) "distinct excludes nulls" 100. k.n_distinct;
+  Alcotest.(check bool) "min ignores nulls" true (k.min_value = Some (Value.Int 0));
+  Alcotest.(check bool) "max ignores nulls" true (k.max_value = Some (Value.Int 99));
+  let only_nulls = Catalog.Stats.of_tuples schema [| [| Value.Null; Value.Null |] |] in
+  let all_null = Option.get (Catalog.Stats.column only_nulls "t.k") in
+  Alcotest.(check bool) "no bounds without values" true
+    (all_null.min_value = None && all_null.max_value = None)
 
 (* The statistics [Stats.of_tuples] built before it scanned in one
-   pass: each column as a list, a [Set] for the distinct count, a stable
-   sort for the bounds, and the histogram folded over the numeric
-   values. *)
+   pass: each column as a list, a [Set] for the distinct count and a
+   stable sort for the bounds. *)
 let reference_of_tuples (schema : Schema.t) (tuples : Tuple.t array) : Catalog.Stats.t =
-  let bucket_count = 16 in
-  let build_histogram values =
-    match values with
-    | [] -> None
-    | v0 :: _ ->
-      let lo = List.fold_left Float.min v0 values in
-      let hi = List.fold_left Float.max v0 values in
-      if (not (Float.is_finite lo && Float.is_finite hi)) || hi <= lo then None
-      else begin
-        let buckets = Array.make bucket_count 0. in
-        let width = (hi -. lo) /. Float.of_int bucket_count in
-        let place v =
-          let i = int_of_float ((v -. lo) /. width) in
-          let i = if i >= bucket_count then bucket_count - 1 else i in
-          buckets.(i) <- buckets.(i) +. 1.
-        in
-        List.iter place values;
-        Some { Catalog.Stats.lo; hi; buckets }
-      end
-  in
   let column_stats_of_values values =
     let module VS = Set.Make (Value) in
     let non_null = List.filter (fun v -> not (Value.is_null v)) values in
-    let nulls = List.length values - List.length non_null in
     let distinct = VS.cardinal (VS.of_list non_null) in
     let sorted = List.sort Value.compare non_null in
     let min_value = match sorted with [] -> None | v :: _ -> Some v in
     let max_value = match List.rev sorted with [] -> None | v :: _ -> Some v in
-    let numeric = List.filter_map Value.to_float non_null in
-    let histogram =
-      if List.length numeric = List.length non_null then build_histogram numeric else None
-    in
-    {
-      Catalog.Stats.n_distinct = Float.of_int distinct;
-      null_count = Float.of_int nulls;
-      min_value;
-      max_value;
-      histogram;
-    }
+    { Catalog.Stats.n_distinct = Float.of_int distinct; min_value; max_value }
   in
   let columns =
     Array.to_list schema
@@ -103,17 +65,10 @@ let same_stats (a : Catalog.Stats.t) (b : Catalog.Stats.t) =
   let same_value x y =
     match x, y with Value.Float x, Value.Float y -> same_float x y | _, _ -> x = y
   in
-  let same_histogram (x : Catalog.Stats.histogram) (y : Catalog.Stats.histogram) =
-    same_float x.lo y.lo && same_float x.hi y.hi
-    && Array.length x.buckets = Array.length y.buckets
-    && Array.for_all2 same_float x.buckets y.buckets
-  in
   let same_column (na, (x : Catalog.Stats.column_stats)) (nb, (y : Catalog.Stats.column_stats)) =
     String.equal na nb && same_float x.n_distinct y.n_distinct
-    && same_float x.null_count y.null_count
     && Option.equal same_value x.min_value y.min_value
     && Option.equal same_value x.max_value y.max_value
-    && Option.equal same_histogram x.histogram y.histogram
   in
   same_float a.row_count b.row_count
   && List.length a.columns = List.length b.columns
@@ -174,18 +129,26 @@ let prop_stats_match_reference =
       let schema = Array.init arity (fun i -> Schema.attribute (Printf.sprintf "t.c%d" i) Schema.TInt) in
       same_stats (Catalog.Stats.of_tuples schema tuples) (reference_of_tuples schema tuples))
 
-(* A NaN or an infinity among a column's numbers leaves histogram
-   bounds that cover nothing, so the column gets no histogram; its
-   other statistics are still built. *)
-let test_non_finite_no_histogram () =
+(* A NaN or an infinity is a value like any other: it counts as
+   distinct and bounds the column in [Value.compare]'s order, where NaN
+   sorts below every number. *)
+let test_non_finite_values () =
   let schema = [| Schema.attribute "t.x" Schema.TInt |] in
+  let bits = function
+    | Some (Value.Float f) -> Some (Int64.bits_of_float f)
+    | _ -> None
+  in
   List.iter
-    (fun (label, xs) ->
+    (fun (label, xs, lo, hi) ->
       let tuples = Array.of_list (List.map (fun x -> [| Value.Float x |]) xs) in
       let cs = Option.get (Catalog.Stats.column (Catalog.Stats.of_tuples schema tuples) "t.x") in
-      Alcotest.(check bool) (label ^ ": no histogram") true (cs.histogram = None);
-      Alcotest.(check (float 0.)) (label ^ ": distinct values") 2. cs.n_distinct)
-    [ ("[nan; 1.]", [ Float.nan; 1. ]); ("[0.; infinity]", [ 0.; Float.infinity ]) ]
+      Alcotest.(check (float 0.)) (label ^ ": distinct values") 2. cs.n_distinct;
+      Alcotest.(check bool) (label ^ ": min") true (bits cs.min_value = Some (Int64.bits_of_float lo));
+      Alcotest.(check bool) (label ^ ": max") true (bits cs.max_value = Some (Int64.bits_of_float hi)))
+    [
+      ("[nan; 1.]", [ Float.nan; 1. ], Float.nan, 1.);
+      ("[0.; infinity]", [ 0.; Float.infinity ], 0., Float.infinity);
+    ]
 
 (* Machine-neutral gate: building statistics allocates a few words per
    value, minor and major heap together. The list/[Set] build took
@@ -342,8 +305,7 @@ let test_base_props_follow_update_stats () =
             if String.equal name "r.a" then
               ( name,
                 {
-                  (c : Catalog.Stats.column_stats) with
-                  n_distinct = 250.;
+                  Catalog.Stats.n_distinct = 250.;
                   min_value = Some (Value.Int 100);
                   max_value = Some (Value.Float 900.);
                 } )
@@ -370,10 +332,8 @@ let suite =
     Alcotest.test_case "distinct counts" `Quick test_distincts;
     Alcotest.test_case "min/max" `Quick test_min_max;
     Alcotest.test_case "null accounting" `Quick test_nulls;
-    Alcotest.test_case "histogram fractions" `Quick test_histogram_fraction;
     prop_stats_match_reference;
-    Alcotest.test_case "non-finite numbers get no histogram" `Quick
-      test_non_finite_no_histogram;
+    Alcotest.test_case "non-finite numbers are plain values" `Quick test_non_finite_values;
     Alcotest.test_case "of_tuples allocation" `Quick test_of_tuples_allocation;
     Alcotest.test_case "synthetic rows match the reference" `Quick
       test_synthetic_matches_reference;

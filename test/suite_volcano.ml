@@ -1,5 +1,5 @@
-(* Unit tests for the search-engine core's small pieces: operator trees,
-   rule patterns and bindings, and the effort counters. *)
+(* Unit tests for the search-engine core's small pieces: operator trees
+   and the effort counters. *)
 
 let node = Volcano.Tree.node
 
@@ -11,20 +11,6 @@ let test_tree_basics () =
   Alcotest.(check int) "inputs" 2 (List.length (Volcano.Tree.inputs tree));
   let upper = Volcano.Tree.map String.uppercase_ascii tree in
   Alcotest.(check string) "map" "A" (Volcano.Tree.op upper)
-
-let test_pattern_depth () =
-  let open Volcano.Rule in
-  Alcotest.(check int) "any" 0 (pattern_depth Any);
-  Alcotest.(check int) "node" 1 (pattern_depth (Op ((fun _ -> true), [ Any; Any ])));
-  Alcotest.(check int) "nested" 2
-    (pattern_depth (Op ((fun _ -> true), [ Op ((fun _ -> true), [ Any ]); Any ])))
-
-let test_binding_helpers () =
-  let open Volcano.Rule in
-  let b = Node ("j", [ Group 3; Node ("j", [ Group 1; Group 2 ]) ]) in
-  Alcotest.(check (list int)) "leaf groups in order" [ 3; 1; 2 ] (leaf_groups b);
-  Alcotest.(check (option string)) "root op" (Some "j") (binding_op b);
-  Alcotest.(check (option string)) "group has no op" None (binding_op (Group 7))
 
 let test_stats_reset () =
   let s = Volcano.Search_stats.create () in
@@ -73,8 +59,6 @@ let test_stats_table_complete () =
 let suite =
   [
     Alcotest.test_case "tree basics" `Quick test_tree_basics;
-    Alcotest.test_case "pattern depth" `Quick test_pattern_depth;
-    Alcotest.test_case "binding helpers" `Quick test_binding_helpers;
     Alcotest.test_case "stats reset" `Quick test_stats_reset;
     Alcotest.test_case "stats pp" `Quick test_stats_pp;
     Alcotest.test_case "stats table covers every field" `Quick test_stats_table_complete;
